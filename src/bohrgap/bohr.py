@@ -17,13 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousLift, PrecisionExhausted, ValidationError
+from .errors import AmbiguousLift, ValidationError
 from .exponents import TargetVector
 from .realfield import (
     DEFAULT_SCALE,
+    UNDECIDED,
     FixedReal,
     RealSpec,
     ceil_pow_sqrt,
+    certify,
     cmp_fixed,
     fr_from_fraction,
     fr_from_int,
@@ -207,7 +209,8 @@ def _unfolded(spec: BohrSpec, n: int, i: int, extra: int = 0) -> FixedReal:
 
 def _nearest_int(spec: BohrSpec, n: int, i: int) -> int:
     """The integer nearest to n*alpha_i - gamma_i, decided exactly."""
-    for extra in (0, 64, 192):
+
+    def step(extra):
         th = _unfolded(spec, n, i, extra)
         one = 1 << th.scale
         q, r = divmod(th.man + (one >> 1), one)
@@ -215,7 +218,9 @@ def _nearest_int(spec: BohrSpec, n: int, i: int) -> int:
             return q
         if th.err == 0 and r == 0:
             raise AmbiguousLift(f"n={n} sits exactly half-way on coordinate {i}")
-    raise PrecisionExhausted(f"cannot resolve the nearest integer at n={n}", n=n, coord=i)
+        return UNDECIDED
+
+    return certify(step, "cannot resolve the nearest integer at n={n}", n=n, coord=i)
 
 
 def lift_bohr(bset: BohrSet) -> BohrSet:
@@ -249,27 +254,24 @@ def all_lifts(spec: BohrSpec, n: int) -> list[tuple[int, ...]]:
         dhi = spec.delta[i].bounds()[1]
         lo = math.floor(tlo - dhi)
         hi = math.ceil(thi + dhi)
-        cands = []
-        for a in range(lo, hi + 1):
-            diff = th - fr_from_int(a, th.scale)
-            if _abs_le(diff, spec.delta[i], spec, n, i, a):
-                cands.append(a)
-        per_coord.append(cands)
+        per_coord.append([a for a in range(lo, hi + 1) if _witness_le(spec, n, i, a)])
     if any(not c for c in per_coord):
         return []
     return [(n,) + tail for tail in product(*per_coord)]
 
 
-def _abs_le(diff: FixedReal, width: FixedReal, spec: BohrSpec, n: int, i: int, a: int) -> bool:
-    d = diff.abs_()
-    for extra in (0, 64, 192):
-        if extra:
-            d = (_unfolded(spec, n, i, extra) - fr_from_int(a, spec.scale + extra)).abs_()
-        w = width.refined(width.scale + extra)
-        c = cmp_fixed(d, w)
-        if c is not None:
-            return c <= 0
-    raise PrecisionExhausted(f"witness boundary undecidable at n={n}", n=n, coord=i)
+def _witness_le(spec: BohrSpec, n: int, i: int, a: int) -> bool:
+    """Certified |n*alpha_i - gamma_i - a| <= delta_i, against the exact width
+    when it is rational."""
+    width = spec.delta[i]
+    exact = width.exact()
+
+    def step(extra):
+        d = (_unfolded(spec, n, i, extra) - fr_from_int(a, spec.scale + extra)).abs_()
+        c = cmp_fixed(d, exact if exact is not None else width.refined(width.scale + extra))
+        return UNDECIDED if c is None else c <= 0
+
+    return certify(step, "witness boundary undecidable at n={n}", n=n, coord=i)
 
 
 def homogeneous_lifted(spec: BohrSpec) -> BohrSet:
@@ -296,21 +298,10 @@ def restricted_bohr(spec: BohrSpec) -> BohrSet:
 def is_member(spec: BohrSpec, n: int) -> bool:
     """Exact single-point membership test (any integer n, no range bound)."""
     for i in range(spec.d):
-        a = spec.alpha.alphas[i]
-        g = spec.gammas()[i]
-        c = CoordScan(a, g) if n >= 0 else CoordScan(a, g).flipped()
-        m = abs(n)
-        ok = None
-        for extra in (0, 64, 192):
-            d = c.dist_fixed(m, extra)
-            w = spec.delta[i].refined(spec.delta[i].scale + extra)
-            s = cmp_fixed(d, w)
-            if s is not None:
-                ok = s <= 0
-                break
-        if ok is None:
-            raise PrecisionExhausted(f"membership undecidable at n={n}", n=n, coord=i)
-        if not ok:
+        c = CoordScan(spec.alpha.alphas[i], spec.gammas()[i])
+        if n < 0:
+            c = c.flipped()
+        if not c.dist_le(abs(n), spec.delta[i], at=n, coord=i):
             return False
     return True
 

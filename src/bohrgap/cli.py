@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import TargetVector, exponent_report
-from .gap import cardinality_ratio, decompose, gap_elements, inner_gap, is_proper, outer_gap
+from .gap import _lift_coeff_check, cardinality_ratio, gap_elements, inner_gap, is_proper, outer_gap
 from .minima import build_body, successive_minima
 from .realfield import RealSpec
 from .sums import (
@@ -249,21 +249,11 @@ def cmd_gap_verify(ns) -> RunOutput:
                 violations += 1
         card = cardinality_ratio(spec)
     else:
-        bset = enumerate_bohr(spec, "symmetric")
-        for n in bset.members[: ns.limit]:
-            lifts = all_lifts(spec, int(n))
-            checked += 1
-            ok = False
-            for point in lifts:
-                try:
-                    coeffs = decompose(g.minima, point)
-                except ConstructionError:
-                    continue
-                if all(abs(c) <= L for c, L in zip(coeffs, g.lengths)):
-                    ok = True
-                    break
-            if not ok:
-                violations += 1
+        # the same lift checker outer_gap ran, over the first members only
+        members = enumerate_bohr(spec, "symmetric").members[: ns.limit]
+        _, failures = _lift_coeff_check(spec, g.minima, g.lengths, members, budget)
+        checked = len(members)
+        violations = len({f[0] for f in failures})
         card = cardinality_ratio(spec)
     payload = {
         "form": ns.form,

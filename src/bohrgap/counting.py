@@ -167,8 +167,7 @@ def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
     lcm = 1
     for n in uniq:
         lcm = math.lcm(lcm, n)
-    weight = {n: lcm // n for n in uniq}
-    num = sum(table.phi(n) * weight[n] for n in ns)
+    num = sum(table.phi(n) * (lcm // n) for n in ns)
     return Q(num, lcm)
 
 

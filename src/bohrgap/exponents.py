@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import PrecisionExhausted, ValidationError
-from .realfield import DEFAULT_SCALE, FixedReal, RealSpec, dist_nearest_int, fr_from_int
+from .errors import ValidationError
+from .realfield import DEFAULT_SCALE, UNDECIDED, FixedReal, RealSpec, certify, dist_nearest_int, fr_from_int
 from .scan import BLOCK, CoordScan
 
 Q = Fraction
@@ -83,19 +83,24 @@ def _gammas_or_zero(alpha: TargetVector, gamma) -> list[FixedReal]:
 
 def _certify_nonzero(coord: CoordScan, n: int) -> Optional[float]:
     """Return -log(dist) if provably nonzero, None if dist is exactly zero."""
-    d = coord.dist_fixed(n)
-    for extra in (0, 64, 192):
-        if extra:
-            d = coord.dist_fixed(n, extra)
-        ex = d.exact()
-        if ex is not None:
-            if ex == 0:
-                return None
-            return -math.log(float(ex))
-        lo, hi = d.bounds()
-        if lo > 0:
-            return -math.log(float((lo + hi) / 2))
-    raise PrecisionExhausted(f"cannot separate ||n*alpha-gamma|| from 0 at n={n}", n=n)
+    return certify(
+        lambda extra: _neg_log_dist(coord.dist_fixed(n, extra)),
+        "cannot separate ||n*alpha-gamma|| from 0 at n={n}",
+        n=n,
+    )
+
+
+def _neg_log_dist(d: FixedReal):
+    """-log(d) once d is provably nonzero, None when exactly zero, else UNDECIDED."""
+    ex = d.exact()
+    if ex is not None:
+        if ex == 0:
+            return None
+        return -math.log(float(ex))
+    lo, hi = d.bounds()
+    if lo > 0:
+        return -math.log(float((lo + hi) / 2))
+    return UNDECIDED
 
 
 def _sqfree(m: int) -> tuple[int, int]:
@@ -158,21 +163,15 @@ def _certify_vector(alpha: TargetVector, vec: tuple) -> Optional[float]:
     known = _integer_combination(alpha, vec)
     if known is True:
         return None
-    for extra in (0, 64, 192):
+
+    def step(extra):
         s = alpha.scale + extra
         acc = fr_from_int(0, s)
         for c, a in zip(vec, alpha.alphas):
             acc = acc + a.refined(s).mul_int(int(c))
-        d = dist_nearest_int(acc)
-        ex = d.exact()
-        if ex is not None:
-            if ex == 0:
-                return None
-            return -math.log(float(ex))
-        lo, hi = d.bounds()
-        if lo > 0:
-            return -math.log(float((lo + hi) / 2))
-    raise PrecisionExhausted(f"cannot separate the norm form from 0 at vector {vec}")
+        return _neg_log_dist(dist_nearest_int(acc))
+
+    return certify(step, "cannot separate the norm form from 0 at vector {}", vec)
 
 
 def _scan_running_max(coords: list[CoordScan], n_lo: int, n_hi: int, combine: str):

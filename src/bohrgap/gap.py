@@ -24,6 +24,7 @@ import numpy as np
 
 from .bohr import (
     BohrSpec,
+    _witness_le,
     enumerate_bohr,
     is_member,
     shift_injection_holds,
@@ -48,18 +49,16 @@ from .minima import (
     successive_minima,
 )
 from .realfield import (
+    UNDECIDED,
     _iroot,
+    certify,
     cmp_dist_root,
-    cmp_fixed,
     cmp_frac_pow_sqrt,
     cmp_int_pow_sqrt,
-    fr_from_int,
 )
 from .scan import CoordScan, ThresholdSpec, first_in_range
 
 Q = Fraction
-
-_EXTRAS = (0, 64, 192)
 
 
 @dataclass
@@ -107,20 +106,21 @@ def _ge_pow_neg_eps(delta: Fraction, N: int, eps: Fraction) -> bool:
     return delta.numerator**q * N**p >= delta.denominator**q
 
 
-def _floor_inv_gauge(body, g: GaugeVal, k: int) -> int:
-    """floor(1/(k*m)) with certified agreement of both interval ends."""
-    cur = g
-    for extra in _EXTRAS:
-        if extra:
-            cur = gauge_interval(body, g.vec, extra)
+def _floor_over_gauge(body, g: GaugeVal, num: Fraction, what: str) -> int:
+    """floor(num/m) with certified agreement of both interval ends."""
+
+    def step(extra):
+        cur = gauge_interval(body, g.vec, extra) if extra else g
         if cur.exact is not None:
-            return int(Q(1, 1) / (k * cur.exact))
+            return int(num / cur.exact)
         if cur.lo > 0:
-            f_lo = int(Q(1, 1) / (k * cur.hi))
-            f_hi = int(Q(1, 1) / (k * cur.lo))
+            f_lo = int(num / cur.hi)
+            f_hi = int(num / cur.lo)
             if f_lo == f_hi:
                 return f_lo
-    raise PrecisionExhausted(f"length parameter undecidable at {g.vec}")
+        return UNDECIDED
+
+    return certify(step, "{} undecidable at {}", what, g.vec)
 
 
 def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdSpec:
@@ -129,12 +129,12 @@ def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdS
     e = coord.err_int(n_max)
 
     def exact(n: int) -> bool:
-        for extra in _EXTRAS:
+        def step(extra):
             d = coord.dist_fixed(n, extra)
             c = cmp_dist_root(d.man, d.err, d.scale, q, r)
-            if c is not None:
-                return c <= 0
-        raise PrecisionExhausted(f"Dirichlet boundary undecidable at n={n}", n=n)
+            return UNDECIDED if c is None else c <= 0
+
+        return certify(step, "Dirichlet boundary undecidable at n={n}", n=n)
 
     return ThresholdSpec(x - e - 2, x + e + 2, exact)
 
@@ -170,8 +170,8 @@ def decompose(minima: MinimaResult, point) -> tuple[int, ...]:
 # -- element materialization -------------------------------------------------
 
 
-def gap_elements(gap: GAP, budget: int = 10**8) -> np.ndarray:
-    """All values b + sum n_i A_i over the coefficient box, sorted, duplicates kept."""
+def _box_values(gap: GAP, budget: int) -> np.ndarray:
+    """b + sum n_i A_i in row-major coefficient order, within both budgets."""
     size = gap.box_size()
     if size > budget:
         raise BudgetExceeded(f"coefficient box of {size} exceeds budget {budget}")
@@ -181,6 +181,12 @@ def gap_elements(gap: GAP, budget: int = 10**8) -> np.ndarray:
     for A, L in zip(gap.moduli, gap.lengths):
         coeffs = np.arange(1, L + 1, dtype=np.int64) if gap.form == "positive" else np.arange(-L, L + 1, dtype=np.int64)
         vals = (vals[:, None] + (A * coeffs)[None, :]).ravel()
+    return vals
+
+
+def gap_elements(gap: GAP, budget: int = 10**8) -> np.ndarray:
+    """All values b + sum n_i A_i over the coefficient box, sorted, duplicates kept."""
+    vals = _box_values(gap, budget)
     vals.sort()
     return vals
 
@@ -215,15 +221,8 @@ def _coeff_vector(gap: GAP, flat: int) -> tuple[int, ...]:
 
 def is_proper(gap: GAP, budget: int = 10**8) -> ProperCertificate:
     """Exhaustive distinctness check over the coefficient box."""
+    vals = _box_values(gap, budget)
     size = gap.box_size()
-    if size > budget:
-        raise BudgetExceeded(f"coefficient box of {size} exceeds budget {budget}")
-    if size > 4 * 10**7:
-        raise BudgetExceeded("coefficient box too large to materialize in memory")
-    vals = np.array([gap.b], dtype=np.int64)
-    for A, L in zip(gap.moduli, gap.lengths):
-        coeffs = np.arange(1, L + 1, dtype=np.int64) if gap.form == "positive" else np.arange(-L, L + 1, dtype=np.int64)
-        vals = (vals[:, None] + (A * coeffs)[None, :]).ravel()
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
     dup = np.nonzero(svals[1:] == svals[:-1])[0]
@@ -274,7 +273,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
 
     lengths = []
     for g in minima.basis_m:
-        L = _floor_inv_gauge(body, g, k)
+        L = _floor_over_gauge(body, g, Q(1, k), "length parameter")
         lengths.append(L)
     p, q = eps.numerator, eps.denominator
     if any(L < 1 or L**q < N**p for L in lengths):
@@ -389,16 +388,6 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, bu
         dd = deltas[i] * one
         coords.append((a.man, math.floor(dd - er), math.floor(dd + er)))
 
-    def borderline(n: int, i: int, a: int) -> bool:
-        from .bohr import _unfolded
-
-        for extra in _EXTRAS:
-            d = (_unfolded(spec, n, i, extra) - fr_from_int(a, spec.scale + extra)).abs_()
-            c = cmp_fixed(d, deltas[i])
-            if c is not None:
-                return c <= 0
-        raise PrecisionExhausted(f"witness boundary undecidable at n={n}", n=n, coord=i)
-
     rows = [list(v) for v in minima.basis]
     det = _int_det(rows)
     adj = _int_adjugate(rows)  # coeff_j = det * sum_i pt_i * adj[i][j] since det = +-1
@@ -415,7 +404,7 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, bu
             cand = []
             for a in range(alo, ahi + 1):
                 r = abs(p - a * one)
-                if r <= din or (r <= dout and borderline(n, i, a)):
+                if r <= din or (r <= dout and _witness_le(spec, n, i, a)):
                     cand.append(a)
             windows.append(cand)
         for tail in itertools.product(*windows):
@@ -467,7 +456,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     sigma = tuple(1 if v[0] > 0 else (-1 if v[0] < 0 else 0) for v in minima.basis)
     lengths = []
     for g in minima.basis_m:
-        lengths.append(_floor_const_inv_gauge(body, g, c_k))
+        lengths.append(_floor_over_gauge(body, g, c_k, "outer length"))
     if any(L < 1 or cmp_int_pow_sqrt(L, N, eps) < 0 for L in lengths):
         raise LengthUnderflow(
             f"lengths {lengths} fall below N^tau = {N}^sqrt({eps}); "
@@ -519,22 +508,6 @@ def _cmp_delta_pow_neg_sqrt(d: Fraction, N: int, eps: Fraction) -> int:
     if sgn is None:
         raise PrecisionExhausted("width vs N^-sqrt(eps) undecidable")
     return sgn
-
-
-def _floor_const_inv_gauge(body, g: GaugeVal, c_k: int) -> int:
-    """floor(c_k/m) certified, for the outer lengths."""
-    cur = g
-    for extra in _EXTRAS:
-        if extra:
-            cur = gauge_interval(body, g.vec, extra)
-        if cur.exact is not None:
-            return int(Q(c_k) / cur.exact)
-        if cur.lo > 0:
-            f_lo = int(Q(c_k) / cur.hi)
-            f_hi = int(Q(c_k) / cur.lo)
-            if f_lo == f_hi:
-                return f_lo
-    raise PrecisionExhausted(f"outer length undecidable at {g.vec}")
 
 
 # -- cardinality corollary ----------------------------------------------------

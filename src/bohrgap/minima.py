@@ -23,16 +23,13 @@ from .errors import (
     BudgetExceeded,
     ConstructionError,
     MinimaDegenerate,
-    PrecisionExhausted,
     ValidationError,
 )
 from .exponents import TargetVector
-from .realfield import FixedReal, fr_root_rational
+from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
 from .scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
-
-_EXTRAS = (0, 64, 192)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,8 @@ def gauge(body: ConvexBody, vec) -> FixedReal:
 
 def _gauge_le(body: ConvexBody, vec, bound: Fraction) -> bool:
     """Certified m(v) <= bound (non-strict)."""
-    for extra in _EXTRAS:
+
+    def step(extra):
         m = gauge_interval(body, vec, extra)
         if m.exact is not None:
             return m.exact <= bound
@@ -151,13 +149,16 @@ def _gauge_le(body: ConvexBody, vec, bound: Fraction) -> bool:
             return True
         if m.lo > bound:
             return False
-    raise PrecisionExhausted(f"gauge vs bound undecidable at {vec}")
+        return UNDECIDED
+
+    return certify(step, "gauge vs bound undecidable at {}", vec)
 
 
 def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
     """Certified sign of m(u) - m(v); exact ties return 0."""
-    a, b = u, v
-    for extra in _EXTRAS:
+
+    def step(extra):
+        a, b = u, v
         if extra:
             a = gauge_interval(body, u.vec, extra)
             b = gauge_interval(body, v.vec, extra)
@@ -168,7 +169,9 @@ def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
             return -1
         if a.lo > b.hi:
             return 1
-    raise PrecisionExhausted(f"gauge order undecidable between {u.vec} and {v.vec}")
+        return UNDECIDED
+
+    return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec)
 
 
 # -- integer linear algebra (k <= 6) --------------------------------------
@@ -410,24 +413,27 @@ def _band_check(body: ConvexBody, minima_m: list[GaugeVal]) -> None:
     lo_band = Q(2**k, math.factorial(k))
     hi_band = Q(2**k)
     vol = body.vol_s() * body.lam_pow_k  # lambda^k * vol(S), exact
-    for extra in _EXTRAS:
+
+    def step(extra):
         cur = minima_m if extra == 0 else [gauge_interval(body, g.vec, extra) for g in minima_m]
         if all(g.exact is not None for g in cur):
             prod = Q(1)
             for g in cur:
                 prod *= g.exact
             if lo_band <= prod * vol <= hi_band:
-                return
+                return True
             raise MinimaDegenerate("successive minima outside the Minkowski band")
         plo, phi = Q(1), Q(1)
         for g in cur:
             plo *= g.lo
             phi *= g.hi
         if plo * vol >= lo_band and phi * vol <= hi_band:
-            return
+            return True
         if phi * vol < lo_band or plo * vol > hi_band:
             raise MinimaDegenerate("successive minima outside the Minkowski band")
-    raise PrecisionExhausted("Minkowski band check undecidable")
+        return UNDECIDED
+
+    certify(step, "Minkowski band check undecidable")
 
 
 def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult:

@@ -337,19 +337,36 @@ def cmp_fixed(x: FixedReal, y) -> Optional[int]:
     return None
 
 
+UNDECIDED = object()  # what a certify step returns while its comparison is open
+
+
+def certify(step, msg: str, *args, n=None, coord=None):
+    """First decided result of step(extra) for extra = 0, 64, 192 extra bits.
+
+    step returns UNDECIDED while its comparison is still open at that depth;
+    any other value, None included, is the answer.  Each step refines what it
+    needs itself, and refinement errors propagate.  Only when every depth
+    stays open is msg formatted (with args, n and coord) into the raised
+    PrecisionExhausted, which carries n and coord.
+    """
+    for extra in (0, 64, 192):
+        out = step(extra)
+        if out is not UNDECIDED:
+            return out
+    raise PrecisionExhausted(msg.format(*args, n=n, coord=coord), n=n, coord=coord)
+
+
 def decide_le(x: FixedReal, y, *, what: str = "comparison") -> bool:
     """x <= y with escalation through the constructor; raises if truly stuck."""
     cur = x
-    for extra in (0, 64, 192):
-        if extra:
-            try:
-                cur = cur.refined(cur.scale + extra)
-            except PrecisionExhausted:
-                break
+
+    def step(extra):
+        nonlocal cur  # refinements compound: the last depth sits 256 bits up
+        cur = cur.refined(cur.scale + extra)
         c = cmp_fixed(cur, y)
-        if c is not None:
-            return c <= 0
-    raise PrecisionExhausted(f"indecisive {what}")
+        return UNDECIDED if c is None else c <= 0
+
+    return certify(step, "indecisive {}", what)
 
 
 # -- certified power comparisons ---------------------------------------

@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import PrecisionExhausted
-from .realfield import FixedReal, cmp_fixed, norm_form
+from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, norm_form
 
 BLOCK = 1 << 16
 _M32 = np.uint64(0xFFFFFFFF)
@@ -97,9 +96,6 @@ class CoordScan:
 
     # -- exact per-element fallback ---------------------------------------
 
-    def dist_interval(self, n: int) -> tuple[Fraction, Fraction]:
-        return self.dist_fixed(n).bounds()
-
     def dist_fixed(self, n: int, extra_bits: int = 0) -> FixedReal:
         a, g = self.alpha, self.gamma
         if extra_bits:
@@ -108,6 +104,22 @@ class CoordScan:
         if g is not None and self.g_sign < 0:
             g = g.mul_int(-1)  # negate after refinement so sources survive
         return norm_form(n, a, g)
+
+    def dist_le(self, n: int, thr, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
+        """Certified ||n*alpha - gamma|| <= thr for a Fraction or FixedReal thr.
+
+        Only a FixedReal threshold is refined along with the distance.  An
+        undecidable case raises PrecisionExhausted naming ``at`` (default n)
+        and ``coord``.
+        """
+
+        def step(extra):
+            t = thr.refined(thr.scale + extra) if isinstance(thr, FixedReal) else thr
+            c = cmp_fixed(self.dist_fixed(n, extra), t)
+            return UNDECIDED if c is None else c <= 0
+
+        at = n if at is None else at
+        return certify(step, "membership undecidable at n={n}", n=at, coord=coord)
 
 
 @dataclass
@@ -122,22 +134,12 @@ class ThresholdSpec:
     @classmethod
     def for_fraction(cls, coord: CoordScan, thr: Fraction, n_max: int) -> "ThresholdSpec":
         """Membership test ||n*alpha - gamma|| <= thr for an exact rational thr."""
+        thr = Fraction(thr)
         e = coord.err_int(n_max)
         t = thr * (1 << coord.scale)
         t_in = math.floor(t - e)
         t_out = math.floor(t + e)
-
-        def exact(n: int, _c=coord, _t=Fraction(thr)) -> bool:
-            d = _c.dist_fixed(n)
-            for extra in (0, 64, 192):
-                if extra:
-                    d = _c.dist_fixed(n, extra)
-                c = cmp_fixed(d, _t)
-                if c is not None:
-                    return c <= 0
-            raise PrecisionExhausted(f"membership undecidable at n={n}", n=n)
-
-        return cls(t_in, t_out, exact)
+        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr))
 
     @classmethod
     def for_fixed(cls, coord: CoordScan, thr, n_max: int) -> "ThresholdSpec":
@@ -154,17 +156,7 @@ class ThresholdSpec:
         tlo, thi = thr.bounds()
         t_in = math.floor(tlo * (1 << coord.scale)) - e
         t_out = math.floor(thi * (1 << coord.scale)) + e
-
-        def exact(n: int, _c=coord, _t=thr) -> bool:
-            for extra in (0, 64, 192):
-                d = _c.dist_fixed(n, extra)
-                t = _t.refined(_t.scale + extra)
-                c = cmp_fixed(d, t)
-                if c is not None:
-                    return c <= 0
-            raise PrecisionExhausted(f"membership undecidable at n={n}", n=n)
-
-        return cls(t_in, t_out, exact)
+        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr))
 
 
 def _words_le(words: Sequence[np.ndarray], bound: int, nwords: int) -> np.ndarray:

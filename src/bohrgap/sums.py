@@ -20,13 +20,12 @@ import numpy as np
 
 from .bohr import BohrSpec, restricted_bohr
 from .counting import TotientTable, totient_average, totient_sieve
-from .errors import BudgetExceeded, PrecisionExhausted, ValidationError
-from .realfield import RealSpec, cmp_fixed, cmp_frac_pow_sqrt
+from .errors import BudgetExceeded, ValidationError
+from .realfield import UNDECIDED, RealSpec, certify, cmp_fixed, cmp_frac_pow_sqrt
 from .scan import BLOCK, CoordScan
 
 Q = Fraction
 
-_EXTRAS = (0, 64, 192)
 _N_CAP = 2 * 10**7
 _REL_BAND = 1e-9  # float decisions keep this relative margin from thresholds
 
@@ -89,14 +88,16 @@ def trivial_mask(N: int) -> SupportMask:
 
 
 def _on_support_exact(coord: CoordScan, n: int, eps: Fraction) -> bool:
-    for extra in _EXTRAS:
+    def step(extra):
         d = coord.dist_fixed(n, extra)
         ex = d.exact()
         lo, hi = (ex, ex) if ex is not None else d.bounds()
         c = cmp_frac_pow_sqrt(lo, hi, n, eps)
-        if c is not None:
-            return c >= 0  # ties (exact rational hit on the threshold) stay in
-    raise PrecisionExhausted(f"support membership undecidable at n={n}", n=n)
+        if c is None:
+            return UNDECIDED
+        return c >= 0  # ties (exact rational hit on the threshold) stay in
+
+    return certify(step, "support membership undecidable at n={n}", n=n)
 
 
 def support_mask(spec: BohrSpec, N: Optional[int] = None, block: int = BLOCK) -> SupportMask:
@@ -157,16 +158,17 @@ class SumResult:
 
 def _positive_dist(coord: CoordScan, n: int) -> float:
     """Resolve a distance that rounded to float 0: exact zero or a refined value."""
-    d = coord.dist_fixed(n)
-    ex = d.exact()
-    if ex is not None:
-        return float(ex)  # 0.0 signals a true zero to the caller
-    for extra in _EXTRAS[1:]:
+
+    def step(extra):
         d = coord.dist_fixed(n, extra)
+        if extra == 0:
+            ex = d.exact()
+            # 0.0 signals a true zero to the caller; no midpoint at base scale
+            return UNDECIDED if ex is None else float(ex)
         lo, hi = d.bounds()
-        if lo > 0:
-            return float((lo + hi) / 2)
-    raise PrecisionExhausted(f"distance at n={n} cannot be separated from zero", n=n)
+        return float((lo + hi) / 2) if lo > 0 else UNDECIDED
+
+    return certify(step, "distance at n={n} cannot be separated from zero", n=n)
 
 
 def _term_array(spec: BohrSpec, mask: SupportMask, N: int, block: int = BLOCK):
@@ -369,18 +371,19 @@ def _cell_of_fraction(x: Fraction) -> int:
 
 def _cell_exact(coord: CoordScan, n: int) -> Optional[int]:
     """Certified cell index for one coordinate; None marks a true zero."""
-    for extra in _EXTRAS:
+
+    def step(extra):
         d = coord.dist_fixed(n, extra)
         ex = d.exact()
         if ex is not None:
             return None if ex == 0 else _cell_of_fraction(ex)
         lo, hi = d.bounds()
         if lo <= 0:
-            continue
+            return UNDECIDED
         ilo, ihi = _cell_of_fraction(hi), _cell_of_fraction(lo)
-        if ilo == ihi:
-            return ilo
-    raise PrecisionExhausted(f"dyadic cell undecidable at n={n}", n=n)
+        return ilo if ilo == ihi else UNDECIDED
+
+    return certify(step, "dyadic cell undecidable at n={n}", n=n)
 
 
 def dyadic_table(
@@ -602,7 +605,10 @@ def ds_hypothesis_check(
                 "R": R,
                 "L_over_R": L / R if R else math.inf,
                 "U_over_R": U / R if R else math.inf,
-                "L_le_U": L <= U * (1 + 1e-12),
+                # exact: with psi >= 0 and phi(n) <= n every term psi*(phi(n)/n)
+                # <= psi holds in IEEE arithmetic, and fsum is correctly rounded,
+                # so the sum is monotone in its terms
+                "L_le_U": L <= U,
             }
         )
     return {

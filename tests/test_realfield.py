@@ -6,6 +6,7 @@ the mantissa pipeline and frozen below.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from bohrgap.errors import PrecisionExhausted, ValidationError
 from bohrgap.realfield import (
     DEFAULT_SCALE,
+    UNDECIDED,
     FixedReal,
     RealSpec,
     ceil_pow_sqrt,
+    certify,
     cmp_dist_root,
     cmp_fixed,
     cmp_frac_pow_sqrt,
@@ -33,6 +36,7 @@ from bohrgap.realfield import (
     norm_form,
     sqrt_fraction,
 )
+from bohrgap.scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
 
@@ -263,3 +267,108 @@ def test_decimal_rendering():
     assert x.decimal(12) == "0.100000000000"
     y = fr_from_fraction(Q(-7, 2), 128)
     assert y.decimal(3) == "-3.500"
+
+
+# -- the certify escalation primitive ------------------------------------------
+
+
+class _NoFormat:
+    def __format__(self, spec):
+        raise AssertionError("message formatted before certify gave up")
+
+
+def test_certify_tries_ladder_in_order_and_stops_at_first_decision():
+    seen = []
+
+    def step(extra):
+        seen.append(extra)
+        return "decided" if extra == 64 else UNDECIDED
+
+    assert certify(step, "{}", _NoFormat()) == "decided"
+    assert seen == [0, 64]
+
+
+def test_certify_passes_none_through_as_a_decision():
+    seen = []
+    assert certify(lambda extra: seen.append(extra), "unused") is None
+    assert seen == [0]
+
+
+def test_certify_exhaustion_names_n_and_coord():
+    seen = []
+    with pytest.raises(PrecisionExhausted) as info:
+        certify(lambda extra: seen.append(extra) or UNDECIDED, "{} at n={n}, coord {coord}", "stuck", n=7, coord=1)
+    assert seen == [0, 64, 192]
+    assert (info.value.n, info.value.coord) == (7, 1)
+    assert str(info.value) == "stuck at n=7, coord 1"
+
+
+def test_certify_lets_refinement_errors_through():
+    x = FixedReal(1 << 127, 128, Q(2), None)  # no constructor to refine from
+
+    def step(extra):
+        c = cmp_fixed(x.refined(x.scale + extra), Q(1, 2))
+        return UNDECIDED if c is None else c
+
+    with pytest.raises(PrecisionExhausted, match="no constructor available"):
+        certify(step, "{}", _NoFormat())
+
+
+def test_precision_ladder_lives_only_in_realfield():
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    holders = sorted(p.name for p in src.glob("*.py") if "(0, 64, 192)" in p.read_text())
+    assert holders == ["realfield.py"]
+
+
+# -- differential oracle through the exact scan fallback ---------------------------
+
+SQRT2_512 = math.isqrt(2 << 1024)  # floor(sqrt(2) * 2^512)
+
+
+def _oracle_dist(n: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of ||n*sqrt(2)|| from the 512-bit integer square root."""
+    lo, hi = Q(n * SQRT2_512, 1 << 512), Q(n * (SQRT2_512 + 1), 1 << 512)
+    k = round(lo)
+    assert round(hi) == k
+    return tuple(sorted((abs(lo - k), abs(hi - k))))
+
+
+def _oracle_le(n: int, thr: Fraction) -> bool:
+    dlo, dhi = _oracle_dist(n)
+    assert (dlo <= thr) == (dhi <= thr), "oracle enclosure straddles the threshold"
+    return dhi <= thr
+
+
+def test_exact_callback_escalates_at_scale_64(monkeypatch):
+    coord = CoordScan(RealSpec.parse("sqrt:2").realize(64))
+    n0 = 1000
+    dist = _oracle_dist(n0)[0]
+    depths = []
+    dist_fixed = CoordScan.dist_fixed
+
+    def recording(self, n, extra_bits=0):
+        depths.append(extra_bits)
+        return dist_fixed(self, n, extra_bits)
+
+    monkeypatch.setattr(CoordScan, "dist_fixed", recording)
+    digits = math.floor(dist * 10**25)
+    for text in (f"0.{digits:025d}", f"0.{digits + 1:025d}"):  # just below, just above
+        assert abs(Q(text) - dist) < Q(1, 1 << 70)
+        thr = RealSpec.parse(f"dec:{text}").realize(64)
+        spec = ThresholdSpec.for_fixed(coord, thr, n0)
+        assert cmp_fixed(dist_fixed(coord, n0), Q(text)) is None  # depth 0 cannot decide
+        depths.clear()
+        assert spec.exact(n0) == _oracle_le(n0, Q(text))
+        assert max(depths) > 0
+
+
+def test_widened_band_routes_most_n_through_exact_path():
+    coord = CoordScan(RealSpec.parse("sqrt:2").realize(64))
+    thr, N = Q(1, 5), 10**4
+    spec = ThresholdSpec.for_fraction(coord, thr, N)
+    calls = []
+    # distances in (thr/4, 2*thr] now skip both vector verdicts
+    wide = ThresholdSpec(spec.t_in // 4, 2 * spec.t_out, lambda n: calls.append(n) or spec.exact(n))
+    got = members_in_range([coord], [wide], 1, N)
+    assert len(calls) > N // 2
+    assert got.tolist() == [n for n in range(1, N + 1) if _oracle_le(n, thr)]
