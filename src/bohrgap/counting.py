@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
 from .gap import GAP, gap_elements
-from .minima import _int_det
+from .lattice import det, rank
 
 Q = Fraction
 
@@ -150,8 +150,9 @@ def totient_sieve(limit: int) -> TotientTable:
 def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
     """Exact sum of phi(n)/n over the given integers.
 
-    Summation goes through the least common multiple of the inputs once,
-    so no intermediate reduction of huge fractions is needed.
+    Terms are grouped by the reduced denominator of phi(n)/n, so each group
+    is one integer numerator; the group fractions are then added pairwise as
+    a balanced tree, which keeps every intermediate sum small.
     """
     ns = [int(n) for n in ns]
     if not ns:
@@ -163,12 +164,15 @@ def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
         table = totient_sieve(hi)
     elif table.limit < hi:
         raise ValidationError(f"sieve limit {table.limit} below max element {hi}")
-    uniq = sorted(set(ns))
-    lcm = 1
-    for n in uniq:
-        lcm = math.lcm(lcm, n)
-    num = sum(table.phi(n) * (lcm // n) for n in ns)
-    return Q(num, lcm)
+    groups: dict[int, int] = {}
+    for n in ns:
+        phi = table.phi(n)
+        g = math.gcd(phi, n)
+        groups[n // g] = groups.get(n // g, 0) + phi // g
+    terms = [Q(num, den) for den, num in sorted(groups.items())]
+    while len(terms) > 1:
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0]
 
 
 # -- divisibility densities ---------------------------------------------------
@@ -268,31 +272,13 @@ def congruence_lattice(moduli, p: int) -> CongruenceLattice:
     for i in range(1, d):
         t = (-sub[i] * inv) % p
         rows.append(tuple(t if j == 0 else int(j == i) for j in range(d)))
-    det = abs(_int_det([list(r) for r in rows]))
-    if det != p:
+    lat_det = abs(det([list(r) for r in rows]))
+    if lat_det != p:
         raise ValidationError("congruence basis does not have determinant p")
-    return CongruenceLattice(moduli, p, divisible, coprime, tuple(rows), det)
+    return CongruenceLattice(moduli, p, divisible, coprime, tuple(rows), lat_det)
 
 
 # -- Euclidean successive minima ----------------------------------------------
-
-
-def _int_rank(vectors) -> int:
-    rows = [[Q(c) for c in v] for v in vectors]
-    rank, col, n = 0, 0, len(rows[0]) if rows else 0
-    while rank < len(rows) and col < n:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def _lattice_points_box(lat: CongruenceLattice, r: int, budget: int) -> np.ndarray:
@@ -346,7 +332,7 @@ def euclidean_minima(lat: CongruenceLattice, budget: int = 10**8) -> tuple:
                 v = pts[idx]
                 if not v.any():
                     continue
-                if _int_rank(chosen + [v.tolist()]) > len(chosen):
+                if rank(chosen + [v.tolist()]) > len(chosen):
                     chosen.append(v.tolist())
                     mins.append(int(norms[idx]))
                     if len(chosen) == d:
@@ -410,7 +396,7 @@ def davenport_count(
 
     if lattice is None:
         count = total
-        det = 1
+        lat_det = 1
         minima_sq = (1,) * d
     else:
         p = lattice.p
@@ -422,11 +408,11 @@ def davenport_count(
             shape[i] = len(axis)
             acc = (acc + (sub[i] % p) * axis.reshape(shape)) % p
         count = int(np.count_nonzero(acc == 0))
-        det = lattice.det
+        lat_det = lattice.det
         minima_sq = euclidean_minima(lattice, budget)
 
     vol = math.prod(2 * n for n in box)
-    main = Q(vol, det)
+    main = Q(vol, lat_det)
     disc = abs(Q(count) - main)
 
     sides = [2 * n for n in box]

@@ -40,10 +40,10 @@ from .errors import (
     SmallDirichletWitness,
     ValidationError,
 )
+from .lattice import adjugate, det
 from .minima import (
     GaugeVal,
     MinimaResult,
-    _int_det,
     build_body,
     gauge_interval,
     successive_minima,
@@ -139,31 +139,20 @@ def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdS
     return ThresholdSpec(x - e - 2, x + e + 2, exact)
 
 
-def _int_adjugate(rows: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a small integer matrix (so inv = adj/det)."""
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * (_int_det(sub) if sub else 1)
-    return adj
-
-
 def decompose(minima: MinimaResult, point) -> tuple[int, ...]:
     """Integer coefficients n with point = sum n_i v_i (rows of the basis)."""
     rows = [list(v) for v in minima.basis]
-    det = _int_det(rows)
-    adj = _int_adjugate(rows)
+    d = det(rows)
+    adj = adjugate(rows)
     point = [int(x) for x in point]
     k = len(rows)
     # point = n . V  =>  n = point . V^{-1} = point . adj(V)/det
     out = []
     for j in range(k):
         s = sum(point[i] * adj[i][j] for i in range(k))
-        if s % det:
+        if s % d:
             raise ConstructionError("non-integral decomposition over a unimodular basis")
-        out.append(s // det)
+        out.append(s // d)
     return tuple(out)
 
 
@@ -225,11 +214,11 @@ def is_proper(gap: GAP, budget: int = 10**8) -> ProperCertificate:
     size = gap.box_size()
     order = np.argsort(vals, kind="stable")
     svals = vals[order]
-    dup = np.nonzero(svals[1:] == svals[:-1])[0]
-    if len(dup):
-        i = int(dup[0])
+    same = svals[1:] == svals[:-1]
+    if same.any():
+        i = int(same.argmax())
         pair = (_coeff_vector(gap, int(order[i])), _coeff_vector(gap, int(order[i + 1])))
-        return ProperCertificate(False, int(len(np.unique(svals))), size, collision=pair)
+        return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair)
     digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
     return ProperCertificate(True, size, size, sha256=digest)
 
@@ -389,8 +378,8 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, bu
         coords.append((a.man, math.floor(dd - er), math.floor(dd + er)))
 
     rows = [list(v) for v in minima.basis]
-    det = _int_det(rows)
-    adj = _int_adjugate(rows)  # coeff_j = det * sum_i pt_i * adj[i][j] since det = +-1
+    d = det(rows)
+    adj = adjugate(rows)  # coeff_j = d * sum_i pt_i * adj[i][j] since d = +-1
     k = len(rows)
     failures = []
     checked = 0
@@ -414,12 +403,12 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, bu
             pt = (n,) + tail
             bad = False
             for j in range(k):
-                c = det * sum(pt[i] * adj[i][j] for i in range(k))
+                c = d * sum(pt[i] * adj[i][j] for i in range(k))
                 if abs(c) > lengths[j]:
                     bad = True
                     break
             if bad:
-                coeffs = tuple(det * sum(pt[i] * adj[i][j] for i in range(k)) for j in range(k))
+                coeffs = tuple(d * sum(pt[i] * adj[i][j] for i in range(k)) for j in range(k))
                 failures.append((n, pt, coeffs))
                 if len(failures) > 16:
                     return checked, failures

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -26,10 +27,14 @@ from .errors import (
     ValidationError,
 )
 from .exponents import TargetVector
+from .lattice import det, echelon, extendable, independent, rank
 from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
 from .scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
+
+# the names these routines had before they moved to lattice.py
+_int_det, _rank_int, _extendable = det, rank, extendable
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,17 @@ class ConvexBody:
     def lam(self, scale: Optional[int] = None) -> FixedReal:
         return fr_root_rational(self.lam_pow_k, self.k, scale or self.alpha.scale)
 
+    @cached_property
+    def _frames(self) -> dict:
+        return {}
+
+    def frame(self, extra: int = 0) -> "GaugeFrame":
+        """Integer gauge weights at +extra bits, built once per depth."""
+        f = self._frames.get(extra)
+        if f is None:
+            f = self._frames[extra] = GaugeFrame(self, extra)
+        return f
+
     def vol_s(self) -> Fraction:
         """vol(S) = 2^k * prod(c_i) / lambda^k; equals 5^-k for spec-built bodies."""
         v = Q(2) ** self.k
@@ -76,51 +92,107 @@ def build_body(spec) -> ConvexBody:
     return body
 
 
-# -- R-gauge m(v) as certified rational intervals -------------------------
+# -- R-gauge m(v) as certified integer keys --------------------------------
 
 
-@dataclass
+class GaugeFrame:
+    """Integer weights that put every term of m(v) over one denominator D.
+
+    Built once per body and escalation depth.  The first term is |v_1|*w0;
+    an exactly rational alpha_i = a/b gives |a*v_1 - b*v_{1+i}|*W; a
+    fixed-point alpha_i = (M +- E)/2^s with E = en/ed gives the bracket
+    (|M*v_1 - v_{1+i}*2^s|*ed -+ en*|v_1|)*W.  D is the lcm that makes every
+    weight an integer, so D*m(v) is bracketed by Python ints without any
+    rounding: the bracket is exactly D times the rational interval.
+    """
+
+    __slots__ = ("den", "w0", "exact_terms", "fixed_terms")
+
+    def __init__(self, body: "ConvexBody", extra: int):
+        c0 = body.c[0]
+        exact_terms, fixed_terms, needs = [], [], [c0.numerator]
+        for i, a in enumerate(body.alpha.alphas, start=1):
+            if extra:
+                a = a.refined(a.scale + extra)
+            ci = body.c[i]
+            aex = a.exact()
+            if aex is not None:
+                exact_terms.append((i, aex.numerator, aex.denominator, ci))
+                needs.append(aex.denominator * ci.numerator)
+            else:
+                err = Q(a.err)
+                fixed_terms.append((i, a.man, a.scale, err, ci))
+                needs.append((ci.numerator * err.denominator) << a.scale)
+        den = math.lcm(*needs)
+        self.den = den
+        self.w0 = den * c0.denominator // c0.numerator
+        self.exact_terms = tuple(
+            (i, an, ad, den * ci.denominator // (ad * ci.numerator)) for i, an, ad, ci in exact_terms
+        )
+        self.fixed_terms = tuple(
+            (i, man, s, err.denominator, err.numerator,
+             den * ci.denominator // ((ci.numerator * err.denominator) << s))
+            for i, man, s, err, ci in fixed_terms
+        )  # fmt: skip
+
+    def key(self, vec: tuple[int, ...]) -> "GaugeVal":
+        v0 = vec[0]
+        a0 = abs(v0)
+        ex = a0 * self.w0
+        for i, an, ad, w in self.exact_terms:
+            e = abs(an * v0 - ad * vec[i]) * w
+            if e > ex:
+                ex = e
+        ilo = ihi = -1  # a negative lower end is clamped by ex >= 0 below
+        for i, man, s, ed, en, w in self.fixed_terms:
+            r = abs(man * v0 - (vec[i] << s)) * ed
+            slack = en * a0
+            ilo = max(ilo, (r - slack) * w)
+            ihi = max(ihi, (r + slack) * w)
+        if ihi <= ex:  # an exact term dominates every open one
+            return GaugeVal(vec, ex, ex, ex, self.den)
+        return GaugeVal(vec, max(ex, ilo), ihi, None, self.den)
+
+    def bound_key(self, bound: Fraction) -> int:
+        """floor(D*bound): an integer key is <= D*bound iff it is <= this."""
+        return bound.numerator * self.den // bound.denominator
+
+
 class GaugeVal:
-    vec: tuple[int, ...]
-    lo: Fraction
-    hi: Fraction
-    exact: Optional[Fraction]
+    """m(vec) over its frame's denominator D: D*m(v) lies in [klo, khi], and
+    kex = D*m(v) whenever m(v) is known exactly.
+
+    lo, hi and exact are the same bounds as rationals, built on demand.
+    """
+
+    __slots__ = ("vec", "klo", "khi", "kex", "den")
+
+    def __init__(self, vec: tuple[int, ...], klo: int, khi: int, kex: Optional[int], den: int):
+        self.vec = vec
+        self.klo = klo
+        self.khi = khi
+        self.kex = kex
+        self.den = den
+
+    @property
+    def lo(self) -> Fraction:
+        return Q(self.klo, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Q(self.khi, self.den)
+
+    @property
+    def exact(self) -> Optional[Fraction]:
+        return None if self.kex is None else Q(self.kex, self.den)
+
+    def __repr__(self) -> str:
+        return f"GaugeVal(vec={self.vec}, lo={self.lo}, hi={self.hi}, exact={self.exact})"
 
 
 def gauge_interval(body: ConvexBody, vec, extra: int = 0) -> GaugeVal:
     """m(v) = max(|v_1|/c_0, |alpha_i v_1 - v_{1+i}|/c_i) as an interval."""
-    vec = tuple(int(x) for x in vec)
-    v0 = vec[0]
-    t0 = Q(abs(v0)) / body.c[0]
-    los, his, exs = [t0], [t0], [t0]
-    for i, a in enumerate(body.alpha.alphas):
-        if extra:
-            a = a.refined(a.scale + extra)
-        aex = a.exact()
-        if aex is not None:
-            e = abs(aex * v0 - vec[1 + i]) / body.c[1 + i]
-            los.append(e)
-            his.append(e)
-            exs.append(e)
-            continue
-        L = a.mul_int(v0)
-        man = abs(Q(L.man - (vec[1 + i] << L.scale)))
-        lo = max(man - L.err, Q(0)) / (1 << L.scale) / body.c[1 + i]
-        hi = (man + L.err) / (1 << L.scale) / body.c[1 + i]
-        los.append(lo)
-        his.append(hi)
-        exs.append(None)
-    lo, hi = max(los), max(his)
-    exact = None
-    for j, e in enumerate(exs):
-        if e is not None and all(e >= his[t] for t in range(len(his)) if t != j):
-            exact = e  # an exact term decisively dominates
-            lo = hi = e
-            break
-    if exact is None and all(e is not None for e in exs):
-        exact = max(exs)
-        lo = hi = exact
-    return GaugeVal(vec, lo, hi, exact)
+    return body.frame(extra).key(tuple(int(x) for x in vec))
 
 
 def _mid_fixed(scale: int, lo: Fraction, hi: Fraction) -> FixedReal:
@@ -138,18 +210,23 @@ def gauge(body: ConvexBody, vec) -> FixedReal:
     return _mid_fixed(body.alpha.scale, llo * m.lo, lhi * m.hi)
 
 
+def _key_le(m: GaugeVal, bnd: int):
+    """m(v) <= bound from the keys, where bnd = floor(D*bound)."""
+    if m.kex is not None:
+        return m.kex <= bnd
+    if m.khi <= bnd:
+        return True
+    if m.klo > bnd:
+        return False
+    return UNDECIDED
+
+
 def _gauge_le(body: ConvexBody, vec, bound: Fraction) -> bool:
     """Certified m(v) <= bound (non-strict)."""
 
     def step(extra):
-        m = gauge_interval(body, vec, extra)
-        if m.exact is not None:
-            return m.exact <= bound
-        if m.hi <= bound:
-            return True
-        if m.lo > bound:
-            return False
-        return UNDECIDED
+        f = body.frame(extra)
+        return _key_le(f.key(vec), f.bound_key(bound))
 
     return certify(step, "gauge vs bound undecidable at {}", vec)
 
@@ -160,76 +237,17 @@ def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
     def step(extra):
         a, b = u, v
         if extra:
-            a = gauge_interval(body, u.vec, extra)
-            b = gauge_interval(body, v.vec, extra)
-        if a.exact is not None and b.exact is not None:
-            d = a.exact - b.exact
-            return 0 if d == 0 else (1 if d > 0 else -1)
-        if a.hi < b.lo:
+            f = body.frame(extra)
+            a, b = f.key(u.vec), f.key(v.vec)
+        if a.kex is not None and b.kex is not None:
+            return (a.kex > b.kex) - (a.kex < b.kex)
+        if a.khi < b.klo:
             return -1
-        if a.lo > b.hi:
+        if a.klo > b.khi:
             return 1
         return UNDECIDED
 
     return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec)
-
-
-# -- integer linear algebra (k <= 6) --------------------------------------
-
-
-def _int_det(rows: list) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[j][c] = (a[j][c] * a[i][i] - a[j][i] * a[i][c]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
-
-
-def _rank_int(rows: list) -> int:
-    m = [[Q(int(x)) for x in r] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _extendable(rows: list, k: int) -> bool:
-    """rows (i x k, independent) extend to a basis of Z^k iff the gcd of all
-    i x i minors is 1 (Smith invariants all 1)."""
-    i = len(rows)
-    g = 0
-    for cols in combinations(range(k), i):
-        sub = [[r[c] for c in cols] for r in rows]
-        g = math.gcd(g, abs(_int_det(sub)))
-        if g == 1:
-            return True
-    return g == 1
 
 
 # -- enumeration -----------------------------------------------------------
@@ -291,7 +309,7 @@ def _suggest_radius(body: ConvexBody) -> Fraction:
         zrows = _float_lll(mat)
     except Exception:
         zrows = [list(r) for r in np.eye(k, dtype=int)]
-    if abs(_int_det(zrows)) != 1:
+    if abs(det(zrows)) != 1:
         zrows = [list(r) for r in np.eye(k, dtype=int)]
     best = Q(0)
     for zr in zrows:
@@ -300,15 +318,27 @@ def _suggest_radius(body: ConvexBody) -> Fraction:
     return best
 
 
-def _tail_ranges(body: ConvexBody, v0: int, bound: Fraction) -> list[range]:
-    """Conservative integer windows for a_i given v0; exact filter comes later."""
+def _tail_windows(body: ConvexBody, bound: Fraction) -> list[tuple[int, int, int, int]]:
+    """Per coordinate (slope, slack, offset, den): given v_1 >= 0, the tail
+    v_{1+i} runs over ceil((slope*v_1 - slack*v_1 - offset)/den) ..
+    floor((slope*v_1 + slack*v_1 + offset)/den).
+
+    Exact for a rational alpha_i (the window is {t : |alpha_i v_1 - t| <=
+    bound*c_i}); a fixed-point alpha_i widens it by its error, and the exact
+    filter decides.
+    """
     out = []
-    for i, a in enumerate(body.alpha.alphas):
-        L = a.mul_int(v0)
-        w = bound * body.c[1 + i]
-        lo = (Q(L.man) - L.err) / (1 << L.scale) - w
-        hi = (Q(L.man) + L.err) / (1 << L.scale) + w
-        out.append(range(math.ceil(lo), math.floor(hi) + 1))
+    for a, ci in zip(body.alpha.alphas, body.c[1:]):
+        w = bound * ci
+        wn, wd = w.numerator, w.denominator
+        aex = a.exact()
+        if aex is not None:
+            an, ad = aex.numerator, aex.denominator
+            out.append((an * wd, 0, ad * wn, ad * wd))
+        else:
+            err = Q(a.err)
+            en, ed = err.numerator, err.denominator
+            out.append((a.man * ed * wd, en * wd, (wn * ed) << a.scale, (ed * wd) << a.scale))
     return out
 
 
@@ -318,20 +348,28 @@ def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10
     Canonical sign: first nonzero coordinate positive (m(-v) = m(v)).  Large
     first-coordinate spans are prefiltered with the vectorized distance scan:
     a tail candidate exists only where ||alpha_i v_1|| clears the window.
+    Each vector's gauge is evaluated once, at depth 0; only an undecided
+    comparison with the bound escalates.
     """
-    k = body.k
     out = []
     v0_hi = math.floor(bound * body.c[0])
     if v0_hi >= 1 << 31:
         raise BudgetExceeded("enumeration span exceeds the 31-bit scan limit")
+    frame = body.frame()
+    key = frame.key
+    bnd = frame.bound_key(bound)
+    windows = _tail_windows(body, bound)
     tested = 0
 
     def consider(v0: int) -> None:
         nonlocal tested
-        ranges = _tail_ranges(body, v0, bound)
+        ranges = []
         size = 1
-        for r in ranges:
+        for slope, slack, off, den in windows:
+            c, e = slope * v0, slack * v0 + off
+            r = range(-((e - c) // den), (c + e) // den + 1)
             size *= len(r)
+            ranges.append(r)
         tested += size
         if tested > budget:
             raise BudgetExceeded(f"gauge ball enumeration exceeds {budget} candidates")
@@ -341,8 +379,12 @@ def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10
                 nz = next((x for x in tail if x != 0), None)
                 if nz is None or nz < 0:
                     continue
-            if _gauge_le(body, vec, bound):
-                out.append(gauge_interval(body, vec))
+            g = key(vec)
+            ok = _key_le(g, bnd)
+            if ok is UNDECIDED:
+                ok = _gauge_le(body, vec, bound)
+            if ok:
+                out.append(g)
 
     consider(0)
     if v0_hi >= 5000 and body.alpha.scale % 64 == 0:
@@ -357,6 +399,13 @@ def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10
         for v0 in range(1, v0_hi + 1):
             consider(v0)
     return out
+
+
+def _sorted_ball(body: ConvexBody, bound: Fraction, budget: int) -> list[GaugeVal]:
+    """The gauge ball in increasing (D*lo, vec) order, as _pick_smallest needs."""
+    pool = enumerate_gauge_ball(body, bound, budget)
+    pool.sort(key=lambda g: (g.klo, g.vec))
+    return pool
 
 
 @dataclass
@@ -389,11 +438,16 @@ def _scaled_fixed(body: ConvexBody, m: GaugeVal) -> FixedReal:
 
 
 def _pick_smallest(body: ConvexBody, pool: list[GaugeVal], accepts) -> GaugeVal:
-    """Smallest-gauge pool entry passing `accepts`, lexicographic tie-break."""
+    """Smallest-gauge pool entry passing `accepts`, lexicographic tie-break.
+
+    The pool is sorted by (klo, vec), so once an entry's lower end passes
+    best.hi no later entry can be smaller or tie; once it reaches an exact
+    best, later entries can at most tie with a larger vec.
+    """
     best = None
     for cand in pool:
-        if best is not None and cand.lo > best.hi:
-            continue
+        if best is not None and (cand.klo > best.khi or (cand.klo == best.khi and best.kex is not None)):
+            break
         if not accepts(cand):
             continue
         if best is None:
@@ -447,29 +501,22 @@ def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult
     if k > 6:
         raise ValidationError("certified minima supported for k <= 6 only")
     radius = _suggest_radius(body)
-    pool = enumerate_gauge_ball(body, radius, budget)
-    pool.sort(key=lambda g: (float(g.lo), g.vec))
+    pool = _sorted_ball(body, radius, budget)
 
-    chosen: list[GaugeVal] = []
-
-    def increases_rank(cand: GaugeVal) -> bool:
-        rows = [list(g.vec) for g in chosen] + [list(cand.vec)]
-        return _rank_int(rows) == len(rows)
-
+    minima_m: list[GaugeVal] = []
     for _ in range(k):
-        chosen.append(_pick_smallest(body, pool, increases_rank))
-    minima_m = chosen
+        ech = echelon([g.vec for g in minima_m])
+        minima_m.append(_pick_smallest(body, pool, lambda cand: independent(ech, cand.vec)))
 
     basis_m: list[GaugeVal] = []
     attempt_pool = pool
     attempt_radius = radius
     for _ in range(k):
+        rows = [g.vec for g in basis_m]
+        ech = echelon(rows)
 
         def extends(cand: GaugeVal) -> bool:
-            rows = [list(g.vec) for g in basis_m] + [list(cand.vec)]
-            if _rank_int(rows) != len(rows):
-                return False
-            return _extendable(rows, k)
+            return independent(ech, cand.vec) and extendable(rows + [cand.vec], k)
 
         for _attempt in range(4):
             try:
@@ -477,13 +524,12 @@ def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult
                 break
             except ConstructionError:
                 attempt_radius *= 2
-                attempt_pool = enumerate_gauge_ball(body, attempt_radius, budget)
-                attempt_pool.sort(key=lambda g: (float(g.lo), g.vec))
+                attempt_pool = _sorted_ball(body, attempt_radius, budget)
         else:
             raise ConstructionError("basis completion failed within the radius cap")
 
-    det = _int_det([list(g.vec) for g in basis_m])
-    if abs(det) != 1:
+    d = det([list(g.vec) for g in basis_m])
+    if abs(d) != 1:
         raise ConstructionError("completed basis is not unimodular")  # unreachable
 
     _band_check(body, minima_m)
@@ -494,7 +540,7 @@ def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult
         minima_vectors=[g.vec for g in minima_m],
         basis=[g.vec for g in basis_m],
         basis_gauges=[_scaled_fixed(body, g) for g in basis_m],
-        det_sign=1 if det > 0 else -1,
+        det_sign=1 if d > 0 else -1,
         minima_m=minima_m,
         basis_m=basis_m,
     )

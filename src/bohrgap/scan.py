@@ -53,6 +53,13 @@ class CoordScan:
         self._g = [np.uint64(x) for x in _limbs((-mg) % one, self.nlimbs)]
         self._err_a = alpha.err
         self._err_g = gamma.err if gamma is not None else Q(0)
+        # exactly rational alpha and gamma: n*alpha - g_sign*gamma = (n*p - r)/q
+        aex = alpha.exact()
+        gex = gamma.exact() if gamma is not None else Q(0)
+        self._pr_q = None
+        if aex is not None and gex is not None:
+            ad, gd = aex.denominator, gex.denominator
+            self._pr_q = (aex.numerator * gd, self.g_sign * gex.numerator * ad, ad * gd)
 
     def flipped(self) -> "CoordScan":
         """Scanner for ||n*alpha + gamma||, used for negative n."""
@@ -110,8 +117,14 @@ class CoordScan:
 
         Only a FixedReal threshold is refined along with the distance.  An
         undecidable case raises PrecisionExhausted naming ``at`` (default n)
-        and ``coord``.
+        and ``coord``.  Exactly rational alpha and gamma against a Fraction
+        threshold take one integer cross-multiplication instead, the answer
+        the ladder reaches at depth 0.
         """
+        if self._pr_q is not None and isinstance(thr, Fraction):
+            p, r, q = self._pr_q
+            x = (n * p - r) % q
+            return min(x, q - x) * thr.denominator <= thr.numerator * q
 
         def step(extra):
             t = thr.refined(thr.scale + extra) if isinstance(thr, FixedReal) else thr

@@ -149,6 +149,18 @@ def test_average_matches_direct_fraction_sum():
     assert totient_average(ns, t) == direct
 
 
+def test_average_matches_lcm_formula_with_repeats():
+    # the single-denominator formula: sum phi(n) * (lcm/n) over lcm
+    rng = random.Random(21)
+    t = totient_sieve(5000)
+    for size in (1, 2, 3, 17, 400):
+        ns = [rng.randrange(1, 5000) for _ in range(size)]
+        ns += ns[: size // 3]  # repeated members count with multiplicity
+        lcm = math.lcm(*ns)
+        want = Q(sum(t.phi(n) * (lcm // n) for n in ns), lcm)
+        assert totient_average(ns, t) == want
+
+
 def test_average_restricted_bohr_pinned():
     spec = BohrSpec.build(
         ["sqrt:2", "sqrt:3"], ["dec:0.3", "dec:0.7"], 10**5, ["0.2", "0.2"], "0.04"

@@ -248,6 +248,18 @@ def test_is_proper_collision():
     )
 
 
+@pytest.mark.parametrize("moduli,lengths,form", [
+    ((1, 1), (2, 2), "positive"),
+    ((2, 3), (5, 4), "symmetric"),
+    ((4, 6, 9), (3, 2, 2), "symmetric"),
+])
+def test_is_proper_counts_distinct_values(moduli, lengths, form):
+    p = GAP(b=7, moduli=moduli, lengths=lengths, form=form, sigma=(1,) * len(moduli))
+    cert = is_proper(p)
+    assert not cert.proper
+    assert cert.count_distinct == len(np.unique(gap_elements(p)))
+
+
 # -- decomposition ------------------------------------------------------------
 
 

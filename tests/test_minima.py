@@ -9,6 +9,7 @@ import pytest
 from bohrgap.bohr import BohrSpec
 from bohrgap.errors import BudgetExceeded, ValidationError
 from bohrgap.exponents import TargetVector
+from bohrgap.realfield import FixedReal
 from bohrgap.minima import (
     ConvexBody,
     _extendable,
@@ -222,3 +223,107 @@ def test_basis_gauges_dominate_lambdas():
         res = successive_minima(body_of(*args))
         for lam, bg in zip(res.lambdas, res.basis_gauges):
             assert bg.value() >= lam.value() - 1e-12
+
+
+# -- integer gauge keys and the enumerated ball against independent oracles ----
+
+
+def fraction_gauge(body, vec, extra):
+    """Reference R-gauge as rational intervals, term by term: (lo, hi, exact)."""
+    v0 = vec[0]
+    t0 = Q(abs(v0)) / body.c[0]
+    los, his, exs = [t0], [t0], [t0]
+    for i, a in enumerate(body.alpha.alphas):
+        if extra:
+            a = a.refined(a.scale + extra)
+        ci = body.c[1 + i]
+        aex = a.exact()
+        if aex is not None:
+            e = abs(aex * v0 - vec[1 + i]) / ci
+            los.append(e)
+            his.append(e)
+            exs.append(e)
+            continue
+        r = abs(Q(a.man * v0 - (vec[1 + i] << a.scale)))
+        slack = a.err * abs(v0)
+        los.append(max(r - slack, Q(0)) / (1 << a.scale) / ci)
+        his.append((r + slack) / (1 << a.scale) / ci)
+        exs.append(None)
+    for j, e in enumerate(exs):
+        if e is not None and all(e >= his[t] for t in range(len(his)) if t != j):
+            return e, e, e
+    return max(los), max(his), None
+
+
+@pytest.mark.parametrize("alphas,deltas", [
+    (["rat:2/3"], ["0.1"]),
+    (["dec:0.3"], ["0.2"]),
+    (["sqrt:2"], ["0.5"]),
+    (["sqrt:2", "rat:1/7"], ["0.3", "0.4"]),
+    (["dec:0.123", "sqrt:7"], ["1/3", "0.2"]),
+    (["sqrt:5", "dec:0.41", "sqrt:3"], ["0.5", "0.25", "0.5"]),
+    (["rat:3/11", "dec:0.7071", "rat:5/9"], ["0.3", "0.2", "0.1"]),
+])
+def test_gauge_keys_match_fraction_formula(alphas, deltas):
+    import random
+
+    body = body_of(alphas, 1000, deltas)
+    rng = random.Random(len(alphas) * 31 + len(deltas[0]))
+    vals = [a.value() for a in body.alpha.alphas]
+    for _ in range(200):
+        v0 = rng.randrange(-3000, 3000)
+        vec = (v0,) + tuple(round(x * v0) + rng.randint(-2, 2) for x in vals)
+        for extra in (0, 64, 192):
+            g = gauge_interval(body, vec, extra)
+            lo, hi, ex = fraction_gauge(body, vec, extra)
+            assert (g.lo, g.hi, g.exact) == (lo, hi, ex)
+            assert g.klo == lo * g.den and g.khi == hi * g.den
+            assert g.kex == (None if ex is None else ex * g.den)
+
+
+def test_gauge_key_exact_term_tying_an_open_bracket():
+    # the open alpha term's upper end equals the exact first term: exact wins
+    alpha = TargetVector((FixedReal(0, 64, Q(1)),))
+    body = ConvexBody(alpha, (Q(2**64), Q(1)), Q(1))
+    g = gauge_interval(body, (3, 0))
+    assert fraction_gauge(body, (3, 0), 0) == (Q(3, 2**64),) * 3
+    assert (g.lo, g.hi, g.exact) == (Q(3, 2**64),) * 3
+
+
+def _ball_oracle(alpha_strs, body, bound, window):
+    found = brute_oracle(alpha_strs, list(body.c), math.floor(bound * body.c[0]), window)
+    with mpmath.workdps(60):
+        b = mpmath.mpf(bound.numerator) / bound.denominator
+        return {vec for m, vec in found if m <= b}
+
+
+def test_gauge_ball_matches_brute_oracle_rational():
+    # v_1 runs past 5000, so the scan prefilter and its exact callbacks run too
+    body = body_of(["rat:2/3"], 1000, ["0.1"])
+    bound = Q(60)
+    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    assert len(got) == len(set(got))
+    assert set(got) == _ball_oracle(["rat:2/3"], body, bound, Q(1))
+
+
+def test_gauge_ball_rational_window_edges_are_inclusive():
+    # bound * c_1 = 1/3 exactly, so every v with |2 v_1 - 3 v_2| = 1 sits on
+    # the window edge; the oracle is exact rational arithmetic
+    body = body_of(["rat:2/3"], 2000, ["0.1"])
+    bound = Q(100, 3)
+    want = set()
+    for v0 in range(0, math.floor(bound * body.c[0]) + 1):
+        for t in range((2 * v0) // 3 - 1, (2 * v0) // 3 + 3):
+            if (v0, t) > (0, 0) and max(Q(v0) / body.c[0], abs(Q(2 * v0, 3) - t) / body.c[1]) <= bound:
+                want.add((v0, t))
+    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_gauge_ball_matches_brute_oracle_k3_irrational():
+    body = body_of(["sqrt:2", "sqrt:3"], 200, ["0.3", "0.4"])
+    bound = Q(12)
+    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    assert len(got) == len(set(got))
+    assert set(got) == _ball_oracle(["sqrt:2", "sqrt:3"], body, bound, Q(1))

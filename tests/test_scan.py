@@ -6,7 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bohrgap.realfield import FixedReal, RealSpec, fr_from_decimal, fr_from_fraction, fr_sqrt_int, norm_form
+from bohrgap.realfield import (
+    UNDECIDED,
+    FixedReal,
+    RealSpec,
+    certify,
+    cmp_fixed,
+    fr_from_decimal,
+    fr_from_fraction,
+    fr_sqrt_int,
+    norm_form,
+)
 from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, first_in_range, members_in_range
 
 Q = Fraction
@@ -140,3 +150,48 @@ def test_flipped_handles_negative_axis():
         words = sc.dist_words(np.array([n], dtype=np.uint64))
         got = int(words[0][0]) | (int(words[1][0]) << 64)
         assert got == d1.man
+
+
+def _ladder_le(sc, n, thr):
+    """dist_le's certified ladder, without the rational cross-multiplication."""
+
+    def step(extra):
+        c = cmp_fixed(sc.dist_fixed(n, extra), thr)
+        return UNDECIDED if c is None else c <= 0
+
+    return certify(step, "undecided at {}", n)
+
+
+@pytest.mark.parametrize("alpha_spec,gamma_spec", [
+    ("rat:2/7", None),
+    ("rat:3/11", "rat:1/2"),
+    ("dec:0.7312", "dec:0.25"),
+    ("rat:5/13", "dec:0.1"),
+    ("sqrt:9", "rat:1/3"),  # a perfect square is exactly rational too
+])
+@pytest.mark.parametrize("g_sign", [1, -1])
+def test_dist_le_rational_fast_path_matches_ladder(alpha_spec, gamma_spec, g_sign):
+    a = RealSpec.parse(alpha_spec).realize(128)
+    g = RealSpec.parse(gamma_spec).realize(128) if gamma_spec else None
+    sc = CoordScan(a, g, g_sign)
+    assert sc._pr_q is not None
+    aex = a.exact()
+    gex = g.exact() if g is not None else Q(0)
+    for n in range(-60, 400):
+        x = n * aex - g_sign * gex
+        frac = x - (x.numerator // x.denominator)
+        dist = min(frac, 1 - frac)
+        # thresholds straddling and exactly at the distance exercise the ties
+        for thr in (dist, dist - Q(1, 10**30), dist + Q(1, 10**30), Q(1, 7), Q(1, 2), Q(0)):
+            if thr < 0:
+                continue
+            want = dist <= thr
+            assert sc.dist_le(n, thr) == want
+            assert _ladder_le(sc, n, thr) == want
+
+
+def test_dist_le_irrational_keeps_the_ladder():
+    sc = CoordScan(fr_sqrt_int(2, 128), fr_from_decimal("0.3", 128))
+    assert sc._pr_q is None
+    for n in range(1, 200):
+        assert sc.dist_le(n, Q(1, 9)) == _ladder_le(sc, n, Q(1, 9))
