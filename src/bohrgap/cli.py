@@ -61,7 +61,6 @@ _M61 = (1 << 61) - 1
 
 # list-valued flags that repeat on the command line vs comma-joined ones
 _APPEND_DESTS = {"alpha", "gamma", "delta"}
-_CSV_DESTS = {"checkpoints", "box", "moduli", "x_list", "psi_table"}
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -568,9 +567,6 @@ def _config_tokens(cfg: dict) -> list[str]:
             continue
         if isinstance(val, list):
             tokens.extend([flag, ",".join(str(v) for v in val)])
-            continue
-        if key in _CSV_DESTS:
-            tokens.extend([flag, str(val)])
             continue
         tokens.extend([flag, str(val)])
     return tokens

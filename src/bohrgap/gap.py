@@ -36,7 +36,6 @@ from .errors import (
     LengthUnderflow,
     MinimaDegenerate,
     NoBasePoint,
-    PrecisionExhausted,
     SmallDirichletWitness,
     ValidationError,
 )
@@ -48,14 +47,7 @@ from .minima import (
     gauge_interval,
     successive_minima,
 )
-from .realfield import (
-    UNDECIDED,
-    _iroot,
-    certify,
-    cmp_dist_root,
-    cmp_frac_pow_sqrt,
-    cmp_int_pow_sqrt,
-)
+from .realfield import UNDECIDED, _iroot, certify, cmp_pow
 from .scan import CoordScan, ThresholdSpec, first_in_range
 
 Q = Fraction
@@ -100,12 +92,6 @@ class GAP:
 # -- small exact helpers ----------------------------------------------------
 
 
-def _ge_pow_neg_eps(delta: Fraction, N: int, eps: Fraction) -> bool:
-    """delta >= N^(-eps) for rational eps = p/q, exactly."""
-    p, q = eps.numerator, eps.denominator
-    return delta.numerator**q * N**p >= delta.denominator**q
-
-
 def _floor_over_gauge(body, g: GaugeVal, num: Fraction, what: str) -> int:
     """floor(num/m) with certified agreement of both interval ends."""
 
@@ -129,12 +115,7 @@ def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdS
     e = coord.err_int(n_max)
 
     def exact(n: int) -> bool:
-        def step(extra):
-            d = coord.dist_fixed(n, extra)
-            c = cmp_dist_root(d.man, d.err, d.scale, q, r)
-            return UNDECIDED if c is None else c <= 0
-
-        return certify(step, "Dirichlet boundary undecidable at n={n}", n=n)
+        return coord.dist_cmp_pow(n, q, Q(1, r * r), -1, "Dirichlet boundary undecidable at n={n}") <= 0
 
     return ThresholdSpec(x - e - 2, x + e + 2, exact)
 
@@ -208,8 +189,8 @@ def _coeff_vector(gap: GAP, flat: int) -> tuple[int, ...]:
     return tuple(int(i) - L for i, L in zip(idx, gap.lengths))
 
 
-def is_proper(gap: GAP, budget: int = 10**8) -> ProperCertificate:
-    """Exhaustive distinctness check over the coefficient box."""
+def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray]:
+    """Distinctness certificate and the sorted box values, from one box."""
     vals = _box_values(gap, budget)
     size = gap.box_size()
     order = np.argsort(vals, kind="stable")
@@ -218,9 +199,14 @@ def is_proper(gap: GAP, budget: int = 10**8) -> ProperCertificate:
     if same.any():
         i = int(same.argmax())
         pair = (_coeff_vector(gap, int(order[i])), _coeff_vector(gap, int(order[i + 1])))
-        return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair)
+        return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair), svals
     digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
-    return ProperCertificate(True, size, size, sha256=digest)
+    return ProperCertificate(True, size, size, sha256=digest), svals
+
+
+def is_proper(gap: GAP, budget: int = 10**8) -> ProperCertificate:
+    """Exhaustive distinctness check over the coefficient box."""
+    return _proper_sorted(gap, budget)[0]
 
 
 # -- the inner construction ---------------------------------------------------
@@ -241,7 +227,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
             raise ValidationError(f"width {i} exceeds 1; the inner window needs delta <= 1")
     # the delta >= N^-eps hypothesis is asymptotic; at finite N we record its
     # status and let the verified postconditions decide the construction
-    hyp_lower = all(_ge_pow_neg_eps(d, N, eps) for d in deltas)
+    hyp_lower = all(cmp_pow(d, d, N, eps * eps, -1) >= 0 for d in deltas)
     trace = [f"hypotheses: N={N}, k={k}, eps={eps}, delta lower bound {'ok' if hyp_lower else 'short'}"]
 
     body = build_body(spec)
@@ -264,8 +250,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     for g in minima.basis_m:
         L = _floor_over_gauge(body, g, Q(1, k), "length parameter")
         lengths.append(L)
-    p, q = eps.numerator, eps.denominator
-    if any(L < 1 or L**q < N**p for L in lengths):
+    if any(L < 1 or cmp_pow(L, L, N, eps * eps) < 0 for L in lengths):
         raise LengthUnderflow(
             f"lengths {lengths} fall below N^epsilon = {N}^{eps}; "
             "the minima leave no room at this N and delta"
@@ -286,7 +271,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     s = first_in_range(hcoords, dspecs, 1, n20)
     if s is None:
         raise ConstructionError("no Dirichlet witness below N/20")  # excluded by Dirichlet's theorem
-    if cmp_int_pow_sqrt(s, N, eps) < 0:
+    if cmp_pow(s, s, N, eps) < 0:
         raise SmallDirichletWitness(
             f"s={s} sits below N^sqrt(eps); the base point cannot clear the lower window"
         )
@@ -294,7 +279,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     trace.append(f"s={s}, b={b}")
 
     # base point window and drift, verified exactly
-    if not (cmp_int_pow_sqrt(b, N, eps) >= 0 and 10 * b <= N):
+    if not (cmp_pow(b, b, N, eps) >= 0 and 10 * b <= N):
         raise BasePointDrift(f"b={b} outside [N^sqrt(eps), N/10]")
     # scaled() drops gamma, so rebuild the delta/10 window around the shift
     tenth = spec.scaled(N, 1, 10)
@@ -313,11 +298,10 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
         trace=trace,
     )
 
-    elements = gap_elements(gap, budget)
+    cert, elements = _proper_sorted(gap, budget)
     bset = enumerate_bohr(spec, "positive")
     inside = np.isin(elements, bset.members)
     containment = bool(inside.all())
-    cert = is_proper(gap, budget)
     gap.checks = {
         "hypothesis_delta_lower": hyp_lower,
         "containment": containment,
@@ -428,7 +412,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     if N < 100:
         raise ValidationError("the construction needs N >= 100")
     deltas = spec.delta_fractions()
-    hyp_lower = all(_cmp_delta_pow_neg_sqrt(d, N, eps) >= 0 for d in deltas)
+    hyp_lower = all(cmp_pow(d, d, N, eps, -1) >= 0 for d in deltas)
 
     body = build_body(spec)
     minima = successive_minima(body)
@@ -446,7 +430,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     lengths = []
     for g in minima.basis_m:
         lengths.append(_floor_over_gauge(body, g, c_k, "outer length"))
-    if any(L < 1 or cmp_int_pow_sqrt(L, N, eps) < 0 for L in lengths):
+    if any(L < 1 or cmp_pow(L, L, N, eps) < 0 for L in lengths):
         raise LengthUnderflow(
             f"lengths {lengths} fall below N^tau = {N}^sqrt({eps}); "
             "the minima leave no room at this N and delta"
@@ -491,14 +475,6 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     return gap
 
 
-def _cmp_delta_pow_neg_sqrt(d: Fraction, N: int, eps: Fraction) -> int:
-    """Sign of d - N^(-sqrt(eps)), certified."""
-    sgn = cmp_frac_pow_sqrt(d, d, N, eps)
-    if sgn is None:
-        raise PrecisionExhausted("width vs N^-sqrt(eps) undecidable")
-    return sgn
-
-
 # -- cardinality corollary ----------------------------------------------------
 
 
@@ -508,7 +484,7 @@ def cardinality_ratio(spec: BohrSpec) -> dict:
     for i, d in enumerate(deltas):
         if d > 1:
             raise ValidationError(f"width {i} exceeds 1")
-    hyp_lower = all(_cmp_delta_pow_neg_sqrt(d, spec.N, spec.epsilon) >= 0 for d in deltas)
+    hyp_lower = all(cmp_pow(d, d, spec.N, spec.epsilon, -1) >= 0 for d in deltas)
     sym = enumerate_bohr(spec, "symmetric")
     pos = enumerate_bohr(spec, "positive")
     dprod = Q(1)

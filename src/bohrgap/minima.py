@@ -27,15 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .exponents import TargetVector
-from .lattice import det, echelon, extendable, independent, rank
+from .lattice import det, echelon, extendable, independent
 from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
 from .scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
-
-# the names these routines had before they moved to lattice.py
-_int_det, _rank_int, _extendable = det, rank, extendable
-
 
 @dataclass(frozen=True)
 class ConvexBody:

@@ -383,38 +383,41 @@ def sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     return None
 
 
-def cmp_int_pow(m: int, base: int, expo: Fraction) -> int:
-    """Exact sign of m - base^expo for integers m >= 0, base >= 1, expo rational > 0."""
-    expo = Fraction(expo)
-    a, b = expo.numerator, expo.denominator
-    lhs = m**b
-    rhs = base**a
-    return 0 if lhs == rhs else (1 if lhs > rhs else -1)
+def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
+    """Certified sign of x - n^(sign*sqrt(t)) for every x in [lo, hi], n >= 1.
 
-
-def cmp_int_pow_sqrt(m: int, base: int, eps: Fraction) -> int:
-    """Sign of m - base^sqrt(eps); exact when sqrt(eps) is rational, else via
-    escalating-precision logs (equality is impossible for irrational exponents)."""
-    r = sqrt_fraction(eps)
+    A rational exponent e is passed as t = e^2.  When sqrt(t) is rational the
+    sign comes from exact integer powers (n == 1 compares with exactly 1);
+    otherwise mpmath evaluates the threshold at 40, 120 and 400 digits, where
+    equality is impossible.  None only when the bracket straddles (or touches)
+    the threshold; a point that 400 digits cannot separate raises.
+    """
+    lo, hi, t = Fraction(lo), Fraction(hi), Fraction(t)
+    r = Q(0) if n == 1 else sqrt_fraction(t)
     if r is not None:
-        return cmp_int_pow(m, base, r)
-    if m <= 0:
-        return -1
-    if m == 1:
-        return -1 if base >= 2 else 0
-    # sign of (ln m)^2 - eps (ln base)^2, both logs positive
-    eps = Fraction(eps)
+        a, b = r.numerator, r.denominator
+        npow = n**a
+
+        def side(v: Fraction) -> int:
+            if v <= 0:
+                return -1
+            lhs, rhs = v.numerator**b, v.denominator**b
+            lhs, rhs = (lhs, rhs * npow) if sign > 0 else (lhs * npow, rhs)
+            return (lhs > rhs) - (lhs < rhs)
+
+        slo, shi = side(lo), side(hi)
+        return slo if slo == shi else None
     for dps in (40, 120, 400):
         with mpmath.workdps(dps):
-            lm, lb = mpmath.ln(m), mpmath.ln(base)
-            lhs = lm * lm * eps.denominator
-            rhs = lb * lb * eps.numerator
-            tol = (abs(lhs) + abs(rhs)) * mpmath.mpf(10) ** (8 - dps)
-            if lhs > rhs + tol:
+            thr = mpmath.power(n, sign * mpmath.sqrt(mpmath.mpf(t.numerator) / t.denominator))
+            tol = thr * mpmath.mpf(10) ** (8 - dps)
+            if mpmath.mpf(lo.numerator) / lo.denominator > thr + tol:
                 return 1
-            if lhs < rhs - tol:
+            if mpmath.mpf(hi.numerator) / hi.denominator < thr - tol:
                 return -1
-    raise PrecisionExhausted(f"cannot separate {m} from {base}^sqrt({eps})")
+    if lo == hi:
+        raise PrecisionExhausted(f"cannot separate {lo} from {n}^({sign}*sqrt({t}))")
+    return None
 
 
 def ceil_pow_sqrt(base: int, eps: Fraction) -> int:
@@ -423,81 +426,6 @@ def ceil_pow_sqrt(base: int, eps: Fraction) -> int:
         guess = int(mpmath.floor(mpmath.power(base, mpmath.sqrt(mpmath.mpf(eps.numerator) / eps.denominator))))
     for m in range(max(guess - 2, 0), guess + 4):
         # smallest m with m >= base^sqrt(eps)
-        if cmp_int_pow_sqrt(m, base, eps) >= 0:
+        if cmp_pow(m, m, base, eps) >= 0:
             return m
     raise PrecisionExhausted("ceil_pow_sqrt guess window missed")
-
-
-def cmp_dist_root(d: int, err: Fraction, scale: int, q: int, r: int) -> Optional[int]:
-    """Certified sign of d*2^-scale - q^(-1/r) for integers q >= 1, r >= 1.
-
-    Exact integer test: d/2^scale >= q^(-1/r)  iff  d^r * q >= 2^(r*scale).
-    Returns None when the error interval straddles the root.
-    """
-    rhs = 1 << (r * scale)
-    lo = Q(d - err)
-    hi = Q(d + err)
-
-    def side(v: Fraction) -> int:
-        if v < 0:
-            return -1
-        lhs = v.numerator**r * q
-        right = rhs * v.denominator**r
-        return 0 if lhs == right else (1 if lhs > right else -1)
-
-    slo, shi = side(Q(lo)), side(Q(hi))
-    if slo == shi:
-        return slo
-    if slo > 0:
-        return 1
-    if shi < 0:
-        return -1
-    return None
-
-
-def cmp_frac_pow_sqrt(lo: Fraction, hi: Fraction, n: int, eps: Fraction) -> Optional[int]:
-    """Certified sign of x - n^(-sqrt(eps)) for x in [lo, hi], n >= 1.
-
-    Exact when sqrt(eps) is rational; otherwise decided by escalating-precision
-    evaluation of the threshold.  None only if the interval itself straddles.
-    """
-    if n == 1:
-        # threshold is exactly 1
-        if lo > 1:
-            return 1
-        if hi < 1:
-            return -1
-        return 0 if lo == hi == 1 else None
-    r = sqrt_fraction(eps)
-    if r is not None:
-        a, b = r.numerator, r.denominator
-
-        def side(v: Fraction) -> int:
-            if v <= 0:
-                return -1
-            lhs = v.numerator**b * n**a
-            rhs = v.denominator**b
-            return 0 if lhs == rhs else (1 if lhs > rhs else -1)
-
-        slo, shi = side(lo), side(hi)
-        if slo == shi:
-            return slo
-        if slo > 0:
-            return 1
-        if shi < 0:
-            return -1
-        return None
-    eps = Fraction(eps)
-    for dps in (40, 120, 400):
-        with mpmath.workdps(dps):
-            t = mpmath.power(n, -mpmath.sqrt(mpmath.mpf(eps.numerator) / eps.denominator))
-            tol = t * mpmath.mpf(10) ** (8 - dps)
-            flo = mpmath.mpf(lo.numerator) / lo.denominator
-            fhi = mpmath.mpf(hi.numerator) / hi.denominator
-            if flo > t + tol:
-                return 1
-            if fhi < t - tol:
-                return -1
-            if flo < t - tol and fhi < t - tol:
-                return -1
-    return None

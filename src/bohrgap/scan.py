@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, norm_form
+from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, norm_form
 
 BLOCK = 1 << 16
 _M32 = np.uint64(0xFFFFFFFF)
@@ -133,6 +133,22 @@ class CoordScan:
 
         at = n if at is None else at
         return certify(step, "membership undecidable at n={n}", n=at, coord=coord)
+
+    def dist_cmp_pow(self, n: int, base: int, t, sign: int, msg: str) -> int:
+        """Certified sign of ||n*alpha - gamma|| - base^(sign*sqrt(t)).
+
+        An exactly known distance is compared as a point, otherwise its
+        interval; an interval that straddles the threshold is retried deeper,
+        and msg (formatted with n) names the case when every depth stays open.
+        """
+
+        def step(extra):
+            d = self.dist_fixed(n, extra)
+            ex = d.exact()
+            c = cmp_pow(*((ex, ex) if ex is not None else d.bounds()), base, t, sign)
+            return UNDECIDED if c is None else c
+
+        return certify(step, msg, n=n)
 
 
 @dataclass

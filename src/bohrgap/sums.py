@@ -21,7 +21,7 @@ import numpy as np
 from .bohr import BohrSpec, restricted_bohr
 from .counting import TotientTable, totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
-from .realfield import UNDECIDED, RealSpec, certify, cmp_fixed, cmp_frac_pow_sqrt
+from .realfield import UNDECIDED, RealSpec, certify
 from .scan import BLOCK, CoordScan
 
 Q = Fraction
@@ -40,6 +40,26 @@ def _check_n(N: int):
         raise ValidationError("the summation range needs N >= 1")
     if N > _N_CAP:
         raise BudgetExceeded(f"N = {N} exceeds the scan budget {_N_CAP}")
+
+
+def _mask_range(spec: BohrSpec, mask, N: Optional[int]):
+    """(mask, N): N defaults to the mask's range, else spec.N; the mask to all n."""
+    N = (mask.N if mask is not None else spec.N) if N is None else int(N)
+    _check_n(N)
+    if mask is None:
+        mask = trivial_mask(N)
+    if mask.N < N:
+        raise ValidationError(f"mask covers 1..{mask.N}, below N={N}")
+    return mask, N
+
+
+def _phi_ratio(table, N: int) -> np.ndarray:
+    """phi(n)/n as float64 for n = 1..N, sieving when no table is given."""
+    if table is None:
+        table = totient_sieve(N)
+    elif table.limit < N:
+        raise ValidationError(f"sieve limit {table.limit} below N={N}")
+    return table.block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
 
 
 # -- the support set G ---------------------------------------------------------
@@ -88,16 +108,8 @@ def trivial_mask(N: int) -> SupportMask:
 
 
 def _on_support_exact(coord: CoordScan, n: int, eps: Fraction) -> bool:
-    def step(extra):
-        d = coord.dist_fixed(n, extra)
-        ex = d.exact()
-        lo, hi = (ex, ex) if ex is not None else d.bounds()
-        c = cmp_frac_pow_sqrt(lo, hi, n, eps)
-        if c is None:
-            return UNDECIDED
-        return c >= 0  # ties (exact rational hit on the threshold) stay in
-
-    return certify(step, "support membership undecidable at n={n}", n=n)
+    # ties (exact rational hit on the threshold) stay in
+    return coord.dist_cmp_pow(n, n, eps, -1, "support membership undecidable at n={n}") >= 0
 
 
 def support_mask(spec: BohrSpec, N: Optional[int] = None, block: int = BLOCK) -> SupportMask:
@@ -171,6 +183,23 @@ def _positive_dist(coord: CoordScan, n: int) -> float:
     return certify(step, "distance at n={n} cannot be separated from zero", n=n)
 
 
+def _nonzero_dist(coord: CoordScan, n: int) -> float:
+    """_positive_dist for an n that carries a term: a true zero is an error."""
+    v = _positive_dist(coord, n)
+    if v == 0.0:
+        raise ValidationError(
+            f"exact zero distance at n={n} inside the summation range;"
+            " restrict the range or drop the rational target"
+        )
+    return v
+
+
+def _zero_band(coord: CoordScan, N: int) -> float:
+    # a true zero shows up as a float within the word error of 0, not as 0.0
+    # exactly; everything in this band is resolved exactly
+    return math.ldexp(coord.err_int(N), 32 - coord.scale)
+
+
 def _term_array(spec: BohrSpec, mask: SupportMask, N: int, block: int = BLOCK):
     """terms[n-1] = prod 1/dist for on-mask n, 0 off-mask; exact zero distances
     on-mask raise.  Also returns the smallest on-mask distance seen (for the
@@ -187,18 +216,8 @@ def _term_array(spec: BohrSpec, mask: SupportMask, N: int, block: int = BLOCK):
         prod = np.ones(len(ns), dtype=np.float64)
         for coord in coords:
             d = coord.dist_floats(ns)
-            # a true zero shows up as a float within the word error of 0,
-            # not as 0.0 exactly; resolve everything in that band exactly
-            zero_band = math.ldexp(coord.err_int(N), 32 - coord.scale)
-            for idx in np.nonzero((d <= zero_band) & sel)[0]:
-                n = int(ns[idx])
-                v = _positive_dist(coord, n)
-                if v == 0.0:
-                    raise ValidationError(
-                        f"exact zero distance at n={n} inside the summation range;"
-                        " restrict the range or drop the rational target"
-                    )
-                d[idx] = v
+            for idx in np.nonzero((d <= _zero_band(coord, N)) & sel)[0]:
+                d[idx] = _nonzero_dist(coord, int(ns[idx]))
             dm = d[sel].min() if sel.any() else math.inf
             if dm < min_dist:
                 min_dist = float(dm)
@@ -225,12 +244,7 @@ def t_sum(
     block: int = BLOCK,
 ) -> SumResult:
     """T_N: sum of 1/prod ||n*alpha_i - gamma_i|| over on-mask n <= N."""
-    N = (mask.N if mask is not None else spec.N) if N is None else int(N)
-    _check_n(N)
-    if mask is None:
-        mask = trivial_mask(N)
-    if mask.N < N:
-        raise ValidationError(f"mask covers 1..{mask.N}, below N={N}")
+    mask, N = _mask_range(spec, mask, N)
     terms, min_dist, count = _term_array(spec, mask, N, block)
     value = math.fsum(terms.tolist())
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T", not mask.trivial)
@@ -244,18 +258,9 @@ def t_star_sum(
     block: int = BLOCK,
 ) -> SumResult:
     """T*_N: the T_N terms weighted by phi(n)/n."""
-    N = (mask.N if mask is not None else spec.N) if N is None else int(N)
-    _check_n(N)
-    if mask is None:
-        mask = trivial_mask(N)
-    if mask.N < N:
-        raise ValidationError(f"mask covers 1..{mask.N}, below N={N}")
-    if table is None:
-        table = totient_sieve(N)
-    elif table.limit < N:
-        raise ValidationError(f"sieve limit {table.limit} below N={N}")
+    mask, N = _mask_range(spec, mask, N)
+    ratio = _phi_ratio(table, N)
     terms, min_dist, count = _term_array(spec, mask, N, block)
-    ratio = table.block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
     value = math.fsum((terms * ratio).tolist())
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T_star", not mask.trivial)
 
@@ -277,10 +282,8 @@ def sum_series(
     N = cps[-1]
     _check_n(N)
     mask = support_mask(spec, N) if restrict else trivial_mask(N)
-    if table is None:
-        table = totient_sieve(N)
+    ratio = _phi_ratio(table, N)
     terms, min_dist, _ = _term_array(spec, mask, N)
-    ratio = table.block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
     star = terms * ratio
     k = spec.k
     rows = []
@@ -397,12 +400,7 @@ def dyadic_table(
     n with an exactly zero distance are excluded and counted separately
     (they carry no reciprocal term).
     """
-    N = (mask.N if mask is not None else spec.N) if N is None else int(N)
-    _check_n(N)
-    if mask is None:
-        mask = trivial_mask(N)
-    if mask.N < N:
-        raise ValidationError(f"mask covers 1..{mask.N}, below N={N}")
+    mask, N = _mask_range(spec, mask, N)
     coords = _coord_scans(spec)
     d_coords = len(coords)
     cells: dict = {}
@@ -415,9 +413,8 @@ def dyadic_table(
         idxs = np.zeros((d_coords, len(ns)), dtype=np.int64)
         for ci, coord in enumerate(coords):
             dv = coord.dist_floats(ns)
-            zero_band = math.ldexp(coord.err_int(N), 32 - coord.scale)
             m, e = np.frexp(dv)
-            fuzzy = (np.abs(m - 0.5) <= _REL_BAND) | (m >= 1.0 - _REL_BAND) | (dv <= zero_band)
+            fuzzy = (np.abs(m - 0.5) <= _REL_BAND) | (m >= 1.0 - _REL_BAND) | (dv <= _zero_band(coord, N))
             idx = (-e).astype(np.int64)  # boundary-adjacent entries fixed below
             for j in np.nonzero(fuzzy & sel)[0]:
                 cell = _cell_exact(coord, int(ns[j]))
@@ -542,8 +539,9 @@ class ModifiedPsi:
         prod = 1.0
         for coord in _coord_scans(self.spec):
             d = float(coord.dist_floats(np.array([n], dtype=np.uint64))[0])
-            if d == 0.0:
-                d = _positive_dist(coord, n)
+            if d <= _zero_band(coord, self.mask.N):
+                # off the support a true zero is reported as a zero product
+                d = _nonzero_dist(coord, n) if on else _positive_dist(coord, n)
             prod *= d
         psi_val = self.psi(n)
         return {
@@ -581,14 +579,10 @@ def ds_hypothesis_check(
     N = cps[-1]
     _check_n(N)
     mask = support_mask(spec, N)
-    if table is None:
-        table = totient_sieve(N)
-    elif table.limit < N:
-        raise ValidationError(f"sieve limit {table.limit} below N={N}")
+    ratio = _phi_ratio(table, N)
     mp = ModifiedPsi(psi, spec, mask)
     psi_vals = mp.values(N)
     ns = np.arange(1, N + 1, dtype=np.float64)
-    ratio = table.block(1, N + 1).astype(np.float64) / ns
     lead = psi.values(np.arange(1, N + 1, dtype=np.int64)) * np.log(np.maximum(ns, 1.0)) ** (
         spec.k - 1
     )

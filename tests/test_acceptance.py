@@ -31,7 +31,7 @@ from bohrgap.exponents import (
 )
 from bohrgap.gap import cardinality_ratio, gap_elements, inner_gap, is_proper, outer_gap
 from bohrgap.minima import build_body, gauge_interval, successive_minima
-from bohrgap.realfield import cmp_int_pow_sqrt
+from bohrgap.realfield import cmp_pow
 from bohrgap.sums import (
     ds_hypothesis_check,
     dyadic_table,
@@ -120,7 +120,7 @@ def test_criterion_01_inner_structure(inner_suite, capsys):
             problems.append(f"{tag}: modulus below 1")
         if any(L**20 < N for L in gp.lengths):  # L >= N^eps, eps = 1/20, exact
             problems.append(f"{tag}: side length below N^eps")
-        if not (cmp_int_pow_sqrt(gp.b, N, EPS) >= 0 and 10 * gp.b <= N):
+        if not (cmp_pow(gp.b, gp.b, N, EPS) >= 0 and 10 * gp.b <= N):
             problems.append(f"{tag}: base point b={gp.b} outside [N^sqrt(eps), N/10]")
     wall = inner_suite["wall"] + time.time() - t0
     if wall > 600:

@@ -21,6 +21,7 @@ from bohrgap.errors import (
 )
 from bohrgap.gap import (
     GAP,
+    _dirichlet_tspec,
     cardinality_ratio,
     decompose,
     gap_elements,
@@ -29,6 +30,8 @@ from bohrgap.gap import (
     outer_gap,
 )
 from bohrgap.minima import build_body, successive_minima
+from bohrgap.realfield import RealSpec
+from bohrgap.scan import CoordScan
 
 
 # -- oracles -----------------------------------------------------------------
@@ -417,3 +420,11 @@ def test_gap_to_dict_serializable():
     assert d["b"] == g.b
     assert d["moduli"] == list(g.moduli)
     assert d["checks"]["proper_sha256"] == g.checks["proper_sha256"]
+
+
+def test_dirichlet_boundary_decides_an_exact_rational_hit():
+    # ||1 * 1/5000|| is exactly the threshold 5000^(-1/1); the fixed-point
+    # interval of 1/5000 always contains it, so only the exact value decides
+    coord = CoordScan(RealSpec.parse("rat:1/5000").realize(128))
+    assert _dirichlet_tspec(coord, 5000, 1, 5000).exact(1) is True
+    assert _dirichlet_tspec(coord, 5001, 1, 5000).exact(1) is False

@@ -5,7 +5,6 @@ import ast
 import random
 from pathlib import Path
 
-import pytest
 import sympy
 
 from bohrgap.lattice import adjugate, det, echelon, extendable, independent, rank
@@ -108,10 +107,3 @@ def test_integer_linear_algebra_lives_in_lattice():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
     assert "Fraction" not in imported and "fractions" not in imported
-
-
-@pytest.mark.parametrize("name", ["_int_det", "_rank_int", "_extendable"])
-def test_old_names_still_importable_from_minima(name):
-    import bohrgap.minima as minima
-
-    assert callable(getattr(minima, name))

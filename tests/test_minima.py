@@ -9,11 +9,10 @@ import pytest
 from bohrgap.bohr import BohrSpec
 from bohrgap.errors import BudgetExceeded, ValidationError
 from bohrgap.exponents import TargetVector
+from bohrgap.lattice import det, extendable
 from bohrgap.realfield import FixedReal
 from bohrgap.minima import (
     ConvexBody,
-    _extendable,
-    _int_det,
     build_body,
     enumerate_gauge_ball,
     gauge,
@@ -87,7 +86,7 @@ def test_identity_like_body():
         assert abs(g.value() - 1.0) < 1e-30
     res = successive_minima(body)
     assert [x.decimal(6) for x in res.lambdas] == ["1.000000"] * 3
-    assert abs(_int_det(res.basis)) == 1
+    assert abs(det(res.basis)) == 1
 
 
 def test_sqrt2_body_pins():
@@ -101,7 +100,7 @@ def test_sqrt2_body_pins():
     # lambda_1 = 1.2*sqrt(50) = 6*sqrt(2); lambda_2 = (5*sqrt2-7)*20*sqrt(50)
     assert res.lambdas[0].decimal(12) == "8.485281374239"
     assert res.lambdas[1].decimal(12) == "10.050506338833"
-    assert abs(_int_det(res.basis)) == 1
+    assert abs(det(res.basis)) == 1
     # attaining vectors already form a basis here
     assert res.basis == res.minima_vectors
     assert res.det_sign == -1
@@ -156,7 +155,7 @@ def test_matches_brute_oracle_k3():
     found = brute_oracle(["sqrt:2", "sqrt:3"], list(body.c), 80, Q(4))
     want = greedy_minima_oracle(found, 3)
     assert res.minima_vectors == [w[1] for w in want]
-    assert abs(_int_det(res.basis)) == 1
+    assert abs(det(res.basis)) == 1
     # Minkowski band, recomputed here
     prod = 1.0
     for g in res.minima_m:
@@ -201,13 +200,13 @@ def test_budget_guard():
 
 
 def test_int_det_and_extendable():
-    assert _int_det([[2, 1], [1, 1]]) == 1
-    assert _int_det([[0, 1], [1, 0]]) == -1
-    assert _int_det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
-    assert _extendable([[2, 1]], 2) is True  # gcd 1: primitive row
-    assert _extendable([[2, 4]], 2) is False  # gcd 2
-    assert _extendable([[1, 0, 0], [0, 2, 0]], 3) is False
-    assert _extendable([[1, 0, 0], [0, 2, 1]], 3) is True
+    assert det([[2, 1], [1, 1]]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+    assert extendable([[2, 1]], 2) is True  # gcd 1: primitive row
+    assert extendable([[2, 4]], 2) is False  # gcd 2
+    assert extendable([[1, 0, 0], [0, 2, 0]], 3) is False
+    assert extendable([[1, 0, 0], [0, 2, 1]], 3) is True
 
 
 def test_to_dict_shape():

@@ -5,6 +5,7 @@ the mantissa pipeline and frozen below.
 """
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,11 +22,8 @@ from bohrgap.realfield import (
     RealSpec,
     ceil_pow_sqrt,
     certify,
-    cmp_dist_root,
     cmp_fixed,
-    cmp_frac_pow_sqrt,
-    cmp_int_pow,
-    cmp_int_pow_sqrt,
+    cmp_pow,
     decide_le,
     dist_nearest_int,
     fr_from_decimal,
@@ -214,52 +212,125 @@ def test_sqrt_fraction():
 
 
 def test_cmp_int_pow_exact():
-    # 31 vs 10^(3/2): 31^2 = 961 < 1000
-    assert cmp_int_pow(31, 10, Q(3, 2)) == -1
-    assert cmp_int_pow(32, 10, Q(3, 2)) == 1
-    assert cmp_int_pow(8, 2, Q(3)) == 0
+    # 31 vs 10^(3/2), exponent 3/2 passed as t = 9/4: 31^2 = 961 < 1000
+    assert cmp_pow(31, 31, 10, Q(9, 4)) == -1
+    assert cmp_pow(32, 32, 10, Q(9, 4)) == 1
+    assert cmp_pow(8, 8, 2, Q(9)) == 0
 
 
 def test_cmp_int_pow_sqrt_paths():
     # rational sqrt: eps = 1/4 -> exponent 1/2; 10 vs 100^(1/2) = 10
-    assert cmp_int_pow_sqrt(10, 100, Q(1, 4)) == 0
+    assert cmp_pow(10, 10, 100, Q(1, 4)) == 0
     # irrational: 2 vs 10^sqrt(1/20) ~ 10^0.2236 ~ 1.674
-    assert cmp_int_pow_sqrt(2, 10, Q(1, 20)) == 1
-    assert cmp_int_pow_sqrt(1, 10, Q(1, 20)) == -1
+    assert cmp_pow(2, 2, 10, Q(1, 20)) == 1
+    assert cmp_pow(1, 1, 10, Q(1, 20)) == -1
 
 
 def test_ceil_pow_sqrt():
     # 10^6 ^ sqrt(0.05): 10^(6*0.22360679...) = 10^1.3416 = 21.96...
     m = ceil_pow_sqrt(10**6, Q(1, 20))
     assert m == 22
-    assert cmp_int_pow_sqrt(m, 10**6, Q(1, 20)) >= 0
-    assert cmp_int_pow_sqrt(m - 1, 10**6, Q(1, 20)) < 0
+    assert cmp_pow(m, m, 10**6, Q(1, 20)) >= 0
+    assert cmp_pow(m - 1, m - 1, 10**6, Q(1, 20)) < 0
+
+
+def _dist_root(d: int, err: Fraction, scale: int, q: int, r: int):
+    """Sign of [d -+ err]*2^-scale against q^(-1/r), exponent 1/r as t = 1/r^2."""
+    return cmp_pow(Q(d - err, 1 << scale), Q(d + err, 1 << scale), q, Q(1, r * r), -1)
 
 
 def test_cmp_dist_root():
     # d/2^128 vs 500^(-1/2) = 0.044721...
     scale = 128
     t = int(Q(1, 1) * (1 << scale) * 44721 // 10**6)
-    assert cmp_dist_root(t, Q(0), scale, 500, 2) == -1
+    assert _dist_root(t, Q(0), scale, 500, 2) == -1
     t2 = int((1 << scale) * 44722 // 10**6)
-    assert cmp_dist_root(t2, Q(0), scale, 500, 2) == 1
+    assert _dist_root(t2, Q(0), scale, 500, 2) == 1
     # exact hit: d = 2^128/2, q = 4, r = 2 -> (1/2) == 4^(-1/2)
-    assert cmp_dist_root(1 << 127, Q(0), 128, 4, 2) == 0
+    assert _dist_root(1 << 127, Q(0), 128, 4, 2) == 0
     # straddle: wide error
-    assert cmp_dist_root(1 << 127, Q(1 << 100), 128, 4, 2) is None
+    assert _dist_root(1 << 127, Q(1 << 100), 128, 4, 2) is None
 
 
 def test_cmp_frac_pow_sqrt_exact_path():
     # eps = 1/4: threshold n^(-1/2); 1/6 vs 36^(-1/2) = 1/6 exactly
-    assert cmp_frac_pow_sqrt(Q(1, 6), Q(1, 6), 36, Q(1, 4)) == 0
-    assert cmp_frac_pow_sqrt(Q(1, 6), Q(1, 6), 35, Q(1, 4)) == -1
-    assert cmp_frac_pow_sqrt(Q(1, 6), Q(1, 6), 37, Q(1, 4)) == 1
+    assert cmp_pow(Q(1, 6), Q(1, 6), 36, Q(1, 4), -1) == 0
+    assert cmp_pow(Q(1, 6), Q(1, 6), 35, Q(1, 4), -1) == -1
+    assert cmp_pow(Q(1, 6), Q(1, 6), 37, Q(1, 4), -1) == 1
 
 
 def test_cmp_frac_pow_sqrt_irrational_path():
     # n = 100, eps = 1/20: threshold 100^(-0.2236..) = 0.35725...
-    assert cmp_frac_pow_sqrt(Q(36, 100), Q(36, 100), 100, Q(1, 20)) == 1
-    assert cmp_frac_pow_sqrt(Q(35, 100), Q(35, 100), 100, Q(1, 20)) == -1
+    assert cmp_pow(Q(36, 100), Q(36, 100), 100, Q(1, 20), -1) == 1
+    assert cmp_pow(Q(35, 100), Q(35, 100), 100, Q(1, 20), -1) == -1
+
+
+def _exact_sign(x: Fraction, n: int, e: Fraction, sign: int) -> int:
+    """Sign of x - n^(sign*e) for rational e = a/b, by x^b against n^(sign*a)."""
+    if x <= 0:
+        return -1
+    lhs, rhs = x**e.denominator, Q(n) ** (sign * e.numerator)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _bracket(slo: int, shi: int):
+    return slo if slo == shi else None
+
+
+def test_cmp_pow_rational_exponent_against_integer_oracle():
+    rng = random.Random(20181011)
+    exps = [Q(1, 2), Q(1, 3), Q(1, 4), Q(1, 10), Q(2, 3), Q(3, 2), Q(1), Q(0)]
+    cases = 0
+    for _ in range(1500):
+        e = rng.choice(exps)
+        sign = rng.choice((1, -1))
+        if rng.random() < 0.4 and e:
+            # a perfect power makes the threshold rational, so exact hits exist
+            m = rng.randint(1, 40)
+            n, thr = m**e.denominator, Q(m) ** (sign * e.numerator)
+            h = Q(1, rng.randint(2, 10**6)) * thr
+            # a hit, straddles, brackets touching it and brackets on either side
+            i, j = rng.choice([(0, 0), (-1, 1), (0, 1), (-1, 0), (1, 2), (-2, -1)])
+            lo, hi = thr + i * h, thr + j * h
+        else:
+            n = rng.randint(1, 10**9)
+            lo = Q(rng.randint(-5, 10**7), rng.randint(1, 10**7))
+            hi = lo if rng.random() < 0.5 else lo + Q(rng.randint(0, 10**3), rng.randint(1, 10**9))
+        want = _bracket(_exact_sign(lo, n, e, sign), _exact_sign(hi, n, e, sign))
+        assert cmp_pow(lo, hi, n, e * e, sign) == want, (lo, hi, n, e, sign)
+        cases += want is None
+    assert cases > 50  # straddling brackets were exercised
+
+
+def test_cmp_pow_irrational_exponent_against_mpmath_1000_digits():
+    rng = random.Random(1810)
+    with mpmath.workdps(1000):
+        for _ in range(120):
+            t = rng.choice([Q(1, 20), Q(1, 5), Q(1, 2), Q(2, 7), Q(3)])
+            sign = rng.choice((1, -1))
+            n = rng.randint(2, 10**9)
+            thr = mpmath.power(n, sign * mpmath.sqrt(mpmath.mpf(t.numerator) / t.denominator))
+            # rationals agreeing with the threshold to 10, 36, 100 and 300 digits
+            # reach every rung of the 40/120/400-digit ladder
+            digits = rng.choice([10, 36, 100, 300])
+            p10 = digits - int(mpmath.floor(mpmath.log10(thr)))
+            w = Q(10) ** -p10
+            x = (int(mpmath.nint(thr * mpmath.mpf(10) ** p10)) + rng.choice((-1, 1))) * w
+            want = 1 if mpmath.mpf(x.numerator) / x.denominator > thr else -1
+            assert cmp_pow(x, x, n, t, sign) == want, (x, n, t, sign)
+            # a bracket around the threshold stays open; one beside it decides
+            assert cmp_pow(x - 3 * w, x + 3 * w, n, t, sign) is None
+            side = (x + 2 * w, x + 3 * w) if want > 0 else (x - 3 * w, x - 2 * w)
+            assert cmp_pow(*side, n, t, sign) == want
+
+
+def test_cmp_pow_base_one_is_exactly_one():
+    for t in (Q(1, 20), Q(1, 4)):
+        for sign in (1, -1):
+            assert cmp_pow(1, 1, 1, t, sign) == 0
+            assert cmp_pow(Q(99, 100), Q(99, 100), 1, t, sign) == -1
+            assert cmp_pow(Q(101, 100), Q(101, 100), 1, t, sign) == 1
+            assert cmp_pow(1, Q(101, 100), 1, t, sign) is None
 
 
 def test_decimal_rendering():
@@ -318,6 +389,12 @@ def test_precision_ladder_lives_only_in_realfield():
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     holders = sorted(p.name for p in src.glob("*.py") if "(0, 64, 192)" in p.read_text())
     assert holders == ["realfield.py"]
+
+
+def test_digit_ladder_lives_once_in_realfield():
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    counts = {p.name: p.read_text().count("(40, 120, 400)") for p in src.glob("*.py")}
+    assert {name: c for name, c in counts.items() if c} == {"realfield.py": 1}
 
 
 # -- differential oracle through the exact scan fallback ---------------------------

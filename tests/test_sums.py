@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bohrgap.bohr import BohrSpec
+from bohrgap.counting import totient_sieve
 from bohrgap.errors import BudgetExceeded, ValidationError
 from bohrgap.sums import (
     ApproxFunction,
@@ -22,6 +23,7 @@ from bohrgap.sums import (
     psi_modified,
     sum_series,
     sums_csv,
+    SupportMask,
     support_mask,
     t_star_sum,
     t_sum,
@@ -196,6 +198,11 @@ def test_sum_series_suite_pins():
     assert lines[1].startswith("10000,54279.7996464,32968.0047831,")
 
 
+
+def test_sum_series_checks_table_limit():
+    with pytest.raises(ValidationError, match="sieve limit 30 below N=60"):
+        sum_series(third_spec(60), [60], restrict=False, table=totient_sieve(30))
+
 # -- dyadic tables ------------------------------------------------------------
 
 
@@ -325,6 +332,23 @@ def test_modified_psi_identity():
     vals = mp_.values()
     assert vals[0] == 0.0  # n = 1 never on support
     assert int((vals > 0).sum()) == 35
+
+
+def test_modified_psi_eval_exact_zero_distance():
+    # ||3 * 1/3|| = 0 arrives from the scan as about 2^-scale, not as 0.0
+    spec = BohrSpec.build(["rat:1/3"], None, 30, ["1"], Q(1, 4))
+    psi = psi_family("log", c=1.0, k=2)
+    on = psi_modified(spec, psi, trivial_mask(30))
+    with pytest.raises(ValidationError, match="exact zero distance at n=3"):
+        on.values()
+    with pytest.raises(ValidationError, match="exact zero distance at n=3"):
+        on.eval(3)
+    flags = np.ones(30, dtype=bool)
+    flags[2::3] = False  # every multiple of 3 off the support
+    off = psi_modified(spec, psi, SupportMask(30, Q(1, 4), flags))
+    ev = off.eval(3)
+    assert not ev["on_support"] and ev["dist_product"] == 0.0 and ev["value"] == 0.0
+    assert off.eval(4)["dist_product"] == 1 / 3 and off.values()[2] == 0.0
 
 
 def test_modified_psi_suite_pin():
