@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .realfield import DEFAULT_SCALE, UNDECIDED, FixedReal, RealSpec, certify, dist_nearest_int, fr_from_int
-from .scan import BLOCK, CoordScan
+from .scan import BLOCK, CoordScan, _check_span
 
 Q = Fraction
 
@@ -182,6 +182,7 @@ def _scan_running_max(coords: list[CoordScan], n_lo: int, n_hi: int, combine: st
     callback-free arrays per block) as an iterator of (ns, score) blocks.
     Exact zeros surface as +inf scores plus a witness check hook by caller.
     """
+    _check_span(n_hi)
     tiny = [max((c.err_int(n_hi) + 2) * math.ldexp(1.0, -c.scale) * 4.0, 5e-324) for c in coords]
     for start in range(n_lo, n_hi + 1, BLOCK):
         ns = np.arange(start, min(start + BLOCK, n_hi + 1), dtype=np.uint64)

@@ -14,7 +14,6 @@ behaviour for parameter ranges where the asymptotic argument has no room.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .errors import (
     LengthUnderflow,
     MinimaDegenerate,
     NoBasePoint,
+    PrecisionExhausted,
     SmallDirichletWitness,
     ValidationError,
 )
@@ -48,7 +48,7 @@ from .minima import (
     successive_minima,
 )
 from .realfield import UNDECIDED, _iroot, certify, cmp_pow
-from .scan import CoordScan, ThresholdSpec, first_in_range
+from .scan import CoordScan, ThresholdSpec, _check_span, _words_le, first_in_range
 
 Q = Fraction
 
@@ -346,56 +346,100 @@ def _cramer_constant(body, minima: MinimaResult) -> Fraction:
     return prod
 
 
+_LIFT_BLOCK = 64  # members in the first block; the block doubles from there
+_LIFT_ROWS = 1 << 17  # lifts per block once grown
+
+
 def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, budget: int):
     """Decompose every lift of every member; return (count, failures).
 
-    Integer fast path: candidate witnesses come from the exact mantissa product
-    n*Ma with an error margin; only genuinely borderline witnesses fall back to
-    escalating fixed-point comparison.
+    Lifts are counted in itertools.product order (members as given, then the
+    witnesses of each coordinate in increasing order), and the check stops
+    at the 17th failure, returning its 1-based position.  BudgetExceeded is
+    raised when the budget runs out first.
+
+    Members go in growing blocks.  Per coordinate, the limb kernel gives
+    I = floor(n*man/2^scale) and f = n*man - I*2^scale exactly, so the
+    candidate a = I + off lies at distance |f - off*2^scale|: each candidate
+    is decided by comparing f with two scalar bounds, and only the band
+    between them goes to _witness_le.  Coefficients d*(P @ adj) are int64
+    below an explicit bound and Python ints above it.
     """
     one = 1 << spec.scale
-    deltas = spec.delta_fractions()
+    members = np.asarray(members, dtype=np.int64)
+    if len(members):
+        _check_span(int(np.abs(members).max()))
     coords = []
-    for i, a in enumerate(spec.alpha.alphas):
+    for a, delta in zip(spec.alpha.alphas, spec.delta_fractions()):
         er = math.ceil(a.err * spec.N)
-        dd = deltas[i] * one
-        coords.append((a.man, math.floor(dd - er), math.floor(dd + er)))
+        din, dout = math.floor(delta * one - er), math.floor(delta * one + er)
+        jmax = dout // one
+        coords.append((CoordScan(a), din, dout, np.arange(-jmax, jmax + 2)))
+    shape = [len(offs) for *_, offs in coords]
 
     rows = [list(v) for v in minima.basis]
     d = det(rows)
     adj = adjugate(rows)  # coeff_j = d * sum_i pt_i * adj[i][j] since d = +-1
-    k = len(rows)
+    adj_max = [max(abs(x) for x in row) for row in adj]
     failures = []
     checked = 0
-    for nn in members:
-        n = int(nn)
-        windows = []
-        for i, (ma, din, dout) in enumerate(coords):
-            p = n * ma
-            alo = -((dout - p) // one)
-            ahi = (p + dout) // one
-            cand = []
-            for a in range(alo, ahi + 1):
-                r = abs(p - a * one)
-                if r <= din or (r <= dout and _witness_le(spec, n, i, a)):
-                    cand.append(a)
-            windows.append(cand)
-        for tail in itertools.product(*windows):
-            checked += 1
-            if checked > budget:
+    start, size = 0, _LIFT_BLOCK
+    while start < len(members):
+        ns = members[start : start + size]
+        start += len(ns)
+        size = min(2 * size, max(_LIFT_BLOCK, _LIFT_ROWS // math.prod(shape)))
+
+        # witnesses: cand[i][b, o] = I_i(n_b) + offs_i[o], kept where keep[i][b, o]
+        cand, keep, band = [], [], []
+        for i, (coord, din, dout, offs) in enumerate(coords):
+            I, f = coord.floor_residue(ns)
+            cand.append(I[:, None] + offs[None, :])
+            win = np.empty((len(ns), len(offs)), dtype=bool)
+            inn = np.empty_like(win)
+            for o, off in enumerate(offs.tolist()):
+                if off <= 0:  # distance f - off*2^scale
+                    win[:, o] = _words_le(f, dout + off * one, len(f))
+                    inn[:, o] = _words_le(f, din + off * one, len(f))
+                else:  # distance off*2^scale - f
+                    win[:, o] = ~_words_le(f, off * one - dout - 1, len(f))
+                    inn[:, o] = ~_words_le(f, off * one - din - 1, len(f))
+            keep.append(inn)
+            band.extend((b, i, o) for b, o in zip(*np.nonzero(win & ~inn)))
+        # the exact band in the order the witnesses are needed; members before
+        # one whose witness cannot be decided are still checked first
+        err = None
+        try:
+            for b, i, o in sorted(band):
+                keep[i][b, o] = _witness_le(spec, int(ns[b]), i, int(cand[i][b, o]))
+        except PrecisionExhausted as e:
+            err, ns = e, ns[:b]
+            keep = [x[:b] for x in keep]
+
+        grid = keep[0]
+        for x in keep[1:]:
+            grid = (grid[:, :, None] & x[:, None, :]).reshape(len(grid), grid.shape[1] * x.shape[1])
+        mem, combo = np.nonzero(grid)
+        picks = np.unravel_index(combo, shape)
+        cols = [ns[mem]] + [c[mem, p] for c, p in zip(cand, picks)]
+        if len(mem):
+            bound = sum(int(np.abs(c).max()) * m for c, m in zip(cols, adj_max))
+            dt = np.int64 if bound < 1 << 62 else object
+            pts = np.stack(cols, axis=1).astype(dt)
+            coeffs = d * (pts @ np.array(adj, dtype=dt))
+            lim = np.array([min(L, bound) for L in lengths], dtype=dt)  # |coeff| <= bound
+            bad = np.flatnonzero((np.abs(coeffs) > lim).any(axis=1))
+            need = 17 - len(failures)
+            hit = checked + int(bad[need - 1]) + 1 if len(bad) >= need else None
+            if (checked + len(pts) if hit is None else hit) > budget:
                 raise BudgetExceeded(f"more than {budget} lifts to verify")
-            pt = (n,) + tail
-            bad = False
-            for j in range(k):
-                c = d * sum(pt[i] * adj[i][j] for i in range(k))
-                if abs(c) > lengths[j]:
-                    bad = True
-                    break
-            if bad:
-                coeffs = tuple(d * sum(pt[i] * adj[i][j] for i in range(k)) for j in range(k))
-                failures.append((n, pt, coeffs))
-                if len(failures) > 16:
-                    return checked, failures
+            for f in bad[:need].tolist():
+                pt = tuple(int(x) for x in pts[f])
+                failures.append((pt[0], pt, tuple(int(x) for x in coeffs[f])))
+            if hit:
+                return hit, failures
+            checked += len(pts)
+        if err is not None:
+            raise err
     return checked, failures
 
 

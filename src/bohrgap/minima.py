@@ -349,8 +349,6 @@ def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10
     """
     out = []
     v0_hi = math.floor(bound * body.c[0])
-    if v0_hi >= 1 << 31:
-        raise BudgetExceeded("enumeration span exceeds the 31-bit scan limit")
     frame = body.frame()
     key = frame.key
     bnd = frame.bound_key(bound)

@@ -7,6 +7,8 @@ arithmetic.  True distances differ from d(n)/2^scale by at most
 E(n) = n*err_alpha + err_gamma mantissa units; thresholds are therefore split
 into a definite-in bound, a definite-out bound, and a borderline band that is
 re-decided exactly per element (escalating the scale through the constructor).
+The same limb kernel gives floor(n*man / 2^scale) and its residue exactly,
+which the outer lift check uses to place its candidate witnesses.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, norm_form
 
 BLOCK = 1 << 16
@@ -29,6 +32,42 @@ Q = Fraction
 
 def _limbs(value: int, count: int) -> list[int]:
     return [(value >> (32 * j)) & 0xFFFFFFFF for j in range(count)]
+
+
+def _check_span(n_max: int) -> None:
+    """The limb kernel needs |n| < 2^31, so that n*limb + carry stays below 2^64."""
+    if n_max >= 1 << 31:
+        raise BudgetExceeded(f"|n| up to {n_max} exceeds the 31-bit scan limit")
+
+
+def _limb_mul(ns: np.ndarray, a: Sequence, g: Optional[Sequence] = None):
+    """(r, carry) with n*A + G = carry*2^scale + r, for uint64 ns < 2^31.
+
+    A and G are scale-bit integers given as 32-bit limbs (G may be omitted);
+    r comes back as little-endian uint64 words and carry as uint64.
+    """
+    carry = np.zeros(len(ns), dtype=np.uint64)
+    limbs = []
+    for j, aj in enumerate(a):
+        t = ns * aj + carry
+        if g is not None:
+            t += g[j]
+        limbs.append(t & _M32)
+        carry = t >> _SH32
+    return [limbs[2 * w] | (limbs[2 * w + 1] << _SH32) for w in range(len(limbs) // 2)], carry
+
+
+def _neg_words(words: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """(2^(64*len(words)) - r) mod 2^(64*len(words)) word by word.
+
+    ~w + 1 wraps only for w = 0, so the +1 moves up through the zero low words.
+    """
+    out = []
+    low_zero = np.ones(len(words[0]), dtype=bool)
+    for w in words:
+        out.append(~w + low_zero)
+        low_zero &= w == 0
+    return out
 
 
 class CoordScan:
@@ -48,6 +87,7 @@ class CoordScan:
         self.nwords = s // 64
         one = 1 << s
         ma = alpha.man % one
+        self._int = alpha.man >> s  # alpha's mantissa is _int*2^s + ma
         mg = ((self.g_sign * gamma.man) % one) if gamma is not None else 0
         self._a = [np.uint64(x) for x in _limbs(ma, self.nlimbs)]
         self._g = [np.uint64(x) for x in _limbs((-mg) % one, self.nlimbs)]
@@ -76,22 +116,27 @@ class CoordScan:
 
         ns must be uint64 with all entries < 2^31.
         """
-        carry = np.zeros(len(ns), dtype=np.uint64)
-        limbs = []
-        for j in range(self.nlimbs):
-            t = ns * self._a[j] + self._g[j] + carry
-            limbs.append(t & _M32)
-            carry = t >> _SH32
-        # r = (n*Ma - Mg) mod 2^scale assembled; fold to min(r, 2^scale - r)
-        top_is_high = limbs[-1] >= np.uint64(1 << 31)
-        comp = []
-        borrow_in = np.ones(len(ns), dtype=np.uint64)  # ~r + 1
-        for j in range(self.nlimbs):
-            t = (_M32 - limbs[j]) + borrow_in
-            comp.append(t & _M32)
-            borrow_in = t >> _SH32
-        folded = [np.where(top_is_high, comp[j], limbs[j]) for j in range(self.nlimbs)]
-        return [folded[2 * w] | (folded[2 * w + 1] << _SH32) for w in range(self.nwords)]
+        r, _ = _limb_mul(ns, self._a, self._g)
+        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r)
+        top_is_high = r[-1] >= np.uint64(1 << 63)
+        return [np.where(top_is_high, c, w) for c, w in zip(_neg_words(r), r)]
+
+    def floor_residue(self, ns: np.ndarray):
+        """(I, f) with n*man = I*2^scale + f and 0 <= f < 2^scale, exactly.
+
+        man is alpha's mantissa; gamma plays no part.  ns is int64 with
+        |n| < 2^31.  I is int64 (object when alpha's integer part reaches
+        2^31) and f little-endian uint64 words.  The limb kernel gives the
+        floor and residue of |n|*frac; a negative n with f != 0 takes
+        I -> -I - 1 and f -> 2^scale - f.
+        """
+        neg = ns < 0
+        r, carry = _limb_mul(np.abs(ns).astype(np.uint64), self._a)
+        flip = neg & np.logical_or.reduce([w != 0 for w in r])
+        f = [np.where(flip, c, w) for c, w in zip(_neg_words(r), r)]
+        frac_floor = np.where(neg, -carry.astype(np.int64) - flip, carry.astype(np.int64))
+        base = ns * self._int if abs(self._int) < 1 << 31 else ns.astype(object) * self._int
+        return base + frac_floor, f
 
     def dist_floats(self, ns: np.ndarray) -> np.ndarray:
         """float64 distances; relative error <= 2^-52 plus E(n)*2^-scale absolute."""
@@ -221,6 +266,7 @@ def members_in_range(
     Exact: vector masks decide everything outside the borderline band, and
     borderline elements are settled by the per-threshold exact callbacks.
     """
+    _check_span(hi)
     out = []
     for start in range(lo, hi + 1, block):
         ns = np.arange(start, min(start + block, hi + 1), dtype=np.uint64)
@@ -258,6 +304,7 @@ def first_in_range(
     block: int = BLOCK,
 ) -> Optional[int]:
     """Smallest n in [lo, hi] passing every threshold, or None."""
+    _check_span(hi)
     for start in range(lo, hi + 1, block):
         ns = np.arange(start, min(start + block, hi + 1), dtype=np.uint64)
         candidate = np.ones(len(ns), dtype=bool)

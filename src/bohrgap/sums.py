@@ -22,7 +22,7 @@ from .bohr import BohrSpec, restricted_bohr
 from .counting import TotientTable, totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, RealSpec, certify
-from .scan import BLOCK, CoordScan
+from .scan import BLOCK, CoordScan, _check_span
 
 Q = Fraction
 
@@ -40,6 +40,7 @@ def _check_n(N: int):
         raise ValidationError("the summation range needs N >= 1")
     if N > _N_CAP:
         raise BudgetExceeded(f"N = {N} exceeds the scan budget {_N_CAP}")
+    _check_span(N)
 
 
 def _mask_range(spec: BohrSpec, mask, N: Optional[int]):

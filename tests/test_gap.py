@@ -6,22 +6,30 @@ elimination, witness minimality via direct scans.
 """
 
 import hashlib
+import itertools
+import math
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
+from bohrgap import bohr
 from bohrgap.bohr import BohrSpec, enumerate_bohr
 from bohrgap.errors import (
     BudgetExceeded,
     LengthUnderflow,
+    PrecisionExhausted,
     SmallDirichletWitness,
     ValidationError,
 )
 from bohrgap.gap import (
     GAP,
+    _cramer_constant,
     _dirichlet_tspec,
+    _floor_over_gauge,
+    _lift_coeff_check,
     cardinality_ratio,
     decompose,
     gap_elements,
@@ -29,6 +37,7 @@ from bohrgap.gap import (
     is_proper,
     outer_gap,
 )
+from bohrgap.lattice import adjugate, det
 from bohrgap.minima import build_body, successive_minima
 from bohrgap.realfield import RealSpec
 from bohrgap.scan import CoordScan
@@ -428,3 +437,155 @@ def test_dirichlet_boundary_decides_an_exact_rational_hit():
     coord = CoordScan(RealSpec.parse("rat:1/5000").realize(128))
     assert _dirichlet_tspec(coord, 5000, 1, 5000).exact(1) is True
     assert _dirichlet_tspec(coord, 5001, 1, 5000).exact(1) is False
+
+
+# -- the lift check against a lift-by-lift loop --------------------------------
+
+
+def loop_lift_check(spec, minima, lengths, members, budget):
+    """Reference: every lift of every member in itertools.product order, one
+    Python-int decomposition each; stops at the 17th failure."""
+    one = 1 << spec.scale
+    coords = []
+    for a, delta in zip(spec.alpha.alphas, spec.delta_fractions()):
+        er = math.ceil(a.err * spec.N)
+        coords.append((a.man, math.floor(delta * one - er), math.floor(delta * one + er)))
+    rows = [list(v) for v in minima.basis]
+    d = det(rows)
+    adj = adjugate(rows)
+    k = len(rows)
+    failures = []
+    checked = 0
+    for nn in members:
+        n = int(nn)
+        windows = []
+        for i, (ma, din, dout) in enumerate(coords):
+            p = n * ma
+            cand = []
+            for a in range(-((dout - p) // one), (p + dout) // one + 1):
+                r = abs(p - a * one)
+                if r <= din or (r <= dout and bohr._witness_le(spec, n, i, a)):
+                    cand.append(a)
+            windows.append(cand)
+        for tail in itertools.product(*windows):
+            checked += 1
+            if checked > budget:
+                raise BudgetExceeded(f"more than {budget} lifts to verify")
+            pt = (n,) + tail
+            coeffs = tuple(d * sum(pt[i] * adj[i][j] for i in range(k)) for j in range(k))
+            if any(abs(c) > L for c, L in zip(coeffs, lengths)):
+                failures.append((n, pt, coeffs))
+                if len(failures) > 16:
+                    return checked, failures
+    return checked, failures
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (BudgetExceeded, PrecisionExhausted) as e:
+        return type(e).__name__, str(e)
+
+
+def _same_as_loop(spec, minima, lengths, members, budget=10**8):
+    want = _outcome(loop_lift_check, spec, minima, lengths, members, budget)
+    got = _outcome(_lift_coeff_check, spec, minima, lengths, members, budget)
+    assert got == want
+    if isinstance(got[0], int):
+        for n, pt, coeffs in got[1]:
+            assert all(type(x) is int for x in (n, *pt, *coeffs))
+    return want
+
+
+def _cramer_lengths(spec):
+    body = build_body(spec)
+    minima = successive_minima(body)
+    c_k = _cramer_constant(body, minima)
+    return minima, [_floor_over_gauge(body, g, c_k, "outer length") for g in minima.basis_m]
+
+
+@pytest.mark.parametrize("alphas,N,deltas", [
+    (["sqrt:2"], 2000, ["0.1"]),  # delta < 1/2: at most one witness
+    (["sqrt:2"], 2000, ["0.7"]),  # 1/2 <= delta < 1: up to two
+    (["sqrt:2"], 2000, ["1.2"]),  # delta >= 1: up to three
+    (["sqrt:2", "sqrt:3"], 3000, ["0.3", "0.6"]),
+    (["sqrt:2", "sqrt:3"], 1000, ["1.1", "0.4"]),
+    (["sqrt:29", "rat:-7/3"], 1000, ["0.4", "0.7"]),  # integer parts 5 and -3
+])
+def test_lift_check_matches_loop(alphas, N, deltas):
+    spec = BohrSpec.build(alphas, None, N, deltas)
+    minima, lengths = _cramer_lengths(spec)
+    members = enumerate_bohr(spec, "symmetric").members
+    assert members.min() < 0
+    checked, failures = _same_as_loop(spec, minima, lengths, members)
+    assert failures == [] and checked >= len(members)
+    # the budget runs out on the last lift, or just suffices
+    assert _same_as_loop(spec, minima, lengths, members, checked - 1)[0] == "BudgetExceeded"
+    _same_as_loop(spec, minima, lengths, members, checked)
+
+    # shrunk lengths: the check stops at the 17th failure, and a budget one
+    # lift short of it raises instead
+    small = [max(1, L // 4) for L in lengths]
+    stop, failures = _same_as_loop(spec, minima, small, members)
+    assert len(failures) == 17 and stop < checked
+    assert _same_as_loop(spec, minima, small, members, stop - 1)[0] == "BudgetExceeded"
+    _same_as_loop(spec, minima, small, members, stop)
+
+
+def _tie_case():
+    # ||n/3|| = 1/3 exactly for n = +-1 mod 3: each such witness sits in the
+    # band around the width.  Members go by |n|, so with |a| <= 50 the first
+    # failure comes after the first block of members.
+    spec = BohrSpec.build(["rat:1/3"], None, 600, ["1/3"])
+    minima = successive_minima(build_body(spec))
+    assert minima.basis == [(3, 1), (1, 0)]  # coefficients (a, n - 3a)
+    members = sorted(enumerate_bohr(spec, "symmetric").members.tolist(), key=lambda n: (abs(n), n))
+    return spec, minima, members
+
+
+def test_lift_check_ties_reach_the_exact_path(monkeypatch):
+    spec, minima, members = _tie_case()
+    calls = []
+
+    def counted(spec, n, i, a):
+        calls.append(n)
+        return bohr._witness_le(spec, n, i, a)
+
+    monkeypatch.setattr("bohrgap.gap._witness_le", counted)
+    checked, failures = _same_as_loop(spec, minima, [600, 600], members)
+    assert failures == [] and checked == len(members)
+    assert len(calls) >= 2 * len(members) // 3
+    stop, failures = _same_as_loop(spec, minima, [50, 1], members)
+    assert len(failures) == 17 and stop > 64
+    _same_as_loop(spec, minima, [50, 1], members, stop - 1)
+
+
+def test_lift_check_undecidable_witness_only_if_reached(monkeypatch):
+    spec, minima, members = _tie_case()
+    stop, failures = loop_lift_check(spec, minima, [50, 1], members, 10**8)
+    after = members[members.index(failures[-1][0]) + 1]
+    assert after % 3 and members[10] % 3  # both have a witness in the band
+    orig = bohr._witness_le
+    for bad_n, want in ((after, 17), (members[10], "PrecisionExhausted")):
+
+        def flaky(spec, n, i, a, bad_n=bad_n):
+            if n == bad_n:
+                raise PrecisionExhausted(f"witness boundary undecidable at n={n}")
+            return orig(spec, n, i, a)
+
+        monkeypatch.setattr("bohrgap.bohr._witness_le", flaky)
+        monkeypatch.setattr("bohrgap.gap._witness_le", flaky)
+        got = _same_as_loop(spec, minima, [50, 1], members)
+        assert (len(got[1]) if want == 17 else got[0]) == want
+
+
+def test_lift_check_exact_ints_over_the_int64_bound():
+    # adjugate entries of 2^40 times |n| near 2^25 pass 2^62, so the
+    # coefficients must be Python ints; the lengths split the members
+    spec = BohrSpec.build(["sqrt:2"], None, 2**26, ["0.7"])
+    minima = SimpleNamespace(basis=[(1, 2**40), (0, 1)])
+    members = [s * (2**25 + j) for j in range(0, 200, 3) for s in (1, -1)]
+    lengths = [2**26, 2**40 * (2**25 + 100)]
+    checked, failures = _same_as_loop(spec, minima, lengths, members)
+    assert len(failures) == 17 and max(abs(c[1]) for *_, c in failures) > 2**63
+    _same_as_loop(spec, minima, lengths, members, checked - 1)

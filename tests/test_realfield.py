@@ -4,6 +4,7 @@ Oracle for irrational pins: mpmath at 60 digits, computed independently of
 the mantissa pipeline and frozen below.
 """
 
+import ast
 import math
 import random
 from fractions import Fraction
@@ -389,6 +390,27 @@ def test_precision_ladder_lives_only_in_realfield():
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     holders = sorted(p.name for p in src.glob("*.py") if "(0, 64, 192)" in p.read_text())
     assert holders == ["realfield.py"]
+
+
+def test_limb_carry_lives_in_one_function():
+    # one limb kernel: every scan, fold and lift goes through the one
+    # function that propagates the 32-bit carry (x >> _SH32)
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    holders = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = f"{where.split(':')[0]}:{getattr(node, 'name', '<lambda>')}"
+        shifted = node.right if isinstance(node, ast.BinOp) else getattr(node, "value", None)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+            if isinstance(shifted, ast.Name) and shifted.id == "_SH32":
+                holders.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for p in src.glob("*.py"):
+        visit(ast.parse(p.read_text()), f"{p.name}:<module>")
+    assert holders == {"scan.py:_limb_mul"}
 
 
 def test_digit_ladder_lives_once_in_realfield():

@@ -1,11 +1,15 @@
 """Vectorized exact scanner vs plain big-int reference evaluation."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bohrgap.bohr import BohrSpec, enumerate_bohr
+from bohrgap.errors import BudgetExceeded
+from bohrgap.exponents import TargetVector, simult_exponent_est
 from bohrgap.realfield import (
     UNDECIDED,
     FixedReal,
@@ -45,6 +49,39 @@ def test_dist_words_match_bigint(alpha_spec, gamma_text):
     got = [int(words[0][i]) | (int(words[1][i]) << 64) for i in range(len(ns))]
     want = [bigint_dist(a.man % (1 << 128), g.man % (1 << 128), n, 128) for n in ns]
     assert got == want
+
+
+@pytest.mark.parametrize("scale", [64, 128, 192, 256])
+@pytest.mark.parametrize("alpha_spec", ["sqrt:29", "rat:-7/3", "dec:0.7312", "dec:-2.5"])
+def test_floor_residue_matches_divmod(alpha_spec, scale):
+    a = RealSpec.parse(alpha_spec).realize(scale)
+    rng = random.Random(scale)
+    top = (1 << 31) - 1
+    ns = [0, 1, -1, top, -top] + [rng.randrange(-top, top + 1) for _ in range(500)]
+    floor, res = CoordScan(a).floor_residue(np.array(ns, dtype=np.int64))
+    got = [(int(floor[i]), sum(int(w[i]) << (64 * j) for j, w in enumerate(res))) for i in range(len(ns))]
+    assert got == [divmod(n * a.man, 1 << scale) for n in ns]
+
+
+def test_scan_limit_raises_before_the_first_block():
+    a = RealSpec.parse("sqrt:2").realize(128)
+    c = CoordScan(a)
+    spec = ThresholdSpec.for_fraction(c, Q(1, 10), 1 << 32)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        members_in_range([c], [spec], 2**31 - 2, 2**31 + 2)
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        enumerate_bohr(BohrSpec.build(["sqrt:2"], None, 2**31, ["0.1"]))
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        first_in_range([c], [spec], 2**31 - 2, 2**31 + 2)
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        simult_exponent_est(TargetVector((a,)), n_max=2**31)
+    assert time.perf_counter() - t0 < 1
+    # the last n below the limit still scans exactly
+    top = 2**31 - 1
+    got = members_in_range([c], [spec], top - 5000, top)
+    want = [n for n in range(top - 5000, top + 1) if 10 * bigint_dist(a.man, 0, n, 128) <= 1 << 128]
+    assert got.tolist() == want
 
 
 def test_dist_floats_close_to_exact():
