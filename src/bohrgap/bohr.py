@@ -274,13 +274,6 @@ def _witness_le(spec: BohrSpec, n: int, i: int, a: int) -> bool:
     return certify(step, "witness boundary undecidable at n={n}", n=n, coord=i)
 
 
-def homogeneous_lifted(spec: BohrSpec) -> BohrSet:
-    """The shrunken homogeneous companion, lifted: |n| <= N/10, widths delta/10."""
-    small = spec.scaled(spec.N // 10, 1, 10)
-    bset = enumerate_bohr(small, "symmetric")
-    return lift_bohr(bset)
-
-
 def restricted_bohr(spec: BohrSpec) -> BohrSet:
     """Members restricted to N^sqrt(epsilon) <= n <= N (positive range)."""
     lo = ceil_pow_sqrt(spec.N, spec.epsilon)

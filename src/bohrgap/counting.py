@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
 from .gap import GAP, gap_elements
-from .lattice import det, rank
+from .lattice import ReducedLattice, det, echelon, independent, spender
 
 Q = Fraction
 
@@ -281,67 +281,47 @@ def congruence_lattice(moduli, p: int) -> CongruenceLattice:
 # -- Euclidean successive minima ----------------------------------------------
 
 
-def _lattice_points_box(lat: CongruenceLattice, r: int, budget: int) -> np.ndarray:
-    """All lattice points with sup-norm <= r, solved coordinate first."""
-    d, p = lat.d, lat.p
-    sub = [lat.moduli[i] for i in lat.coprime]
-    if d == 1:
-        vals = np.arange(-(r // p) * p, r + 1, p, dtype=np.int64)
-        return vals.reshape(-1, 1)
-    reps = (2 * r) // p + 2
-    if (2 * r + 1) ** (d - 1) * reps > budget:
-        raise BudgetExceeded("minima enumeration exceeds the point budget")
-    axes = [np.arange(-r, r + 1, dtype=np.int64) for _ in range(d - 1)]
-    tail = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-    )
-    # x_0 = -inv * (A_1 x_1 + ... ) mod p, then shifted by multiples of p
-    inv = pow(sub[0], -1, p)
-    res = np.zeros(len(tail), dtype=np.int64)
-    for i in range(1, d):
-        res = (res + sub[i] % p * tail[:, i - 1]) % p
-    x0 = (-inv * res) % p  # representative in [0, p)
-    pts = []
-    for m in range(-reps, reps + 1):
-        cand = x0 + m * p
-        keep = np.abs(cand) <= r
-        if keep.any():
-            pts.append(
-                np.concatenate([cand[keep, None], tail[keep]], axis=1)
-            )
-    return np.concatenate(pts) if pts else np.empty((0, d), dtype=np.int64)
-
-
 def euclidean_minima(lat: CongruenceLattice, budget: int = 10**8) -> tuple:
     """Squared Euclidean successive minima, certified by enumeration.
 
-    Doubling sup-norm balls until d independent vectors appear; every
-    candidate with Euclidean norm below the final pick is inside some
-    enumerated ball, so the greedy choice is exact.
+    Greedy picks on an integral-LLL basis of the lattice: the i-th minimum
+    is the shortest vector outside the span of the first i-1 picks, found by
+    one Schnorr-Euchner walk whose radius is the best squared norm so far.
+    On the innermost line x*b + r the norm is a quadratic in x, minimised by
+    rounding; at most one x of a line leaves the span test open, so its
+    better neighbour decides the line then.
     """
-    d, p = lat.d, lat.p
-    r = 2
-    while True:
-        pts = _lattice_points_box(lat, r, budget)
-        if len(pts):
-            norms = (pts * pts).sum(axis=1)
-            order = np.argsort(norms, kind="stable")
-            chosen: list = []
-            mins = []
-            for idx in order:
-                v = pts[idx]
-                if not v.any():
-                    continue
-                if rank(chosen + [v.tolist()]) > len(chosen):
-                    chosen.append(v.tolist())
-                    mins.append(int(norms[idx]))
-                    if len(chosen) == d:
-                        break
-            if len(chosen) == d and mins[-1] <= r * r:
-                return tuple(mins)
-        if r > p:  # p*e_i always span, norms p^2 each
-            raise BudgetExceeded("minima search ran past the guaranteed radius")
-        r *= 2
+    rows = [list(r) for r in lat.basis]
+    red = ReducedLattice(rows, [[_dot(u, v) for v in rows] for u in rows])
+    b = red.basis[0]
+    bb = _dot(b, b)
+    spend = spender(budget, "minima enumeration exceeds the point budget")
+    picks: list = []
+    mins = []
+    for _ in range(lat.d):
+        ech = echelon(picks)
+        steady = not independent(ech, b)  # the span test is constant along b
+        best = min((_dot(u, u), u) for u in red.basis if independent(ech, u))
+
+        def leaf(r, lo, hi):
+            nonlocal best
+            if steady and not independent(ech, r):
+                return
+            x0 = min(max((bb - 2 * _dot(b, r)) // (2 * bb), lo), hi)  # nearest to -b.r/b.b
+            line = [tuple(x * p + q for p, q in zip(b, r)) for x in range(max(x0 - 1, lo), min(x0 + 1, hi) + 1)]
+            for v in sorted(line, key=lambda v: _dot(v, v)):
+                if steady or independent(ech, v):
+                    best = min(best, (_dot(v, v), v))
+                    return
+
+        red.walk(lambda: (best[0], 1), leaf, spend)
+        picks.append(best[1])
+        mins.append(best[0])
+    return tuple(mins)
+
+
+def _dot(u, v) -> int:
+    return sum(a * c for a, c in zip(u, v))
 
 
 # -- Davenport counting --------------------------------------------------------

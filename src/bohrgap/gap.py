@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .bohr import (
+    BohrSet,
     BohrSpec,
     _witness_le,
     enumerate_bohr,
@@ -530,7 +531,7 @@ def cardinality_ratio(spec: BohrSpec) -> dict:
             raise ValidationError(f"width {i} exceeds 1")
     hyp_lower = all(cmp_pow(d, d, spec.N, spec.epsilon, -1) >= 0 for d in deltas)
     sym = enumerate_bohr(spec, "symmetric")
-    pos = enumerate_bohr(spec, "positive")
+    pos = BohrSet(spec, "positive", sym.members[sym.members >= 1])  # the n >= 1 half of one scan
     dprod = Q(1)
     for d in deltas:
         dprod *= d

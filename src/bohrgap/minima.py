@@ -4,9 +4,11 @@ The region R = {|x_1| <= c_0, |alpha_i x_1 - x_{1+i}| <= c_i} is renormalized
 to S = R/lambda with lambda^k held exactly as a rational.  Since lambda is a
 fixed positive constant, every comparison of gauges runs on the R-gauge
 m(v) = max_i |L_i(v)|/c_i; lambda re-enters only in reported values.  Minima
-are certified by exhaustive enumeration inside a radius that a floating-point
-lattice reduction merely suggests: the reduced vectors give a provable upper
-bound for lambda_k, so no correctness rests on floats.
+are certified by exact enumeration: integral LLL reduces Z^k under the sum of
+squares of the integer forms behind the gauge keys, the sup-norm gauge ball
+sits inside an ellipsoid of that form, and one depth-first Schnorr-Euchner
+walk per pick visits every line x*b_0 + r of the ellipsoid, settling each
+line's minimum in closed form.  Nothing rests on floating point.
 """
 
 from __future__ import annotations
@@ -15,21 +17,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
-    BudgetExceeded,
     ConstructionError,
     MinimaDegenerate,
+    PrecisionExhausted,
     ValidationError,
 )
 from .exponents import TargetVector
-from .lattice import det, echelon, extendable, independent
+from .lattice import ReducedLattice, det, echelon, extendable, independent, spender
 from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
-from .scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
 
@@ -66,6 +64,11 @@ class ConvexBody:
         if f is None:
             f = self._frames[extra] = GaugeFrame(self, extra)
         return f
+
+    @cached_property
+    def reduced(self) -> "_Reduced":
+        """The integral-LLL basis under the depth-0 forms, built once."""
+        return _Reduced(self)
 
     def vol_s(self) -> Fraction:
         """vol(S) = 2^k * prod(c_i) / lambda^k; equals 5^-k for spec-built bodies."""
@@ -149,6 +152,35 @@ class GaugeFrame:
             return GaugeVal(vec, ex, ex, ex, self.den)
         return GaugeVal(vec, max(ex, ilo), ihi, None, self.den)
 
+    def forms(self, k: int) -> tuple[list[list[int]], list[int]]:
+        """The integer linear forms l_i whose absolute values key() maximises,
+        with slacks e_i: D*m(v) lies within e_i*|v_1| of max_i |l_i(v)|.
+
+        l_0 = w0*v_1; an exact term gives W*(a*v_1 - b*v_{1+i}) with no
+        slack, a fixed one ed*W*(M*v_1 - 2^s*v_{1+i}) with slack en*W.
+        """
+        rows, slack = [[self.w0] + [0] * (k - 1)], [0]
+        for i, an, ad, w in self.exact_terms:
+            row = [0] * k
+            row[0], row[i] = an * w, -ad * w
+            rows.append(row)
+            slack.append(0)
+        for i, man, s, ed, en, w in self.fixed_terms:
+            row = [0] * k
+            row[0], row[i] = man * ed * w, -((ed * w) << s)
+            rows.append(row)
+            slack.append(en * w)
+        return rows, slack
+
+    def restricted(self, keep) -> "GaugeFrame":
+        """This frame over the terms in keep only (0 is the |v_1| term)."""
+        f = object.__new__(GaugeFrame)
+        f.den = self.den
+        f.w0 = self.w0 if 0 in keep else 0
+        f.exact_terms = tuple(t for t in self.exact_terms if t[0] in keep)
+        f.fixed_terms = tuple(t for t in self.fixed_terms if t[0] in keep)
+        return f
+
     def bound_key(self, bound: Fraction) -> int:
         """floor(D*bound): an integer key is <= D*bound iff it is <= this."""
         return bound.numerator * self.den // bound.denominator
@@ -227,16 +259,16 @@ def _gauge_le(body: ConvexBody, vec, bound: Fraction) -> bool:
     return certify(step, "gauge vs bound undecidable at {}", vec)
 
 
-def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
-    """Certified sign of m(u) - m(v); exact ties return 0."""
+def _key_cmp(frame_u, frame_v, u: GaugeVal, v: GaugeVal) -> int:
+    """Certified sign of key(u) - key(v), re-keyed under frame_u(extra) and
+    frame_v(extra) while open; exact ties (two point brackets) return 0."""
 
     def step(extra):
         a, b = u, v
         if extra:
-            f = body.frame(extra)
-            a, b = f.key(u.vec), f.key(v.vec)
-        if a.kex is not None and b.kex is not None:
-            return (a.kex > b.kex) - (a.kex < b.kex)
+            a, b = frame_u(extra).key(u.vec), frame_v(extra).key(v.vec)
+        if a.klo == a.khi and b.klo == b.khi:
+            return (a.klo > b.klo) - (a.klo < b.klo)
         if a.khi < b.klo:
             return -1
         if a.klo > b.khi:
@@ -246,160 +278,371 @@ def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
     return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec)
 
 
-# -- enumeration -----------------------------------------------------------
+def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
+    """Certified sign of m(u) - m(v); exact ties return 0."""
+    return _key_cmp(body.frame, body.frame, u, v)
 
 
-def _float_lll(basis: list[list[float]]) -> list[list[int]]:
-    """Plain LLL on float vectors; returns the integer transform rows.
+def _before(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> bool:
+    """(m(u), u) < (m(v), v): smaller gauge, exact ties to the smaller vector."""
+    c = _gauge_cmp(body, u, v)
+    return c < 0 or (c == 0 and u.vec < v.vec)
 
-    Only used to suggest an enumeration radius, so numerical slop is harmless.
+
+# -- enumeration on an integral-LLL basis ------------------------------------
+
+
+class _Reduced:
+    """Z^k reduced under Q(v) = sum_i l_i(v)^2 for the depth-0 forms of key().
+
+    A vector with lower key klo <= B has |l_0(v)| = w0|v_1| <= B and
+    |l_i(v)| <= B + e_i|v_1| <= B (w0 + e_i)/w0, so it lies in the ellipsoid
+    w0^2 Q(v) <= B^2 * spread, spread = sum_i (w0 + e_i)^2; limit(B) is that
+    radius for ReducedLattice.walk.
+
+    Along the innermost direction b the terms of m split into those constant
+    on every line x*b + r (term 0 when b_1 = 0, an exact term when
+    a*b_1 = b*b_{1+i}, a fixed one when b_1 = b_{1+i} = 0) and those that
+    vary; part(terms, extra) is the key() frame of a set of terms.
     """
-    b = [np.array(v, dtype=float) for v in basis]
-    n = len(b)
-    z = [np.eye(n, dtype=np.int64)[i].copy() for i in range(n)]
 
-    def gso():
-        star, mu = [], np.zeros((n, n))
-        for i in range(n):
-            v = b[i].copy()
-            for j in range(i):
-                den = float(star[j] @ star[j])
-                mu[i, j] = float(b[i] @ star[j]) / den if den else 0.0
-                v = v - mu[i, j] * star[j]
-            star.append(v)
-        return star, mu
+    def __init__(self, body: ConvexBody):
+        f = body.frame()
+        k = body.k
+        forms, slack = f.forms(k)
+        gram = [[sum(a[p] * a[q] for a in forms) for q in range(k)] for p in range(k)]
+        self.lattice = ReducedLattice([[int(i == j) for j in range(k)] for i in range(k)], gram)
+        self.spread = sum((f.w0 + e) ** 2 for e in slack)
+        self.w0sq = f.w0**2
+        b = self.b = self.lattice.basis[0]
+        const = {0} if b[0] == 0 else set()
+        const.update(i for i, an, ad, _ in f.exact_terms if an * b[0] == ad * b[i])
+        const.update(t[0] for t in f.fixed_terms if b[0] == 0 == b[t[0]])
+        self.all = frozenset(range(k))
+        self.const = frozenset(const)
+        self.vary = self.all - self.const
+        self.body = body
+        self._parts: dict = {}
+        # per form: (term, slope l(b), form, slack), in the order of forms()
+        terms = [0] + [t[0] for t in f.exact_terms] + [t[0] for t in f.fixed_terms]
+        self.w0 = f.w0
+        self.rows = [(t, sum(a * c for a, c in zip(row, b)), row, e) for t, row, e in zip(terms, forms, slack)]
 
-    star, mu = gso()
-    i = 1
-    guard = 0
-    while i < n and guard < 1000:
-        guard += 1
-        for j in range(i - 1, -1, -1):
-            q = round(mu[i, j])
-            if q:
-                b[i] = b[i] - q * b[j]
-                z[i] = z[i] - q * z[j]
-                star, mu = gso()
-        if star[i] @ star[i] >= (0.75 - mu[i, i - 1] ** 2) * (star[i - 1] @ star[i - 1]):
-            i += 1
+    def limit(self, bound: int) -> tuple[int, int]:
+        return bound * bound * self.spread, self.w0sq
+
+    def section(self, r, terms: frozenset, bound: int, lo: int, hi: int) -> Optional[tuple[int, int]]:
+        """The x in lo..hi where no term of terms forces klo(x*b + r) > bound.
+
+        A form with slack e can exceed bound by at most e*|v_1| <=
+        e*bound/w0 at such x, so |l(b)*x + l(r)| <= bound + ceil(e*bound/w0)
+        is necessary; each form cuts an interval, found by integer division.
+        None when the interval is empty.
+        """
+        for t, slope, row, e in self.rows:
+            if t not in terms:
+                continue
+            lim = bound - (-e * bound // self.w0)
+            c = sum(a * v for a, v in zip(row, r))
+            if slope < 0:
+                slope, c = -slope, -c
+            if slope == 0:
+                if abs(c) > lim:
+                    return None
+                continue
+            lo = max(lo, -((lim + c) // slope))
+            hi = min(hi, (lim - c) // slope)
+            if lo > hi:
+                return None
+        return lo, hi
+
+    def vertex(self, r) -> Optional[int]:
+        """floor of the real minimiser of max |l(b)*x + l(r)| over the varying
+        forms: each form gives a rising line |l(b)|x + c and a falling one,
+        and the maxima of the two families cross at min_i max_j of the
+        pairwise crossings, whose floors commute with min and max."""
+        lines = []
+        for t, slope, row, _ in self.rows:
+            if t in self.vary and slope:
+                c = sum(a * v for a, v in zip(row, r))
+                lines.append((abs(slope), c if slope > 0 else -c))
+        if not lines:
+            return None
+        return min(max((-ci - cj) // (ai + aj) for aj, cj in lines) for ai, ci in lines)
+
+    def part(self, terms: frozenset, extra: int = 0) -> "GaugeFrame":
+        f = self._parts.get((terms, extra))
+        if f is None:
+            f = self._parts[terms, extra] = self.body.frame(extra).restricted(terms)
+        return f
+
+    def cmp(self, tu: frozenset, u: GaugeVal, tv: frozenset, v: GaugeVal) -> int:
+        """Certified order of u keyed over the terms tu and v over tv."""
+        return _key_cmp(lambda e: self.part(tu, e), lambda e: self.part(tv, e), u, v)
+
+
+def _canon(v: tuple[int, ...]) -> tuple[int, ...]:
+    """v or -v, whichever has its first nonzero coordinate positive."""
+    for c in v:
+        if c:
+            return v if c > 0 else tuple(-t for t in v)
+    return v
+
+
+class _Line:
+    """The family x*b + r in canonical sign, with memoized depth-0 keys.
+
+    On the line m = max(K, h(x)): K from the constant terms, the same for
+    every x, and h from the varying ones, each |affine| with a nonzero true
+    slope, so h is convex without flat pieces.  The minimisers of m are the
+    one or two minimisers of h when min h >= K, else the interval h <= K.
+    Finding them compares h with h or with K, never two points that the
+    constant terms alone tie.  Two points x, y placed symmetrically about
+    the vertex of term 0 (b_1*(x + y) = -2*r_1) tie exactly in term 0 and in
+    every fixed term whose vertex is the same point; h_cmp compares them on
+    the remaining terms only.
+    """
+
+    __slots__ = ("red", "b", "r", "memo", "hmemo")
+
+    def __init__(self, red: _Reduced, r):
+        self.red, self.b, self.r = red, red.b, r
+        self.memo, self.hmemo = {}, {}
+
+    def vec(self, x: int) -> tuple[int, ...]:
+        return _canon(tuple(x * p + q for p, q in zip(self.b, self.r)))
+
+    def at(self, x: int) -> GaugeVal:
+        g = self.memo.get(x)
+        if g is None:
+            g = self.memo[x] = self.red.body.frame().key(self.vec(x))
+        return g
+
+    def h(self, x: int) -> GaugeVal:
+        g = self.hmemo.get(x)
+        if g is None:
+            g = self.hmemo[x] = self.red.part(self.red.vary).key(self.vec(x))
+        return g
+
+    def h_cmp(self, x: int, y: int) -> int:
+        """Certified sign of h(x) - h(y)."""
+        red, b, r = self.red, self.b, self.r
+        if not b[0] or b[0] * (x + y) != -2 * r[0]:
+            return red.cmp(red.vary, self.h(x), red.vary, self.h(y))
+        tied = frozenset(i for i in red.vary if b[0] * r[i] == r[0] * b[i])  # term 0 included
+        rest = red.vary - tied
+        if not rest:
+            return 0
+        part = red.part(rest).key
+        m, a, c = red.part(tied).key(self.vec(x)), part(self.vec(x)), part(self.vec(y))
+        ca, cc = red.cmp(rest, a, tied, m), red.cmp(rest, c, tied, m)
+        if ca <= 0 and cc <= 0:  # the tied terms dominate both
+            return 0
+        if ca <= 0 or cc <= 0:
+            return -1 if ca <= 0 else 1
+        return red.cmp(rest, a, rest, c)
+
+    def minimisers(self, lo: int, hi: int) -> tuple[int, int]:
+        """[xa, xb]: every minimiser of m(x*b + r) on lo..hi, from certified
+        signs that are monotone in x, searched outward from the closed-form
+        minimiser and plateau ends of the depth-0 forms (exact when every
+        term is)."""
+        start = self.red.vertex(self.r)
+        ha = _first(lambda x: self.h_cmp(x + 1, x) >= 0, lo, hi, (lo + hi) // 2 if start is None else start)
+        hb = _first(lambda x: self.h_cmp(x + 1, x) > 0, ha, hi, ha)
+        red = self.red
+        if not red.const:
+            return ha, hb
+        kv = self.k_const()
+
+        def below(x: int) -> bool:  # h(x) <= K
+            return red.cmp(red.vary, self.h(x), red.const, kv) <= 0
+
+        if not below(ha):
+            return ha, hb
+        est = red.section(self.r, red.vary, kv.khi, lo, hi) or (ha, hb)  # exact when h is
+        return _first(below, lo, ha, est[0]), _first(lambda x: not below(x), hb, hi + 1, est[1] + 1) - 1
+
+    def k_const(self) -> GaugeVal:
+        """K: the key over the constant terms, the same at every x."""
+        return self.red.part(self.red.const).key(self.vec(0))
+
+    def lex_order(self, xa: int, xb: int):
+        """x in xa..xb in increasing lexicographic order of the canonical vector.
+
+        Before b's first nonzero coordinate j the vectors agree.  If r has a
+        nonzero coordinate there, the sign is fixed and the order is monotone
+        in x.  Otherwise coordinate j of the canonical vector is
+        |x*b_j + r_j|, which grows on both sides of -r_j/b_j, so the order
+        merges two monotone runs.
+        """
+        b, r = self.b, self.r
+        j = next(i for i, c in enumerate(b) if c)
+        lead = next((c for c in r[:j] if c), 0)
+        if lead:
+            yield from (range(xa, xb + 1) if (lead > 0) == (b[j] > 0) else range(xb, xa - 1, -1))
+            return
+        p = -r[j] // b[j]  # floor of the sign change
+        down, up = min(p, xb), max(p + 1, xa)
+        while down >= xa or up <= xb:
+            if up > xb or (down >= xa and self.vec(down) < self.vec(up)):
+                yield down
+                down -= 1
+            else:
+                yield up
+                up += 1
+
+    def pick(self, lo: int, hi: int, bound: int, accepts, spend) -> Optional[GaugeVal]:
+        """Smallest (m(v), v) over canonical v = x*b + r, lo <= x <= hi, with
+        accepts(v) and klo <= bound; accepts=None accepts every x.
+
+        The minimisers come first in lexicographic order, then both sides
+        outward; past the minimisers m = h rises strictly on each side.
+        """
+        cut = self.red.section(self.r, self.red.all, bound, lo, hi)
+        if cut is None:
+            return None
+        lo, hi = cut
+        xa, xb = self.minimisers(lo, hi)
+        if self.at(xa).klo > bound:
+            return None
+        order = self.lex_order(xa, xb)
+        if accepts is None:
+            return self.at(next(order))
+        for x in order:
+            spend()
+            if accepts(self.vec(x)):
+                return self.at(x)
+        left, right = xa - 1, xb + 1
+        while left >= lo or right <= hi:
+            spend()
+            if right > hi:
+                x = left
+            elif left < lo:
+                x = right
+            else:
+                c = self.h_cmp(left, right)
+                x = left if c < 0 or (c == 0 and self.vec(left) < self.vec(right)) else right
+            g = self.at(x)
+            if g.klo > bound:
+                return None
+            if accepts(g.vec):
+                return g
+            if x == left:
+                left -= 1
+            else:
+                right += 1
+        return None
+
+
+def _first(test, a: int, z: int, start: int) -> int:
+    """Smallest x in a..z-1 with test(x) for a test that is false, then
+    true, in x (z when it never holds), galloping outward from start."""
+    if a >= z:
+        return z
+    s = min(max(start, a), z - 1)
+    step = 1
+    if test(s):
+        bad, good = a - 1, s
+        while good - step >= a:
+            if not test(good - step):
+                bad = good - step
+                break
+            good -= step
+            step *= 2
+    else:
+        bad, good = s, z
+        while bad + step < z:
+            if test(bad + step):
+                good = bad + step
+                break
+            bad += step
+            step *= 2
+    lo, hi = bad + 1, good
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
         else:
-            b[i], b[i - 1] = b[i - 1], b[i]
-            z[i], z[i - 1] = z[i - 1], z[i]
-            star, mu = gso()
-            i = max(i - 1, 1)
-    return [[int(x) for x in row] for row in z]
+            lo = mid + 1
+    return lo
 
 
-def _suggest_radius(body: ConvexBody) -> Fraction:
-    """Certified upper bound for lambda_k/lambda: max gauge of k independent vectors."""
-    k = body.k
-    mat = []
-    for j in range(k):
-        v = [0] * k
-        v[j] = 1
-        y = [float(Q(v[0]) / body.c[0])]
-        for i, a in enumerate(body.alpha.alphas):
-            y.append((a.value() * v[0] - v[1 + i]) / float(body.c[1 + i]))
-        mat.append(y)
-    try:
-        zrows = _float_lll(mat)
-    except Exception:
-        zrows = [list(r) for r in np.eye(k, dtype=int)]
-    if abs(det(zrows)) != 1:
-        zrows = [list(r) for r in np.eye(k, dtype=int)]
-    best = Q(0)
-    for zr in zrows:
-        m = gauge_interval(body, zr)
-        best = max(best, m.exact if m.exact is not None else m.hi)
+def _smallest(body: ConvexBody, ech, accepts, bound: int, spend) -> GaugeVal:
+    """Smallest (m(v), v) over canonical v with accepts(v), given a certified
+    upper bound D*m(v) <= bound for the answer.
+
+    One Schnorr-Euchner walk whose radius is the best candidate's upper key:
+    a subtree is pruned only when every vector in it has a lower key above
+    that, so ties survive to the lexicographic rule.  accepts must be
+    constant along x*b + r whenever b lies in the span that ech came from
+    (independence and extendability both are), so each such line is decided
+    by one call.  A candidate that no depth separates from the best is held
+    back and compared again with the final best, so only a tie at the
+    minimum itself raises PrecisionExhausted.
+    """
+    red = body.reduced
+    steady = not independent(ech, red.b)
+    best: Optional[GaugeVal] = None
+    held: list[GaugeVal] = []
+    limit = red.limit(bound)  # the walk's radius, from the best upper key
+
+    def leaf(r, lo, hi):
+        nonlocal best, limit
+        if steady and not accepts(r):
+            return
+        cand = _Line(red, r).pick(lo, hi, bound if best is None else best.khi, None if steady else accepts, spend)
+        if cand is None:
+            return
+        try:
+            if best is not None and not _before(body, cand, best):
+                return
+        except PrecisionExhausted:
+            held.append(cand)
+            return
+        best = cand
+        limit = red.limit(best.khi)
+
+    red.lattice.walk(lambda: limit, leaf, spend)
+    if best is None:
+        raise ConstructionError("no admissible vector inside the certified bound")  # unreachable
+    for cand in held:
+        if _before(body, cand, best):
+            best = cand
     return best
-
-
-def _tail_windows(body: ConvexBody, bound: Fraction) -> list[tuple[int, int, int, int]]:
-    """Per coordinate (slope, slack, offset, den): given v_1 >= 0, the tail
-    v_{1+i} runs over ceil((slope*v_1 - slack*v_1 - offset)/den) ..
-    floor((slope*v_1 + slack*v_1 + offset)/den).
-
-    Exact for a rational alpha_i (the window is {t : |alpha_i v_1 - t| <=
-    bound*c_i}); a fixed-point alpha_i widens it by its error, and the exact
-    filter decides.
-    """
-    out = []
-    for a, ci in zip(body.alpha.alphas, body.c[1:]):
-        w = bound * ci
-        wn, wd = w.numerator, w.denominator
-        aex = a.exact()
-        if aex is not None:
-            an, ad = aex.numerator, aex.denominator
-            out.append((an * wd, 0, ad * wn, ad * wd))
-        else:
-            err = Q(a.err)
-            en, ed = err.numerator, err.denominator
-            out.append((a.man * ed * wd, en * wd, (wn * ed) << a.scale, (ed * wd) << a.scale))
-    return out
 
 
 def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10**6) -> list[GaugeVal]:
     """All canonical-sign nonzero v with m(v) <= bound, certified per vector.
 
-    Canonical sign: first nonzero coordinate positive (m(-v) = m(v)).  Large
-    first-coordinate spans are prefiltered with the vectorized distance scan:
-    a tail candidate exists only where ||alpha_i v_1|| clears the window.
-    Each vector's gauge is evaluated once, at depth 0; only an undecided
-    comparison with the bound escalates.
+    Canonical sign: first nonzero coordinate positive (m(-v) = m(v)).  The
+    walk of successive_minima with a fixed radius: each line of the
+    ellipsoid around the ball is scanned where no form rules the bound out,
+    each vector's gauge is evaluated once at depth 0, and only an undecided
+    comparison with the bound escalates.  budget caps the visited nodes and
+    scanned vectors.
     """
     out = []
-    v0_hi = math.floor(bound * body.c[0])
+    red = body.reduced
     frame = body.frame()
-    key = frame.key
     bnd = frame.bound_key(bound)
-    windows = _tail_windows(body, bound)
-    tested = 0
+    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
+    b = red.b
 
-    def consider(v0: int) -> None:
-        nonlocal tested
-        ranges = []
-        size = 1
-        for slope, slack, off, den in windows:
-            c, e = slope * v0, slack * v0 + off
-            r = range(-((e - c) // den), (c + e) // den + 1)
-            size *= len(r)
-            ranges.append(r)
-        tested += size
-        if tested > budget:
-            raise BudgetExceeded(f"gauge ball enumeration exceeds {budget} candidates")
-        for tail in product(*ranges):
-            vec = (v0,) + tail
-            if v0 == 0:
-                nz = next((x for x in tail if x != 0), None)
-                if nz is None or nz < 0:
-                    continue
-            g = key(vec)
+    def leaf(r, lo, hi):
+        cut = red.section(r, red.all, bnd, lo, hi)
+        for x in range(cut[0], cut[1] + 1) if cut else ():
+            spend()
+            vec = _canon(tuple(x * p + q for p, q in zip(b, r)))
+            g = frame.key(vec)
             ok = _key_le(g, bnd)
             if ok is UNDECIDED:
                 ok = _gauge_le(body, vec, bound)
             if ok:
                 out.append(g)
 
-    consider(0)
-    if v0_hi >= 5000 and body.alpha.scale % 64 == 0:
-        coords = [CoordScan(a) for a in body.alpha.alphas]
-        tspecs = [
-            ThresholdSpec.for_fraction(c, min(bound * ci, Q(1, 2)), v0_hi)
-            for c, ci in zip(coords, body.c[1:])
-        ]
-        for v0 in members_in_range(coords, tspecs, 1, v0_hi):
-            consider(int(v0))
-    else:
-        for v0 in range(1, v0_hi + 1):
-            consider(v0)
+    red.lattice.walk(lambda: red.limit(bnd), leaf, spend)
     return out
-
-
-def _sorted_ball(body: ConvexBody, bound: Fraction, budget: int) -> list[GaugeVal]:
-    """The gauge ball in increasing (D*lo, vec) order, as _pick_smallest needs."""
-    pool = enumerate_gauge_ball(body, bound, budget)
-    pool.sort(key=lambda g: (g.klo, g.vec))
-    return pool
 
 
 @dataclass
@@ -429,30 +672,6 @@ class MinimaResult:
 def _scaled_fixed(body: ConvexBody, m: GaugeVal) -> FixedReal:
     llo, lhi = body.lam().bounds()
     return _mid_fixed(body.alpha.scale, llo * m.lo, lhi * m.hi)
-
-
-def _pick_smallest(body: ConvexBody, pool: list[GaugeVal], accepts) -> GaugeVal:
-    """Smallest-gauge pool entry passing `accepts`, lexicographic tie-break.
-
-    The pool is sorted by (klo, vec), so once an entry's lower end passes
-    best.hi no later entry can be smaller or tie; once it reaches an exact
-    best, later entries can at most tie with a larger vec.
-    """
-    best = None
-    for cand in pool:
-        if best is not None and (cand.klo > best.khi or (cand.klo == best.khi and best.kex is not None)):
-            break
-        if not accepts(cand):
-            continue
-        if best is None:
-            best = cand
-            continue
-        c = _gauge_cmp(body, cand, best)
-        if c < 0 or (c == 0 and cand.vec < best.vec):
-            best = cand
-    if best is None:
-        raise ConstructionError("no admissible vector in the enumeration ball")
-    return best
 
 
 def _band_check(body: ConvexBody, minima_m: list[GaugeVal]) -> None:
@@ -487,40 +706,52 @@ def _band_check(body: ConvexBody, minima_m: list[GaugeVal]) -> None:
 def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult:
     """Exact lambda_1..lambda_k, attaining vectors, and a unimodular basis.
 
-    The basis is greedy: v_i is the smallest-gauge vector extending v_1..v_{i-1}
-    to a basis of Z^k, so basis_gauges[i] >= lambda_i with equality whenever the
-    attaining vectors themselves form a basis.
+    Each pick is the smallest (m(v), v) over canonical v passing its test,
+    found by one enumeration walk on the integral-LLL basis; budget caps the
+    nodes visited over all picks.  The basis is greedy: v_i is the
+    smallest-gauge vector extending v_1..v_{i-1} to a basis of Z^k, so
+    basis_gauges[i] >= lambda_i with equality whenever the attaining vectors
+    themselves form a basis.
     """
     k = body.k
     if k > 6:
         raise ValidationError("certified minima supported for k <= 6 only")
-    radius = _suggest_radius(body)
-    pool = _sorted_ball(body, radius, budget)
+    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
+    basis = body.reduced.lattice.basis
+    key = body.frame().key
 
     minima_m: list[GaugeVal] = []
     for _ in range(k):
         ech = echelon([g.vec for g in minima_m])
-        minima_m.append(_pick_smallest(body, pool, lambda cand: independent(ech, cand.vec)))
+
+        def independent_of(v, ech=ech) -> bool:
+            return independent(ech, v)
+
+        bound = min(key(v).khi for v in basis if independent_of(v))
+        minima_m.append(_smallest(body, ech, independent_of, bound, spend))
 
     basis_m: list[GaugeVal] = []
-    attempt_pool = pool
-    attempt_radius = radius
     for _ in range(k):
         rows = [g.vec for g in basis_m]
         ech = echelon(rows)
 
-        def extends(cand: GaugeVal) -> bool:
-            return independent(ech, cand.vec) and extendable(rows + [cand.vec], k)
+        def extends(v, ech=ech, rows=rows) -> bool:
+            return independent(ech, v) and extendable(rows + [v], k)
 
-        for _attempt in range(4):
-            try:
-                basis_m.append(_pick_smallest(body, attempt_pool, extends))
-                break
-            except ConstructionError:
-                attempt_radius *= 2
-                attempt_pool = _sorted_ball(body, attempt_radius, budget)
-        else:
-            raise ConstructionError("basis completion failed within the radius cap")
+        # the i-th minimum is the smallest vector outside the span of the
+        # first i-1; when those are the rows and it extends them, it is also
+        # the smallest extension
+        i = len(rows)
+        if rows == [g.vec for g in minima_m[:i]] and extends(minima_m[i].vec):
+            basis_m.append(minima_m[i])
+            continue
+        # a minimum v outside the span of rows lies in the primitive lattice
+        # rows + Zw; reducing w modulo rows gives an extension with
+        # m <= m(v) + sum m(rows)/2
+        v = next(g for g in minima_m if independent(ech, g.vec))
+        bound = v.khi + (sum(g.khi for g in basis_m) + 1) // 2
+        bound = min([bound] + [key(u).khi for u in basis if extends(u)])
+        basis_m.append(_smallest(body, ech, extends, bound, spend))
 
     d = det([list(g.vec) for g in basis_m])
     if abs(d) != 1:

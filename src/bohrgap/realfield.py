@@ -356,19 +356,6 @@ def certify(step, msg: str, *args, n=None, coord=None):
     raise PrecisionExhausted(msg.format(*args, n=n, coord=coord), n=n, coord=coord)
 
 
-def decide_le(x: FixedReal, y, *, what: str = "comparison") -> bool:
-    """x <= y with escalation through the constructor; raises if truly stuck."""
-    cur = x
-
-    def step(extra):
-        nonlocal cur  # refinements compound: the last depth sits 256 bits up
-        cur = cur.refined(cur.scale + extra)
-        c = cmp_fixed(cur, y)
-        return UNDECIDED if c is None else c <= 0
-
-    return certify(step, "indecisive {}", what)
-
-
 # -- certified power comparisons ---------------------------------------
 
 

@@ -11,7 +11,6 @@ from bohrgap.bohr import (
     BohrSpec,
     all_lifts,
     enumerate_bohr,
-    homogeneous_lifted,
     is_member,
     lift_bohr,
     restricted_bohr,
@@ -123,17 +122,6 @@ def test_all_lifts_wide_width():
     assert sorted(all_lifts(s, 3)) == [(3, 1), (3, 2)]
     # even n: the witness n/2 is unique at distance 0... plus none adjacent
     assert all_lifts(s, 4) == [(4, 2)]
-
-
-def test_homogeneous_lifted_half():
-    b = homogeneous_lifted(spec_of(["rat:1/2"], None, 100, ["0.3"]))
-    assert b.lifted == [(n, n // 2) for n in range(-10, 11) if n % 2 == 0]
-
-
-def test_homogeneous_lifted_drops_shift():
-    base = spec_of(["rat:1/2"], ["rat:1/2"], 100, ["0.3"])
-    b = homogeneous_lifted(base)
-    assert (0, 0) in b.lifted  # zero vector always present
 
 
 def test_restricted_even_count():

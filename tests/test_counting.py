@@ -25,6 +25,7 @@ from bohrgap.counting import (
     totient_sieve,
 )
 from bohrgap.errors import BudgetExceeded, ValidationError
+from bohrgap.lattice import rank
 from bohrgap.gap import GAP, gap_elements, inner_gap
 
 
@@ -317,6 +318,77 @@ def test_minima_checkerboard():
 def test_minima_pinned_dim3():
     lat = congruence_lattice((1, 2, 3), 5)
     assert euclidean_minima(lat) == (2, 3, 5)
+
+
+def _lattice_points_box(lat, r, budget):
+    """All lattice points with sup-norm <= r, solved coordinate first."""
+    d, p = lat.d, lat.p
+    sub = [lat.moduli[i] for i in lat.coprime]
+    if d == 1:
+        vals = np.arange(-(r // p) * p, r + 1, p, dtype=np.int64)
+        return vals.reshape(-1, 1)
+    reps = (2 * r) // p + 2
+    if (2 * r + 1) ** (d - 1) * reps > budget:
+        raise BudgetExceeded("minima enumeration exceeds the point budget")
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for _ in range(d - 1)]
+    tail = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    inv = pow(sub[0], -1, p)
+    res = np.zeros(len(tail), dtype=np.int64)
+    for i in range(1, d):
+        res = (res + sub[i] % p * tail[:, i - 1]) % p
+    x0 = (-inv * res) % p
+    pts = []
+    for m in range(-reps, reps + 1):
+        cand = x0 + m * p
+        keep = np.abs(cand) <= r
+        if keep.any():
+            pts.append(np.concatenate([cand[keep, None], tail[keep]], axis=1))
+    return np.concatenate(pts) if pts else np.empty((0, d), dtype=np.int64)
+
+
+def box_minima(lat, budget=10**8):
+    """Squared Euclidean minima from doubling sup-norm boxes, greedy by norm."""
+    d, p = lat.d, lat.p
+    r = 2
+    while True:
+        pts = _lattice_points_box(lat, r, budget)
+        if len(pts):
+            norms = (pts * pts).sum(axis=1)
+            order = np.argsort(norms, kind="stable")
+            chosen, mins = [], []
+            for idx in order:
+                v = pts[idx]
+                if not v.any():
+                    continue
+                if rank(chosen + [v.tolist()]) > len(chosen):
+                    chosen.append(v.tolist())
+                    mins.append(int(norms[idx]))
+                    if len(chosen) == d:
+                        break
+            if len(chosen) == d and mins[-1] <= r * r:
+                return tuple(mins)
+        if r > p:
+            raise BudgetExceeded("minima search ran past the guaranteed radius")
+        r *= 2
+
+
+def test_minima_match_the_box_reference():
+    lats = [congruence_lattice((1, 1), 2), congruence_lattice((1, 2, 3), 5)]
+    rng = random.Random(17)
+    for _ in range(12):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randrange(1, 4)
+        moduli = tuple(rng.randrange(1, 20) for _ in range(d))
+        if not all(a % p == 0 for a in moduli):
+            lats.append(congruence_lattice(moduli, p))
+    rng = random.Random(29)
+    while len(lats) < 60:
+        p = rng.choice([11, 13, 31, 61, 97, 101])
+        moduli = tuple(rng.randrange(1, 200) for _ in range(rng.randrange(1, 5)))
+        if not all(a % p == 0 for a in moduli):
+            lats.append(congruence_lattice(moduli, p))
+    for lat in lats:
+        assert euclidean_minima(lat) == box_minima(lat), lat.to_dict()
 
 
 def test_minima_against_greedy_oracle():

@@ -21,14 +21,26 @@ from bohrgap.realfield import fr_from_decimal
 Q = Fraction
 
 
+def sqrt_convergents(m, limit):
+    """Convergents (q_n, p_n), n >= 0 and q_n <= limit, of the periodic
+    continued fraction of sqrt(m), m not a square, by the integer recurrence
+    m' = d*a - m', d' = (m - m'^2)/d, a' = (a_0 + m')//d'."""
+    a0 = math.isqrt(m)
+    mm, d, a = 0, 1, a0
+    (q1, p1), (q, p) = (0, 1), (1, a0)
+    out = []
+    while q <= limit:
+        out.append((q, p))
+        mm = d * a - mm
+        d = (m - mm * mm) // d
+        a = (a0 + mm) // d
+        (q1, p1), (q, p) = (q, p), (a * q + q1, a * p + p1)
+    return out
+
+
 def sqrt2_convergent_denominators(limit):
     """Oracle route: continued fraction of sqrt(2) = [1; 2, 2, ...]."""
-    qs = [1, 2]
-    while True:
-        nxt = 2 * qs[-1] + qs[-2]
-        if nxt > limit:
-            return qs
-        qs.append(nxt)
+    return [q for q, _ in sqrt_convergents(2, limit)]
 
 
 def cf_oracle_value(n_max):

@@ -388,6 +388,24 @@ def test_cardinality_pair_pinned():
     assert r["shift_injection"] is True
 
 
+@pytest.mark.parametrize("alphas,gammas,N,deltas", [
+    (["sqrt:2"], None, 10**4, ["0.1"]),
+    (["sqrt:3"], ["dec:0.3"], 10**4, ["0.2"]),
+    (["sqrt:2", "sqrt:3"], ["dec:0.25", "dec:0.7"], 3000, ["0.3", "0.3"]),
+    (["rat:1/3"], None, 3000, ["1/3"]),
+    (["rat:1/3"], ["dec:0.5"], 3000, ["1/3"]),
+])
+def test_cardinality_positive_half_of_the_symmetric_scan(alphas, gammas, N, deltas):
+    spec = BohrSpec.build(alphas, gammas, N, deltas, "0.05")
+    sym = enumerate_bohr(spec, "symmetric")
+    pos = enumerate_bohr(spec, "positive")
+    assert np.array_equal(sym.members[sym.members >= 1], pos.members)
+    r = cardinality_ratio(spec)
+    assert r["cardinality"] == sym.cardinality
+    assert r["cardinality_positive"] == pos.cardinality
+    assert r["shift_injection"] is bohr.shift_injection_holds(spec, pos)
+
+
 def test_cardinality_rejects_wide_delta():
     spec = BohrSpec.build(["sqrt:2"], None, 10**4, ["1.5"], "0.05")
     with pytest.raises(ValidationError):

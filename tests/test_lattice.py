@@ -2,12 +2,14 @@
 keeps determinant, rank and adjugate code in lattice.py."""
 
 import ast
+import itertools
+import math
 import random
 from pathlib import Path
 
 import sympy
 
-from bohrgap.lattice import adjugate, det, echelon, extendable, independent, rank
+from bohrgap.lattice import ReducedLattice, adjugate, det, echelon, extendable, independent, lll_gram, rank
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
 
@@ -82,6 +84,80 @@ def test_extendable_smith_criterion():
     assert extendable([[1, 0, 0], [0, 2, 1]], 3) is True
 
 
+def _gram(rows, forms):
+    """Gram matrix of rows under Q(v) = sum over forms f of (f . v)^2."""
+    img = [[sum(a * b for a, b in zip(f, r)) for f in forms] for r in rows]
+    return [[sum(a * b for a, b in zip(u, v)) for v in img] for u in img]
+
+
+def test_lll_gram_reduces_with_integral_gram_schmidt_data():
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        forms = random_matrix(rng, n, n, 10 ** rng.randint(1, 30))
+        if det(forms) == 0:
+            continue
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        h, d, lam = lll_gram(_gram(eye, forms))
+        assert abs(det(h)) == 1
+        g = _gram(h, forms)  # Gram matrix of the reduced basis
+        for i in range(n + 1):
+            assert d[i] == det([row[:i] for row in g[:i]])
+        for i in range(n):
+            for j in range(i):
+                # lam[i][j] is the leading (j+1)-minor with row j replaced by row i
+                assert lam[i][j] == det([g[r][: j + 1] for r in list(range(j)) + [i]])
+                assert 2 * abs(lam[i][j]) <= d[j + 1]  # size-reduced
+            if i:  # Lovasz condition at 3/4
+                assert 4 * d[i + 1] * d[i - 1] >= 3 * d[i] ** 2 - 4 * lam[i][i - 1] ** 2
+
+
+def test_walk_visits_exactly_the_half_ellipsoid():
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = random_matrix(rng, n, n, 3)
+        if det(rows) == 0:
+            continue
+        # Q(v) = |v|^2 + |M v|^2 >= |v|^2, so the brute box below is enough
+        extra = random_matrix(rng, n, n, 5)
+        forms = [[int(i == j) for j in range(n)] for i in range(n)] + extra
+        red = ReducedLattice(rows, _gram(rows, forms))
+        radius = rng.randint(1, {1: 400, 2: 300, 3: 60, 4: 25}[n])
+
+        def q(v):
+            return sum(sum(a * b for a, b in zip(f, v)) ** 2 for f in forms)
+
+        got = []
+
+        def leaf(r, lo, hi):
+            got.extend(tuple(x * b + c for b, c in zip(red.basis[0], r)) for x in range(lo, hi + 1))
+
+        red.walk(lambda: (radius, 1), leaf, lambda: None)
+        assert all(q(v) <= radius for v in got)
+        adj, dt, s = adjugate(rows), det(rows), math.isqrt(radius)
+        want = set()
+        for v in itertools.product(range(-s, s + 1), repeat=n):
+            coef = [sum(v[i] * adj[i][j] for i in range(n)) for j in range(n)]
+            if any(v) and q(v) <= radius and all(c % dt == 0 for c in coef):
+                want.add(v)
+        assert len(got) == len(set(got)) and 2 * len(got) == len(want)
+        assert {v if next(c for c in v if c) > 0 else tuple(-c for c in v) for v in got} <= want
+        assert {tuple(-c for c in v) for v in got} | set(got) == want
+
+
+def test_walk_spends_per_node_and_sees_a_shrinking_radius():
+    red = ReducedLattice([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    radius, seen, nodes = [50], [], []
+
+    def leaf(r, lo, hi):
+        seen.append((r, lo, hi))
+        radius[0] = 0  # a leaf that tightens the bound prunes the rest
+
+    red.walk(lambda: (radius[0], 1), leaf, lambda: nodes.append(1))
+    assert seen == [((0, 0), 1, 7)] and len(nodes) == 2  # the x_1 = 0 node and its line
+
+
 def _defined_functions(path):
     tree = ast.parse(path.read_text())
     return [node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -107,3 +183,6 @@ def test_integer_linear_algebra_lives_in_lattice():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names}
     assert "Fraction" not in imported and "fractions" not in imported
+    for node in ast.walk(lattice):  # no floats either
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        assert not (isinstance(node, ast.Name) and node.id == "float")

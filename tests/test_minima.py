@@ -1,24 +1,34 @@
 """Successive minima certified against brute-force enumeration oracles."""
 
+import ast
 import math
+import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from bohrgap.bohr import BohrSpec
-from bohrgap.errors import BudgetExceeded, ValidationError
+from bohrgap.errors import BudgetExceeded, ConstructionError, ValidationError
 from bohrgap.exponents import TargetVector
-from bohrgap.lattice import det, extendable
-from bohrgap.realfield import FixedReal
+from bohrgap.lattice import det, echelon, extendable, independent
+from bohrgap.realfield import UNDECIDED, FixedReal, certify
 from bohrgap.minima import (
     ConvexBody,
+    _gauge_le,
+    _key_le,
+    _smallest,
     build_body,
     enumerate_gauge_ball,
     gauge,
     gauge_interval,
     successive_minima,
 )
+from bohrgap.scan import CoordScan, ThresholdSpec, members_in_range
+from test_exponents import sqrt_convergents
 
 Q = Fraction
 
@@ -326,3 +336,452 @@ def test_gauge_ball_matches_brute_oracle_k3_irrational():
     got = [g.vec for g in enumerate_gauge_ball(body, bound)]
     assert len(got) == len(set(got))
     assert set(got) == _ball_oracle(["sqrt:2", "sqrt:3"], body, bound, Q(1))
+
+
+# -- the gauge-ball pool, kept as the reference for the enumeration walk --------
+
+
+def _pool_float_lll(basis):
+    """Plain LLL on float vectors; returns the integer transform rows."""
+    b = [np.array(v, dtype=float) for v in basis]
+    n = len(b)
+    z = [np.eye(n, dtype=np.int64)[i].copy() for i in range(n)]
+
+    def gso():
+        star, mu = [], np.zeros((n, n))
+        for i in range(n):
+            v = b[i].copy()
+            for j in range(i):
+                den = float(star[j] @ star[j])
+                mu[i, j] = float(b[i] @ star[j]) / den if den else 0.0
+                v = v - mu[i, j] * star[j]
+            star.append(v)
+        return star, mu
+
+    star, mu = gso()
+    i = 1
+    guard = 0
+    while i < n and guard < 1000:
+        guard += 1
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i, j])
+            if q:
+                b[i] = b[i] - q * b[j]
+                z[i] = z[i] - q * z[j]
+                star, mu = gso()
+        if star[i] @ star[i] >= (0.75 - mu[i, i - 1] ** 2) * (star[i - 1] @ star[i - 1]):
+            i += 1
+        else:
+            b[i], b[i - 1] = b[i - 1], b[i]
+            z[i], z[i - 1] = z[i - 1], z[i]
+            star, mu = gso()
+            i = max(i - 1, 1)
+    return [[int(x) for x in row] for row in z]
+
+
+def _pool_radius(body):
+    """Certified upper bound for lambda_k/lambda: max gauge of k independent vectors."""
+    k = body.k
+    mat = []
+    for j in range(k):
+        v = [0] * k
+        v[j] = 1
+        y = [float(Q(v[0]) / body.c[0])]
+        for i, a in enumerate(body.alpha.alphas):
+            y.append((a.value() * v[0] - v[1 + i]) / float(body.c[1 + i]))
+        mat.append(y)
+    zrows = _pool_float_lll(mat)
+    if abs(det(zrows)) != 1:
+        zrows = [list(r) for r in np.eye(k, dtype=int)]
+    best = Q(0)
+    for zr in zrows:
+        m = gauge_interval(body, zr)
+        best = max(best, m.exact if m.exact is not None else m.hi)
+    return best
+
+
+def _pool_windows(body, bound):
+    """Per coordinate (slope, slack, offset, den) of the tail window given v_1."""
+    out = []
+    for a, ci in zip(body.alpha.alphas, body.c[1:]):
+        w = bound * ci
+        wn, wd = w.numerator, w.denominator
+        aex = a.exact()
+        if aex is not None:
+            an, ad = aex.numerator, aex.denominator
+            out.append((an * wd, 0, ad * wn, ad * wd))
+        else:
+            err = Q(a.err)
+            en, ed = err.numerator, err.denominator
+            out.append((a.man * ed * wd, en * wd, (wn * ed) << a.scale, (ed * wd) << a.scale))
+    return out
+
+
+def pool_ball(body, bound, budget=2 * 10**6):
+    """The gauge ball by a first-coordinate scan, prefiltered by members_in_range."""
+    out = []
+    v0_hi = math.floor(bound * body.c[0])
+    frame = body.frame()
+    bnd = frame.bound_key(bound)
+    windows = _pool_windows(body, bound)
+    tested = 0
+
+    def consider(v0):
+        nonlocal tested
+        ranges = []
+        size = 1
+        for slope, slack, off, den in windows:
+            c, e = slope * v0, slack * v0 + off
+            r = range(-((e - c) // den), (c + e) // den + 1)
+            size *= len(r)
+            ranges.append(r)
+        tested += size
+        if tested > budget:
+            raise BudgetExceeded(f"gauge ball enumeration exceeds {budget} candidates")
+        for tail in product(*ranges):
+            vec = (v0,) + tail
+            if v0 == 0:
+                nz = next((x for x in tail if x != 0), None)
+                if nz is None or nz < 0:
+                    continue
+            g = frame.key(vec)
+            ok = _key_le(g, bnd)
+            if ok is UNDECIDED:
+                ok = _gauge_le(body, vec, bound)
+            if ok:
+                out.append(g)
+
+    consider(0)
+    if v0_hi >= 5000 and body.alpha.scale % 64 == 0:
+        coords = [CoordScan(a) for a in body.alpha.alphas]
+        tspecs = [ThresholdSpec.for_fraction(c, min(bound * ci, Q(1, 2)), v0_hi) for c, ci in zip(coords, body.c[1:])]
+        for v0 in members_in_range(coords, tspecs, 1, v0_hi):
+            consider(int(v0))
+    else:
+        for v0 in range(1, v0_hi + 1):
+            consider(v0)
+    return out
+
+
+def _pool_cmp(body, u, v):
+    """Certified sign of m(u) - m(v); ties only between two exact keys."""
+
+    def step(extra):
+        a, b = u, v
+        if extra:
+            f = body.frame(extra)
+            a, b = f.key(u.vec), f.key(v.vec)
+        if a.kex is not None and b.kex is not None:
+            return (a.kex > b.kex) - (a.kex < b.kex)
+        if a.khi < b.klo:
+            return -1
+        if a.klo > b.khi:
+            return 1
+        return UNDECIDED
+
+    return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec)
+
+
+def _pool_pick(body, pool, accepts):
+    """Smallest-gauge pool entry passing accepts, lexicographic tie-break."""
+    best = None
+    for cand in pool:
+        if best is not None and (cand.klo > best.khi or (cand.klo == best.khi and best.kex is not None)):
+            break
+        if not accepts(cand):
+            continue
+        if best is None:
+            best = cand
+            continue
+        c = _pool_cmp(body, cand, best)
+        if c < 0 or (c == 0 and cand.vec < best.vec):
+            best = cand
+    if best is None:
+        raise ConstructionError("no admissible vector in the enumeration ball")
+    return best
+
+
+def pool_minima(body, budget=2 * 10**6):
+    """Minima and greedy basis picked from the sorted gauge ball of a float-LLL
+    radius, doubling the radius when the basis completion runs dry.
+
+    Returns (minima_m, basis_m, det_sign).
+    """
+    k = body.k
+
+    def sorted_ball(radius):
+        pool = pool_ball(body, radius, budget)
+        pool.sort(key=lambda g: (g.klo, g.vec))
+        return pool
+
+    radius = _pool_radius(body)
+    pool = sorted_ball(radius)
+    minima_m = []
+    for _ in range(k):
+        ech = echelon([g.vec for g in minima_m])
+        minima_m.append(_pool_pick(body, pool, lambda cand: independent(ech, cand.vec)))
+    basis_m = []
+    for _ in range(k):
+        rows = [g.vec for g in basis_m]
+        ech = echelon(rows)
+
+        def extends(cand):
+            return independent(ech, cand.vec) and extendable(rows + [cand.vec], k)
+
+        for _attempt in range(4):
+            try:
+                basis_m.append(_pool_pick(body, pool, extends))
+                break
+            except ConstructionError:
+                radius *= 2
+                pool = sorted_ball(radius)
+        else:
+            raise ConstructionError("basis completion failed within the radius cap")
+    d = det([list(g.vec) for g in basis_m])
+    return minima_m, basis_m, 1 if d > 0 else -1
+
+
+def _keys(gs):
+    return [(g.vec, g.klo, g.khi, g.kex) for g in gs]
+
+
+def assert_matches_pool(body):
+    res = successive_minima(body)
+    minima_m, basis_m, sign = pool_minima(body)
+    assert res.minima_vectors == [g.vec for g in minima_m]
+    assert res.basis == [g.vec for g in basis_m]
+    assert res.det_sign == sign
+    assert _keys(res.minima_m) == _keys(minima_m)
+    assert _keys(res.basis_m) == _keys(basis_m)
+
+
+DEGENERATE_GRID = [
+    (p, q, N) for q in range(2, 11) for p in range(1, q) if math.gcd(p, q) == 1 for N in (1000, 2000)
+]
+
+
+def test_enumeration_matches_pool_on_the_degenerate_grid():
+    for p, q, N in DEGENERATE_GRID:
+        assert_matches_pool(body_of([f"rat:{p}/{q}"], N, ["0.1"]))
+
+
+def test_enumeration_matches_pool_on_half_with_its_ties():
+    # 500,001 vectors tie at lambda_2 = 50; the pick is the lexicographically first
+    body = body_of(["rat:1/2"], 10**5, ["0.1"])
+    assert_matches_pool(body)
+    # the multiples of (2, 1) span no new direction, so no line of them is
+    # walked: the whole computation visits a few dozen nodes
+    res = successive_minima(body, budget=100)
+    assert res.minima_vectors == [(2, 1), (1, 0)] and res.basis == [(2, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("alphas,N", [
+    (["sqrt:2"], 10**5),
+    (["sqrt:7"], 3000),
+    (["dec:0.3"], 10**4),
+    (["dec:0.1234"], 10**5),
+    (["sqrt:2", "sqrt:3"], 10**5),
+    (["dec:0.41", "sqrt:5"], 3000),
+    (["dec:0.25", "dec:0.5"], 1000),
+    (["sqrt:2", "sqrt:3", "sqrt:5"], 2000),
+    (["dec:0.7071", "rat:1/3", "sqrt:6"], 1000),
+])
+@pytest.mark.parametrize("delta", ["0.1", "1/2", "0.7", "1"])
+def test_enumeration_matches_pool_on_dec_and_sqrt(alphas, N, delta):
+    assert_matches_pool(body_of(alphas, N, [delta] * len(alphas)))
+
+
+def test_enumeration_matches_pool_where_bases_differ_from_minima():
+    # the greedy basis leaves the minima here, so the extendability walk runs
+    for alphas, N, deltas in (
+        (["rat:1/2", "rat:1/3"], 3000, ["0.5", "0.5"]),
+        (["rat:2/5"], 10**4, ["0.5"]),
+        (["rat:1/3"], 10**4, ["1/3"]),
+        (["rat:1/2", "sqrt:2"], 3000, ["0.1", "0.3"]),
+    ):
+        assert_matches_pool(body_of(alphas, N, deltas))
+
+
+@pytest.mark.parametrize("alphas,N,deltas", [
+    (["rat:2/7"], 500, ["0.1"]),
+    (["rat:1/2"], 3000, ["0.5"]),
+    (["sqrt:2"], 1000, ["0.3"]),
+    (["sqrt:2", "sqrt:3"], 1000, ["0.3", "0.5"]),
+    (["rat:1/3", "dec:0.41"], 1000, ["1/3", "0.5"]),
+    (["rat:1/2", "sqrt:5", "rat:2/3"], 300, ["0.5", "0.5", "0.5"]),
+])
+def test_extension_walk_matches_pool_for_other_rows(alphas, N, deltas):
+    # rows that are not the minima, so the extendability test varies along
+    # lines that leave their span and is constant along those inside it
+    body = body_of(alphas, N, deltas)
+    k = body.k
+    minima = successive_minima(body).minima_m
+    key = body.frame().key
+    small = [v for v in product(range(-2, 3), repeat=k) if v > (0,) * k and math.gcd(*v) == 1]
+    for rows in [[v] for v in small[:6]] + [[small[0], small[-1]]] * (k > 2):
+        ech = echelon(rows)
+        if len(ech) < len(rows) or not extendable(rows, k):
+            continue
+
+        def extends(v):
+            return independent(ech, v) and extendable(rows + [v], k)
+
+        v = next(g for g in minima if independent(ech, g.vec))
+        bound = v.khi + (sum(key(r).khi for r in rows) + 1) // 2
+        pool = pool_ball(body, Q(bound, body.frame().den))
+        pool.sort(key=lambda g: (g.klo, g.vec))
+        want = _pool_pick(body, pool, lambda g: extends(g.vec))
+        got = _smallest(body, ech, extends, bound, lambda: None)
+        assert (got.vec, got.klo, got.khi, got.kex) == (want.vec, want.klo, want.khi, want.kex), rows
+
+
+# -- large N and the module boundary ---------------------------------------------
+
+
+def test_k3_at_1e12_is_fast_and_matches_1e14_and_k4():
+    t = time.perf_counter()
+    res = successive_minima(body_of(["sqrt:2", "sqrt:3"], 10**12, ["0.1", "0.1"]))
+    assert time.perf_counter() - t < 1.0
+    assert abs(det(res.basis)) == 1
+    for alphas, N in ((["sqrt:2", "sqrt:3"], 10**14), (["sqrt:2", "sqrt:3", "sqrt:5"], 10**12)):
+        res = successive_minima(body_of(alphas, N, ["0.1"] * len(alphas)))
+        assert abs(det(res.basis)) == 1
+        # v_1 past the 31-bit limit of the old first-coordinate scan
+        assert max(abs(v[0]) for v in res.minima_vectors) > 2**31
+
+
+def test_minima_module_has_no_scan_or_float_dependency():
+    src = (Path(__file__).resolve().parents[1] / "src" / "bohrgap" / "minima.py").read_text()
+    tree = ast.parse(src)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("scan", "bohrgap.scan"), "minima imports from scan"
+            assert not (node.module or "").startswith("numpy")
+        if isinstance(node, ast.Import):
+            assert all(not a.name.startswith("numpy") for a in node.names)
+        if isinstance(node, ast.Name):
+            assert node.id != "float"
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, float)
+        if isinstance(node, ast.FunctionDef):
+            assert "lll" not in node.name.lower() or node.name == "lll_gram"
+
+
+# -- continued-fraction oracle for k = 2 -------------------------------------------
+
+
+def _surd_sign(a, b, m):
+    """Exact sign of a + b*sqrt(m) for rationals a, b."""
+    if a >= 0 and b >= 0:
+        return int(a > 0 or b > 0)
+    if a <= 0 and b <= 0:
+        return -int(a < 0 or b < 0)
+    s = a * a - b * b * m  # opposite signs: the larger magnitude wins
+    return (1 if a > 0 else -1) * (s > 0) - (1 if a > 0 else -1) * (s < 0)
+
+
+def _cf_gauge(vec, m, c0, c1):
+    """m(v) = max(|v_1|/c0, |v_1 sqrt(m) - v_2|/c1) as (a, b) = a + b*sqrt(m)."""
+    v0, v1 = vec
+    t0 = (Q(abs(v0)) / c0, Q(0))
+    s = _surd_sign(Q(-v1), Q(v0), m) or 1
+    t1 = (Q(-s * v1) / c1, Q(s * v0) / c1)
+    return t0 if _surd_cmp(t0, t1, m) >= 0 else t1
+
+
+def _surd_cmp(x, y, m):
+    return _surd_sign(x[0] - y[0], x[1] - y[1], m)
+
+
+def _canon2(v):
+    return v if v[0] > 0 or (v[0] == 0 and v[1] > 0) else (-v[0], -v[1])
+
+
+def _cf_first(cands, m, c0, c1):
+    """Lexicographically first canonical vector of least gauge among cands."""
+    best = None
+    for v in map(_canon2, cands):
+        g = _cf_gauge(v, m, c0, c1)
+        if best is None or _surd_cmp(g, best[0], m) < 0 or (_surd_cmp(g, best[0], m) == 0 and v < best[1]):
+            best = (g, v)
+    return best
+
+
+def _rational_ties(value, m, c0, c1, independent_of):
+    """Every canonical v with m(v) exactly the rational value: |v_1| = value*c0
+    with the second term below it, or v_1 = 0 and v_2 = value*c1."""
+    out = []
+    v0 = value * c0
+    if v0.denominator == 1 and v0 > 0:
+        centre = math.isqrt(int(v0) ** 2 * m)
+        w = int(value * c1) + 2
+        out += [(int(v0), t) for t in range(centre - w, centre + w + 2)]
+    v1 = value * c1
+    if v1.denominator == 1 and v1 > 0:
+        out.append((0, int(v1)))
+    return [v for v in out if independent_of(v) and _surd_cmp(_cf_gauge(v, m, c0, c1), (value, Q(0)), m) == 0]
+
+
+def cf_minima(m, c0, c1):
+    """(lambda_1, v_1), (lambda_2, v_2) of the k = 2 body from convergents.
+
+    With the lexicographic tie-break the first minimum is a best
+    approximation of the second kind, so a convergent (q_n, p_n) or (0, 1).
+    The two minima form a basis, so v_2 lies on x*v_1 + u for the
+    neighbouring convergent u; the gauge there is a maximum of two |affine|
+    functions of x, minimised next to its kinks.  A rational minimum can tie
+    with any vector of the same first coordinate, so those are added.
+    """
+    convs = [(0, 1)] + sqrt_convergents(m, 10**40)
+    best, n1 = None, 0
+    for n, v in enumerate(convs):
+        if best is not None and _surd_cmp((Q(v[0]) / c0, Q(0)), best[0], m) > 0:
+            break
+        g = _cf_gauge(v, m, c0, c1)
+        if best is None or _surd_cmp(g, best[0], m) < 0:
+            best, n1 = (g, v), n
+    lam1, v1 = best
+    u = convs[n1 - 1] if n1 else convs[1]
+    with mpmath.workdps(80):
+        s = mpmath.sqrt(m)
+        w0 = mpmath.mpf(c0.denominator) / c0.numerator
+        w1 = mpmath.mpf(c1.denominator) / c1.numerator
+        # m(x*v1 + u) = max(|a0 x + b0|, |a1 x + b1|): kinks at both zeros and
+        # where the two terms cross
+        a0, b0 = v1[0] * w0, u[0] * w0
+        a1, b1 = (v1[0] * s - v1[1]) * w1, (u[0] * s - u[1]) * w1
+        kinks = [-b1 / a1] + ([-b0 / a0] if a0 else [])
+        kinks += [-(b0 - sg * b1) / (a0 - sg * a1) for sg in (1, -1) if a0 != sg * a1]
+        xs = {int(mpmath.floor(z)) + t for z in kinks for t in (-1, 0, 1, 2)}
+    cands = [(x * v1[0] + u[0], x * v1[1] + u[1]) for x in xs]
+    lam2, v2 = _cf_first(cands, m, c0, c1)
+    if lam2[1] == 0:
+        ties = _rational_ties(lam2[0], m, c0, c1, lambda v: v[0] * v1[1] != v[1] * v1[0])
+        v2 = min([v2] + ties)
+    return (lam1, v1), (lam2, v2)
+
+
+SQUAREFREE_31 = [m for m in range(2, 32) if all(m % (p * p) for p in (2, 3, 5))]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7])
+@pytest.mark.parametrize("N", [10**3, 10**4, 10**5])
+def test_cf_oracle_matches_brute_oracle(m, N):
+    body = body_of([f"sqrt:{m}"], N, ["0.1"])
+    (_, v1), (_, v2) = cf_minima(m, body.c[0], body.c[1])
+    found = brute_oracle([f"sqrt:{m}"], list(body.c), max(v1[0], v2[0]) + 2, Q(1))
+    want = greedy_minima_oracle(found, 2)
+    assert [v1, v2] == [w[1] for w in want]
+
+
+def test_minima_match_cf_oracle_up_to_1e18():
+    for m in SQUAREFREE_31:
+        for e in range(3, 19):
+            body = body_of([f"sqrt:{m}"], 10**e, ["0.1"])
+            res = successive_minima(body)
+            (lam1, v1), (lam2, v2) = cf_minima(m, body.c[0], body.c[1])
+            assert res.minima_vectors == [v1, v2], (m, e)
+            for g, lam in zip(res.minima_m, (lam1, lam2)):
+                # each reported key brackets the oracle's exact D*m
+                assert _surd_cmp((Q(g.klo, g.den), Q(0)), lam, m) <= 0 <= _surd_cmp((Q(g.khi, g.den), Q(0)), lam, m)
+                assert g.kex is None or _surd_cmp((Q(g.kex, g.den), Q(0)), lam, m) == 0

@@ -25,7 +25,6 @@ from bohrgap.realfield import (
     certify,
     cmp_fixed,
     cmp_pow,
-    decide_le,
     dist_nearest_int,
     fr_from_decimal,
     fr_from_fraction,
@@ -166,19 +165,10 @@ def test_cmp_fixed_decisive_and_equal():
     assert cmp_fixed(z, w) == 0
 
 
-def test_decide_le_escalates_through_source():
-    # sqrt(2) vs a rational within 2^-200 of it: needs refinement past 128 bits
-    x = fr_sqrt_int(2, 128)
-    lo, _ = x.bounds()
-    near = lo + Q(1, 1 << 200)
-    assert decide_le(x, near + Q(1, 1 << 10)) is True
-
-
 def test_precision_exhausted_without_source():
     x = FixedReal(1 << 127, 128, Q(2), None)
-    y = Q(1, 2)
     with pytest.raises(PrecisionExhausted):
-        decide_le(x, y)
+        x.refined(128 + 64)
 
 
 def test_mul_int_and_add_err_propagation():
