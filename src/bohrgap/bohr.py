@@ -299,13 +299,12 @@ def is_member(spec: BohrSpec, n: int) -> bool:
     return True
 
 
-def shift_injection_holds(spec: BohrSpec, bset: BohrSet, n0: Optional[int] = None) -> bool:
-    """n -> n - n0 must send the set into the doubled homogeneous set B^0(N; 2*delta)."""
+def shift_injection_holds(spec: BohrSpec, bset: BohrSet) -> bool:
+    """n -> n - n0, n0 the first member, must send the set into the doubled
+    homogeneous set B^0(N; 2*delta)."""
     if bset.cardinality == 0:
         return True
-    if n0 is None:
-        n0 = int(bset.members[0])
-    shifted = bset.members.astype(np.int64) - n0
+    shifted = bset.members.astype(np.int64) - int(bset.members[0])
     if int(np.abs(shifted).max()) > spec.N:
         return False
     doubled = enumerate_bohr(spec.scaled(spec.N, 2, 1), "symmetric")

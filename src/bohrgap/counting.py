@@ -9,7 +9,7 @@ densities as integers or Fractions, minima as integer squared norms.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from typing import Optional

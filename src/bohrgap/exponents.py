@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .realfield import DEFAULT_SCALE, UNDECIDED, FixedReal, RealSpec, certify, dist_nearest_int, fr_from_int
-from .scan import BLOCK, CoordScan, _check_span
+from .scan import CoordScan, blocks
 
 Q = Fraction
+_ZERO_MSG = "cannot separate ||n*alpha-gamma|| from 0 at n={n}"
+_FLAG_TOL = 0.1  # slack of the advisory transference flags
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,6 @@ def _gammas_or_zero(alpha: TargetVector, gamma) -> list[FixedReal]:
         if g.scale != alpha.scale:
             raise ValidationError("gamma scale mismatch")
     return gs
-
-
-def _certify_nonzero(coord: CoordScan, n: int) -> Optional[float]:
-    """Return -log(dist) if provably nonzero, None if dist is exactly zero."""
-    return certify(
-        lambda extra: _neg_log_dist(coord.dist_fixed(n, extra)),
-        "cannot separate ||n*alpha-gamma|| from 0 at n={n}",
-        n=n,
-    )
 
 
 def _neg_log_dist(d: FixedReal):
@@ -174,30 +167,27 @@ def _certify_vector(alpha: TargetVector, vec: tuple) -> Optional[float]:
     return certify(step, "cannot separate the norm form from 0 at vector {}", vec)
 
 
-def _scan_running_max(coords: list[CoordScan], n_lo: int, n_hi: int, combine: str):
-    """Running max of -log(combined dist) over [n_lo, n_hi].
+def _block_scores(coords: list[CoordScan], ns: np.ndarray, n_max: int, combine: str):
+    """(-log of the combined distance over one block, None), or (None, n) for
+    the first n with an exactly zero coordinate distance.
 
     combine: 'prod' multiplies the coordinate distances, 'max' takes the
-    largest (simultaneous max-norm).  Returns (running values at each n via
-    callback-free arrays per block) as an iterator of (ns, score) blocks.
-    Exact zeros surface as +inf scores plus a witness check hook by caller.
+    largest (simultaneous max-norm).  n with a coordinate in its zero band
+    are scored from the certified distances.
     """
-    _check_span(n_hi)
-    tiny = [max((c.err_int(n_hi) + 2) * math.ldexp(1.0, -c.scale) * 4.0, 5e-324) for c in coords]
-    for start in range(n_lo, n_hi + 1, BLOCK):
-        ns = np.arange(start, min(start + BLOCK, n_hi + 1), dtype=np.uint64)
-        dists = [c.dist_floats(ns) for c in coords]
-        suspicious = None
-        for c, dd, t in zip(coords, dists, tiny):
-            s = dd < t
-            suspicious = s if suspicious is None else (suspicious | s)
-        if combine == "prod":
-            agg = dists[0].copy()
-            for dd in dists[1:]:
-                agg *= dd
-        else:
-            agg = np.maximum.reduce(dists)
-        yield ns, agg, suspicious, dists
+    dists = [c.dist_floats(ns) for c in coords]
+    agg = np.multiply.reduce(dists) if combine == "prod" else np.maximum.reduce(dists)
+    near = np.logical_or.reduce([d <= c.zero_band(n_max) for c, d in zip(coords, dists)])
+    agg[near] = np.inf  # scored exactly below
+    score = -np.log(agg)
+    for idx in np.nonzero(near)[0]:
+        n = int(ns[idx])
+        vals = [c.dist_float(n, _ZERO_MSG) for c in coords]
+        if 0.0 in vals:
+            return None, n
+        logs = [-math.log(v) for v in vals]
+        score[idx] = sum(logs) if combine == "prod" else min(logs)
+    return score, None
 
 
 def _estimate_from_scan(alpha: TargetVector, gamma, n_max: int, combine: str) -> ExponentEstimate:
@@ -207,24 +197,10 @@ def _estimate_from_scan(alpha: TargetVector, gamma, n_max: int, combine: str) ->
     coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, gs)]
     best = -math.inf
     best_n = None
-    for ns, agg, suspicious, dists in _scan_running_max(coords, 2, n_max, combine):
-        if suspicious is not None and suspicious.any():
-            for idx in np.nonzero(suspicious)[0]:
-                n = int(ns[idx])
-                vals = []
-                for c in coords:
-                    v = _certify_nonzero(c, n)
-                    if v is None:
-                        return ExponentEstimate(None, None, None, n_max, infinite_witness=n)
-                    vals.append(v)
-                if combine == "prod":
-                    score = sum(vals)
-                else:
-                    score = min(vals)
-                if score > best:
-                    best, best_n = score, n
-            agg[suspicious] = np.inf  # already handled exactly above
-        score = -np.log(agg)
+    for ns in blocks(2, n_max):
+        score, witness = _block_scores(coords, ns, n_max, combine)
+        if witness is not None:
+            return ExponentEstimate(None, None, None, n_max, infinite_witness=witness)
         i = int(np.argmax(score))
         if score[i] > best:
             best, best_n = float(score[i]), int(ns[i])
@@ -283,28 +259,23 @@ def dual_exponent_est(alpha: TargetVector, h_max: int = 2000) -> ExponentEstimat
             lo = 0 if sign > 0 else 1
             if sign < 0 and all(c == 0 for c in head):
                 continue  # mirror image of the positive scan
-            ns = np.arange(lo, h_max + 1, dtype=np.uint64)
-            if len(ns) == 0:
-                continue
-            dd = coord.dist_floats(ns)
-            if sign > 0 and all(c == 0 for c in head):
-                dd[0] = np.inf  # exclude the zero vector
-            tiny = max((coord.err_int(h_max) + 2) * math.ldexp(1.0, -coord.scale) * 4.0, 5e-324)
-            susp = dd < tiny
-            if susp.any():
+            for ns in blocks(lo, h_max):
+                dd = coord.dist_floats(ns)
+                if ns[0] == 0 and all(c == 0 for c in head):
+                    dd[0] = np.inf  # exclude the zero vector
+                susp = dd <= coord.zero_band(h_max)
                 for idx in np.nonzero(susp)[0]:
-                    nt = int(ns[idx]) * sign
-                    vec = head + (nt,)
+                    vec = head + (int(ns[idx]) * sign,)
                     v = _certify_vector(alpha, vec)
                     if v is None:
                         return ExponentEstimate(None, None, None, h_max, infinite_witness=vec)
                     if v > best:
                         best, best_vec = v, vec
                 dd[susp] = np.inf
-            score = -np.log(dd)
-            i = int(np.argmax(score))
-            if score[i] > best:
-                best, best_vec = float(score[i]), head + (int(ns[i]) * sign,)
+                score = -np.log(dd)
+                i = int(np.argmax(score))
+                if score[i] > best:
+                    best, best_vec = float(score[i]), head + (int(ns[i]) * sign,)
     return ExponentEstimate(best / logh, best, best_vec, h_max)
 
 
@@ -320,18 +291,10 @@ def uniform_inhom_est(alpha: TargetVector, gamma=None, x_list: Sequence[int] = (
     arg = None
     per_x = {}
     xi = 0
-    for ns, agg, suspicious, dists in _scan_running_max(coords, 1, n_hi, "max"):
-        if suspicious is not None and suspicious.any():
-            for idx in np.nonzero(suspicious)[0]:
-                n = int(ns[idx])
-                worst = math.inf
-                for c in coords:
-                    v = _certify_nonzero(c, n)
-                    if v is None:
-                        return ExponentEstimate(None, None, None, xs[-1], infinite_witness=n)
-                    worst = min(worst, v)
-                agg[idx] = math.exp(-worst)
-        score = -np.log(agg)  # min_i -log dist_i == -log max_i dist_i
+    for ns in blocks(1, n_hi):
+        score, witness = _block_scores(coords, ns, n_hi, "max")  # min_i -log dist_i
+        if witness is not None:
+            return ExponentEstimate(None, None, None, xs[-1], infinite_witness=witness)
         # checkpoints are strict: max over n < X
         while xi < len(xs) and xs[xi] - 1 <= int(ns[-1]):
             cut = xs[xi] - 1 - int(ns[0])
@@ -384,7 +347,6 @@ def exponent_report(
     n_max: int = 10**6,
     h_max: int = 2000,
     x_list: Sequence[int] = (10**3, 10**4, 10**5, 10**6),
-    tol: float = 0.1,
 ) -> ExponentReport:
     """All four estimators plus advisory transference flags.
 
@@ -399,15 +361,15 @@ def exponent_report(
     d = alpha.d
     flags = {}
     if None not in (om.value, omx.value):
-        flags["simult_vs_mult"] = bool(d * om.value <= omx.value + tol)
+        flags["simult_vs_mult"] = bool(d * om.value <= omx.value + _FLAG_TOL)
     if None not in (oms.value, om.value) and oms.value > 0:
-        flags["dual_vs_simult"] = bool(oms.value / (d + (d - 1) * oms.value) <= om.value + tol)
+        flags["dual_vs_simult"] = bool(oms.value / (d + (d - 1) * oms.value) <= om.value + _FLAG_TOL)
     if None not in (omh.value, oms.value) and oms.value > 0:
-        flags["uniform_vs_dual"] = bool(omh.value >= 1.0 / oms.value - tol)
+        flags["uniform_vs_dual"] = bool(omh.value >= 1.0 / oms.value - _FLAG_TOL)
     return ExponentReport(om, omx, oms, omh, flags)
 
 
-def multiplicative_hypothesis(alpha: TargetVector, n_max: int = 10**6, tol: float = 0.0) -> dict:
+def multiplicative_hypothesis(alpha: TargetVector, n_max: int = 10**6) -> dict:
     """Screen for the k-variable multiplicative hypothesis: rational entries
     disqualify; for k >= 3 the multiplicative exponent estimate must sit below
     (k-1)/(k-2).  Advisory: finite horizons only ever certify lower bounds."""
@@ -428,5 +390,5 @@ def multiplicative_hypothesis(alpha: TargetVector, n_max: int = 10**6, tol: floa
     est = mult_exponent_est(alpha, None, n_max)
     out["threshold"] = float(thr)
     out["estimate"] = est.value
-    out["estimate_ok"] = bool(est.value is not None and est.value < float(thr) - tol)
+    out["estimate_ok"] = bool(est.value is not None and est.value < float(thr))
     return out

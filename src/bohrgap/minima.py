@@ -51,8 +51,8 @@ class ConvexBody:
     def k(self) -> int:
         return self.alpha.k
 
-    def lam(self, scale: Optional[int] = None) -> FixedReal:
-        return fr_root_rational(self.lam_pow_k, self.k, scale or self.alpha.scale)
+    def lam(self) -> FixedReal:
+        return fr_root_rational(self.lam_pow_k, self.k, self.alpha.scale)
 
     @cached_property
     def _frames(self) -> dict:

@@ -8,7 +8,10 @@ E(n) = n*err_alpha + err_gamma mantissa units; thresholds are therefore split
 into a definite-in bound, a definite-out bound, and a borderline band that is
 re-decided exactly per element (escalating the scale through the constructor).
 The same limb kernel gives floor(n*man / 2^scale) and its residue exactly,
-which the outer lift check uses to place its candidate witnesses.
+which the outer lift check uses to place its candidate witnesses.  Every
+range scan walks the blocks of ``blocks``; float consumers send each float
+distance in ``CoordScan.zero_band`` through ``dist_float``, which tells a
+true zero from a certified positive value.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, norm_form
 
 BLOCK = 1 << 16
@@ -38,6 +41,16 @@ def _check_span(n_max: int) -> None:
     """The limb kernel needs |n| < 2^31, so that n*limb + carry stays below 2^64."""
     if n_max >= 1 << 31:
         raise BudgetExceeded(f"|n| up to {n_max} exceeds the 31-bit scan limit")
+
+
+def blocks(lo: int, hi: int):
+    """Consecutive uint64 blocks of at most BLOCK n covering [lo, hi].
+
+    The 31-bit scan limit is checked before the first block.
+    """
+    _check_span(hi)
+    for start in range(lo, hi + 1, BLOCK):
+        yield np.arange(start, min(start + BLOCK, hi + 1), dtype=np.uint64)
 
 
 def _limb_mul(ns: np.ndarray, a: Sequence, g: Optional[Sequence] = None):
@@ -195,6 +208,38 @@ class CoordScan:
 
         return certify(step, msg, n=n)
 
+    # -- the near-zero rule -------------------------------------------------
+
+    def zero_band(self, n_max: int) -> float:
+        """Float distances at or below this may be a true zero for some n <= n_max.
+
+        A true zero shows up as a float within the word error of 0, not as 0.0
+        exactly; every float distance in the band is resolved by dist_float.
+        """
+        return math.ldexp(self.err_int(n_max), 32 - self.scale)
+
+    def dist_float(self, n: int, msg: str = "distance at n={n} cannot be separated from zero") -> float:
+        """Certified float distance at n, exactly 0.0 for a true zero.
+
+        An exact distance is read at the base scale; an inexact one is read
+        64 bits deeper, as the midpoint of the first interval clear of zero.
+        msg (formatted with n) names the case when no depth separates it; a
+        nonzero distance that underflows the float range raises.
+        """
+
+        def step(extra):
+            d = self.dist_fixed(n, extra)
+            if extra == 0:
+                ex = d.exact()
+                return UNDECIDED if ex is None else float(ex)
+            lo, hi = d.bounds()
+            return float((lo + hi) / 2) if lo > 0 else UNDECIDED
+
+        v = certify(step, msg, n=n)
+        if v == 0.0 and self.dist_fixed(n).exact() != 0:
+            raise ValidationError(f"distance at n={n} is nonzero but below the float range")
+        return v
+
 
 @dataclass
 class ThresholdSpec:
@@ -259,17 +304,14 @@ def members_in_range(
     specs: Sequence[ThresholdSpec],
     lo: int,
     hi: int,
-    block: int = BLOCK,
 ) -> np.ndarray:
     """All n in [lo, hi] with every coordinate distance within its threshold.
 
     Exact: vector masks decide everything outside the borderline band, and
     borderline elements are settled by the per-threshold exact callbacks.
     """
-    _check_span(hi)
     out = []
-    for start in range(lo, hi + 1, block):
-        ns = np.arange(start, min(start + block, hi + 1), dtype=np.uint64)
+    for ns in blocks(lo, hi):
         all_in = np.ones(len(ns), dtype=bool)
         any_out = np.zeros(len(ns), dtype=bool)
         per_coord_in = []
@@ -301,12 +343,9 @@ def first_in_range(
     specs: Sequence[ThresholdSpec],
     lo: int,
     hi: int,
-    block: int = BLOCK,
 ) -> Optional[int]:
     """Smallest n in [lo, hi] passing every threshold, or None."""
-    _check_span(hi)
-    for start in range(lo, hi + 1, block):
-        ns = np.arange(start, min(start + block, hi + 1), dtype=np.uint64)
+    for ns in blocks(lo, hi):
         candidate = np.ones(len(ns), dtype=bool)
         per_coord_in = []
         for coord, spec in zip(coords, specs):

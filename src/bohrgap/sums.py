@@ -11,7 +11,7 @@ few significant figures are the deliverable.
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 from typing import Optional, Sequence
@@ -22,7 +22,7 @@ from .bohr import BohrSpec, restricted_bohr
 from .counting import TotientTable, totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, RealSpec, certify
-from .scan import BLOCK, CoordScan, _check_span
+from .scan import CoordScan, blocks
 
 Q = Fraction
 
@@ -40,7 +40,6 @@ def _check_n(N: int):
         raise ValidationError("the summation range needs N >= 1")
     if N > _N_CAP:
         raise BudgetExceeded(f"N = {N} exceeds the scan budget {_N_CAP}")
-    _check_span(N)
 
 
 def _mask_range(spec: BohrSpec, mask, N: Optional[int]):
@@ -113,7 +112,7 @@ def _on_support_exact(coord: CoordScan, n: int, eps: Fraction) -> bool:
     return coord.dist_cmp_pow(n, n, eps, -1, "support membership undecidable at n={n}") >= 0
 
 
-def support_mask(spec: BohrSpec, N: Optional[int] = None, block: int = BLOCK) -> SupportMask:
+def support_mask(spec: BohrSpec, N: Optional[int] = None) -> SupportMask:
     """Exact G membership for 1..N (default spec.N).
 
     Vector float distances decide everything farther than a relative margin
@@ -128,8 +127,7 @@ def support_mask(spec: BohrSpec, N: Optional[int] = None, block: int = BLOCK) ->
     flags = np.ones(N, dtype=bool)
     flags[0] = False  # the threshold at n = 1 is exactly 1
     borderline = 0
-    for start in range(2, N + 1, block):
-        ns = np.arange(start, min(start + block, N + 1), dtype=np.uint64)
+    for ns in blocks(2, N):
         thr = np.power(ns.astype(np.float64), -tau)
         band = _REL_BAND * thr
         ok = np.ones(len(ns), dtype=bool)
@@ -142,6 +140,7 @@ def support_mask(spec: BohrSpec, N: Optional[int] = None, block: int = BLOCK) ->
                 borderline += 1
                 if not _on_support_exact(coord, int(ns[idx]), eps):
                     ok[idx] = False
+        start = int(ns[0])
         flags[start - 1 : start - 1 + len(ns)] = ok
     return SupportMask(N, eps, flags, borderline)
 
@@ -169,24 +168,9 @@ class SumResult:
         }
 
 
-def _positive_dist(coord: CoordScan, n: int) -> float:
-    """Resolve a distance that rounded to float 0: exact zero or a refined value."""
-
-    def step(extra):
-        d = coord.dist_fixed(n, extra)
-        if extra == 0:
-            ex = d.exact()
-            # 0.0 signals a true zero to the caller; no midpoint at base scale
-            return UNDECIDED if ex is None else float(ex)
-        lo, hi = d.bounds()
-        return float((lo + hi) / 2) if lo > 0 else UNDECIDED
-
-    return certify(step, "distance at n={n} cannot be separated from zero", n=n)
-
-
 def _nonzero_dist(coord: CoordScan, n: int) -> float:
-    """_positive_dist for an n that carries a term: a true zero is an error."""
-    v = _positive_dist(coord, n)
+    """dist_float for an n that carries a term: a true zero is an error."""
+    v = coord.dist_float(n)
     if v == 0.0:
         raise ValidationError(
             f"exact zero distance at n={n} inside the summation range;"
@@ -195,29 +179,24 @@ def _nonzero_dist(coord: CoordScan, n: int) -> float:
     return v
 
 
-def _zero_band(coord: CoordScan, N: int) -> float:
-    # a true zero shows up as a float within the word error of 0, not as 0.0
-    # exactly; everything in this band is resolved exactly
-    return math.ldexp(coord.err_int(N), 32 - coord.scale)
-
-
-def _term_array(spec: BohrSpec, mask: SupportMask, N: int, block: int = BLOCK):
+def _term_array(spec: BohrSpec, mask: SupportMask, N: int):
     """terms[n-1] = prod 1/dist for on-mask n, 0 off-mask; exact zero distances
     on-mask raise.  Also returns the smallest on-mask distance seen (for the
-    error bound) and the on-mask term count."""
+    error bound) and the on-mask term count.  Only on-mask n in the zero band
+    are resolved exactly."""
     coords = _coord_scans(spec)
     terms = np.zeros(N, dtype=np.float64)
     min_dist = math.inf
     count = 0
-    for start in range(1, N + 1, block):
-        ns = np.arange(start, min(start + block, N + 1), dtype=np.uint64)
+    for ns in blocks(1, N):
+        start = int(ns[0])
         sel = mask.flags[start - 1 : start - 1 + len(ns)]
         if not sel.any():
             continue
         prod = np.ones(len(ns), dtype=np.float64)
         for coord in coords:
             d = coord.dist_floats(ns)
-            for idx in np.nonzero((d <= _zero_band(coord, N)) & sel)[0]:
+            for idx in np.nonzero((d <= coord.zero_band(N)) & sel)[0]:
                 d[idx] = _nonzero_dist(coord, int(ns[idx]))
             dm = d[sel].min() if sel.any() else math.inf
             if dm < min_dist:
@@ -238,15 +217,10 @@ def _err_bound(spec: BohrSpec, value: float, min_dist: float, N: int) -> float:
     return abs(value) * rel
 
 
-def t_sum(
-    spec: BohrSpec,
-    mask: Optional[SupportMask] = None,
-    N: Optional[int] = None,
-    block: int = BLOCK,
-) -> SumResult:
+def t_sum(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] = None) -> SumResult:
     """T_N: sum of 1/prod ||n*alpha_i - gamma_i|| over on-mask n <= N."""
     mask, N = _mask_range(spec, mask, N)
-    terms, min_dist, count = _term_array(spec, mask, N, block)
+    terms, min_dist, count = _term_array(spec, mask, N)
     value = math.fsum(terms.tolist())
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T", not mask.trivial)
 
@@ -256,12 +230,11 @@ def t_star_sum(
     mask: Optional[SupportMask] = None,
     N: Optional[int] = None,
     table: Optional[TotientTable] = None,
-    block: int = BLOCK,
 ) -> SumResult:
     """T*_N: the T_N terms weighted by phi(n)/n."""
     mask, N = _mask_range(spec, mask, N)
     ratio = _phi_ratio(table, N)
-    terms, min_dist, count = _term_array(spec, mask, N, block)
+    terms, min_dist, count = _term_array(spec, mask, N)
     value = math.fsum((terms * ratio).tolist())
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T_star", not mask.trivial)
 
@@ -390,12 +363,7 @@ def _cell_exact(coord: CoordScan, n: int) -> Optional[int]:
     return certify(step, "dyadic cell undecidable at n={n}", n=n)
 
 
-def dyadic_table(
-    spec: BohrSpec,
-    mask: Optional[SupportMask] = None,
-    N: Optional[int] = None,
-    block: int = BLOCK,
-) -> DyadicTable:
+def dyadic_table(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] = None) -> DyadicTable:
     """Exact dyadic cell counts; boundary hits (dist = 2^-i) bin upward.
 
     n with an exactly zero distance are excluded and counted separately
@@ -406,8 +374,8 @@ def dyadic_table(
     d_coords = len(coords)
     cells: dict = {}
     zero_excluded = 0
-    for start in range(1, N + 1, block):
-        ns = np.arange(start, min(start + block, N + 1), dtype=np.uint64)
+    for ns in blocks(1, N):
+        start = int(ns[0])
         sel = mask.flags[start - 1 : start - 1 + len(ns)].copy()
         if not sel.any():
             continue
@@ -415,7 +383,7 @@ def dyadic_table(
         for ci, coord in enumerate(coords):
             dv = coord.dist_floats(ns)
             m, e = np.frexp(dv)
-            fuzzy = (np.abs(m - 0.5) <= _REL_BAND) | (m >= 1.0 - _REL_BAND) | (dv <= _zero_band(coord, N))
+            fuzzy = (np.abs(m - 0.5) <= _REL_BAND) | (m >= 1.0 - _REL_BAND) | (dv <= coord.zero_band(N))
             idx = (-e).astype(np.int64)  # boundary-adjacent entries fixed below
             for j in np.nonzero(fuzzy & sel)[0]:
                 cell = _cell_exact(coord, int(ns[j]))
@@ -425,10 +393,10 @@ def dyadic_table(
                 else:
                     idx[j] = cell
             idxs[ci] = idx
-        keys = idxs[:, sel]
-        for col in range(keys.shape[1]):
-            cell = tuple(int(x) for x in keys[:, col])
-            cells[cell] = cells.get(cell, 0) + 1
+        if sel.any():
+            keys, counts = np.unique(idxs[:, sel], axis=1, return_counts=True)
+            for cell, c in zip(map(tuple, keys.T.tolist()), counts.tolist()):
+                cells[cell] = cells.get(cell, 0) + c
     cap = None
     if not mask.trivial:
         eps = mask.eps
@@ -540,9 +508,9 @@ class ModifiedPsi:
         prod = 1.0
         for coord in _coord_scans(self.spec):
             d = float(coord.dist_floats(np.array([n], dtype=np.uint64))[0])
-            if d <= _zero_band(coord, self.mask.N):
+            if d <= coord.zero_band(self.mask.N):
                 # off the support a true zero is reported as a zero product
-                d = _nonzero_dist(coord, n) if on else _positive_dist(coord, n)
+                d = _nonzero_dist(coord, n) if on else coord.dist_float(n)
             prod *= d
         psi_val = self.psi(n)
         return {

@@ -136,6 +136,29 @@ def test_gap_verify_both_forms(capsys):
     assert "verify outer: ok" in out
 
 
+def test_gap_verify_outer_reports_the_outer_check(capsys):
+    # checked is min(--limit, #B^0): outer_gap has lifted every member
+    argv = ["gap", "verify", "--alpha", "sqrt:2", "--N", "10000", "--delta", "0.3", "--form", "outer"]
+    code, out, _ = run_cli(capsys, *argv, "--limit", "1000000")
+    assert code == 0
+    d = payload_of(out)
+    card = enumerate_bohr(BohrSpec.build(["sqrt:2"], None, 10000, ["0.3"]), "symmetric").cardinality
+    assert d["gap"]["checks"]["bohr_cardinality"] == card
+    assert d["containment"] == {"checked": card, "violations": 0}
+    code, out, _ = run_cli(capsys, *argv, "--limit", "0")
+    assert code == 0 and payload_of(out)["containment"] == {"checked": 0, "violations": 0}
+
+
+@pytest.mark.parametrize("form", ["inner", "outer"])
+def test_gap_verify_rejects_a_negative_limit(capsys, form):
+    code, out, err = run_cli(
+        capsys, "gap", "verify", "--form", form, "--k", "2", "--alpha", "sqrt:2",
+        "--N", "10000", "--delta", "0.3", "--limit", "-5",
+    )
+    assert code == 2
+    assert "--limit must be >= 0" in err
+
+
 def test_count_davenport_csv(capsys, tmp_path):
     out_dir = tmp_path / "dav"
     code, out, _ = run_cli(

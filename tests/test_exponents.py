@@ -75,6 +75,15 @@ def test_d1_collapse_identities():
     assert d.argmax == (m.argmax,)
 
 
+def test_d1_estimators_across_scan_blocks():
+    # 2*10^5 spans four scan blocks; the dual scan starts at n = 0
+    want, want_arg = cf_oracle_value(2 * 10**5)
+    m = mult_exponent_est(ALPHA_SQRT2, None, 2 * 10**5)
+    d = dual_exponent_est(ALPHA_SQRT2, 2 * 10**5)
+    assert m.argmax == want_arg and d.argmax == (want_arg,)
+    assert abs(m.value - want) < 1e-9 and d.value == m.value
+
+
 def test_running_max_monotone_in_horizon():
     vals = [mult_exponent_est(ALPHA_SQRT2, None, h).running_max for h in (10**3, 10**4, 10**5)]
     assert vals[0] <= vals[1] <= vals[2]
@@ -134,6 +143,30 @@ def test_infinite_witness_rational():
     est = mult_exponent_est(rat, None, 100)
     assert est.infinite_witness == 3
     assert est.value is None
+
+
+@pytest.mark.parametrize("texts,witness", [(["sqrt:2", "rat:1/3"], 3), (["rat:2/5", "sqrt:3"], 5)])
+def test_exact_zero_in_any_coordinate_is_a_witness(texts, witness):
+    alpha = TargetVector.parse(texts)
+    for est in (
+        mult_exponent_est(alpha, None, 1000),
+        simult_exponent_est(alpha, None, 1000),
+        uniform_inhom_est(alpha, None, (10, 1000)),
+    ):
+        assert est.infinite_witness == witness and est.value is None
+
+
+def test_near_zero_distances_are_scored_exactly():
+    # ||n * 10^-30|| = n * 10^-30 lies in the zero band, so each n is scored
+    # from the exact distance; the block's own floats differ in the tenth digit
+    tiny = TargetVector.parse(["dec:0.000000000000000000000000000001"])
+    assert mult_exponent_est(tiny, None, 100).running_max == -math.log(2e-30)
+    assert simult_exponent_est(tiny, None, 100).running_max == -math.log(2e-30)
+    assert uniform_inhom_est(tiny, None, (10, 100)).running_max == -math.log(1e-30)
+    pair = TargetVector.parse(["dec:0.000000000000000000000000000001", "dec:0.000000000000000000000000000003"])
+    assert mult_exponent_est(pair, None, 100).running_max == -math.log(2e-30) - math.log(6e-30)
+    assert simult_exponent_est(pair, None, 100).running_max == -math.log(6e-30)
+    assert uniform_inhom_est(pair, None, (10, 100)).running_max == -math.log(3e-30)
 
 
 def test_infinite_witness_dual_vector():

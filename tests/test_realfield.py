@@ -403,6 +403,25 @@ def test_limb_carry_lives_in_one_function():
     assert holders == {"scan.py:_limb_mul"}
 
 
+def test_no_unused_imports():
+    # every name a module imports is used there; the package __init__ only re-exports
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert unused == []
+
+
 def test_digit_ladder_lives_once_in_realfield():
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     counts = {p.name: p.read_text().count("(40, 120, 400)") for p in src.glob("*.py")}

@@ -1,14 +1,17 @@
 """Vectorized exact scanner vs plain big-int reference evaluation."""
 
+import ast
+import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bohrgap.bohr import BohrSpec, enumerate_bohr
-from bohrgap.errors import BudgetExceeded
+from bohrgap.errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from bohrgap.exponents import TargetVector, simult_exponent_est
 from bohrgap.realfield import (
     UNDECIDED,
@@ -21,7 +24,7 @@ from bohrgap.realfield import (
     fr_sqrt_int,
     norm_form,
 )
-from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, first_in_range, members_in_range
+from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, blocks, first_in_range, members_in_range
 
 Q = Fraction
 
@@ -172,9 +175,51 @@ def test_block_boundaries_are_seamless():
     a = fr_sqrt_int(2, 128)
     sc = CoordScan(a, None)
     spec = ThresholdSpec.for_fraction(sc, Q(1, 3), BLOCK * 2 + 100)
-    got = members_in_range([sc], [spec], BLOCK - 5, BLOCK + 5, block=BLOCK).tolist()
+    got = members_in_range([sc], [spec], BLOCK - 5, BLOCK + 5).tolist()
     want = brute_members(a, None, Q(1, 3), BLOCK - 5, BLOCK + 5)
     assert got == want
+
+
+def test_blocks_cover_the_range_and_check_the_limit():
+    got = list(blocks(BLOCK - 5, 3 * BLOCK + 7))
+    assert [len(b) for b in got] == [BLOCK, BLOCK, 13]
+    assert all(b.dtype == np.uint64 for b in got)
+    assert np.concatenate(got).tolist() == list(range(BLOCK - 5, 3 * BLOCK + 8))
+    assert list(blocks(10, 9)) == []
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        next(blocks(2**31 - 2, 2**31))
+
+
+def test_block_size_lives_in_scan():
+    # one block iterator: no module but scan.py names BLOCK
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    holders = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "BLOCK") or (
+                isinstance(node, ast.alias) and node.name == "BLOCK"
+            ):
+                holders.add(path.name)
+    assert holders == {"scan.py"}
+
+
+def test_near_zero_rule():
+    third = CoordScan(RealSpec.parse("rat:1/3").realize(128))
+    assert third.dist_float(3) == 0.0  # a true zero is exactly 0.0
+    assert third.dist_float(4) == 1 / 3
+    # sqrt(8) = 2*sqrt(2): a true zero at n = 2 that no finite depth proves
+    sc = CoordScan(RealSpec.parse("sqrt:2").realize(128), RealSpec.parse("sqrt:8").realize(128))
+    assert sc.dist_floats(np.array([2], dtype=np.uint64))[0] <= sc.zero_band(2)
+    with pytest.raises(PrecisionExhausted, match="n=2 cannot be separated from zero"):
+        sc.dist_float(2)
+    # an inexact distance is read 64 bits deeper than the scan's own scale
+    s5 = CoordScan(fr_sqrt_int(5, 128))
+    lo, hi = s5.dist_fixed(1000, 64).bounds()
+    assert s5.dist_float(1000) == float((lo + hi) / 2)
+    # 10^-400 is nonzero, but its float is 0.0: that must not read as a true zero
+    deep = CoordScan(RealSpec.parse("dec:0." + "0" * 399 + "1").realize(2048))
+    with pytest.raises(ValidationError, match="n=1 is nonzero but below the float range"):
+        deep.dist_float(1)
 
 
 def test_flipped_handles_negative_axis():
@@ -232,3 +277,79 @@ def test_dist_le_irrational_keeps_the_ladder():
     assert sc._pr_q is None
     for n in range(1, 200):
         assert sc.dist_le(n, Q(1, 9)) == _ladder_le(sc, n, Q(1, 9))
+
+
+# -- three-gap oracle (Slater 1967; Sos 1958) ----------------------------------
+
+
+def _member_oracle(s, gamma, delta):
+    """Exact ||n*sqrt(s) - gamma|| <= delta for n >= 1, on Python ints.
+
+    s is not a square and gamma, delta are rational, so no n >= 1 lands on
+    an endpoint.  With D a common denominator, D*n*sqrt(s) lies in (f, f+1),
+    and r = (f - D*gamma) mod D is the integer part of its offset.
+    """
+    D = math.lcm(gamma.denominator, delta.denominator)
+    G, E = int(gamma * D), int(delta * D)
+
+    def member(n):
+        r = (math.isqrt(D * D * n * n * s) - G) % D
+        return r < E or r >= D - E
+
+    return member
+
+
+def _slater_gaps(s, width):
+    """The return times a, b, a + b of n*sqrt(s) mod 1 to an interval of the
+    given length: a is the least m >= 1 with {m sqrt(s)} < width, b the least
+    with {-m sqrt(s)} < width."""
+    p, q = width.numerator, width.denominator
+    a = b = None
+    m = 0
+    while a is None or b is None:
+        m += 1
+        f = math.isqrt(m * m * s)  # floor(m sqrt(s))
+        if a is None and q * q * m * m * s < (q * f + p) ** 2:
+            a = m
+        if b is None and q * q * m * m * s > (q * (f + 1) - p) ** 2:
+            b = m
+    return sorted({a, b, a + b})
+
+
+def _assert_three_gap(members, lo, hi, s, gamma, delta):
+    """Every member is one, and each next member is the first member among
+    n + a, n + b, n + a + b; so no member is missing or extra."""
+    member = _member_oracle(s, gamma, delta)
+    returns = _slater_gaps(s, 2 * delta)
+    ms = members.tolist()
+    assert ms and lo <= ms[0] and ms[-1] <= hi
+    assert not any(member(n) for n in range(lo, ms[0]))
+    gaps = set()
+    for n, nxt in zip(ms, ms[1:] + [None]):
+        assert member(n), n
+        succ = next(n + g for g in returns if member(n + g))
+        if nxt is None:
+            assert succ > hi
+        else:
+            assert succ == nxt, (n, nxt, succ)
+            gaps.add(nxt - n)
+    # at most three gaps, and with three the largest is the sum of the others
+    assert len(gaps) <= 3 and (len(gaps) < 3 or 2 * max(gaps) == sum(gaps))
+
+
+@pytest.mark.parametrize("s,gamma_text,delta", [
+    (2, "dec:0.3", Q(1, 50)),
+    (7, "rat:-2/7", Q(1, 40)),
+])
+def test_three_gap_oracle(s, gamma_text, delta):
+    gamma = RealSpec.parse(gamma_text).realize(128)
+    N = 10**6
+    spec = BohrSpec.build([f"sqrt:{s}"], [gamma_text], N, [str(float(delta))])
+    assert spec.delta_fractions() == (delta,)
+    _assert_three_gap(enumerate_bohr(spec, "positive").members, 1, N, s, gamma.exact(), delta)
+    # the last 10^6 n below the scan limit, across about 15 block boundaries
+    sc = CoordScan(RealSpec.parse(f"sqrt:{s}").realize(128), gamma)
+    hi = 2**31 - 1
+    lo = hi - N + 1
+    got = members_in_range([sc], [ThresholdSpec.for_fraction(sc, delta, hi)], lo, hi)
+    _assert_three_gap(got, lo, hi, s, gamma.exact(), delta)

@@ -234,6 +234,24 @@ def test_dyadic_exact_binning_oracle():
     assert dt.cells == cells and dt.zero_excluded == zero
 
 
+def test_dyadic_cells_match_an_integer_oracle_across_blocks():
+    # k = 3 over two scan blocks: cells counted block by block must equal a
+    # per-n count from floor(n*sqrt(s)*2^K); d*2^K lies in (lo, lo + 1), so
+    # the largest i with d <= 2^-i is K - bit_length(lo)
+    K, N = 128, 70000
+    spec = BohrSpec.build(["sqrt:2", "sqrt:3"], None, N, ["1", "1"])
+    want = {}
+    for n in range(1, N + 1):
+        cell = []
+        for s in (2, 3):
+            f = math.isqrt(n * n * s << (2 * K)) % (1 << K)
+            lo = f if f < 1 << (K - 1) else (1 << K) - f - 1
+            cell.append(K - lo.bit_length())
+        want[tuple(cell)] = want.get(tuple(cell), 0) + 1
+    dt = dyadic_table(spec)
+    assert dt.cells == want and dt.zero_excluded == 0
+
+
 def test_dyadic_sqrt2_frozen():
     spec = BohrSpec.build(["sqrt:2"], None, 100, ["1"])
     dt = dyadic_table(spec)
