@@ -6,9 +6,14 @@ schema exists.  With --out DIR each run also writes manifest.json (config
 echo, library version, timings); payloads themselves carry no timings, so
 re-running a manifest reproduces them byte for byte.
 
+Each handler imports the library modules it runs, so a process loads only
+what its command needs.
+
 Exit codes: 0 success (including construction failures on documented error
 paths, which are data), 2 validation, 3 budget or precision exhaustion.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -17,42 +22,18 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
-
-import mpmath
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .bohr import BohrSpec, all_lifts, enumerate_bohr, is_member, restricted_bohr
-from .counting import (
-    alpha_p_table,
-    alpha_table_csv,
-    congruence_lattice,
-    davenport_count,
-    davenport_csv,
-    totient_average,
-)
 from .errors import (
     BudgetExceeded,
     ConstructionError,
     PrecisionExhausted,
     ValidationError,
 )
-from .exponents import TargetVector, exponent_report
-from .gap import cardinality_ratio, gap_elements, inner_gap, is_proper, outer_gap
-from .minima import build_body, successive_minima
-from .realfield import RealSpec
-from .sums import (
-    ds_hypothesis_check,
-    dyadic_table,
-    experiment_csv,
-    gallagher_experiment,
-    psi_family,
-    sum_series,
-    sums_csv,
-    support_mask,
-    t_sum,
-    trivial_mask,
-)
+
+if TYPE_CHECKING:
+    from .bohr import BohrSpec
 
 Q = Fraction
 
@@ -139,6 +120,8 @@ def _emit(ns: argparse.Namespace, out: RunOutput, elapsed: float) -> None:
 
 
 def _spec_from(ns: argparse.Namespace) -> BohrSpec:
+    from .bohr import BohrSpec
+
     alphas = ns.alpha or []
     if not alphas:
         raise ValidationError("at least one --alpha constructor is required")
@@ -154,6 +137,8 @@ def _spec_from(ns: argparse.Namespace) -> BohrSpec:
 
 
 def _psi_from(ns: argparse.Namespace, default_k: int):
+    from .sums import psi_family
+
     tag = ns.psi
     if tag == "log" or tag == "loglog":
         return psi_family(tag, c=ns.psi_c, k=ns.psi_k if ns.psi_k is not None else default_k)
@@ -178,6 +163,8 @@ def _bohr_payload(bset, member_cap: int = 10**5) -> dict:
 
 
 def cmd_bohr_enumerate(ns) -> RunOutput:
+    from .bohr import enumerate_bohr
+
     spec = _spec_from(ns)
     bset = enumerate_bohr(spec, ns.mode)
     payload = _bohr_payload(bset)
@@ -185,6 +172,8 @@ def cmd_bohr_enumerate(ns) -> RunOutput:
 
 
 def cmd_bohr_lift(ns) -> RunOutput:
+    from .bohr import all_lifts, is_member
+
     spec = _spec_from(ns)
     lifts = all_lifts(spec, ns.n)
     payload = {"n": ns.n, "member": is_member(spec, ns.n), "lifts": [list(v) for v in lifts]}
@@ -192,6 +181,8 @@ def cmd_bohr_lift(ns) -> RunOutput:
 
 
 def cmd_bohr_restrict(ns) -> RunOutput:
+    from .bohr import restricted_bohr
+
     spec = _spec_from(ns)
     bset = restricted_bohr(spec)
     payload = _bohr_payload(bset)
@@ -201,6 +192,8 @@ def cmd_bohr_restrict(ns) -> RunOutput:
 
 
 def cmd_minima(ns) -> RunOutput:
+    from .minima import build_body, successive_minima
+
     spec = _spec_from(ns)
     body = build_body(spec)
     res = successive_minima(body, ns.budget) if ns.budget else successive_minima(body)
@@ -214,6 +207,8 @@ def cmd_minima(ns) -> RunOutput:
 
 
 def _gap_build(ns, form: str):
+    from .gap import inner_gap, outer_gap
+
     spec = _spec_from(ns)
     if form == "inner":
         g = inner_gap(spec, ns.budget) if ns.budget else inner_gap(spec)
@@ -234,6 +229,9 @@ def cmd_gap_outer(ns) -> RunOutput:
 
 
 def cmd_gap_verify(ns) -> RunOutput:
+    from .bohr import is_member
+    from .gap import cardinality_ratio, gap_elements, is_proper
+
     if ns.limit < 0:
         raise ValidationError("--limit must be >= 0")
     spec, g = _gap_build(ns, ns.form)
@@ -262,6 +260,8 @@ def cmd_gap_verify(ns) -> RunOutput:
 
 
 def cmd_count_davenport(ns) -> RunOutput:
+    from .counting import congruence_lattice, davenport_count, davenport_csv
+
     lattice = None
     if ns.moduli:
         if ns.p is None:
@@ -278,6 +278,9 @@ def cmd_count_davenport(ns) -> RunOutput:
 
 
 def cmd_count_alphap(ns) -> RunOutput:
+    from .counting import alpha_p_table, alpha_table_csv
+    from .gap import inner_gap
+
     spec = _spec_from(ns)
     g = inner_gap(spec, ns.budget) if ns.budget else inner_gap(spec)
     rows = alpha_p_table(g, ns.pmax, spec.epsilon, ns.budget or 10**8)
@@ -302,6 +305,11 @@ def cmd_count_alphap(ns) -> RunOutput:
 
 
 def cmd_count_totient(ns) -> RunOutput:
+    import mpmath
+
+    from .bohr import enumerate_bohr, restricted_bohr
+    from .counting import totient_average
+
     spec = _spec_from(ns)
     bset = enumerate_bohr(spec, "positive") if ns.no_restrict else restricted_bohr(spec)
     members = [int(n) for n in bset.members]
@@ -328,6 +336,8 @@ def cmd_count_totient(ns) -> RunOutput:
 
 
 def cmd_sums_t(ns) -> RunOutput:
+    from .sums import sum_series, sums_csv
+
     spec = _spec_from(ns)
     cps = ns.checkpoints or [ns.N]
     rows = sum_series(spec, cps, restrict=not ns.no_restrict)
@@ -341,6 +351,8 @@ def cmd_sums_t(ns) -> RunOutput:
 
 
 def cmd_sums_dyadic(ns) -> RunOutput:
+    from .sums import dyadic_table, support_mask, t_sum, trivial_mask
+
     spec = _spec_from(ns)
     mask = trivial_mask(ns.N) if ns.no_restrict else support_mask(spec, ns.N)
     dt = dyadic_table(spec, mask)
@@ -357,6 +369,8 @@ def cmd_sums_dyadic(ns) -> RunOutput:
 
 
 def cmd_sums_dscheck(ns) -> RunOutput:
+    from .sums import ds_hypothesis_check
+
     spec = _spec_from(ns)
     psi = _psi_from(ns, spec.k)
     cps = ns.checkpoints or [ns.N]
@@ -369,6 +383,9 @@ def cmd_sums_dscheck(ns) -> RunOutput:
 
 
 def cmd_exponents(ns) -> RunOutput:
+    from .exponents import TargetVector, exponent_report
+    from .realfield import RealSpec
+
     alpha = TargetVector.parse(ns.alpha, ns.scale)
     gamma = None
     if ns.gamma:
@@ -384,6 +401,8 @@ def cmd_exponents(ns) -> RunOutput:
 
 
 def cmd_experiment_gallagher(ns) -> RunOutput:
+    from .sums import experiment_csv, gallagher_experiment
+
     spec = _spec_from(ns)
     psi = _psi_from(ns, spec.k)
     res = gallagher_experiment(spec, psi, ns.samples, ns.N, ns.seed, ns.checkpoints)
@@ -533,17 +552,26 @@ def build_parser() -> argparse.ArgumentParser:
 # -- config files and manifest replay ------------------------------------------------
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValidationError(f"cannot read {what} {path!r}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{what} {path!r} is not text: {e}") from None
+
+
 def _read_config(path: str) -> dict:
     cfg = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"config line without '=': {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
+    for raw in _read_text(path, "config file").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"config line without '=': {raw.strip()!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip().replace("-", "_")] = val.strip()
     return cfg
 
 
@@ -584,13 +612,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return rest[:head] + _config_tokens(cfg) + rest[head:]
 
 
-def _rerun(ns) -> int:
-    with open(ns.manifest) as fh:
-        manifest = json.load(fh)
-    argv = manifest["command"].split() + _config_tokens(manifest["config"])
+def _replay_argv(ns) -> list[str]:
+    """The command line a manifest records, with rerun's own --out."""
+    path = ns.manifest
+    try:
+        manifest = json.loads(_read_text(path, "manifest"))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"manifest {path!r} is not JSON: {e}") from None
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("command"), str)
+        and isinstance(manifest.get("config"), dict)
+    ):
+        raise ValidationError(f"manifest {path!r} lacks a 'command' string and a 'config' object")
+    command = manifest["command"].split()
+    if command[:1] == ["rerun"]:
+        raise ValidationError(f"manifest {path!r} replays another rerun")
+    argv = command + _config_tokens(manifest["config"])
     if ns.out:
         argv += ["--out", ns.out]
-    return main(argv)
+    return argv
 
 
 # -- entry point -----------------------------------------------------------------------
@@ -599,11 +640,10 @@ def _rerun(ns) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
         parser = build_parser()
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_apply_config_file(argv))
         if ns.command_path == "rerun":
-            return _rerun(ns)
+            ns = parser.parse_args(_replay_argv(ns))
         t0 = time.perf_counter()
         try:
             out = ns.handler(ns)

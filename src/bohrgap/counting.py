@@ -7,19 +7,22 @@ minima.  Everything here is exact: counts by enumeration, determinants and
 densities as integers or Fractions, minima as integer squared norms.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import mpmath
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .gap import GAP, gap_elements
 from .lattice import ReducedLattice, det, echelon, independent, spender
+
+if TYPE_CHECKING:
+    from .gap import GAP
 
 Q = Fraction
 
@@ -76,13 +79,12 @@ def _phi_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
             continue
         sl = slice(start - lo, hi - lo, p)
         phi[sl] -= phi[sl] // p
-        sub = rem[sl]
-        sub //= p
-        while True:
-            m = sub % p == 0
-            if not m.any():
-                break
-            sub[m] //= p
+        # strip p from rem: one division per power q = p, p^2, .. on q's multiples
+        q = p
+        while start < hi:
+            rem[start - lo :: q] //= p
+            q *= p
+            start = ((lo + q - 1) // q) * q
     big = rem > 1  # a single prime factor above sqrt(hi) survives
     phi[big] = phi[big] // rem[big] * (rem[big] - 1)
     return phi
@@ -180,6 +182,8 @@ def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
 
 def alpha_p(gap: GAP, p: int, budget: int = 10**8) -> Fraction:
     """Fraction of the progression's coefficient box hitting 0 mod p."""
+    from .gap import gap_elements
+
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     els = gap_elements(gap, budget)
@@ -189,6 +193,8 @@ def alpha_p(gap: GAP, p: int, budget: int = 10**8) -> Fraction:
 
 def alpha_p_table(gap: GAP, p_max: int, eps: Fraction, budget: int = 10**8) -> list:
     """Rows (p, alpha_p, alpha_p * p^eps, reference bound 1/p + 1/min N_i)."""
+    from .gap import gap_elements
+
     els = gap_elements(gap, budget)
     size = int(els.size)
     min_len = min(gap.lengths)
@@ -360,6 +366,8 @@ def davenport_count(
 
     box gives half side lengths: the region is prod [-N_i, N_i].
     """
+    import mpmath
+
     box = tuple(int(n) for n in box)
     d = len(box)
     if d < 1 or d > 4:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .errors import PrecisionExhausted, ValidationError
 
 DEFAULT_SCALE = 128
@@ -394,6 +392,8 @@ def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
 
         slo, shi = side(lo), side(hi)
         return slo if slo == shi else None
+    import mpmath
+
     for dps in (40, 120, 400):
         with mpmath.workdps(dps):
             thr = mpmath.power(n, sign * mpmath.sqrt(mpmath.mpf(t.numerator) / t.denominator))
@@ -409,6 +409,8 @@ def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
 
 def ceil_pow_sqrt(base: int, eps: Fraction) -> int:
     """Smallest integer >= base^sqrt(eps), certified."""
+    import mpmath
+
     with mpmath.workdps(40):
         guess = int(mpmath.floor(mpmath.power(base, mpmath.sqrt(mpmath.mpf(eps.numerator) / eps.denominator))))
     for m in range(max(guess - 2, 0), guess + 4):

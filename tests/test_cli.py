@@ -1,12 +1,18 @@
 """Command line front end: exit codes, payload shapes, manifest replay."""
 
+import importlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bohrgap
+import bohrgap.cli
 from bohrgap.bohr import BohrSpec, enumerate_bohr, restricted_bohr
 from bohrgap.cli import _jsonable, main
 from bohrgap.counting import totient_average
@@ -300,6 +306,42 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     assert "mode symmetric" in out
 
 
+def test_rerun_parses_once(capsys, tmp_path, monkeypatch):
+    d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
+    argv = ["bohr", "enumerate", "--alpha", "sqrt:2", "--N", "300", "--delta", "0.1", "--out"]
+    assert run_cli(capsys, *argv, d1)[0] == 0
+    built = []
+    real = bohrgap.cli.build_parser
+    monkeypatch.setattr(bohrgap.cli, "build_parser", lambda: built.append(1) or real())
+    assert run_cli(capsys, "rerun", os.path.join(d1, "manifest.json"), "--out", d2)[0] == 0
+    assert built == [1]
+    a = open(os.path.join(d1, "payload.json"), "rb").read()
+    assert a == open(os.path.join(d2, "payload.json"), "rb").read()
+    m1, m2 = (json.loads(open(os.path.join(d, "manifest.json")).read()) for d in (d1, d2))
+    assert sorted(m1) == sorted(m2) == ["command", "config", "timings", "version"]
+    assert {k: m1[k] for k in ("command", "config", "version")} == {
+        k: m2[k] for k in ("command", "config", "version")
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "no-config", "not-json", "nested-rerun", "config-missing"])
+def test_unreadable_rerun_and_config_inputs_exit2(capsys, tmp_path, case):
+    path = tmp_path / "input.json"
+    if case == "no-config":
+        path.write_text(json.dumps({"command": "bohr enumerate", "version": "0.1.0"}))
+    elif case == "not-json":
+        path.write_text("alpha = sqrt:2\n")
+    elif case == "nested-rerun":
+        path.write_text(json.dumps({"command": "rerun", "config": {"manifest": str(path)}}))
+    if case == "config-missing":
+        argv = ["bohr", "enumerate", "--config", str(path)]
+    else:
+        argv = ["rerun", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error:") and str(path) in err
+
+
 def test_k_mismatch_validation(capsys):
     code, _, err = run_cli(
         capsys, "sums", "t", "--k", "3", "--alpha", "sqrt:2", "--N", "100",
@@ -315,3 +357,100 @@ def test_jsonable_encoding():
     )
     assert enc == {"f": "1/3", "inf": "inf", "ninf": "-inf", "nan": "nan",
                    "np": 7, "t": [1, 2], "ok": 1.5}
+
+
+# -- what a process imports ------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# runs one command line (or only `import bohrgap` without arguments), then
+# prints the bohrgap submodules, numpy and mpmath the process has loaded
+_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    from bohrgap.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+else:
+    import bohrgap
+print(json.dumps(sorted(
+    m.removeprefix("bohrgap.") for m in sys.modules
+    if m.startswith("bohrgap.") or m in ("numpy", "mpmath")
+)))
+"""
+
+
+def fresh_process(code, *argv):
+    """The last stdout line, as JSON, of `python -c code argv...` run on src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ((), set()),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "exponents", "realfield", "scan"}),
+        (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
+         {"exponents", "realfield", "scan"}),
+        (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
+         {"counting", "lattice", "mpmath"}),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "exponents", "lattice", "realfield", "scan", "sums"}),
+    ],
+    ids=["import", "bohr-enumerate", "exponents", "count-davenport", "sums-t"],
+)
+def test_a_process_loads_only_what_its_command_runs(argv, expected):
+    loaded = set(fresh_process(_PROBE, *argv))
+    if argv:
+        expected = expected | {"cli", "errors", "numpy"}
+    # mpmath loads when a restriction threshold needs the digit ladder
+    if argv[:2] == ("sums", "t"):
+        loaded.discard("mpmath")
+    assert loaded == expected
+
+
+PUBLIC_NAMES = {
+    "BohrSet", "BohrSpec", "all_lifts", "enumerate_bohr", "is_member", "lift_bohr",
+    "restricted_bohr", "shift_injection_holds",
+    "CongruenceLattice", "DavenportCertificate", "TotientTable", "alpha_p", "alpha_p_table",
+    "congruence_lattice", "davenport_count", "euclidean_minima", "totient_average",
+    "totient_sieve",
+    "AmbiguousLift", "BasePointDrift", "BudgetExceeded", "ConstructionError", "LengthUnderflow",
+    "MinimaDegenerate", "NoBasePoint", "PrecisionExhausted", "SmallDirichletWitness",
+    "ValidationError",
+    "ExponentReport", "TargetVector", "dual_exponent_est", "exponent_report",
+    "mult_exponent_est", "multiplicative_hypothesis", "simult_exponent_est",
+    "uniform_inhom_est",
+    "GAP", "cardinality_ratio", "decompose", "gap_elements", "inner_gap", "is_proper",
+    "outer_gap",
+    "ConvexBody", "MinimaResult", "build_body", "successive_minima",
+    "FixedReal", "RealSpec",
+    "ApproxFunction", "DyadicTable", "GallagherResult", "ModifiedPsi", "SumResult",
+    "SupportMask", "ds_hypothesis_check", "dyadic_table", "eta_split_check",
+    "gallagher_experiment", "psi_family", "psi_modified", "sum_series", "support_mask",
+    "t_star_sum", "t_sum", "trivial_mask",
+}
+
+
+def test_package_exports():
+    assert len(bohrgap.__all__) == len(PUBLIC_NAMES) == 66
+    assert set(bohrgap.__all__) == PUBLIC_NAMES
+    for module, names in bohrgap._EXPORTS.items():
+        mod = importlib.import_module(f"bohrgap.{module}")
+        for name in names:
+            obj = getattr(bohrgap, name)
+            assert obj is getattr(mod, name) and obj.__module__ == mod.__name__, name
+    # before any name is resolved
+    assert PUBLIC_NAMES <= set(fresh_process("import bohrgap, json; print(json.dumps(dir(bohrgap)))"))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bohrgap.no_such_name
+    star = {}
+    exec("from bohrgap import *", star)
+    assert set(star) - {"__builtins__"} == PUBLIC_NAMES

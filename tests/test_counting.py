@@ -12,6 +12,7 @@ import pytest
 from bohrgap.bohr import BohrSpec, restricted_bohr
 from bohrgap.counting import (
     CongruenceLattice,
+    _phi_segment,
     alpha_p,
     alpha_p_table,
     alpha_table_csv,
@@ -121,6 +122,22 @@ def test_segmented_table_agrees():
     blk = t.block(10**7 + 10**6 - 3, 10**7 + 10**6 + 3)  # spans two segments
     for off, n in enumerate(range(10**7 + 10**6 - 3, 10**7 + 10**6 + 3)):
         assert int(blk[off]) == phi_oracle(n)
+
+
+@pytest.mark.parametrize("power", [2**20, 3**12, 5**8, 10**7])
+def test_phi_segment_windows_cutting_prime_powers(power):
+    # segments starting or ending on, just past or just before a prime power
+    # (and on the table's 10^7 segment edge), every n against the oracle
+    primes = primes_up_to(math.isqrt(power + 200) + 1)
+    for lo, hi in [(power - 150, power + 150), (power, power + 100), (power + 1, power + 100),
+                   (power - 100, power), (power - 100, power + 1)]:
+        got = _phi_segment(lo, hi, primes)
+        assert got.dtype == np.int64 and len(got) == hi - lo
+        assert [int(v) for v in got] == [phi_oracle(n) for n in range(lo, hi)], (lo, hi)
+    t = totient_sieve(power + 200)
+    assert [int(v) for v in t.block(power - 150, power + 150)] == [
+        phi_oracle(n) for n in range(power - 150, power + 150)
+    ]
 
 
 def test_sieve_guards():

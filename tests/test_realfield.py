@@ -403,23 +403,56 @@ def test_limb_carry_lives_in_one_function():
     assert holders == {"scan.py:_limb_mul"}
 
 
+def _imports_by_scope(tree):
+    """(import node, innermost function or module around it) for every import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((child, scope))
+            inner = child if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            visit(child, inner)
+
+    visit(tree, tree)
+    return found
+
+
 def test_no_unused_imports():
-    # every name a module imports is used there; the package __init__ only re-exports
+    # a module-level import is used in its module, a function-local one in its
+    # own function; each lazy export of the package exists in its module
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     unused = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
-        imported = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                imported += [a.asname or a.name for a in node.names]
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+        for node, scope in _imports_by_scope(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+            where = getattr(scope, "name", "<module>")
+            unused += [
+                f"{path.name}:{where}:{name}"
+                for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                if name not in used
+            ]
     assert unused == []
+
+    init = ast.parse((src / "__init__.py").read_text())
+    table = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS"
+    )
+    missing = []
+    for module, names in table.items():
+        defined = set()
+        for node in ast.parse((src / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert missing == []
 
 
 def test_digit_ladder_lives_once_in_realfield():
