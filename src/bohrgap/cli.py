@@ -596,10 +596,12 @@ def _config_tokens(cfg: dict) -> list[str]:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
+    """Splice the file of --config FILE (or --config=FILE) into argv."""
+    argv = [part for t in argv for part in (t.split("=", 1) if t.startswith("--config=") else [t])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if i + 1 >= len(argv) or not argv[i + 1]:
         raise ValidationError("--config needs a path")
     cfg = _read_config(argv[i + 1])
     rest = argv[:i] + argv[i + 2 :]

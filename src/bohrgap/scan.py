@@ -7,11 +7,14 @@ arithmetic.  True distances differ from d(n)/2^scale by at most
 E(n) = n*err_alpha + err_gamma mantissa units; thresholds are therefore split
 into a definite-in bound, a definite-out bound, and a borderline band that is
 re-decided exactly per element (escalating the scale through the constructor).
-The same limb kernel gives floor(n*man / 2^scale) and its residue exactly,
-which the outer lift check uses to place its candidate witnesses.  Every
-range scan walks the blocks of ``blocks``; float consumers send each float
-distance in ``CoordScan.zero_band`` through ``dist_float``, which tells a
-true zero from a certified positive value.
+Exactly rational alpha and gamma against a rational threshold skip the limb
+kernel and the band: the residue (n*p - r) mod q, one int64 vector per
+block, decides every n exactly, ties included.  The same limb kernel gives
+floor(n*man / 2^scale) and its residue exactly, which the outer lift check
+uses to place its candidate witnesses.  Every range scan walks the blocks of
+``blocks``; float consumers send each float distance in
+``CoordScan.zero_band`` through ``dist_float``, which tells a true zero from
+a certified positive value.
 """
 
 from __future__ import annotations
@@ -106,13 +109,15 @@ class CoordScan:
         self._g = [np.uint64(x) for x in _limbs((-mg) % one, self.nlimbs)]
         self._err_a = alpha.err
         self._err_g = gamma.err if gamma is not None else Q(0)
-        # exactly rational alpha and gamma: n*alpha - g_sign*gamma = (n*p - r)/q
+        # exactly rational alpha and gamma: n*alpha - g_sign*gamma = (n*p - r)/q,
+        # stored as (p mod q, r mod q, q)
         aex = alpha.exact()
         gex = gamma.exact() if gamma is not None else Q(0)
         self._pr_q = None
         if aex is not None and gex is not None:
             ad, gd = aex.denominator, gex.denominator
-            self._pr_q = (aex.numerator * gd, self.g_sign * gex.numerator * ad, ad * gd)
+            q = ad * gd
+            self._pr_q = (aex.numerator * gd % q, self.g_sign * gex.numerator * ad % q, q)
 
     def flipped(self) -> "CoordScan":
         """Scanner for ||n*alpha + gamma||, used for negative n."""
@@ -180,9 +185,7 @@ class CoordScan:
         the ladder reaches at depth 0.
         """
         if self._pr_q is not None and isinstance(thr, Fraction):
-            p, r, q = self._pr_q
-            x = (n * p - r) % q
-            return min(x, q - x) * thr.denominator <= thr.numerator * q
+            return self._residue_le(n, thr)
 
         def step(extra):
             t = thr.refined(thr.scale + extra) if isinstance(thr, FixedReal) else thr
@@ -191,6 +194,30 @@ class CoordScan:
 
         at = n if at is None else at
         return certify(step, "membership undecidable at n={n}", n=at, coord=coord)
+
+    def _residue_le(self, n, thr: Fraction):
+        """min(x, q - x)*den <= num*q for x = (n*p - r) mod q, i.e. ||n*alpha - gamma|| <= thr.
+
+        n is a Python int or an int64 block.  2*min(x, q - x) is written as
+        q - |q - 2x| so that one expression serves both.
+        """
+        p, r, q = self._pr_q
+        x = (n * p - r) % q
+        return (q - abs(q - 2 * x)) * thr.denominator <= 2 * thr.numerator * q
+
+    def residue_decider(self, thr: Fraction) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """Exact block membership mask ||n*alpha - gamma|| <= thr by residues, or None.
+
+        Needs exactly rational alpha and gamma, and int64 room for every
+        product: with n < 2^31 (the scan limit), q < 2^31, q*den < 2^62 and
+        |num*q| < 2^62, all of them stay below 2^63.
+        """
+        if self._pr_q is None:
+            return None
+        q = self._pr_q[2]
+        if q >= 1 << 31 or q * thr.denominator >= 1 << 62 or abs(thr.numerator * q) >= 1 << 62:
+            return None
+        return lambda ns: self._residue_le(ns.astype(np.int64), thr)
 
     def dist_cmp_pow(self, n: int, base: int, t, sign: int, msg: str) -> int:
         """Certified sign of ||n*alpha - gamma|| - base^(sign*sqrt(t)).
@@ -244,11 +271,16 @@ class CoordScan:
 @dataclass
 class ThresholdSpec:
     """Split threshold for one coordinate: d <= t_in is definitely inside,
-    d > t_out definitely outside, in between falls to the exact callback."""
+    d > t_out definitely outside, in between falls to the exact callback.
+
+    A spec with a ``block`` decider (exactly rational coordinate and
+    threshold) decides whole blocks exactly instead, with no band.
+    """
 
     t_in: int
     t_out: int
     exact: Callable[[int], bool]
+    block: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @classmethod
     def for_fraction(cls, coord: CoordScan, thr: Fraction, n_max: int) -> "ThresholdSpec":
@@ -258,7 +290,7 @@ class ThresholdSpec:
         t = thr * (1 << coord.scale)
         t_in = math.floor(t - e)
         t_out = math.floor(t + e)
-        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr))
+        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr), coord.residue_decider(thr))
 
     @classmethod
     def for_fixed(cls, coord: CoordScan, thr, n_max: int) -> "ThresholdSpec":
@@ -293,6 +325,9 @@ def _words_le(words: Sequence[np.ndarray], bound: int, nwords: int) -> np.ndarra
 
 def classify_block(coord: CoordScan, ns: np.ndarray, spec: ThresholdSpec):
     """(definite_in, definite_out) masks for a block."""
+    if spec.block is not None:
+        inside = spec.block(ns)
+        return inside, ~inside
     words = coord.dist_words(ns)
     inside = _words_le(words, spec.t_in, coord.nwords)
     not_out = _words_le(words, spec.t_out, coord.nwords)

@@ -306,6 +306,26 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     assert "mode symmetric" in out
 
 
+def test_config_equals_spelling_matches_separate_path(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = sqrt:2\ndelta = 0.1\nmode = positive\n")
+    payloads = []
+    for name, flag in (("a", ["--config", str(cfg)]), ("b", [f"--config={cfg}"])):
+        out_dir = tmp_path / name
+        code, out, err = run_cli(capsys, "bohr", "enumerate", *flag, "--N", "1000", "--out", str(out_dir))
+        assert code == 0, err
+        assert "mode positive" in out
+        payloads.append((out_dir / "payload.json").read_bytes())
+    assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("flag", [["--config="], ["--config"]])
+def test_config_without_path_exit2(capsys, flag):
+    code, out, err = run_cli(capsys, "bohr", "enumerate", "--N", "1000", *flag)
+    assert code == 2 and out == ""
+    assert err == "validation error: --config needs a path\n"
+
+
 def test_rerun_parses_once(capsys, tmp_path, monkeypatch):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     argv = ["bohr", "enumerate", "--alpha", "sqrt:2", "--N", "300", "--delta", "0.1", "--out"]

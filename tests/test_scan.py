@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrgap.bohr import BohrSpec, enumerate_bohr
 from bohrgap.errors import BudgetExceeded, PrecisionExhausted, ValidationError
@@ -24,7 +26,7 @@ from bohrgap.realfield import (
     fr_sqrt_int,
     norm_form,
 )
-from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, blocks, first_in_range, members_in_range
+from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, members_in_range
 
 Q = Fraction
 
@@ -277,6 +279,154 @@ def test_dist_le_irrational_keeps_the_ladder():
     assert sc._pr_q is None
     for n in range(1, 200):
         assert sc.dist_le(n, Q(1, 9)) == _ladder_le(sc, n, Q(1, 9))
+
+
+# -- residue decider for exactly rational coordinates -------------------------
+
+
+def _loop_members(coords, specs, lo, hi):
+    """Reference scan with no residue decider: banded words, then every
+    borderline n through its spec's per-n exact callback."""
+    out = []
+    for ns in blocks(lo, hi):
+        ins, outs = [], []
+        for c, spec in zip(coords, specs):
+            words = c.dist_words(ns)
+            ins.append(_words_le(words, spec.t_in, c.nwords))
+            outs.append(~_words_le(words, spec.t_out, c.nwords))
+        for i, n in enumerate(ns.tolist()):
+            if not any(o[i] for o in outs) and all(cin[i] or s.exact(n) for cin, s in zip(ins, specs)):
+                out.append(n)
+    return out
+
+
+def _fraction_le(sc, n, thr):
+    """||n*alpha - g_sign*gamma|| <= thr for exactly rational alpha and gamma,
+    on Python ints over the least common denominator D."""
+    a = sc.alpha.exact()
+    g = sc.g_sign * (sc.gamma.exact() if sc.gamma is not None else Q(0))
+    D = math.lcm(a.denominator, g.denominator)
+    x = (n * a.numerator * (D // a.denominator) - g.numerator * (D // g.denominator)) % D
+    return min(x, D - x) * thr.denominator <= thr.numerator * D
+
+
+def _fits_int64(q, thr):
+    return q < 1 << 31 and q * thr.denominator < 1 << 62 and abs(thr.numerator * q) < 1 << 62
+
+
+@st.composite
+def _rational_cases(draw):
+    q = draw(st.one_of(st.integers(1, 60), st.integers(2, 10**6), st.integers(2**31 - 300, 2**31 - 1)))
+    p = draw(st.integers(-3 * q, 3 * q))
+    alpha = f"rat:{p}/{q}"
+    gamma = draw(st.one_of(
+        st.none(),
+        st.builds(lambda a, b: f"rat:{a}/{b}", st.integers(-20, 20), st.integers(1, 12)),
+        st.builds(lambda d: f"dec:0.{d:03d}", st.integers(0, 999)),
+    ))
+    sc = CoordScan(RealSpec.parse(alpha).realize(128), RealSpec.parse(gamma).realize(128) if gamma else None)
+    if draw(st.booleans()):
+        sc = sc.flipped()
+    qq = sc._pr_q[2]  # every distance is a multiple of 1/qq
+    thr = draw(st.one_of(
+        st.just(Q(0)),
+        st.just(Q(1, 2 * qq)),
+        st.builds(lambda j: Q(j, qq), st.integers(0, qq // 2 + 1)),
+        st.sampled_from([Q(1, 2), Q(3, 4), Q(7, 3)]),
+        st.just(-Q(1, qq)),
+        st.builds(Q, st.integers(1, 50), st.integers(51, 200)),
+    ))
+    lo = draw(st.one_of(
+        st.integers(0, 300),
+        st.integers(BLOCK - 400, BLOCK + 20),
+        st.integers(2 * BLOCK - 400, 2 * BLOCK),
+        st.just(2**31 - 500),
+    ))
+    hi = min(lo + draw(st.integers(0, 500)), 2**31 - 1)
+    return sc, thr, lo, hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rational_cases())
+def test_residue_decider_matches_per_n_loop(case):
+    sc, thr, lo, hi = case
+    spec = ThresholdSpec.for_fraction(sc, thr, hi)
+    assert (spec.block is not None) == _fits_int64(sc._pr_q[2], thr)
+    want = _loop_members([sc], [spec], lo, hi)
+    assert want == [n for n in range(lo, hi + 1) if _fraction_le(sc, n, thr)]
+    assert members_in_range([sc], [spec], lo, hi).tolist() == want
+    assert first_in_range([sc], [spec], lo, hi) == (want[0] if want else None)
+    # next to an irrational coordinate, whose ties still go through its callback
+    s2 = CoordScan(fr_sqrt_int(2, 128))
+    t2 = ThresholdSpec.for_fraction(s2, Q(1, 4), hi)
+    want2 = _loop_members([sc, s2], [spec, t2], lo, hi)
+    assert members_in_range([sc, s2], [spec, t2], lo, hi).tolist() == want2
+    assert first_in_range([s2, sc], [t2, spec], lo, hi) == (want2[0] if want2 else None)
+
+
+@pytest.mark.parametrize("alpha,gamma,thr,fits", [
+    # q = 2^31 - 1 is the largest denominator the decider takes
+    ("rat:5/2147483647", None, Q(2, 2147483647), True),
+    ("rat:5/2147483648", None, Q(2, 2147483648), False),
+    ("rat:3/7", "rat:1/306783378", Q(1, 9), True),  # q = 7 * 306783378 < 2^31
+    ("rat:3/7", "rat:1/306783379", Q(1, 9), False),
+    # q*den at and past 2^62
+    ("rat:3/1024", None, Q(1, (1 << 52) - 1), True),
+    ("rat:3/1024", None, Q(1, 1 << 52), False),
+    # |num*q| at and past 2^62, with num*q the only product out of range
+    ("rat:3/1024", None, Q((1 << 52) - 1), True),
+    ("rat:3/1024", None, Q(1 << 52), False),
+    ("rat:3/1024", None, Q(-(1 << 52)), False),
+])
+def test_residue_decider_int64_bounds(alpha, gamma, thr, fits):
+    sc = CoordScan(RealSpec.parse(alpha).realize(128), RealSpec.parse(gamma).realize(128) if gamma else None)
+    for c in (sc, sc.flipped()):
+        spec = ThresholdSpec.for_fraction(c, thr, 2**31 - 1)
+        assert (spec.block is not None) == fits
+        for lo in (0, BLOCK - 100, 2**31 - 200):
+            want = [n for n in range(lo, lo + 200) if _fraction_le(c, n, thr)]
+            assert _loop_members([c], [spec], lo, lo + 199) == want
+            assert members_in_range([c], [spec], lo, lo + 199).tolist() == want
+
+
+def test_rational_bohr_scan_skips_words_and_callbacks(monkeypatch):
+    spec = BohrSpec.build(["rat:2/9", "dec:0.15"], ["rat:1/3", "dec:0.05"], BLOCK + 900, ["1/9", "0.1"])
+    coords = [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, spec.gammas())]
+    deltas = spec.delta_fractions()
+
+    def oracle(ns, cs):
+        return [n for n in ns if all(_fraction_le(c, n, t) for c, t in zip(cs, deltas))]
+
+    pos = oracle(range(0, spec.N + 1), coords)
+    neg = [-n for n in oracle(range(spec.N, 0, -1), [c.flipped() for c in coords])]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("rational coordinates must be decided by residues")
+
+    monkeypatch.setattr(CoordScan, "dist_words", boom)
+    monkeypatch.setattr(CoordScan, "dist_le", boom)  # every spec's exact callback
+    assert enumerate_bohr(spec, "positive").members.tolist() == [n for n in pos if n > 0]
+    assert enumerate_bohr(spec).members.tolist() == neg + pos
+
+
+def test_rational_bohr_scan_past_the_bound_falls_back(monkeypatch):
+    q = (1 << 31) + 11
+    spec = BohrSpec.build([f"rat:1/{q}"], None, 3000, [f"1000/{q}"])
+    words, exact = [], []
+    dist_words, dist_le = CoordScan.dist_words, CoordScan.dist_le
+
+    def counted_words(self, ns):
+        words.append(len(ns))
+        return dist_words(self, ns)
+
+    def counted_le(self, n, thr, **kw):
+        exact.append(n)
+        return dist_le(self, n, thr, **kw)
+
+    monkeypatch.setattr(CoordScan, "dist_words", counted_words)
+    monkeypatch.setattr(CoordScan, "dist_le", counted_le)
+    assert enumerate_bohr(spec, "positive").members.tolist() == list(range(1, 1001))
+    assert sum(words) == 3000 and 1000 in exact  # n = 1000 is the tie
 
 
 # -- three-gap oracle (Slater 1967; Sos 1958) ----------------------------------
