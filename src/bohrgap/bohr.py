@@ -173,13 +173,16 @@ class BohrSet:
         }
 
 
+def _coord_scans(spec: BohrSpec, flip: bool = False) -> list[CoordScan]:
+    """One scanner per coordinate: ||n*alpha_i - gamma_i||, or with flip
+    ||n*alpha_i + gamma_i||, the distance at -n."""
+    gammas = spec.gamma if spec.gamma is not None else (None,) * spec.d
+    return [CoordScan(a, g, -1 if flip else 1) for a, g in zip(spec.alpha.alphas, gammas)]
+
+
 def _coords_and_specs(spec: BohrSpec, flip: bool):
-    coords = []
-    for a, g in zip(spec.alpha.alphas, spec.gammas()):
-        c = CoordScan(a, g)
-        coords.append(c.flipped() if flip else c)
-    tspecs = [ThresholdSpec.for_fixed(c, t, spec.N) for c, t in zip(coords, spec.delta)]
-    return coords, tspecs
+    coords = _coord_scans(spec, flip)
+    return coords, [ThresholdSpec.for_fixed(c, t, spec.N) for c, t in zip(coords, spec.delta)]
 
 
 def enumerate_bohr(spec: BohrSpec, mode: str = "symmetric") -> BohrSet:
@@ -191,8 +194,7 @@ def enumerate_bohr(spec: BohrSpec, mode: str = "symmetric") -> BohrSet:
         mem = members_in_range(coords, tspecs, 1, spec.N)
     else:
         pos = members_in_range(coords, tspecs, 0, spec.N)
-        fcoords, ftspecs = _coords_and_specs(spec, flip=True)
-        neg = members_in_range(fcoords, ftspecs, 1, spec.N)
+        neg = members_in_range(*_coords_and_specs(spec, flip=True), 1, spec.N)
         mem = np.concatenate([-neg[::-1], pos]) if len(neg) else pos
     return BohrSet(spec, mode, mem)
 
@@ -277,12 +279,7 @@ def _witness_le(spec: BohrSpec, n: int, i: int, a: int) -> bool:
 def restricted_bohr(spec: BohrSpec) -> BohrSet:
     """Members restricted to N^sqrt(epsilon) <= n <= N (positive range)."""
     lo = ceil_pow_sqrt(spec.N, spec.epsilon)
-    coords, tspecs = _coords_and_specs(spec, flip=False)
-    if lo > spec.N:
-        mem = np.empty(0, dtype=np.int64)
-    else:
-        mem = members_in_range(coords, tspecs, lo, spec.N)
-    return BohrSet(spec, "restricted", mem)
+    return BohrSet(spec, "restricted", members_in_range(*_coords_and_specs(spec, flip=False), lo, spec.N))
 
 
 # -- structural checks used by tests and the gap pipeline ----------------
@@ -290,13 +287,8 @@ def restricted_bohr(spec: BohrSpec) -> BohrSet:
 
 def is_member(spec: BohrSpec, n: int) -> bool:
     """Exact single-point membership test (any integer n, no range bound)."""
-    for i in range(spec.d):
-        c = CoordScan(spec.alpha.alphas[i], spec.gammas()[i])
-        if n < 0:
-            c = c.flipped()
-        if not c.dist_le(abs(n), spec.delta[i], at=n, coord=i):
-            return False
-    return True
+    coords = _coord_scans(spec, n < 0)
+    return all(c.dist_le(abs(n), t, at=n, coord=i) for i, (c, t) in enumerate(zip(coords, spec.delta)))
 
 
 def shift_injection_holds(spec: BohrSpec, bset: BohrSet) -> bool:

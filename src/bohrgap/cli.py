@@ -646,6 +646,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(_apply_config_file(argv))
         if ns.command_path == "rerun":
             ns = parser.parse_args(_replay_argv(ns))
+        if getattr(ns, "config", None) is not None:  # argparse took a prefix that was not spliced
+            flags = [f for f in (t.partition("=")[0] for t in argv) if f.startswith("--c") and "--config".startswith(f)]
+            raise ValidationError(f"{flags[0] if flags else 'a prefix'} abbreviates --config; spell it out to read the file")
+        if getattr(ns, "budget", None) is not None and ns.budget < 1:
+            raise ValidationError("--budget must be >= 1")
         t0 = time.perf_counter()
         try:
             out = ns.handler(ns)

@@ -190,21 +190,33 @@ def _block_scores(coords: list[CoordScan], ns: np.ndarray, n_max: int, combine: 
     return score, None
 
 
+def _running_max(alpha: TargetVector, gamma, lo: int, cuts: list[int], combine: str):
+    """Block scores over lo <= n <= cuts[-1]: (the running max at each cut n,
+    inclusive; the first n reaching the overall max; None), or (None, None, n)
+    for the first n with an exactly zero coordinate distance."""
+    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _gammas_or_zero(alpha, gamma))]
+    running, arg, at = -math.inf, None, []
+    for ns in blocks(lo, cuts[-1]):
+        score, witness = _block_scores(coords, ns, cuts[-1], combine)
+        if witness is not None:
+            return None, None, witness
+        start = int(ns[0])
+        for c in cuts:
+            if start <= c < start + len(ns):
+                at.append(max(running, float(score[: c + 1 - start].max())))
+        i = int(np.argmax(score))
+        if score[i] > running:
+            running, arg = float(score[i]), start + i
+    return at, arg, None
+
+
 def _estimate_from_scan(alpha: TargetVector, gamma, n_max: int, combine: str) -> ExponentEstimate:
     if n_max < 2:
         raise ValidationError("horizon must be >= 2")
-    gs = _gammas_or_zero(alpha, gamma)
-    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, gs)]
-    best = -math.inf
-    best_n = None
-    for ns in blocks(2, n_max):
-        score, witness = _block_scores(coords, ns, n_max, combine)
-        if witness is not None:
-            return ExponentEstimate(None, None, None, n_max, infinite_witness=witness)
-        i = int(np.argmax(score))
-        if score[i] > best:
-            best, best_n = float(score[i]), int(ns[i])
-    return ExponentEstimate(best / math.log(n_max), best, best_n, n_max)
+    at, arg, witness = _running_max(alpha, gamma, 2, [n_max], combine)
+    if witness is not None:
+        return ExponentEstimate(None, None, None, n_max, infinite_witness=witness)
+    return ExponentEstimate(at[0] / math.log(n_max), at[0], arg, n_max)
 
 
 def mult_exponent_est(alpha: TargetVector, gamma=None, n_max: int = 10**6) -> ExponentEstimate:
@@ -284,33 +296,12 @@ def uniform_inhom_est(alpha: TargetVector, gamma=None, x_list: Sequence[int] = (
     xs = sorted(set(int(x) for x in x_list))
     if not xs or xs[0] < 3:
         raise ValidationError("x_list entries must be >= 3")
-    n_hi = xs[-1] - 1
-    gs = _gammas_or_zero(alpha, gamma)
-    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, gs)]
-    running = -math.inf
-    arg = None
-    per_x = {}
-    xi = 0
-    for ns in blocks(1, n_hi):
-        score, witness = _block_scores(coords, ns, n_hi, "max")  # min_i -log dist_i
-        if witness is not None:
-            return ExponentEstimate(None, None, None, xs[-1], infinite_witness=witness)
-        # checkpoints are strict: max over n < X
-        while xi < len(xs) and xs[xi] - 1 <= int(ns[-1]):
-            cut = xs[xi] - 1 - int(ns[0])
-            if cut >= 0:
-                upto = score[: cut + 1]
-                if len(upto):
-                    i = int(np.argmax(upto))
-                    if upto[i] > running:
-                        running, arg = float(upto[i]), int(ns[i])
-            per_x[xs[xi]] = running / math.log(xs[xi])
-            xi += 1
-        i = int(np.argmax(score))
-        if score[i] > running:
-            running, arg = float(score[i]), int(ns[i])
-    value = min(per_x.values())
-    return ExponentEstimate(value, running, arg, xs[-1], per_x=per_x)
+    # checkpoints are strict: max over n < X
+    at, arg, witness = _running_max(alpha, gamma, 1, [x - 1 for x in xs], "max")  # min_i -log dist_i
+    if witness is not None:
+        return ExponentEstimate(None, None, None, xs[-1], infinite_witness=witness)
+    per_x = {x: m / math.log(x) for x, m in zip(xs, at)}
+    return ExponentEstimate(min(per_x.values()), at[-1], arg, xs[-1], per_x=per_x)
 
 
 @dataclass

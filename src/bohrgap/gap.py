@@ -24,6 +24,7 @@ import numpy as np
 from .bohr import (
     BohrSet,
     BohrSpec,
+    _coord_scans,
     _witness_le,
     enumerate_bohr,
     is_member,
@@ -260,7 +261,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
 
     # base point: b0 then the Dirichlet adjustment s, both smallest witnesses
     n20 = N // 20
-    coords = [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, spec.gammas())]
+    coords = _coord_scans(spec)
     tspecs = [ThresholdSpec.for_fraction(c, d / 20, n20) for c, d in zip(coords, deltas)]
     b0 = first_in_range(coords, tspecs, 1, n20)
     if b0 is None:
@@ -371,11 +372,10 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, bu
     if len(members):
         _check_span(int(np.abs(members).max()))
     coords = []
-    for a, delta in zip(spec.alpha.alphas, spec.delta_fractions()):
-        er = math.ceil(a.err * spec.N)
-        din, dout = math.floor(delta * one - er), math.floor(delta * one + er)
-        jmax = dout // one
-        coords.append((CoordScan(a), din, dout, np.arange(-jmax, jmax + 2)))
+    for coord, delta in zip(_coord_scans(spec), spec.delta_fractions()):
+        band = ThresholdSpec.for_fraction(coord, delta, spec.N)
+        jmax = band.t_out // one
+        coords.append((coord, band.t_in, band.t_out, np.arange(-jmax, jmax + 2)))
     shape = [len(offs) for *_, offs in coords]
 
     rows = [list(v) for v in minima.basis]

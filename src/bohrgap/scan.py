@@ -323,15 +323,35 @@ def _words_le(words: Sequence[np.ndarray], bound: int, nwords: int) -> np.ndarra
     return le
 
 
-def classify_block(coord: CoordScan, ns: np.ndarray, spec: ThresholdSpec):
-    """(definite_in, definite_out) masks for a block."""
-    if spec.block is not None:
-        inside = spec.block(ns)
-        return inside, ~inside
-    words = coord.dist_words(ns)
-    inside = _words_le(words, spec.t_in, coord.nwords)
-    not_out = _words_le(words, spec.t_out, coord.nwords)
-    return inside, ~not_out
+def _classified(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], lo: int, hi: int):
+    """Per block of [lo, hi]: (ns, members, pending, per_coord_in).
+
+    A spec's block decider settles its coordinate exactly; otherwise the
+    distance words split at t_in (definitely inside) and t_out (definitely
+    outside).  members marks the n inside on every coordinate, pending the
+    borderline n that no coordinate rules out; _resolve settles those.
+    """
+    for ns in blocks(lo, hi):
+        all_in = np.ones(len(ns), dtype=bool)
+        any_out = np.zeros(len(ns), dtype=bool)
+        per_coord_in = []
+        for coord, spec in zip(coords, specs):
+            if spec.block is not None:
+                cin = spec.block(ns)
+                any_out |= ~cin
+            else:
+                words = coord.dist_words(ns)
+                cin = _words_le(words, spec.t_in, coord.nwords)
+                any_out |= ~_words_le(words, spec.t_out, coord.nwords)
+            per_coord_in.append(cin)
+            all_in &= cin
+        yield ns, all_in, ~all_in & ~any_out, per_coord_in
+
+
+def _resolve(specs: Sequence[ThresholdSpec], per_coord_in, idx: int, n: int) -> bool:
+    """Exact membership of n, the block's idx-th entry: each coordinate not
+    definitely inside asks its exact callback, in order, until one says no."""
+    return all(cin[idx] or spec.exact(n) for spec, cin in zip(specs, per_coord_in))
 
 
 def members_in_range(
@@ -345,31 +365,11 @@ def members_in_range(
     Exact: vector masks decide everything outside the borderline band, and
     borderline elements are settled by the per-threshold exact callbacks.
     """
-    out = []
-    for ns in blocks(lo, hi):
-        all_in = np.ones(len(ns), dtype=bool)
-        any_out = np.zeros(len(ns), dtype=bool)
-        per_coord_in = []
-        for coord, spec in zip(coords, specs):
-            cin, cout = classify_block(coord, ns, spec)
-            per_coord_in.append(cin)
-            all_in &= cin
-            any_out |= cout
-        members = all_in.copy()
-        pending = ~all_in & ~any_out
-        if pending.any():
-            for idx in np.nonzero(pending)[0]:
-                n = int(ns[idx])
-                ok = True
-                for coord, spec, cin in zip(coords, specs, per_coord_in):
-                    if not cin[idx] and not spec.exact(n):
-                        ok = False
-                        break
-                members[idx] = ok
-        if members.any():
-            out.append(ns[members].astype(np.int64))
-    if not out:
-        return np.empty(0, dtype=np.int64)
+    out = [np.empty(0, dtype=np.int64)]
+    for ns, members, pending, per_coord_in in _classified(coords, specs, lo, hi):
+        for idx in np.flatnonzero(pending):
+            members[idx] = _resolve(specs, per_coord_in, idx, int(ns[idx]))
+        out.append(ns[members].astype(np.int64))
     return np.concatenate(out)
 
 
@@ -379,23 +379,12 @@ def first_in_range(
     lo: int,
     hi: int,
 ) -> Optional[int]:
-    """Smallest n in [lo, hi] passing every threshold, or None."""
-    for ns in blocks(lo, hi):
-        candidate = np.ones(len(ns), dtype=bool)
-        per_coord_in = []
-        for coord, spec in zip(coords, specs):
-            cin, cout = classify_block(coord, ns, spec)
-            per_coord_in.append(cin)
-            candidate &= ~cout
-        if not candidate.any():
-            continue
-        for idx in np.nonzero(candidate)[0]:
-            n = int(ns[idx])
-            ok = True
-            for coord, spec, cin in zip(coords, specs, per_coord_in):
-                if not cin[idx] and not spec.exact(n):
-                    ok = False
-                    break
-            if ok:
-                return n
+    """Smallest n in [lo, hi] passing every threshold, or None.
+
+    No exact callback runs past the first member.
+    """
+    for ns, members, pending, per_coord_in in _classified(coords, specs, lo, hi):
+        for idx in np.flatnonzero(members | pending):
+            if members[idx] or _resolve(specs, per_coord_in, idx, int(ns[idx])):
+                return int(ns[idx])
     return None

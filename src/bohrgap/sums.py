@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bohr import BohrSpec, restricted_bohr
+from .bohr import BohrSpec, _coord_scans, restricted_bohr
 from .counting import TotientTable, totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, RealSpec, certify
@@ -28,11 +28,6 @@ Q = Fraction
 
 _N_CAP = 2 * 10**7
 _REL_BAND = 1e-9  # float decisions keep this relative margin from thresholds
-
-
-def _coord_scans(spec: BohrSpec) -> list[CoordScan]:
-    gammas = spec.gamma if spec.gamma is not None else [None] * spec.d
-    return [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, gammas)]
 
 
 def _check_n(N: int):

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, payload shapes, manifest replay."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -326,6 +327,26 @@ def test_config_without_path_exit2(capsys, flag):
     assert err == "validation error: --config needs a path\n"
 
 
+@pytest.mark.parametrize("spelling", ["--co", "--conf", "--conf="])
+def test_config_abbreviation_exit2(capsys, tmp_path, spelling):
+    # argparse takes any prefix of --config; the file would be silently ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = sqrt:2\ndelta = 0.1\nmode = positive\n")
+    flag = [spelling + str(cfg)] if spelling.endswith("=") else [spelling, str(cfg)]
+    code, out, err = run_cli(capsys, "bohr", "enumerate", *flag, "--N", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("validation error:") and spelling.rstrip("=") in err and "--config" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-4"])
+def test_budget_below_one_exit2(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000",
+        "--delta", "0.1", "--budget", budget,
+    )
+    assert code == 2 and out == ""
+    assert err == "validation error: --budget must be >= 1\n"
+
 def test_rerun_parses_once(capsys, tmp_path, monkeypatch):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     argv = ["bohr", "enumerate", "--alpha", "sqrt:2", "--N", "300", "--delta", "0.1", "--out"]
@@ -361,6 +382,39 @@ def test_unreadable_rerun_and_config_inputs_exit2(capsys, tmp_path, case):
     assert code == 2 and out == ""
     assert err.startswith("validation error:") and str(path) in err
 
+
+# sha256 of payload.json for the lines whose payloads need no libm float
+# (the libm lines are platform-dependent); a refactor must keep them byte for byte
+PAYLOAD_PINS = {
+    "gap inner --k 2 --alpha sqrt:19 --N 100000 --delta 0.1 --eps 0.05":
+        "9729b983cb56e8be19494dc3bc4331ade6478dc94d5188614d6a1a3e78ab1f51",
+    "gap outer --k 2 --alpha sqrt:10 --N 100000 --delta 0.1":
+        "fe390db40707de0a1a23d002556e84fce157104af502d3b785f824023f30ecd1",
+    "gap verify --form inner --k 2 --alpha sqrt:2 --N 100000 --delta 0.1":
+        "b3f67b4b52997815a5aed24f5a10766fbdce6685d3968553c52a3446491f644d",
+    "gap verify --form outer --k 2 --alpha sqrt:29 --N 100000 --delta 0.7":
+        "36cc2e723fab4a4a992b17540dfa4b75c319e944f4cb0e5fc7715628759de550",
+    "bohr enumerate --k 2 --alpha sqrt:5 --gamma dec:0.598 --N 10000 --delta 0.2":
+        "8f449d6295a8493cd59e6af4f5b89ab48e7165d0b649ce432fa97a7bd2172da5",
+    "minima --k 3 --alpha sqrt:2 --alpha sqrt:3 --N 100000 --delta 0.5 --delta 0.5":
+        "4854ff329991383f274dd38b7b1e2ef8e5f22f2bfd77f83a76f58922c8040ad3",
+    "count davenport --box 20,20 --moduli 1,1 --p 5":
+        "fbd52a672ed4ec67c3b1c4b126f6faa15a3f529427ef2822b965553ee45b8afb",
+    "count totient --k 2 --alpha sqrt:17 --N 100000 --delta 0.1":
+        "4d32be5437300f8c265a0f3d2952b495d9c73299320672f6e922e2394587c971",
+    "sums t --k 2 --alpha rat:1/3 --gamma rat:1/2 --N 9 --no-restrict":
+        "c1474eedcd282c98569f2aecbf9a85fadd9b66907cef326242c2cdb8f7c3f57c",
+    "sums dyadic --k 3 --alpha sqrt:2 --alpha sqrt:3 --N 10000 --delta 1 --delta 1":
+        "656c3156cf573963b6045b5a7d55566968cd6d1287a319885f8c7d7789ab6921",
+}
+
+
+@pytest.mark.parametrize("line", list(PAYLOAD_PINS))
+def test_payload_digest_pins(capsys, tmp_path, line):
+    code, _, err = run_cli(capsys, *line.split(), "--out", str(tmp_path))
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "payload.json").read_bytes()).hexdigest()
+    assert digest == PAYLOAD_PINS[line]
 
 def test_k_mismatch_validation(capsys):
     code, _, err = run_cli(

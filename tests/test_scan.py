@@ -173,6 +173,25 @@ def test_first_in_range_matches_members():
     assert first_in_range([sc], [spec], 1, int(members[0]) - 1) is None
 
 
+def test_first_in_range_runs_no_callback_past_its_first_member():
+    sc = CoordScan(fr_sqrt_int(2, 128), fr_from_decimal("0.3", 128))
+    spec = ThresholdSpec.for_fraction(sc, Q(1, 50), 10**4)
+    s5 = CoordScan(fr_sqrt_int(5, 128))
+    t5 = ThresholdSpec.for_fraction(s5, Q(2, 5), 10**4)
+    first = int(members_in_range([sc, s5], [spec, t5], 1, 10**4)[0])
+    calls = []
+
+    def exact(n):
+        if n > first:
+            raise AssertionError(f"exact callback at n={n}, past the first member {first}")
+        calls.append(n)
+        return spec.exact(n)
+
+    # bounds this wide leave every n of the block to the exact callback
+    lazy = ThresholdSpec(-1, 1 << 128, exact)
+    assert first_in_range([s5, sc], [t5, lazy], 1, 10**4) == first
+    assert calls[-1] == first and len(calls) == len(set(calls))
+
 def test_block_boundaries_are_seamless():
     a = fr_sqrt_int(2, 128)
     sc = CoordScan(a, None)
