@@ -6,17 +6,21 @@ N_i = floor(1/(k m_i)) in R-gauge units, and a base point found by an exact
 scan.  Every postcondition (P inside the Bohr set, properness, coprimality,
 base-point window) is verified elementwise, never assumed.  outer_gap builds
 the covering progression P' with lengths C_k/m_i and verifies that every lift
-of the homogeneous Bohr set decomposes over the basis within those lengths.
-Finite-N failures surface as typed errors with diagnostics; they are expected
-behaviour for parameter ranges where the asymptotic argument has no room.
+of the homogeneous Bohr set decomposes over the basis within those lengths,
+taking the lifts line by line from the lattice walk, so it scans no n and has
+no 31-bit limit.  Finite-N failures surface as typed errors with diagnostics;
+they are expected behaviour for parameter ranges where the asymptotic
+argument has no room.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -25,7 +29,6 @@ from .bohr import (
     BohrSet,
     BohrSpec,
     _coord_scans,
-    _witness_le,
     enumerate_bohr,
     is_member,
     shift_injection_holds,
@@ -37,20 +40,21 @@ from .errors import (
     LengthUnderflow,
     MinimaDegenerate,
     NoBasePoint,
-    PrecisionExhausted,
     SmallDirichletWitness,
     ValidationError,
 )
-from .lattice import adjugate, det
+from .exponents import TargetVector
+from .lattice import adjugate, det, line_cut
 from .minima import (
     GaugeVal,
     MinimaResult,
+    ball_lines,
     build_body,
     gauge_interval,
     successive_minima,
 )
 from .realfield import UNDECIDED, _iroot, certify, cmp_pow
-from .scan import CoordScan, ThresholdSpec, _check_span, _words_le, first_in_range
+from .scan import CoordScan, ThresholdSpec, first_in_range
 
 Q = Fraction
 
@@ -348,100 +352,95 @@ def _cramer_constant(body, minima: MinimaResult) -> Fraction:
     return prod
 
 
-_LIFT_BLOCK = 64  # members in the first block; the block doubles from there
-_LIFT_ROWS = 1 << 17  # lifts per block once grown
+def _lift_lines(spec: BohrSpec):
+    """(b, lines, count) for the lifts of B^0(N; delta): 0 and +-(x*b + r)
+    for x in lo..hi over the lines of ball_lines.  A lift (n, a_1..a_d) has
+    |n| <= N and |alpha_i n - a_i| <= delta_i, that is m <= 10 on
+    build_body(spec)."""
+    body = build_body(spec)
+    lines = ball_lines(body, Q(10), lambda: None)
+    return body.reduced.b, lines, 2 * sum(hi - lo + 1 for _, lo, hi in lines) + 1
 
 
-def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, members, budget: int):
-    """Decompose every lift of every member; return (count, failures).
+def _lex_position(b, j, lines, p) -> int:
+    """#{lifts u <= p} in lexicographic order, over 0 and +-(x*b + r).
 
-    Lifts are counted in itertools.product order (members as given, then the
-    witnesses of each coordinate in increasing order), and the check stops
-    at the 17th failure, returning its 1-based position.  BudgetExceeded is
-    raised when the budget runs out first.
-
-    Members go in growing blocks.  Per coordinate, the limb kernel gives
-    I = floor(n*man/2^scale) and f = n*man - I*2^scale exactly, so the
-    candidate a = I + off lies at distance |f - off*2^scale|: each candidate
-    is decided by comparing f with two scalar bounds, and only the band
-    between them goes to _witness_le.  Coefficients d*(P @ adj) are int64
-    below an explicit bound and Python ints above it.
+    On a line u = s*(x*b + r) is constant before b's first nonzero
+    coordinate j and moves monotonically with x at j, so the u <= p are a
+    prefix or suffix of lo..hi cut by one integer division; the one x with
+    u_j = p_j, if any, is compared whole.
     """
-    one = 1 << spec.scale
-    members = np.asarray(members, dtype=np.int64)
-    if len(members):
-        _check_span(int(np.abs(members).max()))
-    coords = []
-    for coord, delta in zip(_coord_scans(spec), spec.delta_fractions()):
-        band = ThresholdSpec.for_fraction(coord, delta, spec.N)
-        jmax = band.t_out // one
-        coords.append((coord, band.t_in, band.t_out, np.arange(-jmax, jmax + 2)))
-    shape = [len(offs) for *_, offs in coords]
+    pos = int((0,) * len(p) <= p)
+    for r, lo, hi in lines:
+        for s in (1, -1):
+            head = tuple(s * c for c in r[:j])
+            if head != p[:j]:
+                pos += hi - lo + 1 if head < p[:j] else 0
+                continue
+            # u_j = t*x + c rises with y = sign(t)*x, which runs over a..z
+            t, c = s * b[j], s * r[j]
+            sign = 1 if t > 0 else -1
+            a, z = (lo, hi) if t > 0 else (-hi, -lo)
+            y, off = divmod(p[j] - c, t * sign)
+            if not off and tuple(s * (y * sign * q + v) for q, v in zip(b, r)) > p:
+                y -= 1
+            pos += min(max(y - a + 1, 0), z - a + 1)
+    return pos
 
+
+def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int):
+    """Decompose every lift of B^0(N; delta) over the basis; return (count, failures).
+
+    Lifts are taken in lexicographic order of (n, a_1..a_d), the order of
+    members then witnesses, and the check stops at the 17th failure,
+    returning its 1-based position.  BudgetExceeded is raised when that
+    position, or the count if fewer fail, passes budget.  Which lifts come
+    first is known only once every line is in, so the walk itself is not
+    charged; its size is set by N and delta.
+
+    The lifts come from _lift_lines.  The coefficients d*(v @ adj) are
+    affine along a line, so the x inside the box |n_i| <= L_i are one
+    sub-interval (line_cut), and the failures are at most two runs at the
+    line's ends, with their negatives.  Each run is monotone in
+    lexicographic order, so merging the runs gives the failures in order.
+    """
+    b, lines, count = _lift_lines(spec)
     rows = [list(v) for v in minima.basis]
     d = det(rows)
-    adj = adjugate(rows)  # coeff_j = d * sum_i pt_i * adj[i][j] since d = +-1
-    adj_max = [max(abs(x) for x in row) for row in adj]
-    failures = []
-    checked = 0
-    start, size = 0, _LIFT_BLOCK
-    while start < len(members):
-        ns = members[start : start + size]
-        start += len(ns)
-        size = min(2 * size, max(_LIFT_BLOCK, _LIFT_ROWS // math.prod(shape)))
+    adj = adjugate(rows)  # coeff_j = d * sum_i v_i * adj[i][j] since d = +-1
+    cols = list(zip(*adj))
 
-        # witnesses: cand[i][b, o] = I_i(n_b) + offs_i[o], kept where keep[i][b, o]
-        cand, keep, band = [], [], []
-        for i, (coord, din, dout, offs) in enumerate(coords):
-            I, f = coord.floor_residue(ns)
-            cand.append(I[:, None] + offs[None, :])
-            win = np.empty((len(ns), len(offs)), dtype=bool)
-            inn = np.empty_like(win)
-            for o, off in enumerate(offs.tolist()):
-                if off <= 0:  # distance f - off*2^scale
-                    win[:, o] = _words_le(f, dout + off * one, len(f))
-                    inn[:, o] = _words_le(f, din + off * one, len(f))
-                else:  # distance off*2^scale - f
-                    win[:, o] = ~_words_le(f, off * one - dout - 1, len(f))
-                    inn[:, o] = ~_words_le(f, off * one - din - 1, len(f))
-            keep.append(inn)
-            band.extend((b, i, o) for b, o in zip(*np.nonzero(win & ~inn)))
-        # the exact band in the order the witnesses are needed; members before
-        # one whose witness cannot be decided are still checked first
-        err = None
-        try:
-            for b, i, o in sorted(band):
-                keep[i][b, o] = _witness_le(spec, int(ns[b]), i, int(cand[i][b, o]))
-        except PrecisionExhausted as e:
-            err, ns = e, ns[:b]
-            keep = [x[:b] for x in keep]
+    def coeffs(v):
+        return tuple(d * sum(x * a for x, a in zip(v, col)) for col in cols)
 
-        grid = keep[0]
-        for x in keep[1:]:
-            grid = (grid[:, :, None] & x[:, None, :]).reshape(len(grid), grid.shape[1] * x.shape[1])
-        mem, combo = np.nonzero(grid)
-        picks = np.unravel_index(combo, shape)
-        cols = [ns[mem]] + [c[mem, p] for c, p in zip(cand, picks)]
-        if len(mem):
-            bound = sum(int(np.abs(c).max()) * m for c, m in zip(cols, adj_max))
-            dt = np.int64 if bound < 1 << 62 else object
-            pts = np.stack(cols, axis=1).astype(dt)
-            coeffs = d * (pts @ np.array(adj, dtype=dt))
-            lim = np.array([min(L, bound) for L in lengths], dtype=dt)  # |coeff| <= bound
-            bad = np.flatnonzero((np.abs(coeffs) > lim).any(axis=1))
-            need = 17 - len(failures)
-            hit = checked + int(bad[need - 1]) + 1 if len(bad) >= need else None
-            if (checked + len(pts) if hit is None else hit) > budget:
-                raise BudgetExceeded(f"more than {budget} lifts to verify")
-            for f in bad[:need].tolist():
-                pt = tuple(int(x) for x in pts[f])
-                failures.append((pt[0], pt, tuple(int(x) for x in coeffs[f])))
-            if hit:
-                return hit, failures
-            checked += len(pts)
-        if err is not None:
-            raise err
+    j = next(i for i, c in enumerate(b) if c)
+
+    def run(s, r, xa, xb):  # s*(x*b + r) for x in xa..xb, in lexicographic order
+        for x in range(xa, xb + 1) if s * b[j] > 0 else range(xb, xa - 1, -1):
+            yield tuple(s * (x * q + v) for q, v in zip(b, r))
+
+    slopes = coeffs(b)
+    runs = []
+    for r, lo, hi in lines:
+        cut = line_cut(lo, hi, zip(slopes, coeffs(r), lengths))
+        ends = [(lo, hi)] if cut is None else [(lo, cut[0] - 1), (cut[1] + 1, hi)]
+        runs.extend(run(s, r, xa, xb) for xa, xb in ends if xa <= xb for s in (1, -1))
+    failures = [(p[0], p, coeffs(p)) for p in islice(heapq.merge(*runs), 17)]
+    checked = _lex_position(b, j, lines, failures[-1][1]) if len(failures) == 17 else count
+    if checked > budget:
+        raise BudgetExceeded(f"more than {budget} lifts to verify")
     return checked, failures
+
+
+def _bohr_count(spec: BohrSpec) -> int:
+    """#B^0(N; delta) by lattice lines.  A width >= 1/2 rules out no n, so its
+    coordinate is dropped; with every width left below 1/2 each member has
+    exactly one lift, so the lifts count the members (2N + 1 with none left)."""
+    keep = [i for i, dl in enumerate(spec.delta_fractions()) if dl < Q(1, 2)]
+    if not keep:
+        return 2 * spec.N + 1
+    alpha = TargetVector(tuple(spec.alpha.alphas[i] for i in keep))
+    return _lift_lines(BohrSpec(alpha, None, spec.N, tuple(spec.delta[i] for i in keep), spec.epsilon))[2]
 
 
 def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
@@ -450,6 +449,8 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     Every lift of every member must decompose over the basis with |n_i| <= N_i.
     The default coefficient constant is the certified Cramer bound for this
     instance, which makes containment provable; pass c_k to override.
+    The lifts are counted and checked by lattice lines, so N may pass 2^31;
+    budget bounds the lifts checked, in member-then-witness order.
     """
     if not spec.is_homogeneous():
         raise ValidationError("outer structure is stated for the homogeneous set")
@@ -492,9 +493,13 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
         trace=trace,
     )
 
-    bset = enumerate_bohr(spec, "symmetric")
-    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, bset.members, budget)
-    containment = not failures
+    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, budget)
+    if failures:
+        raise ConstructionError(
+            f"{len(failures)}+ lifted members escape the coefficient box"
+        )
+    # with every width below 1/2 each member has one lift; else count again
+    card = checked_lifts if all(dl < Q(1, 2) for dl in deltas) else _bohr_count(spec)
     box = gap.box_size()
     dprod = Q(1)
     for d in deltas:
@@ -502,20 +507,14 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     realized = Q(box) / (dprod * N)
     gap.checks = {
         "hypothesis_delta_lower": hyp_lower,
-        "containment": containment,
-        "containment_failures": [
-            {"n": f[0], "lift": list(f[1]), "coeffs": list(f[2])} for f in failures[:4]
-        ],
+        "containment": True,
+        "containment_failures": [],
         "checked_lifts": checked_lifts,
-        "bohr_cardinality": bset.cardinality,
+        "bohr_cardinality": card,
         "box_size": box,
         "realized_constant": float(realized),
         "c_k": float(c_k),
     }
-    if not containment:
-        raise ConstructionError(
-            f"{len(failures)}+ lifted members escape the coefficient box"
-        )
     trace.append(f"verified: {checked_lifts} lifts decompose inside the box")
     return gap
 

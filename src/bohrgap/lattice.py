@@ -185,6 +185,23 @@ def lll_gram(gram) -> tuple[list[list[int]], list[int], list[list[int]]]:
     return h, d, lam
 
 
+def line_cut(lo: int, hi: int, forms):
+    """(lo, hi) narrowed to the x with |s*x + c| <= lim for every (s, c, lim)
+    in forms, by integer division; None when no x is left."""
+    for s, c, lim in forms:
+        if s < 0:
+            s, c = -s, -c
+        if s == 0:
+            if abs(c) > lim:
+                return None
+            continue
+        lo = max(lo, -((lim + c) // s))
+        hi = min(hi, (lim - c) // s)
+        if lo > hi:
+            return None
+    return lo, hi
+
+
 def spender(budget: int, message: str):
     """A spend() for walk() that raises BudgetExceeded(message) on the
     (budget+1)-th call."""
@@ -240,11 +257,15 @@ class ReducedLattice:
         d, lam, w, den, basis = self.d, self.lam, self.weight, self.den, self.basis
         x = [0] * n
 
+        radius = [None, 0, w]  # the last limit(), den*num and each w[l]*lden
+
         def reach(l, s):
             """Largest |y_l| that keeps the partial sum s inside, or -1."""
-            num, lden = limit()
-            rem = den * num - s * lden
-            return math.isqrt(rem // (w[l] * lden)) if rem >= 0 else -1
+            num, lden = lim = limit()
+            if lim != radius[0]:
+                radius[:] = lim, den * num, [wl * lden for wl in w]
+            rem = radius[1] - s * lden
+            return math.isqrt(rem // radius[2][l]) if rem >= 0 else -1
 
         def level(l, s, r, top):
             c = sum(lam[j][l] * x[j] for j in range(l + 1, n))
@@ -260,9 +281,10 @@ class ReducedLattice:
                 return
             up = 0 if top else (dl - 2 * c) // (2 * dl)  # nearest to -c/dl
             down = None if top else up - 1
-            bl = basis[l]
+            bl, lim = basis[l], None
             while True:
-                t = reach(l, s)
+                if limit() != lim:  # a leaf may have tightened the radius
+                    lim, t = limit(), reach(l, s)
                 yu = abs(dl * up + c)
                 yd = abs(dl * down + c) if down is not None else t + 1
                 if yu <= t and (yd > t or yu <= yd):

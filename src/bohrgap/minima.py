@@ -8,7 +8,8 @@ are certified by exact enumeration: integral LLL reduces Z^k under the sum of
 squares of the integer forms behind the gauge keys, the sup-norm gauge ball
 sits inside an ellipsoid of that form, and one depth-first Schnorr-Euchner
 walk per pick visits every line x*b_0 + r of the ellipsoid, settling each
-line's minimum in closed form.  Nothing rests on floating point.
+line's minimum in closed form.  With a fixed radius the same walk gives a
+gauge ball as lines with exact ends (ball_lines).  Nothing rests on floats.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import TargetVector
-from .lattice import ReducedLattice, det, echelon, extendable, independent, spender
+from .lattice import ReducedLattice, det, echelon, extendable, independent, line_cut, spender
 from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
 
 Q = Fraction
@@ -336,25 +337,11 @@ class _Reduced:
 
         A form with slack e can exceed bound by at most e*|v_1| <=
         e*bound/w0 at such x, so |l(b)*x + l(r)| <= bound + ceil(e*bound/w0)
-        is necessary; each form cuts an interval, found by integer division.
-        None when the interval is empty.
+        is necessary; each form cuts an interval (line_cut).  None when the
+        interval is empty.
         """
-        for t, slope, row, e in self.rows:
-            if t not in terms:
-                continue
-            lim = bound - (-e * bound // self.w0)
-            c = sum(a * v for a, v in zip(row, r))
-            if slope < 0:
-                slope, c = -slope, -c
-            if slope == 0:
-                if abs(c) > lim:
-                    return None
-                continue
-            lo = max(lo, -((lim + c) // slope))
-            hi = min(hi, (lim - c) // slope)
-            if lo > hi:
-                return None
-        return lo, hi
+        return line_cut(lo, hi, ((slope, sum(a * v for a, v in zip(row, r)), bound - (-e * bound // self.w0))
+                                 for t, slope, row, e in self.rows if t in terms))
 
     def vertex(self, r) -> Optional[int]:
         """floor of the real minimiser of max |l(b)*x + l(r)| over the varying
@@ -612,36 +599,53 @@ def _smallest(body: ConvexBody, ech, accepts, bound: int, spend) -> GaugeVal:
     return best
 
 
-def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10**6) -> list[GaugeVal]:
-    """All canonical-sign nonzero v with m(v) <= bound, certified per vector.
+def ball_lines(body: ConvexBody, bound: Fraction, spend) -> list[tuple[tuple[int, ...], int, int]]:
+    """The nonzero v with m(v) <= bound, up to sign, as lines of the walk:
+    (r, lo, hi) with v = x*b + r exactly for x in lo..hi, b = body.reduced.b.
 
-    Canonical sign: first nonzero coordinate positive (m(-v) = m(v)).  The
-    walk of successive_minima with a fixed radius: each line of the
-    ellipsoid around the ball is scanned where no form rules the bound out,
-    each vector's gauge is evaluated once at depth 0, and only an undecided
-    comparison with the bound escalates.  budget caps the visited nodes and
-    scanned vectors.
+    The walk of successive_minima with a fixed radius covers half the
+    lattice, so each such v lies on one line, once in v or -v.  m is convex,
+    so on a line these x form one interval; section bounds it from outside,
+    and each end steps inward while the depth-0 key rules the point out,
+    escalating only an undecided key.  spend() is called per walk node.
     """
-    out = []
-    red = body.reduced
-    frame = body.frame()
-    bnd = frame.bound_key(bound)
-    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
-    b = red.b
+    red, frame = body.reduced, body.frame()
+    bnd, b, lines = frame.bound_key(bound), red.b, []
+
+    def inside(r, x) -> bool:
+        vec = tuple(x * p + q for p, q in zip(b, r))
+        ok = _key_le(frame.key(vec), bnd)
+        return _gauge_le(body, vec, bound) if ok is UNDECIDED else ok
 
     def leaf(r, lo, hi):
         cut = red.section(r, red.all, bnd, lo, hi)
-        for x in range(cut[0], cut[1] + 1) if cut else ():
-            spend()
-            vec = _canon(tuple(x * p + q for p, q in zip(b, r)))
-            g = frame.key(vec)
-            ok = _key_le(g, bnd)
-            if ok is UNDECIDED:
-                ok = _gauge_le(body, vec, bound)
-            if ok:
-                out.append(g)
+        if cut is None:
+            return
+        lo, hi = cut
+        while lo <= hi and not inside(r, lo):
+            lo += 1
+        while hi > lo and not inside(r, hi):
+            hi -= 1
+        if lo <= hi:
+            lines.append((r, lo, hi))
 
-    red.lattice.walk(lambda: red.limit(bnd), leaf, spend)
+    limit = red.limit(bnd)
+    red.lattice.walk(lambda: limit, leaf, spend)
+    return lines
+
+
+def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10**6) -> list[GaugeVal]:
+    """All canonical-sign nonzero v with m(v) <= bound (first nonzero
+    coordinate positive, since m(-v) = m(v)): the lines of ball_lines,
+    keyed per vector.  budget caps the walk nodes and the vectors together.
+    """
+    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
+    key, b = body.frame().key, body.reduced.b
+    out = []
+    for r, lo, hi in ball_lines(body, bound, spend):
+        for x in range(lo, hi + 1):
+            spend()
+            out.append(key(_canon(tuple(x * p + q for p, q in zip(b, r)))))
     return out
 
 

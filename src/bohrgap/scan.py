@@ -9,10 +9,8 @@ into a definite-in bound, a definite-out bound, and a borderline band that is
 re-decided exactly per element (escalating the scale through the constructor).
 Exactly rational alpha and gamma against a rational threshold skip the limb
 kernel and the band: the residue (n*p - r) mod q, one int64 vector per
-block, decides every n exactly, ties included.  The same limb kernel gives
-floor(n*man / 2^scale) and its residue exactly, which the outer lift check
-uses to place its candidate witnesses.  Every range scan walks the blocks of
-``blocks``; float consumers send each float distance in
+block, decides every n exactly, ties included.  Every range scan walks the
+blocks of ``blocks``; float consumers send each float distance in
 ``CoordScan.zero_band`` through ``dist_float``, which tells a true zero from
 a certified positive value.
 """
@@ -56,34 +54,18 @@ def blocks(lo: int, hi: int):
         yield np.arange(start, min(start + BLOCK, hi + 1), dtype=np.uint64)
 
 
-def _limb_mul(ns: np.ndarray, a: Sequence, g: Optional[Sequence] = None):
-    """(r, carry) with n*A + G = carry*2^scale + r, for uint64 ns < 2^31.
+def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence) -> list[np.ndarray]:
+    """(n*A + G) mod 2^scale as little-endian uint64 words, for uint64 ns < 2^31.
 
-    A and G are scale-bit integers given as 32-bit limbs (G may be omitted);
-    r comes back as little-endian uint64 words and carry as uint64.
+    A and G are scale-bit integers given as 32-bit limbs.
     """
     carry = np.zeros(len(ns), dtype=np.uint64)
     limbs = []
     for j, aj in enumerate(a):
-        t = ns * aj + carry
-        if g is not None:
-            t += g[j]
+        t = ns * aj + carry + g[j]
         limbs.append(t & _M32)
         carry = t >> _SH32
-    return [limbs[2 * w] | (limbs[2 * w + 1] << _SH32) for w in range(len(limbs) // 2)], carry
-
-
-def _neg_words(words: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """(2^(64*len(words)) - r) mod 2^(64*len(words)) word by word.
-
-    ~w + 1 wraps only for w = 0, so the +1 moves up through the zero low words.
-    """
-    out = []
-    low_zero = np.ones(len(words[0]), dtype=bool)
-    for w in words:
-        out.append(~w + low_zero)
-        low_zero &= w == 0
-    return out
+    return [limbs[2 * w] | (limbs[2 * w + 1] << _SH32) for w in range(len(limbs) // 2)]
 
 
 class CoordScan:
@@ -134,27 +116,16 @@ class CoordScan:
 
         ns must be uint64 with all entries < 2^31.
         """
-        r, _ = _limb_mul(ns, self._a, self._g)
-        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r)
+        r = _limb_mul(ns, self._a, self._g)
+        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r), negating
+        # word by word: ~w + 1 wraps only for w = 0, so the +1 moves up
+        # through the zero low words
         top_is_high = r[-1] >= np.uint64(1 << 63)
-        return [np.where(top_is_high, c, w) for c, w in zip(_neg_words(r), r)]
-
-    def floor_residue(self, ns: np.ndarray):
-        """(I, f) with n*man = I*2^scale + f and 0 <= f < 2^scale, exactly.
-
-        man is alpha's mantissa; gamma plays no part.  ns is int64 with
-        |n| < 2^31.  I is int64 (object when alpha's integer part reaches
-        2^31) and f little-endian uint64 words.  The limb kernel gives the
-        floor and residue of |n|*frac; a negative n with f != 0 takes
-        I -> -I - 1 and f -> 2^scale - f.
-        """
-        neg = ns < 0
-        r, carry = _limb_mul(np.abs(ns).astype(np.uint64), self._a)
-        flip = neg & np.logical_or.reduce([w != 0 for w in r])
-        f = [np.where(flip, c, w) for c, w in zip(_neg_words(r), r)]
-        frac_floor = np.where(neg, -carry.astype(np.int64) - flip, carry.astype(np.int64))
-        base = ns * self._int if abs(self._int) < 1 << 31 else ns.astype(object) * self._int
-        return base + frac_floor, f
+        out, low_zero = [], np.ones(len(ns), dtype=bool)
+        for w in r:
+            out.append(np.where(top_is_high, ~w + low_zero, w))
+            low_zero &= w == 0
+        return out
 
     def dist_floats(self, ns: np.ndarray) -> np.ndarray:
         """float64 distances; relative error <= 2^-52 plus E(n)*2^-scale absolute."""

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from bohrgap import bohr
+from bohrgap import minima as minima_mod
 from bohrgap.bohr import BohrSpec, enumerate_bohr
 from bohrgap.errors import (
     BudgetExceeded,
+    ConstructionError,
     LengthUnderflow,
     PrecisionExhausted,
     SmallDirichletWitness,
@@ -26,10 +28,12 @@ from bohrgap.errors import (
 )
 from bohrgap.gap import (
     GAP,
+    _bohr_count,
     _cramer_constant,
     _dirichlet_tspec,
     _floor_over_gauge,
     _lift_coeff_check,
+    _lift_lines,
     cardinality_ratio,
     decompose,
     gap_elements,
@@ -39,7 +43,7 @@ from bohrgap.gap import (
 )
 from bohrgap.lattice import adjugate, det
 from bohrgap.minima import build_body, successive_minima
-from bohrgap.realfield import RealSpec
+from bohrgap.realfield import UNDECIDED, RealSpec
 from bohrgap.scan import CoordScan
 
 
@@ -360,6 +364,19 @@ def test_outer_explicit_constant_honored():
     assert g.checks["c_k"] == 40.0
 
 
+def test_outer_undersized_constant_fails_within_the_lift_budget():
+    # half the Cramer constant: the first 17 lifts in (n, witness) order all
+    # fail, so a budget of 17 reaches the ConstructionError although the walk
+    # visits 90 nodes, and the width >= 1/2 leaves no second count to run
+    spec = BohrSpec.build(["sqrt:2"], None, 2000, ["0.7"], "0.05")
+    body = build_body(spec)
+    c_k = _cramer_constant(body, successive_minima(body)) / 2
+    with pytest.raises(ConstructionError, match=r"^17\+ lifted members escape"):
+        outer_gap(spec, c_k=c_k, budget=17)
+    with pytest.raises(BudgetExceeded, match="more than 16 lifts to verify"):
+        outer_gap(spec, c_k=c_k, budget=16)
+
+
 # -- cardinality corollary ----------------------------------------------------
 
 
@@ -507,7 +524,7 @@ def _outcome(check, *args):
 
 def _same_as_loop(spec, minima, lengths, members, budget=10**8):
     want = _outcome(loop_lift_check, spec, minima, lengths, members, budget)
-    got = _outcome(_lift_coeff_check, spec, minima, lengths, members, budget)
+    got = _outcome(_lift_coeff_check, spec, minima, lengths, budget)
     assert got == want
     if isinstance(got[0], int):
         for n, pt, coeffs in got[1]:
@@ -529,6 +546,12 @@ def _cramer_lengths(spec):
     (["sqrt:2", "sqrt:3"], 3000, ["0.3", "0.6"]),
     (["sqrt:2", "sqrt:3"], 1000, ["1.1", "0.4"]),
     (["sqrt:29", "rat:-7/3"], 1000, ["0.4", "0.7"]),  # integer parts 5 and -3
+    # the degenerate grid: width 1/q puts every n = +-p^-1 (mod q) on an
+    # exact boundary tie
+    (["rat:1/3"], 1000, ["1/3"]),
+    (["rat:2/5"], 1000, ["1/5"]),
+    (["rat:3/7"], 2000, ["1/7"]),
+    (["sqrt:5", "rat:2/7"], 2000, ["0.45", "0.55"]),  # k = 3, either side of 1/2
 ])
 def test_lift_check_matches_loop(alphas, N, deltas):
     spec = BohrSpec.build(alphas, None, N, deltas)
@@ -537,6 +560,10 @@ def test_lift_check_matches_loop(alphas, N, deltas):
     assert members.min() < 0
     checked, failures = _same_as_loop(spec, minima, lengths, members)
     assert failures == [] and checked >= len(members)
+    # #B^0 from lattice lines, with every width >= 1/2 dropped
+    assert _bohr_count(spec) == len(members)
+    if all(d < Q(1, 2) for d in spec.delta_fractions()):
+        assert checked == len(members)
     # the budget runs out on the last lift, or just suffices
     assert _same_as_loop(spec, minima, lengths, members, checked - 1)[0] == "BudgetExceeded"
     _same_as_loop(spec, minima, lengths, members, checked)
@@ -551,59 +578,87 @@ def test_lift_check_matches_loop(alphas, N, deltas):
 
 
 def _tie_case():
-    # ||n/3|| = 1/3 exactly for n = +-1 mod 3: each such witness sits in the
-    # band around the width.  Members go by |n|, so with |a| <= 50 the first
-    # failure comes after the first block of members.
+    # ||n/3|| = 1/3 exactly for n = +-1 mod 3, so every |n| <= 600 is a
+    # member and two thirds of the lifts sit on the boundary
     spec = BohrSpec.build(["rat:1/3"], None, 600, ["1/3"])
     minima = successive_minima(build_body(spec))
     assert minima.basis == [(3, 1), (1, 0)]  # coefficients (a, n - 3a)
-    members = sorted(enumerate_bohr(spec, "symmetric").members.tolist(), key=lambda n: (abs(n), n))
-    return spec, minima, members
+    return spec, minima, enumerate_bohr(spec, "symmetric").members
 
 
-def test_lift_check_ties_reach_the_exact_path(monkeypatch):
+def test_lift_check_ties_reach_the_exact_path():
     spec, minima, members = _tie_case()
-    calls = []
-
-    def counted(spec, n, i, a):
-        calls.append(n)
-        return bohr._witness_le(spec, n, i, a)
-
-    monkeypatch.setattr("bohrgap.gap._witness_le", counted)
+    assert len(members) == 1201
     checked, failures = _same_as_loop(spec, minima, [600, 600], members)
-    assert failures == [] and checked == len(members)
-    assert len(calls) >= 2 * len(members) // 3
+    assert failures == [] and checked == 1201
+    # every line ends on a tie (|n| = N or |n/3 - a| = 1/3, both m = 10),
+    # decided by an exact key, and the next point out is outside; the line
+    # through 0 starts at x = 1 by the walk's choice of sign
+    key = build_body(spec).frame().key
+    b, lines, _ = _lift_lines(spec)
+    for r, lo, hi in lines:
+        for x, out in ((lo, lo - 1), (hi, hi + 1))[0 if any(r) else 1:]:
+            m_end, m_out = (key(tuple(y * p + q for p, q in zip(b, r))).exact for y in (x, out))
+            assert m_end == 10 < m_out
     stop, failures = _same_as_loop(spec, minima, [50, 1], members)
-    assert len(failures) == 17 and stop > 64
+    assert len(failures) == 17
+    assert [f[0] for f in failures] == sorted(f[0] for f in failures)
     _same_as_loop(spec, minima, [50, 1], members, stop - 1)
 
 
-def test_lift_check_undecidable_witness_only_if_reached(monkeypatch):
+def test_lift_check_undecided_keys_take_the_certified_fallback(monkeypatch):
+    # with every depth-0 key left open, each line end goes to _gauge_le
+    # (replaced here by exact rational arithmetic); an end that no depth
+    # decides raises, whether or not the check would reach it
     spec, minima, members = _tie_case()
-    stop, failures = loop_lift_check(spec, minima, [50, 1], members, 10**8)
-    after = members[members.index(failures[-1][0]) + 1]
-    assert after % 3 and members[10] % 3  # both have a witness in the band
-    orig = bohr._witness_le
-    for bad_n, want in ((after, 17), (members[10], "PrecisionExhausted")):
+    want = loop_lift_check(spec, minima, [50, 1], members, 10**8)
+    c = build_body(spec).c
+    calls = []
 
-        def flaky(spec, n, i, a, bad_n=bad_n):
-            if n == bad_n:
-                raise PrecisionExhausted(f"witness boundary undecidable at n={n}")
-            return orig(spec, n, i, a)
+    def exact_le(body, vec, bound):
+        calls.append(vec)
+        return max(abs(Q(vec[0])) / c[0], abs(Q(vec[0], 3) - vec[1]) / c[1]) <= bound
 
-        monkeypatch.setattr("bohrgap.bohr._witness_le", flaky)
-        monkeypatch.setattr("bohrgap.gap._witness_le", flaky)
-        got = _same_as_loop(spec, minima, [50, 1], members)
-        assert (len(got[1]) if want == 17 else got[0]) == want
+    monkeypatch.setattr(minima_mod, "_key_le", lambda m, bnd: UNDECIDED)
+    monkeypatch.setattr(minima_mod, "_gauge_le", exact_le)
+    assert _lift_coeff_check(spec, minima, [50, 1], 10**8) == want
+    assert len(calls) >= 2 * len(_lift_lines(spec)[1])
+
+    def flaky(body, vec, bound):
+        raise PrecisionExhausted(f"gauge vs bound undecidable at {vec}")
+
+    monkeypatch.setattr(minima_mod, "_gauge_le", flaky)
+    with pytest.raises(PrecisionExhausted):
+        _lift_coeff_check(spec, minima, [50, 1], 10**8)
 
 
 def test_lift_check_exact_ints_over_the_int64_bound():
-    # adjugate entries of 2^40 times |n| near 2^25 pass 2^62, so the
-    # coefficients must be Python ints; the lengths split the members
+    # adjugate entries of 2^40 times |n| near 2^26 pass 2^63, and the
+    # lengths fail every |n| > 2^25 + 100: the 17 failures come first, among
+    # the most negative members, so the loop needs only those
     spec = BohrSpec.build(["sqrt:2"], None, 2**26, ["0.7"])
     minima = SimpleNamespace(basis=[(1, 2**40), (0, 1)])
-    members = [s * (2**25 + j) for j in range(0, 200, 3) for s in (1, -1)]
+    members = [n for n in range(-(2**26), -(2**26) + 40) if bohr.is_member(spec, n)]
     lengths = [2**26, 2**40 * (2**25 + 100)]
     checked, failures = _same_as_loop(spec, minima, lengths, members)
     assert len(failures) == 17 and max(abs(c[1]) for *_, c in failures) > 2**63
     _same_as_loop(spec, minima, lengths, members, checked - 1)
+
+
+# -- past the 31-bit scan limit -------------------------------------------------
+
+
+def test_lift_count_past_the_scan_limit_matches_the_closed_form():
+    # ||n/7|| <= 1/7 iff n mod 7 is 0, 1 or 6, with one witness each
+    N = 10**12
+    spec = BohrSpec.build(["rat:1/7"], None, N, ["1/7"])
+    full, rest = divmod(N, 7)
+    positive = 3 * full + sum(1 for m in range(1, rest + 1) if m % 7 in (0, 1, 6))
+    assert _lift_lines(spec)[2] == 2 * positive + 1 == 857_142_857_145
+
+
+def test_outer_gap_past_the_scan_limit():
+    spec = BohrSpec.build(["sqrt:2"], None, 10**12, ["0.0001"])
+    g = outer_gap(spec, budget=10**9)
+    assert g.checks["containment"] is True
+    assert g.checks["checked_lifts"] == g.checks["bohr_cardinality"] == 399_999_999

@@ -56,18 +56,6 @@ def test_dist_words_match_bigint(alpha_spec, gamma_text):
     assert got == want
 
 
-@pytest.mark.parametrize("scale", [64, 128, 192, 256])
-@pytest.mark.parametrize("alpha_spec", ["sqrt:29", "rat:-7/3", "dec:0.7312", "dec:-2.5"])
-def test_floor_residue_matches_divmod(alpha_spec, scale):
-    a = RealSpec.parse(alpha_spec).realize(scale)
-    rng = random.Random(scale)
-    top = (1 << 31) - 1
-    ns = [0, 1, -1, top, -top] + [rng.randrange(-top, top + 1) for _ in range(500)]
-    floor, res = CoordScan(a).floor_residue(np.array(ns, dtype=np.int64))
-    got = [(int(floor[i]), sum(int(w[i]) << (64 * j) for j, w in enumerate(res))) for i in range(len(ns))]
-    assert got == [divmod(n * a.man, 1 << scale) for n in ns]
-
-
 def test_scan_limit_raises_before_the_first_block():
     a = RealSpec.parse("sqrt:2").realize(128)
     c = CoordScan(a)
