@@ -99,17 +99,18 @@ class GAP:
 
 
 def _floor_over_gauge(body, g: GaugeVal, num: Fraction, what: str) -> int:
-    """floor(num/m) with certified agreement of both interval ends."""
+    """floor(num/m) (toward zero for num < 0) with certified agreement of
+    both interval ends, by integer division: num/m = n*D/(d*key)."""
+    sign, n, d = (1 if num >= 0 else -1), abs(num.numerator), num.denominator
 
     def step(extra):
         cur = gauge_interval(body, g.vec, extra) if extra else g
-        if cur.exact is not None:
-            return int(num / cur.exact)
-        if cur.lo > 0:
-            f_lo = int(num / cur.hi)
-            f_hi = int(num / cur.lo)
-            if f_lo == f_hi:
-                return f_lo
+        if cur.kex is not None:
+            return sign * (n * cur.den // (d * cur.kex))
+        if cur.klo > 0:
+            f_lo = n * cur.den // (d * cur.khi)
+            if f_lo == n * cur.den // (d * cur.klo):
+                return sign * f_lo
         return UNDECIDED
 
     return certify(step, "{} undecidable at {}", what, g.vec)

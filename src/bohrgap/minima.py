@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exponents import TargetVector
 from .lattice import ReducedLattice, det, echelon, extendable, independent, line_cut, spender
-from .realfield import UNDECIDED, FixedReal, certify, fr_root_rational
+from .realfield import UNDECIDED, FixedReal, _round_half_even, certify, fr_root_rational
 
 Q = Fraction
 
@@ -56,6 +56,12 @@ class ConvexBody:
         return fr_root_rational(self.lam_pow_k, self.k, self.alpha.scale)
 
     @cached_property
+    def lam_ends(self) -> tuple[int, int]:
+        """lambda's integer ends man -+ err over 2^scale, computed once per body."""
+        lam = self.lam()
+        return lam.man - int(lam.err), lam.man + int(lam.err)
+
+    @cached_property
     def _frames(self) -> dict:
         return {}
 
@@ -71,23 +77,29 @@ class ConvexBody:
         """The integral-LLL basis under the depth-0 forms, built once."""
         return _Reduced(self)
 
+    @property
+    def c_prod(self) -> tuple[int, int]:
+        """prod(c_i) as an unreduced fraction (num, den)."""
+        return math.prod(ci.numerator for ci in self.c), math.prod(ci.denominator for ci in self.c)
+
+    def _vol_s_terms(self) -> tuple[int, int]:
+        """vol_s() as an unreduced fraction (num, den)."""
+        cn, cd = self.c_prod
+        return (cn * self.lam_pow_k.denominator) << self.k, cd * self.lam_pow_k.numerator
+
     def vol_s(self) -> Fraction:
         """vol(S) = 2^k * prod(c_i) / lambda^k; equals 5^-k for spec-built bodies."""
-        v = Q(2) ** self.k
-        for ci in self.c:
-            v *= ci
-        return v / self.lam_pow_k
+        return Q(*self._vol_s_terms())
 
 
 def build_body(spec) -> ConvexBody:
     """Body for B^0(N; delta)'s lift: c_0 = N/10, c_i = delta_i/10."""
     deltas = spec.delta_fractions()
     c = (Q(spec.N, 10),) + tuple(d / 10 for d in deltas)
-    lam_pow_k = Q(spec.N)
-    for d in deltas:
-        lam_pow_k *= d
+    lam_pow_k = Q(spec.N * math.prod(d.numerator for d in deltas), math.prod(d.denominator for d in deltas))
     body = ConvexBody(spec.alpha, c, lam_pow_k)
-    if body.vol_s() != Q(1, 5**body.k):
+    num, den = body._vol_s_terms()
+    if num * 5**body.k != den:
         raise ConstructionError("volume identity violated")  # unreachable by algebra
     return body
 
@@ -224,19 +236,20 @@ def gauge_interval(body: ConvexBody, vec, extra: int = 0) -> GaugeVal:
     return body.frame(extra).key(tuple(int(x) for x in vec))
 
 
-def _mid_fixed(scale: int, lo: Fraction, hi: Fraction) -> FixedReal:
-    man = round((lo + hi) / 2 * (1 << scale))
-    err = (hi - lo) / 2 * (1 << scale) + 1
-    return FixedReal(man, scale, err, None)
+def _scaled_fixed(body: ConvexBody, m: GaugeVal) -> FixedReal:
+    """lambda * m(v) from the integer ends: [llo*klo, lhi*khi]/(D*2^s) gives
+    the mantissa its midpoint rounded half-even and err its half-width
+    plus one ulp."""
+    llo, lhi = body.lam_ends
+    a, b, den = llo * m.klo, lhi * m.khi, 2 * m.den
+    return FixedReal(_round_half_even(a + b, den), body.alpha.scale, Q(b - a + den, den), None)
 
 
 def gauge(body: ConvexBody, vec) -> FixedReal:
     """g_S(v) = lambda * m(v) as a FixedReal with certified error bounds."""
     if all(int(x) == 0 for x in vec):
         raise ValidationError("gauge of the zero vector")
-    m = gauge_interval(body, vec)
-    llo, lhi = body.lam().bounds()
-    return _mid_fixed(body.alpha.scale, llo * m.lo, lhi * m.hi)
+    return _scaled_fixed(body, gauge_interval(body, vec))
 
 
 def _key_le(m: GaugeVal, bnd: int):
@@ -262,12 +275,11 @@ def _gauge_le(body: ConvexBody, vec, bound: Fraction) -> bool:
 
 def _key_cmp(frame_u, frame_v, u: GaugeVal, v: GaugeVal) -> int:
     """Certified sign of key(u) - key(v), re-keyed under frame_u(extra) and
-    frame_v(extra) while open; exact ties (two point brackets) return 0."""
+    frame_v(extra) while open; exact ties (two point brackets) return 0.
+    The keys in hand settle it without certify unless their brackets overlap."""
 
     def step(extra):
-        a, b = u, v
-        if extra:
-            a, b = frame_u(extra).key(u.vec), frame_v(extra).key(v.vec)
+        a, b = (frame_u(extra).key(u.vec), frame_v(extra).key(v.vec)) if extra else (u, v)
         if a.klo == a.khi and b.klo == b.khi:
             return (a.klo > b.klo) - (a.klo < b.klo)
         if a.khi < b.klo:
@@ -276,7 +288,8 @@ def _key_cmp(frame_u, frame_v, u: GaugeVal, v: GaugeVal) -> int:
             return 1
         return UNDECIDED
 
-    return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec)
+    c = step(0)
+    return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec) if c is UNDECIDED else c
 
 
 def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
@@ -324,6 +337,7 @@ class _Reduced:
         self.vary = self.all - self.const
         self.body = body
         self._parts: dict = {}
+        self._cuts: dict = {}
         # per form: (term, slope l(b), form, slack), in the order of forms()
         terms = [0] + [t[0] for t in f.exact_terms] + [t[0] for t in f.fixed_terms]
         self.w0 = f.w0
@@ -338,10 +352,15 @@ class _Reduced:
         A form with slack e can exceed bound by at most e*|v_1| <=
         e*bound/w0 at such x, so |l(b)*x + l(r)| <= bound + ceil(e*bound/w0)
         is necessary; each form cuts an interval (line_cut).  None when the
-        interval is empty.
+        interval is empty.  The (slope, form, limit) of terms are built once
+        per (terms, bound), so a line only forms l(r).
         """
-        return line_cut(lo, hi, ((slope, sum(a * v for a, v in zip(row, r)), bound - (-e * bound // self.w0))
-                                 for t, slope, row, e in self.rows if t in terms))
+        cuts = self._cuts.get((terms, bound))
+        if cuts is None:
+            cuts = self._cuts[terms, bound] = [
+                (slope, row, bound - (-e * bound // self.w0)) for t, slope, row, e in self.rows if t in terms
+            ]
+        return line_cut(lo, hi, ((slope, sum(a * v for a, v in zip(row, r)), lim) for slope, row, lim in cuts))
 
     def vertex(self, r) -> Optional[int]:
         """floor of the real minimiser of max |l(b)*x + l(r)| over the varying
@@ -673,34 +692,25 @@ class MinimaResult:
         }
 
 
-def _scaled_fixed(body: ConvexBody, m: GaugeVal) -> FixedReal:
-    llo, lhi = body.lam().bounds()
-    return _mid_fixed(body.alpha.scale, llo * m.lo, lhi * m.hi)
-
-
 def _band_check(body: ConvexBody, minima_m: list[GaugeVal]) -> None:
-    """2^k/k! <= prod(lambda_i) * vol(S) <= 2^k, certified."""
-    k = body.k
-    lo_band = Q(2**k, math.factorial(k))
-    hi_band = Q(2**k)
-    vol = body.vol_s() * body.lam_pow_k  # lambda^k * vol(S), exact
+    """2^k/k! <= prod(lambda_i) * vol(S) = 2^k * prod(c_i) * prod(m_i) <= 2^k,
+    certified on integers: with prod(c_i) = vn/vd and m_i = key_i/D_i,
+    vn * prod(key_i) is compared with unit = vd * prod(D_i) and unit/k!."""
+    vn, vd = body.c_prod
+    fact = math.factorial(body.k)
 
     def step(extra):
         cur = minima_m if extra == 0 else [gauge_interval(body, g.vec, extra) for g in minima_m]
-        if all(g.exact is not None for g in cur):
-            prod = Q(1)
-            for g in cur:
-                prod *= g.exact
-            if lo_band <= prod * vol <= hi_band:
+        unit = vd * math.prod(g.den for g in cur)
+        if all(g.kex is not None for g in cur):
+            p = vn * math.prod(g.kex for g in cur)
+            if unit <= fact * p and p <= unit:
                 return True
             raise MinimaDegenerate("successive minima outside the Minkowski band")
-        plo, phi = Q(1), Q(1)
-        for g in cur:
-            plo *= g.lo
-            phi *= g.hi
-        if plo * vol >= lo_band and phi * vol <= hi_band:
+        plo, phi = vn * math.prod(g.klo for g in cur), vn * math.prod(g.khi for g in cur)
+        if fact * plo >= unit and phi <= unit:
             return True
-        if phi * vol < lo_band or plo * vol > hi_band:
+        if fact * phi < unit or plo > unit:
             raise MinimaDegenerate("successive minima outside the Minkowski band")
         return UNDECIDED
 

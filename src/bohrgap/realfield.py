@@ -249,7 +249,7 @@ def fr_root_rational(q: Fraction, k: int, scale: int = DEFAULT_SCALE) -> FixedRe
     target_num = q.numerator << (k * scale)
     target = target_num // q.denominator
     x = _iroot(target, k)
-    exact = Q(x, 1 << scale) ** k == q
+    exact = x**k * q.denominator == target_num  # (x/2^scale)^k == q
     return FixedReal(x, scale, Q(0) if exact else Q(1), None)
 
 

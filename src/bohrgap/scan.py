@@ -107,7 +107,8 @@ class CoordScan:
 
     def err_int(self, n_max: int) -> int:
         """Integer bound on |true*2^scale - d(n)| for all n <= n_max."""
-        return math.ceil(self._err_a * n_max + self._err_g)
+        a, g = self._err_a, self._err_g
+        return -(-(a.numerator * g.denominator * n_max + g.numerator * a.denominator) // (a.denominator * g.denominator))
 
     # -- block kernels ---------------------------------------------------
 
@@ -258,10 +259,8 @@ class ThresholdSpec:
         """Membership test ||n*alpha - gamma|| <= thr for an exact rational thr."""
         thr = Fraction(thr)
         e = coord.err_int(n_max)
-        t = thr * (1 << coord.scale)
-        t_in = math.floor(t - e)
-        t_out = math.floor(t + e)
-        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr), coord.residue_decider(thr))
+        t = (thr.numerator << coord.scale) // thr.denominator  # floor(thr*2^scale); e is an integer
+        return cls(t - e, t + e, lambda n: coord.dist_le(n, thr), coord.residue_decider(thr))
 
     @classmethod
     def for_fixed(cls, coord: CoordScan, thr, n_max: int) -> "ThresholdSpec":
