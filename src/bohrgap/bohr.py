@@ -10,7 +10,7 @@ ties raise PrecisionExhausted rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -122,8 +122,8 @@ class BohrSpec:
             out.append(ex)
         return tuple(out)
 
-    def scaled(self, N: int, num: int, den: int) -> "BohrSpec":
-        """Homogeneous companion with box N and widths delta*num/den (capped at 1)."""
+    def scaled(self, num: int, den: int) -> "BohrSpec":
+        """This set with widths delta*num/den (capped at 1), the same N and shift."""
         ds = []
         for t in self.delta:
             u = t.mul_int(num).div_int(den)
@@ -131,7 +131,7 @@ class BohrSpec:
             if ex is not None and ex > 1:
                 u = fr_from_int(1, self.scale)
             ds.append(u)
-        return BohrSpec(self.alpha, None, N, tuple(ds), self.epsilon)
+        return BohrSpec(self.alpha, self.gamma, self.N, tuple(ds), self.epsilon)
 
     @classmethod
     def build(
@@ -199,21 +199,12 @@ def enumerate_bohr(spec: BohrSpec, mode: str = "symmetric") -> BohrSet:
     return BohrSet(spec, mode, mem)
 
 
-def _unfolded(spec: BohrSpec, n: int, i: int, extra: int = 0) -> FixedReal:
-    """n*alpha_i - gamma_i before folding, refined by extra bits."""
-    a = spec.alpha.alphas[i]
-    g = spec.gammas()[i]
-    if extra:
-        a = a.refined(a.scale + extra)
-        g = g.refined(g.scale + extra)
-    return a.mul_int(n) - g
-
-
-def _nearest_int(spec: BohrSpec, n: int, i: int) -> int:
-    """The integer nearest to n*alpha_i - gamma_i, decided exactly."""
+def _nearest_int(coord: CoordScan, n: int, i: int) -> int:
+    """The integer nearest to n*alpha_i - gamma_i, decided exactly; coord is
+    coordinate i's scanner."""
 
     def step(extra):
-        th = _unfolded(spec, n, i, extra)
+        th = coord.unfolded(n, extra)
         one = 1 << th.scale
         q, r = divmod(th.man + (one >> 1), one)
         if r > th.err and one - r > th.err:
@@ -236,10 +227,11 @@ def lift_bohr(bset: BohrSet) -> BohrSet:
         hi = t.bounds()[1]
         if (ex is not None and ex >= Q(1, 2)) or (ex is None and hi >= Q(1, 2)):
             raise AmbiguousLift("widths >= 1/2 admit multiple witnesses; use all_lifts")
+    coords = _coord_scans(spec)
     lifted = []
     for n in bset.members:
         n = int(n)
-        lifted.append((n,) + tuple(_nearest_int(spec, n, i) for i in range(spec.d)))
+        lifted.append((n,) + tuple(_nearest_int(c, n, i) for i, c in enumerate(coords)))
     bset.lifted = lifted
     return bset
 
@@ -250,26 +242,26 @@ def all_lifts(spec: BohrSpec, n: int) -> list[tuple[int, ...]]:
     Needed when widths reach 1/2, where two witnesses per coordinate can occur.
     """
     per_coord = []
-    for i in range(spec.d):
-        th = _unfolded(spec, n, i)
-        tlo, thi = th.bounds()
+    for i, coord in enumerate(_coord_scans(spec)):
+        tlo, thi = coord.unfolded(n).bounds()
         dhi = spec.delta[i].bounds()[1]
         lo = math.floor(tlo - dhi)
         hi = math.ceil(thi + dhi)
-        per_coord.append([a for a in range(lo, hi + 1) if _witness_le(spec, n, i, a)])
+        per_coord.append([a for a in range(lo, hi + 1) if _witness_le(spec, n, i, a, coord)])
     if any(not c for c in per_coord):
         return []
     return [(n,) + tail for tail in product(*per_coord)]
 
 
-def _witness_le(spec: BohrSpec, n: int, i: int, a: int) -> bool:
+def _witness_le(spec: BohrSpec, n: int, i: int, a: int, coord: Optional[CoordScan] = None) -> bool:
     """Certified |n*alpha_i - gamma_i - a| <= delta_i, against the exact width
-    when it is rational."""
+    when it is rational; coord is coordinate i's scanner, built if not given."""
+    coord = _coord_scans(spec)[i] if coord is None else coord
     width = spec.delta[i]
     exact = width.exact()
 
     def step(extra):
-        d = (_unfolded(spec, n, i, extra) - fr_from_int(a, spec.scale + extra)).abs_()
+        d = (coord.unfolded(n, extra) - fr_from_int(a, spec.scale + extra)).abs_()
         c = cmp_fixed(d, exact if exact is not None else width.refined(width.scale + extra))
         return UNDECIDED if c is None else c <= 0
 
@@ -299,5 +291,5 @@ def shift_injection_holds(spec: BohrSpec, bset: BohrSet) -> bool:
     shifted = bset.members.astype(np.int64) - int(bset.members[0])
     if int(np.abs(shifted).max()) > spec.N:
         return False
-    doubled = enumerate_bohr(spec.scaled(spec.N, 2, 1), "symmetric")
+    doubled = enumerate_bohr(replace(spec.scaled(2, 1), gamma=None), "symmetric")
     return bool(np.isin(shifted, doubled.members).all())

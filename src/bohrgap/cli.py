@@ -230,16 +230,15 @@ def cmd_gap_outer(ns) -> RunOutput:
 
 def cmd_gap_verify(ns) -> RunOutput:
     from .bohr import is_member
-    from .gap import cardinality_ratio, gap_elements, is_proper
+    from .gap import _proper_sorted, cardinality_ratio
 
     if ns.limit < 0:
         raise ValidationError("--limit must be >= 0")
     spec, g = _gap_build(ns, ns.form)
-    budget = ns.budget or 10**8
-    proper = is_proper(g, budget)
+    proper, elements = _proper_sorted(g, ns.budget or 10**8)
     violations = 0
     if ns.form == "inner":
-        els = gap_elements(g, budget)[: ns.limit]
+        els = elements[: ns.limit]
         checked = len(els)
         violations = sum(not is_member(spec, int(n)) for n in els)
     else:

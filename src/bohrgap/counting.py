@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
 Q = Fraction
 
-_EAGER_LIMIT = 10**7
 _SIEVE_CAP = 10**8
 _BLOCK = 10**6
 _CACHE_BLOCKS = 4
@@ -91,7 +90,8 @@ def _phi_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 
 
 class TotientTable:
-    """phi(1..limit); materialized below 10^7, block-on-demand above."""
+    """phi(1..limit), sieved block by block on demand; the last few blocks
+    stay cached."""
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -100,13 +100,7 @@ class TotientTable:
             raise BudgetExceeded(f"sieve limit {limit} exceeds {_SIEVE_CAP}")
         self.limit = int(limit)
         self._primes = primes_up_to(math.isqrt(self.limit) + 1)
-        if self.limit <= _EAGER_LIMIT:
-            self._values: Optional[np.ndarray] = _phi_segment(
-                1, self.limit + 1, self._primes
-            )
-        else:
-            self._values = None
-            self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
     def _segment(self, j: int) -> np.ndarray:
         seg = self._cache.get(j)
@@ -122,27 +116,16 @@ class TotientTable:
     def phi(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise ValidationError(f"{n} outside sieve range 1..{self.limit}")
-        if self._values is not None:
-            return int(self._values[n - 1])
-        j = (n - 1) // _BLOCK
-        return int(self._segment(j)[(n - 1) % _BLOCK])
+        return int(self._segment((n - 1) // _BLOCK)[(n - 1) % _BLOCK])
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """phi(lo), ..., phi(hi-1) as one array."""
         if not 1 <= lo <= hi <= self.limit + 1:
             raise ValidationError("block outside sieve range")
-        if self._values is not None:
-            return self._values[lo - 1 : hi - 1]
-        parts = []
-        n = lo
-        while n < hi:
-            j = (n - 1) // _BLOCK
-            seg = self._segment(j)
-            base = 1 + j * _BLOCK
-            upto = min(hi, base + len(seg))
-            parts.append(seg[n - base : upto - base])
-            n = upto
-        return np.concatenate(parts) if len(parts) != 1 else parts[0]
+        first = (lo - 1) // _BLOCK
+        segs = [self._segment(j) for j in range(first, max(first, (hi - 2) // _BLOCK) + 1)]
+        base = 1 + first * _BLOCK
+        return (segs[0] if len(segs) == 1 else np.concatenate(segs))[lo - base : hi - base]
 
 
 def totient_sieve(limit: int) -> TotientTable:
@@ -152,16 +135,17 @@ def totient_sieve(limit: int) -> TotientTable:
 def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
     """Exact sum of phi(n)/n over the given integers.
 
-    Terms are grouped by the reduced denominator of phi(n)/n, so each group
+    The integers are read in increasing order, so each sieve block is built
+    once.  Terms are grouped by the reduced denominator of phi(n)/n, so each group
     is one integer numerator; the group fractions are then added pairwise as
     a balanced tree, which keeps every intermediate sum small.
     """
-    ns = [int(n) for n in ns]
+    ns = sorted(int(n) for n in ns)
     if not ns:
         return Q(0)
-    if min(ns) < 1:
+    if ns[0] < 1:
         raise ValidationError("totient average needs positive integers")
-    hi = max(ns)
+    hi = ns[-1]
     if table is None:
         table = totient_sieve(hi)
     elif table.limit < hi:
@@ -182,20 +166,20 @@ def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
 
 def alpha_p(gap: GAP, p: int, budget: int = 10**8) -> Fraction:
     """Fraction of the progression's coefficient box hitting 0 mod p."""
-    from .gap import gap_elements
+    from .gap import _box_values
 
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    els = gap_elements(gap, budget)
+    els = _box_values(gap, budget)
     hits = int(np.count_nonzero(els % p == 0))
     return Q(hits, int(els.size))
 
 
 def alpha_p_table(gap: GAP, p_max: int, eps: Fraction, budget: int = 10**8) -> list:
     """Rows (p, alpha_p, alpha_p * p^eps, reference bound 1/p + 1/min N_i)."""
-    from .gap import gap_elements
+    from .gap import _box_values
 
-    els = gap_elements(gap, budget)
+    els = _box_values(gap, budget)
     size = int(els.size)
     min_len = min(gap.lengths)
     e = float(eps)

@@ -127,21 +127,25 @@ def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdS
     return ThresholdSpec(x - e - 2, x + e + 2, exact)
 
 
+def _cramer(basis):
+    """The map point -> n with point = sum n_i v_i over the rows v_i of basis,
+    built once per basis: n = point . adj(V)/det(V) by Cramer's rule."""
+    rows = [list(v) for v in basis]
+    d = det(rows)
+    cols = list(zip(*adjugate(rows)))
+
+    def coeffs(point) -> tuple[int, ...]:
+        qr = [divmod(sum(int(x) * a for x, a in zip(point, col)), d) for col in cols]
+        if any(r for _, r in qr):
+            raise ConstructionError("non-integral decomposition over a unimodular basis")
+        return tuple(q for q, _ in qr)
+
+    return coeffs
+
+
 def decompose(minima: MinimaResult, point) -> tuple[int, ...]:
     """Integer coefficients n with point = sum n_i v_i (rows of the basis)."""
-    rows = [list(v) for v in minima.basis]
-    d = det(rows)
-    adj = adjugate(rows)
-    point = [int(x) for x in point]
-    k = len(rows)
-    # point = n . V  =>  n = point . V^{-1} = point . adj(V)/det
-    out = []
-    for j in range(k):
-        s = sum(point[i] * adj[i][j] for i in range(k))
-        if s % d:
-            raise ConstructionError("non-integral decomposition over a unimodular basis")
-        out.append(s // d)
-    return tuple(out)
+    return _cramer(minima.basis)(point)
 
 
 # -- element materialization -------------------------------------------------
@@ -197,15 +201,15 @@ def _coeff_vector(gap: GAP, flat: int) -> tuple[int, ...]:
 
 
 def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray]:
-    """Distinctness certificate and the sorted box values, from one box."""
-    vals = _box_values(gap, budget)
+    """Distinctness certificate and the sorted box values, from one box; a
+    collision names the two smallest flat indices holding its value."""
+    svals = gap_elements(gap, budget)
     size = gap.box_size()
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
     same = svals[1:] == svals[:-1]
     if same.any():
         i = int(same.argmax())
-        pair = (_coeff_vector(gap, int(order[i])), _coeff_vector(gap, int(order[i + 1])))
+        first, second = np.flatnonzero(_box_values(gap, budget) == svals[i])[:2]
+        pair = (_coeff_vector(gap, int(first)), _coeff_vector(gap, int(second)))
         return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair), svals
     digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
     return ProperCertificate(True, size, size, sha256=digest), svals
@@ -288,10 +292,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     # base point window and drift, verified exactly
     if not (cmp_pow(b, b, N, eps) >= 0 and 10 * b <= N):
         raise BasePointDrift(f"b={b} outside [N^sqrt(eps), N/10]")
-    # scaled() drops gamma, so rebuild the delta/10 window around the shift
-    tenth = spec.scaled(N, 1, 10)
-    tenth = BohrSpec(spec.alpha, spec.gamma, N, tenth.delta, spec.epsilon)
-    if not is_member(tenth, b):
+    if not is_member(spec.scaled(1, 10), b):
         raise BasePointDrift(f"b={b} misses the delta/10 window; triangle chain broke at finite N")
     trace.append("base point window verified")
 
@@ -320,7 +321,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
         "element_max": int(elements.max()),
         "box_size": gap.box_size(),
         "bohr_cardinality": bset.cardinality,
-        "density_constant": float(Q(gap.box_size()) / (math.prod(deltas) * N)),
+        "density_constant": float(Q(gap.box_size()) / body.lam_pow_k),
         "base_point": {"b0": b0, "s": s, "b": b},
     }
     if not containment:
@@ -353,14 +354,23 @@ def _cramer_constant(body, minima: MinimaResult) -> Fraction:
     return prod
 
 
-def _lift_lines(spec: BohrSpec):
+def _lift_lines(spec: BohrSpec, budget: Optional[int] = None):
     """(b, lines, count) for the lifts of B^0(N; delta): 0 and +-(x*b + r)
     for x in lo..hi over the lines of ball_lines.  A lift (n, a_1..a_d) has
     |n| <= N and |alpha_i n - a_i| <= delta_i, that is m <= 10 on
-    build_body(spec)."""
+    build_body(spec).  With a budget the walk stops as soon as the lifts
+    found pass it."""
     body = build_body(spec)
-    lines = ball_lines(body, Q(10), lambda: None)
-    return body.reduced.b, lines, 2 * sum(hi - lo + 1 for _, lo, hi in lines) + 1
+    count = 1
+
+    def kept(lo, hi):
+        nonlocal count
+        count += 2 * (hi - lo + 1)
+        if budget is not None and count > budget:
+            raise BudgetExceeded(f"more than {budget} lifts to verify")
+
+    lines = ball_lines(body, Q(10), lambda: None, kept)
+    return body.reduced.b, lines, count
 
 
 def _lex_position(b, j, lines, p) -> int:
@@ -389,7 +399,7 @@ def _lex_position(b, j, lines, p) -> int:
     return pos
 
 
-def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int):
+def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int, certified: bool = False):
     """Decompose every lift of B^0(N; delta) over the basis; return (count, failures).
 
     Lifts are taken in lexicographic order of (n, a_1..a_d), the order of
@@ -397,23 +407,17 @@ def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int
     returning its 1-based position.  BudgetExceeded is raised when that
     position, or the count if fewer fail, passes budget.  Which lifts come
     first is known only once every line is in, so the walk itself is not
-    charged; its size is set by N and delta.
+    charged, unless certified (lengths from the Cramer constant): then no
+    lift fails, so the walk stops as soon as the count passes budget.
 
-    The lifts come from _lift_lines.  The coefficients d*(v @ adj) are
+    The lifts come from _lift_lines.  The coefficients (_cramer) are
     affine along a line, so the x inside the box |n_i| <= L_i are one
     sub-interval (line_cut), and the failures are at most two runs at the
     line's ends, with their negatives.  Each run is monotone in
     lexicographic order, so merging the runs gives the failures in order.
     """
-    b, lines, count = _lift_lines(spec)
-    rows = [list(v) for v in minima.basis]
-    d = det(rows)
-    adj = adjugate(rows)  # coeff_j = d * sum_i v_i * adj[i][j] since d = +-1
-    cols = list(zip(*adj))
-
-    def coeffs(v):
-        return tuple(d * sum(x * a for x, a in zip(v, col)) for col in cols)
-
+    b, lines, count = _lift_lines(spec, budget if certified else None)
+    coeffs = _cramer(minima.basis)
     j = next(i for i, c in enumerate(b) if c)
 
     def run(s, r, xa, xb):  # s*(x*b + r) for x in xa..xb, in lexicographic order
@@ -463,9 +467,8 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
 
     body = build_body(spec)
     minima = successive_minima(body)
-    if c_k is None:
-        c_k = _cramer_constant(body, minima)
-    c_k = Q(c_k)
+    certified = c_k is None  # the Cramer constant: no lift can fail
+    c_k = Q(_cramer_constant(body, minima) if certified else c_k)
     trace = [
         f"hypotheses: N={N}, k={k}, tau=sqrt({eps}), C_k={float(c_k):.6g}, "
         f"delta lower bound {'ok' if hyp_lower else 'short'}"
@@ -494,7 +497,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
         trace=trace,
     )
 
-    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, budget)
+    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, budget, certified)
     if failures:
         raise ConstructionError(
             f"{len(failures)}+ lifted members escape the coefficient box"
@@ -502,10 +505,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     # with every width below 1/2 each member has one lift; else count again
     card = checked_lifts if all(dl < Q(1, 2) for dl in deltas) else _bohr_count(spec)
     box = gap.box_size()
-    dprod = Q(1)
-    for d in deltas:
-        dprod *= d
-    realized = Q(box) / (dprod * N)
+    realized = Q(box) / body.lam_pow_k
     gap.checks = {
         "hypothesis_delta_lower": hyp_lower,
         "containment": True,
@@ -532,10 +532,7 @@ def cardinality_ratio(spec: BohrSpec) -> dict:
     hyp_lower = all(cmp_pow(d, d, spec.N, spec.epsilon, -1) >= 0 for d in deltas)
     sym = enumerate_bohr(spec, "symmetric")
     pos = BohrSet(spec, "positive", sym.members[sym.members >= 1])  # the n >= 1 half of one scan
-    dprod = Q(1)
-    for d in deltas:
-        dprod *= d
-    ratio = Q(sym.cardinality) / (dprod * spec.N)
+    ratio = Q(sym.cardinality) / build_body(spec).lam_pow_k
     return {
         "cardinality": sym.cardinality,
         "cardinality_positive": pos.cardinality,

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -292,14 +293,9 @@ def _key_cmp(frame_u, frame_v, u: GaugeVal, v: GaugeVal) -> int:
     return certify(step, "gauge order undecidable between {} and {}", u.vec, v.vec) if c is UNDECIDED else c
 
 
-def _gauge_cmp(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> int:
-    """Certified sign of m(u) - m(v); exact ties return 0."""
-    return _key_cmp(body.frame, body.frame, u, v)
-
-
 def _before(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> bool:
     """(m(u), u) < (m(v), v): smaller gauge, exact ties to the smaller vector."""
-    c = _gauge_cmp(body, u, v)
+    c = _key_cmp(body.frame, body.frame, u, v)
     return c < 0 or (c == 0 and u.vec < v.vec)
 
 
@@ -360,7 +356,7 @@ class _Reduced:
             cuts = self._cuts[terms, bound] = [
                 (slope, row, bound - (-e * bound // self.w0)) for t, slope, row, e in self.rows if t in terms
             ]
-        return line_cut(lo, hi, ((slope, sum(a * v for a, v in zip(row, r)), lim) for slope, row, lim in cuts))
+        return line_cut(lo, hi, [(slope, sum(map(mul, row, r)), lim) for slope, row, lim in cuts])
 
     def vertex(self, r) -> Optional[int]:
         """floor of the real minimiser of max |l(b)*x + l(r)| over the varying
@@ -370,7 +366,7 @@ class _Reduced:
         lines = []
         for t, slope, row, _ in self.rows:
             if t in self.vary and slope:
-                c = sum(a * v for a, v in zip(row, r))
+                c = sum(map(mul, row, r))
                 lines.append((abs(slope), c if slope > 0 else -c))
         if not lines:
             return None
@@ -618,7 +614,7 @@ def _smallest(body: ConvexBody, ech, accepts, bound: int, spend) -> GaugeVal:
     return best
 
 
-def ball_lines(body: ConvexBody, bound: Fraction, spend) -> list[tuple[tuple[int, ...], int, int]]:
+def ball_lines(body: ConvexBody, bound: Fraction, spend, kept=None) -> list[tuple[tuple[int, ...], int, int]]:
     """The nonzero v with m(v) <= bound, up to sign, as lines of the walk:
     (r, lo, hi) with v = x*b + r exactly for x in lo..hi, b = body.reduced.b.
 
@@ -626,7 +622,8 @@ def ball_lines(body: ConvexBody, bound: Fraction, spend) -> list[tuple[tuple[int
     lattice, so each such v lies on one line, once in v or -v.  m is convex,
     so on a line these x form one interval; section bounds it from outside,
     and each end steps inward while the depth-0 key rules the point out,
-    escalating only an undecided key.  spend() is called per walk node.
+    escalating only an undecided key.  spend() is called per walk node,
+    and kept(lo, hi), if given, on each line as it is found.
     """
     red, frame = body.reduced, body.frame()
     bnd, b, lines = frame.bound_key(bound), red.b, []
@@ -647,6 +644,8 @@ def ball_lines(body: ConvexBody, bound: Fraction, spend) -> list[tuple[tuple[int
             hi -= 1
         if lo <= hi:
             lines.append((r, lo, hi))
+            if kept is not None:
+                kept(lo, hi)
 
     limit = red.limit(bnd)
     red.lattice.walk(lambda: limit, leaf, spend)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, norm_form
+from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, dist_nearest_int
 
 BLOCK = 1 << 16
 _M32 = np.uint64(0xFFFFFFFF)
@@ -138,14 +138,18 @@ class CoordScan:
 
     # -- exact per-element fallback ---------------------------------------
 
-    def dist_fixed(self, n: int, extra_bits: int = 0) -> FixedReal:
+    def unfolded(self, n: int, extra_bits: int = 0) -> FixedReal:
+        """n*alpha - g_sign*gamma before folding, refined by extra_bits."""
         a, g = self.alpha, self.gamma
         if extra_bits:
             a = a.refined(a.scale + extra_bits)
             g = g.refined(g.scale + extra_bits) if g is not None else None
-        if g is not None and self.g_sign < 0:
-            g = g.mul_int(-1)  # negate after refinement so sources survive
-        return norm_form(n, a, g)
+        if g is None:
+            return a.mul_int(n)
+        return a.mul_int(n) - (g if self.g_sign > 0 else g.mul_int(-1))  # negate after refinement so sources survive
+
+    def dist_fixed(self, n: int, extra_bits: int = 0) -> FixedReal:
+        return dist_nearest_int(self.unfolded(n, extra_bits))
 
     def dist_le(self, n: int, thr, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
         """Certified ||n*alpha - gamma|| <= thr for a Fraction or FixedReal thr.

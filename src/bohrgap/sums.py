@@ -592,8 +592,7 @@ def eta_split_check(spec: BohrSpec, eta: Fraction = Q(1, 16), table: Optional[To
     """
     if not 0 < eta < 1:
         raise ValidationError("eta must lie in (0, 1)")
-    narrowed = spec.scaled(spec.N, eta.numerator, eta.denominator)
-    small_spec = BohrSpec(spec.alpha, spec.gamma, spec.N, narrowed.delta, spec.epsilon)
+    small_spec = spec.scaled(eta.numerator, eta.denominator)
     big = restricted_bohr(spec).members
     small = restricted_bohr(small_spec).members
     included = bool(np.isin(small, big).all())

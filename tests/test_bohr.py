@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bohrgap.bohr import (
     BohrSpec,
+    _coord_scans,
     all_lifts,
     enumerate_bohr,
     is_member,
@@ -220,3 +221,41 @@ def test_to_dict_roundtrip_fields():
     d = b.to_dict()
     assert d["cardinality"] == len(d["members"]) == len(d["lifted"])
     assert d["k"] == 2 and d["N"] == 100 and d["mode"] == "positive"
+
+
+# -- one unfolded value ---------------------------------------------------------
+
+
+def unfolded_reference(spec, n, i, extra=0):
+    """Reference: n*alpha_i - gamma_i before folding, with a zero shift for
+    the homogeneous set, refined by extra bits."""
+    a = spec.alpha.alphas[i]
+    g = spec.gammas()[i]
+    if extra:
+        a = a.refined(a.scale + extra)
+        g = g.refined(g.scale + extra)
+    return a.mul_int(n) - g
+
+
+def _triple(x):
+    return x.man, x.err, x.exact()
+
+
+@pytest.mark.parametrize("alphas,gammas", [
+    (["sqrt:2", "rat:2/7"], None),
+    (["sqrt:2", "rat:2/7"], ["sqrt:3", "rat:1/3"]),
+    (["sqrt:5", "dec:0.1234567"], ["rat:-2/9", "sqrt:7"]),
+])
+@pytest.mark.parametrize("extra", [0, 64, 192])
+def test_unfolded_matches_the_reference(alphas, gammas, extra):
+    spec = spec_of(alphas, gammas, 1000, ["0.1"] * len(alphas))
+    for i, coord in enumerate(_coord_scans(spec)):
+        flip = _coord_scans(spec, flip=True)[i]
+        for n in (0, 1, 17, 999, -1, -17, -999):
+            want = unfolded_reference(spec, n, i, extra)
+            assert _triple(coord.unfolded(n, extra)) == _triple(want)
+            # n*alpha + gamma = -((-n)*alpha - gamma)
+            mirror = unfolded_reference(spec, -n, i, extra)
+            got = flip.unfolded(n, extra)
+            assert (got.man, got.err) == (-mirror.man, mirror.err)
+            assert got.exact() == (None if mirror.exact() is None else -mirror.exact())

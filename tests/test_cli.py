@@ -528,3 +528,35 @@ def test_package_exports():
     star = {}
     exec("from bohrgap import *", star)
     assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+
+
+# -- commands no other test runs ----------------------------------------------------
+
+
+def test_bohr_restrict_matches_the_library(capsys):
+    code, out, _ = run_cli(
+        capsys, "bohr", "restrict", "--k", "2", "--alpha", "sqrt:2", "--gamma", "rat:1/3",
+        "--N", "10000", "--delta", "0.1",
+    )
+    assert code == 0
+    d = payload_of(out)
+    members = restricted_bohr(BohrSpec.build(["sqrt:2"], ["rat:1/3"], 10000, ["0.1"])).members
+    assert d["restricted"] is True and d["eps"] == "1/20" and d["mode"] == "restricted"
+    assert d["members"] == [int(n) for n in members] and d["cardinality"] == len(members) > 0
+
+
+def test_psi_table_values_parse_from_a_comma_list(capsys):
+    from bohrgap.sums import ds_hypothesis_check, psi_family
+
+    values = [1 / n for n in range(1, 301)]
+    code, out, _ = run_cli(
+        capsys, "sums", "dscheck", "--k", "2", "--alpha", "sqrt:2", "--N", "300", "--delta", "0.5",
+        "--psi", "table", "--psi-table", ",".join(map(repr, values)) + ",", "--checkpoints", "100,300",
+    )
+    assert code == 0
+    spec = BohrSpec.build(["sqrt:2"], None, 300, ["0.5"])
+    want = ds_hypothesis_check(spec, psi_family("table", table=tuple(values)), [100, 300])
+    assert payload_of(out) == json.loads(json.dumps(_jsonable(want)))
+    assert payload_of(out)["kept"] > 0
+    code, _, err = run_cli(capsys, "sums", "dscheck", "--alpha", "sqrt:2", "--N", "300", "--psi", "table")
+    assert code == 2 and "--psi table needs --psi-table values" in err

@@ -9,6 +9,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from bohrgap import counting
 from bohrgap.bohr import BohrSpec, restricted_bohr
 from bohrgap.counting import (
     CongruenceLattice,
@@ -138,6 +139,37 @@ def test_phi_segment_windows_cutting_prime_powers(power):
     assert [int(v) for v in t.block(power - 150, power + 150)] == [
         phi_oracle(n) for n in range(power - 150, power + 150)
     ]
+
+
+def eager_phi(limit):
+    """Reference: phi(1..limit) as one segment, the whole table at once."""
+    return _phi_segment(1, limit + 1, primes_up_to(math.isqrt(limit) + 1))
+
+
+def test_block_table_matches_the_eager_segment():
+    limit = 2 * 10**6 + 12345  # three sieve blocks, the last one short
+    want = eager_phi(limit)
+    t = totient_sieve(limit)
+    assert np.array_equal(t.block(1, limit + 1), want)
+    for n in (1, 10**6, 10**6 + 1, 2 * 10**6 + 1, limit):
+        assert t.phi(n) == int(want[n - 1])
+
+
+def test_totient_average_on_unsorted_input_reads_each_block_once(monkeypatch):
+    # integers from five sieve blocks in random order, repeats kept: one
+    # more block than the cache holds, so a pass in input order would
+    # sieve the same block again and again
+    limit = 5 * 10**6
+    rng = random.Random(13)
+    ns = [rng.randrange(1, limit + 1) for _ in range(1500)] + [limit, 1, 1]
+    rng.shuffle(ns)
+    want_phi = eager_phi(limit)
+    want = sum((Q(int(want_phi[n - 1]), n) for n in ns), Q(0))
+    sieved = []
+    real = counting._phi_segment
+    monkeypatch.setattr(counting, "_phi_segment", lambda lo, hi, primes: sieved.append(lo) or real(lo, hi, primes))
+    assert totient_average(ns, totient_sieve(limit)) == want
+    assert sorted(sieved) == [1 + j * 10**6 for j in range(5)]
 
 
 def test_sieve_guards():

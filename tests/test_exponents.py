@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from bohrgap import exponents
 from bohrgap.errors import ValidationError
 from bohrgap.exponents import (
     TargetVector,
@@ -236,3 +237,15 @@ def test_gamma_shift_changes_estimate():
 def test_dual_budget_guard():
     with pytest.raises(ValidationError):
         dual_exponent_est(TargetVector.parse(["sqrt:2", "sqrt:3", "sqrt:5"]), 10**4)
+
+
+def test_dual_estimate_certifies_every_vector_in_the_zero_band(monkeypatch):
+    # alpha = 10^-40 puts n*alpha inside the zero band of every n <= 50, so
+    # each n runs the exact step; the best is n = 1, at -log(10^-40)
+    calls = []
+    real = exponents._certify_vector
+    monkeypatch.setattr(exponents, "_certify_vector", lambda a, vec: calls.append(vec) or real(a, vec))
+    est = dual_exponent_est(TargetVector.parse(["dec:0." + "0" * 39 + "1"]), h_max=50)
+    assert sorted(calls) == [(n,) for n in range(1, 51)]
+    assert est.argmax == (1,) and est.running_max == -math.log(1e-40)
+    assert est.infinite_witness is None

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrgap import bohr
 from bohrgap import minima as minima_mod
@@ -28,12 +30,16 @@ from bohrgap.errors import (
 )
 from bohrgap.gap import (
     GAP,
+    ProperCertificate,
     _bohr_count,
+    _box_values,
+    _coeff_vector,
     _cramer_constant,
     _dirichlet_tspec,
     _floor_over_gauge,
     _lift_coeff_check,
     _lift_lines,
+    _proper_sorted,
     cardinality_ratio,
     decompose,
     gap_elements,
@@ -662,3 +668,95 @@ def test_outer_gap_past_the_scan_limit():
     g = outer_gap(spec, budget=10**9)
     assert g.checks["containment"] is True
     assert g.checks["checked_lifts"] == g.checks["bohr_cardinality"] == 399_999_999
+
+
+# -- one box per properness check -----------------------------------------------
+
+
+def argsort_proper_sorted(gap, budget=10**8):
+    """Reference: the stable-argsort form of the properness check, which
+    reads the collision pair from the sort permutation."""
+    vals = _box_values(gap, budget)
+    order = np.argsort(vals, kind="stable")
+    svals = vals[order]
+    same = svals[1:] == svals[:-1]
+    size = gap.box_size()
+    if same.any():
+        i = int(same.argmax())
+        pair = (_coeff_vector(gap, int(order[i])), _coeff_vector(gap, int(order[i + 1])))
+        return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair), svals
+    digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
+    return ProperCertificate(True, size, size, sha256=digest), svals
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.integers(-50, 50),
+    moduli=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    lengths=st.lists(st.integers(1, 6), min_size=3, max_size=3),
+    form=st.sampled_from(["positive", "symmetric"]),
+)
+def test_proper_sorted_matches_the_argsort_reference(b, moduli, lengths, form):
+    g = GAP(b=b, moduli=tuple(moduli), lengths=tuple(lengths[: len(moduli)]), form=form, sigma=(1,) * len(moduli))
+    cert, svals = _proper_sorted(g, 10**8)
+    want, wvals = argsort_proper_sorted(g)
+    assert cert.to_dict() == want.to_dict()
+    assert np.array_equal(svals, wvals) and np.array_equal(svals, gap_elements(g))
+
+
+@pytest.mark.parametrize("moduli,lengths,form", [
+    ((1, 1), (2, 2), "positive"),
+    ((2, 3), (5, 4), "symmetric"),
+    ((4, 6, 9), (3, 2, 2), "symmetric"),
+    ((2, 3), (4, 3), "positive"),
+])
+def test_improper_boxes_in_both_forms_match_the_reference(moduli, lengths, form):
+    g = GAP(b=-3, moduli=moduli, lengths=lengths, form=form, sigma=(1,) * len(moduli))
+    cert = _proper_sorted(g, 10**8)[0]
+    assert not cert.proper
+    assert cert.to_dict() == argsort_proper_sorted(g)[0].to_dict()
+
+
+@pytest.mark.parametrize("form,want", [
+    ("inner", ["positive", "positive"]),  # inner_gap's own check, then the verify's
+    ("outer", ["symmetric"]),  # outer_gap counts lifts by lines, with no box
+])
+def test_gap_verify_builds_one_box(monkeypatch, capsys, form, want):
+    from bohrgap import cli
+    from bohrgap import gap as gap_mod
+
+    boxes = []
+    real = gap_mod._box_values
+    monkeypatch.setattr(gap_mod, "_box_values", lambda g, budget: boxes.append(g.form) or real(g, budget))
+    code = cli.main(f"gap verify --form {form} --k 2 --alpha sqrt:2 --N 100000 --delta 0.1".split())
+    assert code == 0 and f"verify {form}: ok" in capsys.readouterr().out
+    assert boxes == want
+
+
+# -- the outer lift walk under the lift budget ----------------------------------
+
+
+def test_outer_walk_stops_at_the_lift_budget():
+    # about 4*10^11 lifts on some 4*10^5 lines: with the certified Cramer
+    # constant no lift can fail, so the walk stops once 10^8 are found
+    spec = BohrSpec.build(["sqrt:2"], None, 10**12, ["0.1"])
+    with pytest.raises(BudgetExceeded, match=r"^more than 100000000 lifts to verify$"):
+        outer_gap(spec)
+
+
+def test_outer_walk_budget_boundary_keeps_the_count():
+    spec = BohrSpec.build(["sqrt:2"], None, 10**5, ["0.1"])
+    count = _lift_lines(spec)[2]
+    assert outer_gap(spec, budget=count).checks["checked_lifts"] == count
+    with pytest.raises(BudgetExceeded, match=f"more than {count - 1} lifts"):
+        outer_gap(spec, budget=count - 1)
+
+
+# -- one Cramer map ---------------------------------------------------------------
+
+
+def test_decompose_rejects_a_point_off_a_nonunimodular_basis():
+    mr = SimpleNamespace(basis=[(2, 0), (0, 1)])
+    assert decompose(mr, (4, -3)) == (2, -3)
+    with pytest.raises(ConstructionError, match="non-integral decomposition"):
+        decompose(mr, (3, 0))

@@ -785,3 +785,29 @@ def test_minima_match_cf_oracle_up_to_1e18():
                 # each reported key brackets the oracle's exact D*m
                 assert _surd_cmp((Q(g.klo, g.den), Q(0)), lam, m) <= 0 <= _surd_cmp((Q(g.khi, g.den), Q(0)), lam, m)
                 assert g.kex is None or _surd_cmp((Q(g.kex, g.den), Q(0)), lam, m) == 0
+
+
+# -- the exact gauge bound at a line end -------------------------------------------
+
+
+@pytest.mark.parametrize("side,want", [(1, 687), (-1, 685)])
+def test_ball_line_end_on_an_open_key_takes_the_exact_bound(monkeypatch, side, want):
+    # delta within 10^-50 of |2*sqrt(2) - 3| puts the lift (-2, -3) within
+    # 10^-50 of the box edge: its depth-0 key is open and _gauge_le decides it
+    import bohrgap.minima as minima_mod
+    from bohrgap.bohr import enumerate_bohr
+    from bohrgap.gap import _bohr_count
+
+    with mpmath.workdps(90):
+        width = abs(2 * mpmath.sqrt(2) - 3) + side * mpmath.mpf(10) ** -50
+        text = "dec:" + mpmath.nstr(width, 55, strip_zeros=False)
+    spec = BohrSpec.build(["sqrt:2"], None, 1000, [text])
+    calls = []
+
+    def counted(body, vec, bound):
+        calls.append(vec)
+        return _gauge_le(body, vec, bound)
+
+    monkeypatch.setattr(minima_mod, "_gauge_le", counted)
+    assert _bohr_count(spec) == enumerate_bohr(spec, "symmetric").cardinality == want
+    assert calls == [(-2, -3)]
