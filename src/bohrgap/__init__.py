@@ -11,7 +11,6 @@ import importlib
 _EXPORTS = {
     "bohr": (
         "BohrSet",
-        "BohrSpec",
         "all_lifts",
         "enumerate_bohr",
         "is_member",
@@ -45,7 +44,6 @@ _EXPORTS = {
     ),
     "exponents": (
         "ExponentReport",
-        "TargetVector",
         "dual_exponent_est",
         "exponent_report",
         "mult_exponent_est",
@@ -63,7 +61,7 @@ _EXPORTS = {
         "outer_gap",
     ),
     "minima": ("ConvexBody", "MinimaResult", "build_body", "successive_minima"),
-    "realfield": ("FixedReal", "RealSpec"),
+    "realfield": ("BohrSpec", "FixedReal", "RealSpec", "TargetVector"),
     "sums": (
         "ApproxFunction",
         "DyadicTable",

@@ -18,137 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousLift, ValidationError
-from .exponents import TargetVector
-from .realfield import (
-    DEFAULT_SCALE,
-    UNDECIDED,
-    FixedReal,
-    RealSpec,
-    ceil_pow_sqrt,
-    certify,
-    cmp_fixed,
-    fr_from_fraction,
-    fr_from_int,
-)
+from .realfield import UNDECIDED, BohrSpec, ceil_pow_sqrt, certify, cmp_fixed, fr_from_int
 from .scan import CoordScan, ThresholdSpec, members_in_range
 
 Q = Fraction
-
-
-def parse_threshold(text: str, scale: int = DEFAULT_SCALE) -> FixedReal:
-    """Accept either a source spec ("rat:1/20", "dec:0.05", "sqrt:2") or a
-    bare decimal/fraction literal ("0.05", "1/20")."""
-    if ":" in text:
-        return RealSpec.parse(text).realize(scale)
-    try:
-        return fr_from_fraction(Q(text), scale)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad width {text!r}: {e}") from e
-
-
-@dataclass(frozen=True)
-class BohrSpec:
-    """Data for B_gamma(N; delta): the targets, the shift, the box, the widths.
-
-    k = d + 1 counts the lifted coordinates (n, a_1..a_d).  epsilon feeds the
-    restricted variant's lower cutoff N^sqrt(epsilon).
-    """
-
-    alpha: TargetVector
-    gamma: Optional[tuple[FixedReal, ...]]
-    N: int
-    delta: tuple[FixedReal, ...]
-    epsilon: Fraction = Q(1, 20)
-
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValidationError("N must be a positive integer")
-        d = self.alpha.d
-        if len(self.delta) != d:
-            raise ValidationError("delta needs one width per alpha entry")
-        if self.gamma is not None:
-            if len(self.gamma) != d:
-                raise ValidationError("gamma needs one shift per alpha entry")
-            for g in self.gamma:
-                if g.scale != self.alpha.scale:
-                    raise ValidationError("gamma scale mismatch")
-        # widths up to 2 are legal so the doubled/outer companions stay
-        # constructible; anything >= 1/2 already keeps every n
-        for t in self.delta:
-            if t.scale != self.alpha.scale:
-                raise ValidationError("delta scale mismatch")
-            ex = t.exact()
-            lo, hi = t.bounds()
-            if ex is not None:
-                if not (0 < ex <= 2):
-                    raise ValidationError("delta entries must lie in (0, 2]")
-            elif not (lo > 0 and hi <= 2):
-                raise ValidationError("delta entries must lie in (0, 2] decisively")
-        if not (0 < self.epsilon <= Q(1, 4)):
-            raise ValidationError("epsilon must lie in (0, 1/4]")
-        # guard: accumulated fixed-point error over the whole range must stay
-        # far below the smallest width, or borderline bands swallow the scan
-        dlo = min((t.exact() if t.exact() is not None else t.bounds()[0]) for t in self.delta)
-        if Q(self.N + 1, 1 << self.alpha.scale) >= dlo / (1 << 20):
-            raise ValidationError("scale too small for this N and delta; use a larger scale")
-
-    @property
-    def d(self) -> int:
-        return self.alpha.d
-
-    @property
-    def k(self) -> int:
-        return self.alpha.k
-
-    @property
-    def scale(self) -> int:
-        return self.alpha.scale
-
-    def gammas(self) -> tuple[FixedReal, ...]:
-        if self.gamma is not None:
-            return self.gamma
-        z = fr_from_int(0, self.scale)
-        return tuple(z for _ in range(self.d))
-
-    def is_homogeneous(self) -> bool:
-        return self.gamma is None or all(g.exact() == 0 for g in self.gamma)
-
-    def delta_fractions(self) -> tuple[Fraction, ...]:
-        out = []
-        for t in self.delta:
-            ex = t.exact()
-            if ex is None:
-                raise ValidationError("width is not exactly rational")
-            out.append(ex)
-        return tuple(out)
-
-    def scaled(self, num: int, den: int) -> "BohrSpec":
-        """This set with widths delta*num/den (capped at 1), the same N and shift."""
-        ds = []
-        for t in self.delta:
-            u = t.mul_int(num).div_int(den)
-            ex = u.exact()
-            if ex is not None and ex > 1:
-                u = fr_from_int(1, self.scale)
-            ds.append(u)
-        return BohrSpec(self.alpha, self.gamma, self.N, tuple(ds), self.epsilon)
-
-    @classmethod
-    def build(
-        cls,
-        alpha_texts,
-        gamma_texts,
-        N: int,
-        delta_texts,
-        epsilon: Fraction = Q(1, 20),
-        scale: int = DEFAULT_SCALE,
-    ) -> "BohrSpec":
-        alpha = TargetVector.parse(list(alpha_texts), scale)
-        gamma = None
-        if gamma_texts is not None:
-            gamma = tuple(RealSpec.parse(t).realize(scale) for t in gamma_texts)
-        delta = tuple(parse_threshold(t, scale) for t in delta_texts)
-        return cls(alpha, gamma, N, delta, Q(epsilon))
 
 
 @dataclass

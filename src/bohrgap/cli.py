@@ -16,6 +16,7 @@ paths, which are data), 2 validation, 3 budget or precision exhaustion.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .bohr import BohrSpec
+    from .realfield import BohrSpec
 
 Q = Fraction
 
@@ -120,7 +121,7 @@ def _emit(ns: argparse.Namespace, out: RunOutput, elapsed: float) -> None:
 
 
 def _spec_from(ns: argparse.Namespace) -> BohrSpec:
-    from .bohr import BohrSpec
+    from .realfield import BohrSpec
 
     alphas = ns.alpha or []
     if not alphas:
@@ -157,6 +158,14 @@ def _bohr_payload(bset, member_cap: int = 10**5) -> dict:
     else:
         d["members_omitted"] = False
     return d
+
+
+def _digits25(x: Fraction) -> str:
+    """x >= 0 to 25 significant digits, rounded half-even, in fixed notation
+    without trailing zeros ("0.0", "1.0", "0.5")."""
+    q = decimal.Context(prec=25).divide(x.numerator, x.denominator)
+    whole, _, frac = format(q, "f").partition(".")
+    return f"{whole}.{frac.rstrip('0') or '0'}"
 
 
 # -- handlers ---------------------------------------------------------------------
@@ -207,24 +216,22 @@ def cmd_minima(ns) -> RunOutput:
 
 
 def _gap_build(ns, form: str):
-    from .gap import inner_gap, outer_gap
+    """(spec, GAP, the inner form's (certificate, sorted elements) or None)."""
+    from .gap import _inner_gap, outer_gap
 
     spec = _spec_from(ns)
     if form == "inner":
-        g = inner_gap(spec, ns.budget) if ns.budget else inner_gap(spec)
-    else:
-        kw = {"c_k": ns.ck} if getattr(ns, "ck", None) is not None else {}
-        g = outer_gap(spec, budget=ns.budget, **kw) if ns.budget else outer_gap(spec, **kw)
-    return spec, g
+        return spec, *_inner_gap(spec, ns.budget or 10**8)
+    return spec, outer_gap(spec, getattr(ns, "ck", None), ns.budget or 10**8), None
 
 
 def cmd_gap_inner(ns) -> RunOutput:
-    _, g = _gap_build(ns, "inner")
+    g = _gap_build(ns, "inner")[1]
     return RunOutput(g.to_dict(), None, list(g.trace))
 
 
 def cmd_gap_outer(ns) -> RunOutput:
-    _, g = _gap_build(ns, "outer")
+    g = _gap_build(ns, "outer")[1]
     return RunOutput(g.to_dict(), None, list(g.trace))
 
 
@@ -234,8 +241,8 @@ def cmd_gap_verify(ns) -> RunOutput:
 
     if ns.limit < 0:
         raise ValidationError("--limit must be >= 0")
-    spec, g = _gap_build(ns, ns.form)
-    proper, elements = _proper_sorted(g, ns.budget or 10**8)
+    spec, g, box = _gap_build(ns, ns.form)
+    proper, elements = box or _proper_sorted(g, ns.budget or 10**8)
     violations = 0
     if ns.form == "inner":
         els = elements[: ns.limit]
@@ -304,8 +311,6 @@ def cmd_count_alphap(ns) -> RunOutput:
 
 
 def cmd_count_totient(ns) -> RunOutput:
-    import mpmath
-
     from .bohr import enumerate_bohr, restricted_bohr
     from .counting import totient_average
 
@@ -313,25 +318,19 @@ def cmd_count_totient(ns) -> RunOutput:
     bset = enumerate_bohr(spec, "positive") if ns.no_restrict else restricted_bohr(spec)
     members = [int(n) for n in bset.members]
     avg = totient_average(members)
-    with mpmath.workdps(40):
-        if avg == 0:
-            decimal = "0.0"
-        else:
-            decimal = mpmath.nstr(
-                mpmath.mpf(avg.numerator) / mpmath.mpf(avg.denominator), 25
-            )
+    digits = _digits25(avg)
     payload = {
         "cardinality": len(members),
         "restricted": not ns.no_restrict,
         "sum_phi_over_n": {
-            "decimal": decimal,
+            "decimal": digits,
             "float": float(avg),
             "num_mod_m61": avg.numerator % _M61,
             "den_mod_m61": avg.denominator % _M61,
             "modulus": "2^61-1",
         },
     }
-    return RunOutput(payload, None, [f"sum phi(n)/n over {len(members)} elements = {decimal}"])
+    return RunOutput(payload, None, [f"sum phi(n)/n over {len(members)} elements = {digits}"])
 
 
 def cmd_sums_t(ns) -> RunOutput:
@@ -382,8 +381,8 @@ def cmd_sums_dscheck(ns) -> RunOutput:
 
 
 def cmd_exponents(ns) -> RunOutput:
-    from .exponents import TargetVector, exponent_report
-    from .realfield import RealSpec
+    from .exponents import exponent_report
+    from .realfield import RealSpec, TargetVector
 
     alpha = TargetVector.parse(ns.alpha, ns.scale)
     gamma = None

@@ -9,6 +9,7 @@ densities as integers or Fractions, minima as integer squared norms.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,12 +17,12 @@ from fractions import Fraction
 from io import StringIO
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .errors import BudgetExceeded, ValidationError
 from .lattice import ReducedLattice, det, echelon, independent, spender
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # numpy loads where a table is sieved or a box built
+    import numpy as np
+
     from .gap import GAP
 
 Q = Fraction
@@ -32,6 +33,8 @@ _CACHE_BLOCKS = 4
 
 
 def primes_up_to(n: int) -> np.ndarray:
+    import numpy as np
+
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
@@ -68,6 +71,8 @@ def is_prime(n: int) -> bool:
 
 def _phi_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """phi(n) for lo <= n < hi; primes must cover sqrt(hi-1)."""
+    import numpy as np
+
     phi = np.arange(lo, hi, dtype=np.int64)
     rem = phi.copy()
     for p in map(int, primes):
@@ -120,6 +125,8 @@ class TotientTable:
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """phi(lo), ..., phi(hi-1) as one array."""
+        import numpy as np
+
         if not 1 <= lo <= hi <= self.limit + 1:
             raise ValidationError("block outside sieve range")
         first = (lo - 1) // _BLOCK
@@ -171,8 +178,7 @@ def alpha_p(gap: GAP, p: int, budget: int = 10**8) -> Fraction:
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     els = _box_values(gap, budget)
-    hits = int(np.count_nonzero(els % p == 0))
-    return Q(hits, int(els.size))
+    return Q(int((els % p == 0).sum()), int(els.size))
 
 
 def alpha_p_table(gap: GAP, p_max: int, eps: Fraction, budget: int = 10**8) -> list:
@@ -185,7 +191,7 @@ def alpha_p_table(gap: GAP, p_max: int, eps: Fraction, budget: int = 10**8) -> l
     e = float(eps)
     rows = []
     for p in map(int, primes_up_to(p_max)):
-        a = Q(int(np.count_nonzero(els % p == 0)), size)
+        a = Q(int((els % p == 0).sum()), size)
         ref = Q(1, p) + Q(1, min_len)
         rows.append(
             {
@@ -343,6 +349,28 @@ class DavenportCertificate:
         }
 
 
+def _residue_count(box, moduli, p: int) -> int:
+    """#{x in prod [-N_i, N_i] : sum a_i x_i = 0 mod p}, each a_i prime to p.
+
+    A side's histogram of a*x mod p is (2N+1)//p full periods plus one run,
+    min(2N+1, p) entries; all sides but the largest are convolved, and the
+    largest counts its x = -r/a (mod p) by two floors per residue r."""
+    sides = sorted(zip(box, moduli))
+    acc = {0: 1}
+    for n, a in sides[:-1]:
+        full, rem = divmod(2 * n + 1, p)
+        hist = [(a * x % p, full + (x + n < rem)) for x in range(-n, -n + min(2 * n + 1, p))]
+        nxt: dict[int, int] = {}
+        for r, c in acc.items():
+            for s, h in hist:
+                key = (r + s) % p
+                nxt[key] = nxt.get(key, 0) + c * h
+        acc = nxt
+    n, a = sides[-1]
+    inv = pow(a, -1, p)  # -n..n holds (n + r*inv)//p - (r*inv - n - 1)//p x = -r*inv
+    return sum(c * ((n + r * inv) // p - (r * inv - n - 1) // p) for r, c in acc.items())
+
+
 def davenport_count(
     box, lattice: Optional[CongruenceLattice] = None, budget: int = 10**8
 ) -> DavenportCertificate:
@@ -350,8 +378,6 @@ def davenport_count(
 
     box gives half side lengths: the region is prod [-N_i, N_i].
     """
-    import mpmath
-
     box = tuple(int(n) for n in box)
     d = len(box)
     if d < 1 or d > 4:
@@ -371,15 +397,7 @@ def davenport_count(
         lat_det = 1
         minima_sq = (1,) * d
     else:
-        p = lattice.p
-        sub = [lattice.moduli[i] for i in lattice.coprime]
-        acc = np.zeros((1,) * d, dtype=np.int64)
-        for i, n in enumerate(box):
-            axis = np.arange(-n, n + 1, dtype=np.int64)
-            shape = [1] * d
-            shape[i] = len(axis)
-            acc = (acc + (sub[i] % p) * axis.reshape(shape)) % p
-        count = int(np.count_nonzero(acc == 0))
+        count = _residue_count(box, [lattice.moduli[i] for i in lattice.coprime], lattice.p)
         lat_det = lattice.det
         minima_sq = euclidean_minima(lattice, budget)
 
@@ -399,13 +417,12 @@ def davenport_count(
             )
         constants.append(math.comb(d, j))
 
-    with mpmath.workdps(50):
-        b = mpmath.mpf(0)
-        for j in range(d):
-            denom = mpmath.sqrt(math.prod(minima_sq[:j])) if j else mpmath.mpf(1)
-            b += projections[j] / denom
-        bound = float(b)
-        ratio = float(mpmath.mpf(disc.numerator) / disc.denominator / b)
+    ctx = decimal.Context(prec=50)
+    b = decimal.Decimal(0)
+    for j in range(d):
+        b = ctx.add(b, ctx.divide(projections[j], ctx.sqrt(math.prod(minima_sq[:j]))))
+    bound = float(b)
+    ratio = float(ctx.divide(ctx.divide(disc.numerator, disc.denominator), b))
 
     return DavenportCertificate(
         box=box,

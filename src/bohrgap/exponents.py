@@ -19,46 +19,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .realfield import DEFAULT_SCALE, UNDECIDED, FixedReal, RealSpec, certify, dist_nearest_int, fr_from_int
+from .realfield import UNDECIDED, FixedReal, TargetVector, certify, dist_nearest_int, fr_from_int
 from .scan import CoordScan, blocks
 
 Q = Fraction
 _ZERO_MSG = "cannot separate ||n*alpha-gamma|| from 0 at n={n}"
 _FLAG_TOL = 0.1  # slack of the advisory transference flags
-
-
-@dataclass(frozen=True)
-class TargetVector:
-    """The real vector alpha = (alpha_1..alpha_d); k = d + 1 Bohr-set rank."""
-
-    alphas: tuple[FixedReal, ...]
-
-    def __post_init__(self):
-        if not self.alphas:
-            raise ValidationError("empty target vector")
-        scales = {a.scale for a in self.alphas}
-        if len(scales) != 1:
-            raise ValidationError("all entries must carry the same scale")
-
-    @property
-    def d(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def k(self) -> int:
-        return self.d + 1
-
-    @property
-    def scale(self) -> int:
-        return self.alphas[0].scale
-
-    @classmethod
-    def parse(cls, texts: Sequence[str], scale: int = DEFAULT_SCALE) -> "TargetVector":
-        return cls(tuple(RealSpec.parse(t).realize(scale) for t in texts))
-
-    def rational_entries(self) -> list[int]:
-        """Indices (0-based) of entries with exactly rational values."""
-        return [i for i, a in enumerate(self.alphas) if a.exact() is not None]
 
 
 @dataclass

@@ -21,18 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .bohr import (
-    BohrSet,
-    BohrSpec,
-    _coord_scans,
-    enumerate_bohr,
-    is_member,
-    shift_injection_holds,
-)
 from .errors import (
     BasePointDrift,
     BudgetExceeded,
@@ -43,7 +33,6 @@ from .errors import (
     SmallDirichletWitness,
     ValidationError,
 )
-from .exponents import TargetVector
 from .lattice import adjugate, det, line_cut
 from .minima import (
     GaugeVal,
@@ -53,8 +42,12 @@ from .minima import (
     gauge_interval,
     successive_minima,
 )
-from .realfield import UNDECIDED, _iroot, certify, cmp_pow
-from .scan import CoordScan, ThresholdSpec, first_in_range
+from .realfield import UNDECIDED, BohrSpec, TargetVector, _iroot, certify, cmp_pow
+
+if TYPE_CHECKING:  # numpy, bohr and scan load only where a box is built or n scanned
+    import numpy as np
+
+    from .scan import CoordScan, ThresholdSpec
 
 Q = Fraction
 
@@ -118,6 +111,8 @@ def _floor_over_gauge(body, g: GaugeVal, num: Fraction, what: str) -> int:
 
 def _dirichlet_tspec(coord: CoordScan, q: int, r: int, n_max: int) -> ThresholdSpec:
     """Membership ||n*alpha|| <= q^(-1/r), decided exactly on the boundary."""
+    from .scan import ThresholdSpec
+
     x = _iroot((1 << (r * coord.scale)) // q, r)
     e = coord.err_int(n_max)
 
@@ -153,6 +148,8 @@ def decompose(minima: MinimaResult, point) -> tuple[int, ...]:
 
 def _box_values(gap: GAP, budget: int) -> np.ndarray:
     """b + sum n_i A_i in row-major coefficient order, within both budgets."""
+    import numpy as np
+
     size = gap.box_size()
     if size > budget:
         raise BudgetExceeded(f"coefficient box of {size} exceeds budget {budget}")
@@ -191,13 +188,13 @@ class ProperCertificate:
 
 
 def _coeff_vector(gap: GAP, flat: int) -> tuple[int, ...]:
-    dims = []
-    for L in gap.lengths:
-        dims.append(L if gap.form == "positive" else 2 * L + 1)
-    idx = np.unravel_index(flat, dims)
-    if gap.form == "positive":
-        return tuple(int(i) + 1 for i in idx)
-    return tuple(int(i) - L for i, L in zip(idx, gap.lengths))
+    """The coefficients at row-major position flat of the box."""
+    pos = gap.form == "positive"
+    out = []
+    for L in reversed(gap.lengths):
+        flat, i = divmod(flat, L if pos else 2 * L + 1)
+        out.append(i + 1 if pos else i - L)
+    return tuple(reversed(out))
 
 
 def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray]:
@@ -208,9 +205,9 @@ def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray
     same = svals[1:] == svals[:-1]
     if same.any():
         i = int(same.argmax())
-        first, second = np.flatnonzero(_box_values(gap, budget) == svals[i])[:2]
+        first, second = (_box_values(gap, budget) == svals[i]).nonzero()[0][:2]
         pair = (_coeff_vector(gap, int(first)), _coeff_vector(gap, int(second)))
-        return ProperCertificate(False, len(svals) - int(np.count_nonzero(same)), size, collision=pair), svals
+        return ProperCertificate(False, len(svals) - int(same.sum()), size, collision=pair), svals
     digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
     return ProperCertificate(True, size, size, sha256=digest), svals
 
@@ -229,6 +226,16 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     Raises typed construction errors when the finite-N search has no room:
     NoBasePoint, SmallDirichletWitness, LengthUnderflow, BasePointDrift.
     """
+    return _inner_gap(spec, budget)[0]
+
+
+def _inner_gap(spec: BohrSpec, budget: int):
+    """inner_gap's GAP with the certificate and sorted elements of its one box."""
+    import numpy as np
+
+    from .bohr import _coord_scans, enumerate_bohr, is_member
+    from .scan import CoordScan, ThresholdSpec, first_in_range
+
     N, k, eps = spec.N, spec.k, spec.epsilon
     if N < 100:
         raise ValidationError("the construction needs N >= 100")
@@ -333,7 +340,7 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     trace.append(
         f"verified: {len(elements)} elements inside the Bohr set, proper, gcd 1"
     )
-    return gap
+    return gap, (cert, elements)
 
 
 # -- the outer construction ---------------------------------------------------
@@ -525,6 +532,8 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
 
 def cardinality_ratio(spec: BohrSpec) -> dict:
     """#B / (delta_1..delta_{k-1} N) on the symmetric set, plus the shift check."""
+    from .bohr import BohrSet, enumerate_bohr, shift_injection_holds
+
     deltas = spec.delta_fractions()
     for i, d in enumerate(deltas):
         if d > 1:

@@ -27,9 +27,8 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .exponents import TargetVector
 from .lattice import ReducedLattice, det, echelon, extendable, independent, line_cut, spender
-from .realfield import UNDECIDED, FixedReal, _round_half_even, certify, fr_root_rational
+from .realfield import UNDECIDED, FixedReal, TargetVector, _round_half_even, certify, fr_root_rational
 
 Q = Fraction
 

@@ -7,15 +7,17 @@ either return a certified sign or report indecision; nothing here guesses.
 
 Values are built from decimal strings, rationals, or integer square roots,
 never from machine floats.  Constructors are kept on the value (``source``)
-so an indecisive comparison can be retried at a higher scale.
+so an indecisive comparison can be retried at a higher scale.  The Bohr-set
+specs built on them (TargetVector, BohrSpec) live here too, free of numpy.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import PrecisionExhausted, ValidationError
 
@@ -368,14 +370,23 @@ def sqrt_fraction(f: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _pow_sqrt(ctx: decimal.Context, n: int, t: Fraction, sign: int = 1) -> decimal.Decimal:
+    """n^(sign*sqrt(t)) in ctx, each operation correctly rounded."""
+    y = ctx.multiply(ctx.sqrt(ctx.divide(t.numerator, t.denominator)), ctx.ln(n))
+    return ctx.exp(y if sign > 0 else ctx.minus(y))
+
+
 def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
     """Certified sign of x - n^(sign*sqrt(t)) for every x in [lo, hi], n >= 1.
 
     A rational exponent e is passed as t = e^2.  When sqrt(t) is rational the
     sign comes from exact integer powers (n == 1 compares with exactly 1);
-    otherwise mpmath evaluates the threshold at 40, 120 and 400 digits, where
-    equality is impossible.  None only when the bracket straddles (or touches)
-    the threshold; a point that 400 digits cannot separate raises.
+    otherwise `decimal` evaluates the threshold in a fresh context at 40, 120
+    and 400 digits, where equality is impossible.  Each step to y = sqrt(t)*ln n
+    and exp(y) rounds half-even, so the relative error is below
+    (2|y| + 1)*10^(1-dps), inside the margin 10^(8-dps) for |y| <= 10^6.  None
+    only when the bracket straddles (or touches) the threshold, with lo and hi
+    compared exactly; a point that 400 digits cannot separate raises.
     """
     lo, hi, t = Fraction(lo), Fraction(hi), Fraction(t)
     r = Q(0) if n == 1 else sqrt_fraction(t)
@@ -392,16 +403,14 @@ def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
 
         slo, shi = side(lo), side(hi)
         return slo if slo == shi else None
-    import mpmath
-
     for dps in (40, 120, 400):
-        with mpmath.workdps(dps):
-            thr = mpmath.power(n, sign * mpmath.sqrt(mpmath.mpf(t.numerator) / t.denominator))
-            tol = thr * mpmath.mpf(10) ** (8 - dps)
-            if mpmath.mpf(lo.numerator) / lo.denominator > thr + tol:
-                return 1
-            if mpmath.mpf(hi.numerator) / hi.denominator < thr - tol:
-                return -1
+        ctx = decimal.Context(prec=dps)
+        thr = _pow_sqrt(ctx, n, t, sign)
+        tol = ctx.multiply(thr, decimal.Decimal((0, (1,), 8 - dps)))
+        if lo > ctx.add(thr, tol):
+            return 1
+        if hi < ctx.subtract(thr, tol):
+            return -1
     if lo == hi:
         raise PrecisionExhausted(f"cannot separate {lo} from {n}^({sign}*sqrt({t}))")
     return None
@@ -409,12 +418,162 @@ def cmp_pow(lo, hi, n: int, t, sign: int = 1) -> Optional[int]:
 
 def ceil_pow_sqrt(base: int, eps: Fraction) -> int:
     """Smallest integer >= base^sqrt(eps), certified."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        guess = int(mpmath.floor(mpmath.power(base, mpmath.sqrt(mpmath.mpf(eps.numerator) / eps.denominator))))
+    guess = int(_pow_sqrt(decimal.Context(prec=40), base, eps))
     for m in range(max(guess - 2, 0), guess + 4):
         # smallest m with m >= base^sqrt(eps)
         if cmp_pow(m, m, base, eps) >= 0:
             return m
     raise PrecisionExhausted("ceil_pow_sqrt guess window missed")
+
+
+# -- Bohr-set specifications --------------------------------------------
+
+
+@dataclass(frozen=True)
+class TargetVector:
+    """The real vector alpha = (alpha_1..alpha_d); k = d + 1 Bohr-set rank."""
+
+    alphas: tuple[FixedReal, ...]
+
+    def __post_init__(self):
+        if not self.alphas:
+            raise ValidationError("empty target vector")
+        scales = {a.scale for a in self.alphas}
+        if len(scales) != 1:
+            raise ValidationError("all entries must carry the same scale")
+
+    @property
+    def d(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def k(self) -> int:
+        return self.d + 1
+
+    @property
+    def scale(self) -> int:
+        return self.alphas[0].scale
+
+    @classmethod
+    def parse(cls, texts: Sequence[str], scale: int = DEFAULT_SCALE) -> "TargetVector":
+        return cls(tuple(RealSpec.parse(t).realize(scale) for t in texts))
+
+    def rational_entries(self) -> list[int]:
+        """Indices (0-based) of entries with exactly rational values."""
+        return [i for i, a in enumerate(self.alphas) if a.exact() is not None]
+
+
+def parse_threshold(text: str, scale: int = DEFAULT_SCALE) -> FixedReal:
+    """Accept either a source spec ("rat:1/20", "dec:0.05", "sqrt:2") or a
+    bare decimal/fraction literal ("0.05", "1/20")."""
+    if ":" in text:
+        return RealSpec.parse(text).realize(scale)
+    try:
+        return fr_from_fraction(Q(text), scale)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"bad width {text!r}: {e}") from e
+
+
+@dataclass(frozen=True)
+class BohrSpec:
+    """Data for B_gamma(N; delta): the targets, the shift, the box, the widths.
+
+    k = d + 1 counts the lifted coordinates (n, a_1..a_d).  epsilon feeds the
+    restricted variant's lower cutoff N^sqrt(epsilon).
+    """
+
+    alpha: TargetVector
+    gamma: Optional[tuple[FixedReal, ...]]
+    N: int
+    delta: tuple[FixedReal, ...]
+    epsilon: Fraction = Q(1, 20)
+
+    def __post_init__(self):
+        if not isinstance(self.N, int) or self.N < 1:
+            raise ValidationError("N must be a positive integer")
+        d = self.alpha.d
+        if len(self.delta) != d:
+            raise ValidationError("delta needs one width per alpha entry")
+        if self.gamma is not None:
+            if len(self.gamma) != d:
+                raise ValidationError("gamma needs one shift per alpha entry")
+            for g in self.gamma:
+                if g.scale != self.alpha.scale:
+                    raise ValidationError("gamma scale mismatch")
+        # widths up to 2 are legal so the doubled/outer companions stay
+        # constructible; anything >= 1/2 already keeps every n
+        for t in self.delta:
+            if t.scale != self.alpha.scale:
+                raise ValidationError("delta scale mismatch")
+            ex = t.exact()
+            lo, hi = t.bounds()
+            if ex is not None:
+                if not (0 < ex <= 2):
+                    raise ValidationError("delta entries must lie in (0, 2]")
+            elif not (lo > 0 and hi <= 2):
+                raise ValidationError("delta entries must lie in (0, 2] decisively")
+        if not (0 < self.epsilon <= Q(1, 4)):
+            raise ValidationError("epsilon must lie in (0, 1/4]")
+        # guard: accumulated fixed-point error over the whole range must stay
+        # far below the smallest width, or borderline bands swallow the scan
+        dlo = min((t.exact() if t.exact() is not None else t.bounds()[0]) for t in self.delta)
+        if Q(self.N + 1, 1 << self.alpha.scale) >= dlo / (1 << 20):
+            raise ValidationError("scale too small for this N and delta; use a larger scale")
+
+    @property
+    def d(self) -> int:
+        return self.alpha.d
+
+    @property
+    def k(self) -> int:
+        return self.alpha.k
+
+    @property
+    def scale(self) -> int:
+        return self.alpha.scale
+
+    def gammas(self) -> tuple[FixedReal, ...]:
+        if self.gamma is not None:
+            return self.gamma
+        z = fr_from_int(0, self.scale)
+        return tuple(z for _ in range(self.d))
+
+    def is_homogeneous(self) -> bool:
+        return self.gamma is None or all(g.exact() == 0 for g in self.gamma)
+
+    def delta_fractions(self) -> tuple[Fraction, ...]:
+        out = []
+        for t in self.delta:
+            ex = t.exact()
+            if ex is None:
+                raise ValidationError("width is not exactly rational")
+            out.append(ex)
+        return tuple(out)
+
+    def scaled(self, num: int, den: int) -> "BohrSpec":
+        """This set with widths delta*num/den (capped at 1), the same N and shift."""
+        ds = []
+        for t in self.delta:
+            u = t.mul_int(num).div_int(den)
+            ex = u.exact()
+            if ex is not None and ex > 1:
+                u = fr_from_int(1, self.scale)
+            ds.append(u)
+        return BohrSpec(self.alpha, self.gamma, self.N, tuple(ds), self.epsilon)
+
+    @classmethod
+    def build(
+        cls,
+        alpha_texts,
+        gamma_texts,
+        N: int,
+        delta_texts,
+        epsilon: Fraction = Q(1, 20),
+        scale: int = DEFAULT_SCALE,
+    ) -> "BohrSpec":
+        alpha = TargetVector.parse(list(alpha_texts), scale)
+        gamma = None
+        if gamma_texts is not None:
+            gamma = tuple(RealSpec.parse(t).realize(scale) for t in gamma_texts)
+        delta = tuple(parse_threshold(t, scale) for t in delta_texts)
+        return cls(alpha, gamma, N, delta, Q(epsilon))

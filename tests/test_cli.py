@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohrgap
 import bohrgap.cli
 from bohrgap.bohr import BohrSpec, enumerate_bohr, restricted_bohr
-from bohrgap.cli import _jsonable, main
+from bohrgap.cli import _digits25, _jsonable, main
 from bohrgap.counting import totient_average
 from fractions import Fraction as Q
 
@@ -193,6 +195,31 @@ def test_count_totient_decimal(capsys):
     assert d["sum_phi_over_n"]["den_mod_m61"] == avg.denominator % ((1 << 61) - 1)
     assert abs(d["sum_phi_over_n"]["float"] - float(avg)) < 1e-9
     assert d["sum_phi_over_n"]["decimal"].startswith("6074.72699279532")
+
+
+def _mpmath_nstr25(x):
+    """The totient decimal as first written: mpmath.nstr(x, 25) at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return "0.0" if x == 0 else mpmath.nstr(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator), 25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 5000), max_size=40))
+def test_totient_decimal_matches_mpmath_nstr(ns):
+    # a sum of phi(n)/n has a squarefree reduced denominator, so it is never
+    # a tie at the 26th digit; mpmath's 136-bit value could only differ by
+    # double rounding within about 10^-40 of one
+    avg = totient_average(ns)
+    assert _digits25(avg) == _mpmath_nstr25(avg)
+
+
+def test_totient_decimal_integers_and_values_below_one():
+    for ns, want in [([], "0.0"), ([1], "1.0"), ([1, 1, 1], "3.0"), ([2], "0.5"), ([6], "0.3333333333333333333333333"),
+                     ([1, 2], "1.5"), ([30], "0.2666666666666666666666667")]:
+        avg = totient_average(ns)
+        assert _digits25(avg) == _mpmath_nstr25(avg) == want, ns
 
 
 def test_count_alphap(capsys):
@@ -471,22 +498,23 @@ SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
     "argv, expected",
     [
         ((), set()),
-        (("bohr", "enumerate", *SPEC_K2), {"bohr", "exponents", "realfield", "scan"}),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}),
         (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
-         {"exponents", "realfield", "scan"}),
+         {"exponents", "numpy", "realfield", "scan"}),
+        # the exact-integer commands load neither numpy nor mpmath
+        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}),
+        (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
+         {"gap", "lattice", "minima", "realfield"}),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
-         {"counting", "lattice", "mpmath"}),
-        (("sums", "t", *SPEC_K2), {"bohr", "counting", "exponents", "lattice", "realfield", "scan", "sums"}),
+         {"counting", "lattice"}),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "lattice", "numpy", "realfield", "scan", "sums"}),
     ],
-    ids=["import", "bohr-enumerate", "exponents", "count-davenport", "sums-t"],
+    ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "count-davenport", "sums-t"],
 )
 def test_a_process_loads_only_what_its_command_runs(argv, expected):
     loaded = set(fresh_process(_PROBE, *argv))
     if argv:
-        expected = expected | {"cli", "errors", "numpy"}
-    # mpmath loads when a restriction threshold needs the digit ladder
-    if argv[:2] == ("sums", "t"):
-        loaded.discard("mpmath")
+        expected = expected | {"cli", "errors"}
     assert loaded == expected
 
 

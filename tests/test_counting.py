@@ -530,6 +530,72 @@ def test_davenport_guards():
         davenport_count((2, 2, 2), lat)
 
 
+def _numpy_box_count(box, lat):
+    """The box product mod p over every point, as the count was first written."""
+    d, p = len(box), lat.p
+    sub = [lat.moduli[i] for i in lat.coprime]
+    acc = np.zeros((1,) * d, dtype=np.int64)
+    for i, n in enumerate(box):
+        axis = np.arange(-n, n + 1, dtype=np.int64)
+        shape = [1] * d
+        shape[i] = len(axis)
+        acc = (acc + (sub[i] % p) * axis.reshape(shape)) % p
+    return int(np.count_nonzero(acc == 0))
+
+
+def _mpmath_bound(c):
+    """The certificate's bound and ratio at 50 mpmath digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        b = mpmath.mpf(0)
+        for j in range(len(c.box)):
+            b += c.projections[j] / (mpmath.sqrt(math.prod(c.minima_sq[:j])) if j else mpmath.mpf(1))
+        return float(b), float(mpmath.mpf(c.discrepancy.numerator) / c.discrepancy.denominator / b)
+
+
+def test_davenport_residue_count_matches_the_numpy_box():
+    # d = 1..4; small and large primes, moduli divisible by p (dropped
+    # coordinates), lopsided boxes with a zero side or one longer than p
+    rng = random.Random(1403)
+    done = 0
+    while done < 400:
+        # the minima walk slows with p in d >= 3, so the largest primes pair with d <= 2
+        d = rng.randrange(1, 5)
+        p = rng.choice([2, 3, 5, 7, 13, 101] + [997, 1000003] * (d <= 2))
+        moduli = tuple(rng.choice([rng.randrange(-40, 41), p * rng.randrange(1, 4)]) for _ in range(d))
+        if all(a % p == 0 for a in moduli):
+            continue
+        lat = congruence_lattice(moduli, p)
+        box = [rng.choice([0, 1, rng.randrange(2, 12), rng.randrange(12, 120)]) for _ in range(lat.d)]
+        box[rng.randrange(lat.d)] = rng.choice([rng.randrange(0, 3), rng.randrange(100, 3000)])
+        if math.prod(2 * n + 1 for n in box) > 2 * 10**5:
+            continue
+        c = davenport_count(box, lat)
+        assert c.count == _numpy_box_count(box, lat), (box, moduli, p)
+        assert (c.bound, c.realized_ratio) == _mpmath_bound(c)
+        done += 1
+    for box, moduli, p in [
+        ((2000000, 0), (1, 3), 1000003),
+        ((150, 150, 150), (1, 3, 7), 1000003),
+        ((3, 2000, 1), (5, 7, 11), 13),
+        ((20, 20, 20, 20), (1, 2, 3, 4), 7),
+    ]:
+        lat = congruence_lattice(moduli, p)
+        c = davenport_count(box, lat)
+        assert c.count == _numpy_box_count(box, lat), (box, moduli, p)
+        assert (c.bound, c.realized_ratio) == _mpmath_bound(c)
+
+
+def test_davenport_budget_guard_message():
+    lat = congruence_lattice((1, 3), 1000003)
+    with pytest.raises(BudgetExceeded, match=r"^box holds 40000001 points, over the budget$"):
+        davenport_count((20000000, 0), lat)
+    with pytest.raises(BudgetExceeded, match=r"^box holds 441 points, over the budget$"):
+        davenport_count((10, 10), lat, budget=440)
+    assert davenport_count((10, 10), lat, budget=441).count == _numpy_box_count((10, 10), lat)
+
+
 def test_davenport_csv_shape():
     lat = congruence_lattice((1, 1), 2)
     certs = [davenport_count((2, 2), lat)]

@@ -718,7 +718,7 @@ def test_improper_boxes_in_both_forms_match_the_reference(moduli, lengths, form)
 
 
 @pytest.mark.parametrize("form,want", [
-    ("inner", ["positive", "positive"]),  # inner_gap's own check, then the verify's
+    ("inner", ["positive"]),  # the verify reads inner_gap's own sorted box
     ("outer", ["symmetric"]),  # outer_gap counts lifts by lines, with no box
 ])
 def test_gap_verify_builds_one_box(monkeypatch, capsys, form, want):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrgap import realfield
 from bohrgap.errors import PrecisionExhausted, ValidationError
 from bohrgap.realfield import (
     DEFAULT_SCALE,
@@ -459,6 +460,74 @@ def test_digit_ladder_lives_once_in_realfield():
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     counts = {p.name: p.read_text().count("(40, 120, 400)") for p in src.glob("*.py")}
     assert {name: c for name, c in counts.items() if c} == {"realfield.py": 1}
+
+
+def test_no_module_imports_mpmath_and_the_exact_layers_import_no_numpy():
+    # mpmath is a test oracle only; the spec types, realfield, lattice and
+    # minima serve the exact-integer commands, which must start without numpy
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    mpmath_users, numpy_at_top = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node, scope in _imports_by_scope(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            roots = {name.split(".")[0] for name in names}
+            if "mpmath" in roots:
+                mpmath_users.append(path.name)
+            if "numpy" in roots and scope is tree:
+                numpy_at_top.append(path.name)
+    assert mpmath_users == []
+    assert not {"realfield.py", "lattice.py", "minima.py"} & set(numpy_at_top)
+
+
+# -- the decimal threshold ladder against a 60-digit mpmath oracle -----------------
+
+# the non-square exponents t = eps that reach the ladder from gap, bohr and
+# sums (eps^2 has a rational root and takes the exact branch)
+LADDER_T = [Q(1, 20), Q(1, 10), Q(1, 8), Q(1, 7), Q(1, 5), Q(3, 20), Q(2, 9), Q(1, 12)]
+# relative offset 10^-D from the threshold -> the rungs that run
+RUNGS = {10: [40], 40: [40, 120], 150: [40, 120, 400]}
+
+
+def _ladder_rungs(fn):
+    """fn() and the precisions of the ladder's threshold evaluations."""
+    seen = []
+    real = realfield._pow_sqrt
+
+    def spy(ctx, *args):
+        seen.append(ctx.prec)
+        return real(ctx, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realfield, "_pow_sqrt", spy)
+        return fn(), seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 10**18),
+    t=st.sampled_from(LADDER_T),
+    sign=st.sampled_from((1, -1)),
+    digits=st.sampled_from(sorted(RUNGS)),
+    side=st.sampled_from((1, -1)),
+    k=st.integers(1, 9),
+)
+def test_cmp_pow_ladder_against_mpmath(n, t, sign, digits, side, k):
+    # x = thr*(1 + side*k*10^-digits) as an exact rational; the threshold is
+    # taken to 60 digits beyond the offset, so side is the true sign.  At
+    # digits = 40 x lies within 10^-30 of the threshold (thr < 10^9 here).
+    with mpmath.workdps(digits + 60):
+        thr = mpmath.power(n, sign * mpmath.sqrt(mpmath.mpf(t.numerator) / t.denominator))
+        p10 = digits + 30 - int(mpmath.floor(mpmath.log10(thr)))
+        x = Q(int(mpmath.nint(thr * mpmath.mpf(10) ** p10)), 10**p10) * (1 + Q(side * k, 10**digits))
+        assert digits != 40 or abs(mpmath.mpf(x.numerator) / x.denominator - thr) < mpmath.mpf(10) ** -30
+    got, rungs = _ladder_rungs(lambda: cmp_pow(x, x, n, t, sign))
+    assert got == side
+    assert rungs == RUNGS[digits]
+    # a bracket across the threshold stays open after the whole ladder
+    w = abs(x - x / (1 + Q(side * k, 10**digits)))
+    lo, hi = (x - 2 * w, x) if side > 0 else (x, x + 2 * w)
+    assert _ladder_rungs(lambda: cmp_pow(lo, hi, n, t, sign)) == (None, [40, 120, 400])
 
 
 # -- differential oracle through the exact scan fallback ---------------------------
