@@ -134,7 +134,11 @@ def _spec_from(ns: argparse.Namespace) -> BohrSpec:
     if len(deltas) == 1 and len(alphas) > 1:
         deltas = deltas * len(alphas)
     gamma = list(ns.gamma) if getattr(ns, "gamma", None) else None
-    return BohrSpec.build(alphas, gamma, ns.N, deltas, Q(ns.eps), ns.scale)
+    try:
+        eps = Q(ns.eps)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"bad epsilon {ns.eps!r}: {e}") from e
+    return BohrSpec.build(alphas, gamma, ns.N, deltas, eps, ns.scale)
 
 
 def _psi_from(ns: argparse.Namespace, default_k: int):

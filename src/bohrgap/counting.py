@@ -406,16 +406,9 @@ def davenport_count(
     disc = abs(Q(count) - main)
 
     sides = [2 * n for n in box]
-    projections = []
-    constants = []
-    for j in range(d):
-        if j == 0:
-            projections.append(1)
-        else:
-            projections.append(
-                max(math.prod(c) for c in itertools.combinations(sides, j))
-            )
-        constants.append(math.comb(d, j))
+    # combinations(sides, 0) yields the empty product 1
+    projections = [max(math.prod(c) for c in itertools.combinations(sides, j)) for j in range(d)]
+    constants = [math.comb(d, j) for j in range(d)]
 
     ctx = decimal.Context(prec=50)
     b = decimal.Decimal(0)

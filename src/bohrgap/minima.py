@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Optional
 
 from .errors import (
@@ -65,11 +64,13 @@ class ConvexBody:
     def _frames(self) -> dict:
         return {}
 
-    def frame(self, extra: int = 0) -> "GaugeFrame":
-        """Integer gauge weights at +extra bits, built once per depth."""
-        f = self._frames.get(extra)
+    def frame(self, extra: int = 0, terms: Optional[frozenset] = None) -> "GaugeFrame":
+        """Integer gauge forms at +extra bits, over the terms in terms (all
+        when None), built once per depth and term set."""
+        f = self._frames.get((extra, terms))
         if f is None:
-            f = self._frames[extra] = GaugeFrame(self, extra)
+            f = GaugeFrame(self, extra) if terms is None else self.frame(extra).restricted(terms)
+            self._frames[extra, terms] = f
         return f
 
     @cached_property
@@ -108,90 +109,64 @@ def build_body(spec) -> ConvexBody:
 
 
 class GaugeFrame:
-    """Integer weights that put every term of m(v) over one denominator D.
+    """Integer linear forms that put every term of m(v) over one denominator D.
 
-    Built once per body and escalation depth.  The first term is |v_1|*w0;
-    an exactly rational alpha_i = a/b gives |a*v_1 - b*v_{1+i}|*W; a
-    fixed-point alpha_i = (M +- E)/2^s with E = en/ed gives the bracket
-    (|M*v_1 - v_{1+i}*2^s|*ed -+ en*|v_1|)*W.  D is the lcm that makes every
-    weight an integer, so D*m(v) is bracketed by Python ints without any
+    Built once per body and escalation depth.  Each form (i, c, d, e) is
+    l_i(v) = c*v_1 + d*v_{1+i} with slack e: term 0 is (0, w0, 0, 0); an
+    exactly rational alpha_i = a/b gives (i, a*W, -b*W, 0); a fixed-point
+    alpha_i = (M +- E)/2^s with E = en/ed gives (i, M*ed*W, -2^s*ed*W, en*W).
+    D*m(v) lies within e_i*|v_1| of max_i |l_i(v)|.  D is the lcm that makes
+    every weight an integer, so D*m(v) is bracketed by Python ints without any
     rounding: the bracket is exactly D times the rational interval.
     """
 
-    __slots__ = ("den", "w0", "exact_terms", "fixed_terms")
+    __slots__ = ("den", "forms")
 
     def __init__(self, body: "ConvexBody", extra: int):
         c0 = body.c[0]
-        exact_terms, fixed_terms, needs = [], [], [c0.numerator]
+        terms = []  # (i, c, d, e) before the weight W = D*cd/q
         for i, a in enumerate(body.alpha.alphas, start=1):
             if extra:
                 a = a.refined(a.scale + extra)
             ci = body.c[i]
             aex = a.exact()
             if aex is not None:
-                exact_terms.append((i, aex.numerator, aex.denominator, ci))
-                needs.append(aex.denominator * ci.numerator)
+                c, d, e, q = aex.numerator, -aex.denominator, 0, aex.denominator * ci.numerator
             else:
                 err = Q(a.err)
-                fixed_terms.append((i, a.man, a.scale, err, ci))
-                needs.append((ci.numerator * err.denominator) << a.scale)
-        den = math.lcm(*needs)
-        self.den = den
-        self.w0 = den * c0.denominator // c0.numerator
-        self.exact_terms = tuple(
-            (i, an, ad, den * ci.denominator // (ad * ci.numerator)) for i, an, ad, ci in exact_terms
-        )
-        self.fixed_terms = tuple(
-            (i, man, s, err.denominator, err.numerator,
-             den * ci.denominator // ((ci.numerator * err.denominator) << s))
-            for i, man, s, err, ci in fixed_terms
-        )  # fmt: skip
+                c, d, e = a.man * err.denominator, -(err.denominator << a.scale), err.numerator
+                q = (ci.numerator * err.denominator) << a.scale
+            terms.append((i, c, d, e, ci.denominator, q))
+        den = self.den = math.lcm(c0.numerator, *(t[5] for t in terms))
+        forms = [(0, den * c0.denominator // c0.numerator, 0, 0)]
+        for i, c, d, e, cd, q in terms:
+            w = den * cd // q
+            forms.append((i, c * w, d * w, e * w))
+        self.forms = tuple(forms)
 
     def key(self, vec: tuple[int, ...]) -> "GaugeVal":
         v0 = vec[0]
         a0 = abs(v0)
-        ex = a0 * self.w0
-        for i, an, ad, w in self.exact_terms:
-            e = abs(an * v0 - ad * vec[i]) * w
-            if e > ex:
-                ex = e
-        ilo = ihi = -1  # a negative lower end is clamped by ex >= 0 below
-        for i, man, s, ed, en, w in self.fixed_terms:
-            r = abs(man * v0 - (vec[i] << s)) * ed
-            slack = en * a0
-            ilo = max(ilo, (r - slack) * w)
-            ihi = max(ihi, (r + slack) * w)
-        if ihi <= ex:  # an exact term dominates every open one
+        ex = 0
+        lo = hi = -1  # a negative lower end is clamped by ex >= 0 below
+        for i, c, d, e in self.forms:
+            t = abs(c * v0 + d * vec[i])
+            if e:
+                s = e * a0
+                if t - s > lo:
+                    lo = t - s
+                if t + s > hi:
+                    hi = t + s
+            elif t > ex:
+                ex = t
+        if hi <= ex:  # an exact term dominates every open one
             return GaugeVal(vec, ex, ex, ex, self.den)
-        return GaugeVal(vec, max(ex, ilo), ihi, None, self.den)
-
-    def forms(self, k: int) -> tuple[list[list[int]], list[int]]:
-        """The integer linear forms l_i whose absolute values key() maximises,
-        with slacks e_i: D*m(v) lies within e_i*|v_1| of max_i |l_i(v)|.
-
-        l_0 = w0*v_1; an exact term gives W*(a*v_1 - b*v_{1+i}) with no
-        slack, a fixed one ed*W*(M*v_1 - 2^s*v_{1+i}) with slack en*W.
-        """
-        rows, slack = [[self.w0] + [0] * (k - 1)], [0]
-        for i, an, ad, w in self.exact_terms:
-            row = [0] * k
-            row[0], row[i] = an * w, -ad * w
-            rows.append(row)
-            slack.append(0)
-        for i, man, s, ed, en, w in self.fixed_terms:
-            row = [0] * k
-            row[0], row[i] = man * ed * w, -((ed * w) << s)
-            rows.append(row)
-            slack.append(en * w)
-        return rows, slack
+        return GaugeVal(vec, max(ex, lo), hi, None, self.den)
 
     def restricted(self, keep) -> "GaugeFrame":
         """This frame over the terms in keep only (0 is the |v_1| term)."""
         f = object.__new__(GaugeFrame)
-        f.den = self.den
-        f.w0 = self.w0 if 0 in keep else 0
-        f.exact_terms = tuple(t for t in self.exact_terms if t[0] in keep)
-        f.fixed_terms = tuple(t for t in self.fixed_terms if t[0] in keep)
+        f.den, f.forms = self.den, tuple(t for t in self.forms if t[0] in keep)
         return f
 
     def bound_key(self, bound: Fraction) -> int:
@@ -309,34 +284,31 @@ class _Reduced:
     w0^2 Q(v) <= B^2 * spread, spread = sum_i (w0 + e_i)^2; limit(B) is that
     radius for ReducedLattice.walk.
 
-    Along the innermost direction b the terms of m split into those constant
-    on every line x*b + r (term 0 when b_1 = 0, an exact term when
-    a*b_1 = b*b_{1+i}, a fixed one when b_1 = b_{1+i} = 0) and those that
-    vary; part(terms, extra) is the key() frame of a set of terms.
+    Along the innermost direction b each form has slope l(b).  A term is
+    constant on every line x*b + r when its slope is 0 and, if it has slack,
+    b_1 = 0 as well; the other terms vary.
     """
 
     def __init__(self, body: ConvexBody):
-        f = body.frame()
-        k = body.k
-        forms, slack = f.forms(k)
-        gram = [[sum(a[p] * a[q] for a in forms) for q in range(k)] for p in range(k)]
+        k, forms = body.k, body.frame().forms
+        gram = [[0] * k for _ in range(k)]
+        for i, c, d, _ in forms:  # (c*v_1 + d*v_{1+i})^2, term by term
+            gram[0][0] += c * c
+            gram[0][i] += c * d
+            gram[i][0] += c * d
+            gram[i][i] += d * d
         self.lattice = ReducedLattice([[int(i == j) for j in range(k)] for i in range(k)], gram)
-        self.spread = sum((f.w0 + e) ** 2 for e in slack)
-        self.w0sq = f.w0**2
+        w0 = self.w0 = forms[0][1]
+        self.spread = sum((w0 + e) ** 2 for *_, e in forms)
+        self.w0sq = w0**2
         b = self.b = self.lattice.basis[0]
-        const = {0} if b[0] == 0 else set()
-        const.update(i for i, an, ad, _ in f.exact_terms if an * b[0] == ad * b[i])
-        const.update(t[0] for t in f.fixed_terms if b[0] == 0 == b[t[0]])
+        # per form: (term, c, d, slack, slope l(b))
+        self.forms = [(i, c, d, e, c * b[0] + d * b[i]) for i, c, d, e in forms]
         self.all = frozenset(range(k))
-        self.const = frozenset(const)
+        self.const = frozenset(i for i, _, _, e, slope in self.forms if slope == 0 and (e == 0 or b[0] == 0))
         self.vary = self.all - self.const
-        self.body = body
-        self._parts: dict = {}
+        self.frame = body.frame
         self._cuts: dict = {}
-        # per form: (term, slope l(b), form, slack), in the order of forms()
-        terms = [0] + [t[0] for t in f.exact_terms] + [t[0] for t in f.fixed_terms]
-        self.w0 = f.w0
-        self.rows = [(t, sum(a * c for a, c in zip(row, b)), row, e) for t, row, e in zip(terms, forms, slack)]
 
     def limit(self, bound: int) -> tuple[int, int]:
         return bound * bound * self.spread, self.w0sq
@@ -347,39 +319,34 @@ class _Reduced:
         A form with slack e can exceed bound by at most e*|v_1| <=
         e*bound/w0 at such x, so |l(b)*x + l(r)| <= bound + ceil(e*bound/w0)
         is necessary; each form cuts an interval (line_cut).  None when the
-        interval is empty.  The (slope, form, limit) of terms are built once
+        interval is empty.  The (form, slope, limit) of terms are built once
         per (terms, bound), so a line only forms l(r).
         """
         cuts = self._cuts.get((terms, bound))
         if cuts is None:
             cuts = self._cuts[terms, bound] = [
-                (slope, row, bound - (-e * bound // self.w0)) for t, slope, row, e in self.rows if t in terms
+                (i, c, d, slope, bound - (-e * bound // self.w0)) for i, c, d, e, slope in self.forms if i in terms
             ]
-        return line_cut(lo, hi, [(slope, sum(map(mul, row, r)), lim) for slope, row, lim in cuts])
+        return line_cut(lo, hi, [(slope, c * r[0] + d * r[i], lim) for i, c, d, slope, lim in cuts])
 
     def vertex(self, r) -> Optional[int]:
-        """floor of the real minimiser of max |l(b)*x + l(r)| over the varying
-        forms: each form gives a rising line |l(b)|x + c and a falling one,
-        and the maxima of the two families cross at min_i max_j of the
-        pairwise crossings, whose floors commute with min and max."""
+        """floor of the real minimiser of max |l(b)*x + l(r)| over the forms
+        with a slope (every constant term has none): each gives a rising line
+        |l(b)|x + c and a falling one, and the maxima of the two families
+        cross at min_i max_j of the pairwise crossings, whose floors commute
+        with min and max."""
         lines = []
-        for t, slope, row, _ in self.rows:
-            if t in self.vary and slope:
-                c = sum(map(mul, row, r))
-                lines.append((abs(slope), c if slope > 0 else -c))
+        for i, c, d, _, slope in self.forms:
+            if slope:
+                y = c * r[0] + d * r[i]
+                lines.append((abs(slope), y if slope > 0 else -y))
         if not lines:
             return None
         return min(max((-ci - cj) // (ai + aj) for aj, cj in lines) for ai, ci in lines)
 
-    def part(self, terms: frozenset, extra: int = 0) -> "GaugeFrame":
-        f = self._parts.get((terms, extra))
-        if f is None:
-            f = self._parts[terms, extra] = self.body.frame(extra).restricted(terms)
-        return f
-
     def cmp(self, tu: frozenset, u: GaugeVal, tv: frozenset, v: GaugeVal) -> int:
         """Certified order of u keyed over the terms tu and v over tv."""
-        return _key_cmp(lambda e: self.part(tu, e), lambda e: self.part(tv, e), u, v)
+        return _key_cmp(lambda e: self.frame(e, tu), lambda e: self.frame(e, tv), u, v)
 
 
 def _canon(v: tuple[int, ...]) -> tuple[int, ...]:
@@ -416,13 +383,13 @@ class _Line:
     def at(self, x: int) -> GaugeVal:
         g = self.memo.get(x)
         if g is None:
-            g = self.memo[x] = self.red.body.frame().key(self.vec(x))
+            g = self.memo[x] = self.red.frame().key(self.vec(x))
         return g
 
     def h(self, x: int) -> GaugeVal:
         g = self.hmemo.get(x)
         if g is None:
-            g = self.hmemo[x] = self.red.part(self.red.vary).key(self.vec(x))
+            g = self.hmemo[x] = self.red.frame(0, self.red.vary).key(self.vec(x))
         return g
 
     def h_cmp(self, x: int, y: int) -> int:
@@ -434,8 +401,8 @@ class _Line:
         rest = red.vary - tied
         if not rest:
             return 0
-        part = red.part(rest).key
-        m, a, c = red.part(tied).key(self.vec(x)), part(self.vec(x)), part(self.vec(y))
+        part = red.frame(0, rest).key
+        m, a, c = red.frame(0, tied).key(self.vec(x)), part(self.vec(x)), part(self.vec(y))
         ca, cc = red.cmp(rest, a, tied, m), red.cmp(rest, c, tied, m)
         if ca <= 0 and cc <= 0:  # the tied terms dominate both
             return 0
@@ -466,7 +433,7 @@ class _Line:
 
     def k_const(self) -> GaugeVal:
         """K: the key over the constant terms, the same at every x."""
-        return self.red.part(self.red.const).key(self.vec(0))
+        return self.red.frame(0, self.red.const).key(self.vec(0))
 
     def lex_order(self, xa: int, xb: int):
         """x in xa..xb in increasing lexicographic order of the canonical vector.

@@ -58,7 +58,10 @@ class RealSpec:
             except (ValueError, ZeroDivisionError) as e:
                 raise ValidationError(f"bad rational {body!r}: {e}") from e
         if kind == "sqrt":
-            m = int(body)
+            try:
+                m = int(body)
+            except ValueError as e:
+                raise ValidationError(f"bad sqrt integer {body!r}: {e}") from e
             if m < 0:
                 raise ValidationError("sqrt constructor needs m >= 0")
             return cls("sqrt", m)

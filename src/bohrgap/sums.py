@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bohr import BohrSpec, _coord_scans, restricted_bohr
-from .counting import TotientTable, totient_average, totient_sieve
+from .counting import totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, RealSpec, certify
 from .scan import CoordScan, blocks
@@ -48,13 +48,9 @@ def _mask_range(spec: BohrSpec, mask, N: Optional[int]):
     return mask, N
 
 
-def _phi_ratio(table, N: int) -> np.ndarray:
-    """phi(n)/n as float64 for n = 1..N, sieving when no table is given."""
-    if table is None:
-        table = totient_sieve(N)
-    elif table.limit < N:
-        raise ValidationError(f"sieve limit {table.limit} below N={N}")
-    return table.block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
+def _phi_ratio(N: int) -> np.ndarray:
+    """phi(n)/n as float64 for n = 1..N."""
+    return totient_sieve(N).block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
 
 
 # -- the support set G ---------------------------------------------------------
@@ -220,26 +216,16 @@ def t_sum(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] =
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T", not mask.trivial)
 
 
-def t_star_sum(
-    spec: BohrSpec,
-    mask: Optional[SupportMask] = None,
-    N: Optional[int] = None,
-    table: Optional[TotientTable] = None,
-) -> SumResult:
+def t_star_sum(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] = None) -> SumResult:
     """T*_N: the T_N terms weighted by phi(n)/n."""
     mask, N = _mask_range(spec, mask, N)
-    ratio = _phi_ratio(table, N)
+    ratio = _phi_ratio(N)
     terms, min_dist, count = _term_array(spec, mask, N)
     value = math.fsum((terms * ratio).tolist())
     return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T_star", not mask.trivial)
 
 
-def sum_series(
-    spec: BohrSpec,
-    checkpoints: Sequence[int],
-    restrict: bool = True,
-    table: Optional[TotientTable] = None,
-) -> list[dict]:
+def sum_series(spec: BohrSpec, checkpoints: Sequence[int], restrict: bool = True) -> list[dict]:
     """T and T* at each checkpoint, with normalized ratios.
 
     One scan at the largest checkpoint; per-checkpoint values are exact
@@ -251,7 +237,7 @@ def sum_series(
     N = cps[-1]
     _check_n(N)
     mask = support_mask(spec, N) if restrict else trivial_mask(N)
-    ratio = _phi_ratio(table, N)
+    ratio = _phi_ratio(N)
     terms, min_dist, _ = _term_array(spec, mask, N)
     star = terms * ratio
     k = spec.k
@@ -526,12 +512,7 @@ def psi_modified(spec: BohrSpec, psi: ApproxFunction, mask: Optional[SupportMask
 # -- divergence hypothesis report ------------------------------------------------------
 
 
-def ds_hypothesis_check(
-    spec: BohrSpec,
-    psi: ApproxFunction,
-    checkpoints: Sequence[int],
-    table: Optional[TotientTable] = None,
-) -> dict:
+def ds_hypothesis_check(spec: BohrSpec, psi: ApproxFunction, checkpoints: Sequence[int]) -> dict:
     """L(N) = sum (phi(n)/n) Psi(n), U(N) = sum Psi(n), R(N) = sum psi(n) (ln n)^(k-1).
 
     The divergence argument needs L/R bounded below and U/R bounded above;
@@ -543,13 +524,12 @@ def ds_hypothesis_check(
     N = cps[-1]
     _check_n(N)
     mask = support_mask(spec, N)
-    ratio = _phi_ratio(table, N)
-    mp = ModifiedPsi(psi, spec, mask)
-    psi_vals = mp.values(N)
+    ratio = _phi_ratio(N)
+    terms, _, _ = _term_array(spec, mask, N)
+    psi_n = psi.values(np.arange(1, N + 1, dtype=np.int64))  # once for Psi and for R
+    psi_vals = psi_n * terms
     ns = np.arange(1, N + 1, dtype=np.float64)
-    lead = psi.values(np.arange(1, N + 1, dtype=np.int64)) * np.log(np.maximum(ns, 1.0)) ** (
-        spec.k - 1
-    )
+    lead = psi_n * np.log(np.maximum(ns, 1.0)) ** (spec.k - 1)
     rows = []
     for cp in cps:
         L = math.fsum((psi_vals[:cp] * ratio[:cp]).tolist())
@@ -583,7 +563,7 @@ def ds_hypothesis_check(
 # -- eta splitting of the restricted Bohr set --------------------------------------------
 
 
-def eta_split_check(spec: BohrSpec, eta: Fraction = Q(1, 16), table: Optional[TotientTable] = None) -> dict:
+def eta_split_check(spec: BohrSpec, eta: Fraction = Q(1, 16)) -> dict:
     """Exact set algebra behind the narrow/wide window split.
 
     The eta-narrowed restricted set sits inside the wide one, so the totient
@@ -597,8 +577,7 @@ def eta_split_check(spec: BohrSpec, eta: Fraction = Q(1, 16), table: Optional[To
     small = restricted_bohr(small_spec).members
     included = bool(np.isin(small, big).all())
     diff = np.setdiff1d(big, small)
-    if table is None and len(big):
-        table = totient_sieve(int(big.max()))
+    table = totient_sieve(int(big.max())) if len(big) else None  # one sieve for all three sums
     s_big = totient_average([int(n) for n in big], table) if len(big) else Q(0)
     s_small = totient_average([int(n) for n in small], table) if len(small) else Q(0)
     s_diff = totient_average([int(n) for n in diff], table) if len(diff) else Q(0)

@@ -365,6 +365,21 @@ def test_config_abbreviation_exit2(capsys, tmp_path, spelling):
     assert err.startswith("validation error:") and spelling.rstrip("=") in err and "--config" in err
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["bohr", "enumerate", "--k", "2", "--alpha", "sqrt:x", "--N", "100"], "'x'"),
+    (["bohr", "enumerate", "--alpha", "sqrt:2.5", "--N", "100"], "'2.5'"),
+    (["bohr", "enumerate", "--alpha", "sqrt:", "--N", "100"], "''"),
+    (["bohr", "enumerate", "--alpha", "sqrt:2", "--gamma", "sqrt:y", "--N", "100"], "'y'"),
+    (["exponents", "--alpha", "sqrt:x"], "'x'"),
+    (["bohr", "enumerate", "--alpha", "sqrt:2", "--N", "100", "--eps", "abc"], "'abc'"),
+    (["bohr", "enumerate", "--alpha", "sqrt:2", "--N", "100", "--eps", "1/0"], "'1/0'"),
+])
+def test_malformed_constructor_text_exit2(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: bad ") and bad in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("budget", ["0", "-4"])
 def test_budget_below_one_exit2(capsys, budget):
     code, out, err = run_cli(

@@ -10,11 +10,15 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bohrgap import minima
 
 from bohrgap.bohr import BohrSpec
 from bohrgap.errors import BudgetExceeded, ConstructionError, ValidationError
 from bohrgap.exponents import TargetVector
-from bohrgap.lattice import det, echelon, extendable, independent
+from bohrgap.lattice import det, echelon, extendable, independent, line_cut
 from bohrgap.realfield import UNDECIDED, FixedReal, certify
 from bohrgap.minima import (
     ConvexBody,
@@ -297,6 +301,176 @@ def test_gauge_key_exact_term_tying_an_open_bracket():
     g = gauge_interval(body, (3, 0))
     assert fraction_gauge(body, (3, 0), 0) == (Q(3, 2**64),) * 3
     assert (g.lo, g.hi, g.exact) == (Q(3, 2**64),) * 3
+
+
+# -- the two-list frame, kept as the reference for the one tuple of forms --------
+
+
+class TwoListFrame:
+    """The gauge frame as the weight w0 of |v_1|, the exact terms and the
+    fixed-point terms, in that order; forms() gives them as dense rows."""
+
+    def __init__(self, body, extra):
+        c0 = body.c[0]
+        exact_terms, fixed_terms, needs = [], [], [c0.numerator]
+        for i, a in enumerate(body.alpha.alphas, start=1):
+            if extra:
+                a = a.refined(a.scale + extra)
+            ci = body.c[i]
+            aex = a.exact()
+            if aex is not None:
+                exact_terms.append((i, aex.numerator, aex.denominator, ci))
+                needs.append(aex.denominator * ci.numerator)
+            else:
+                err = Q(a.err)
+                fixed_terms.append((i, a.man, a.scale, err, ci))
+                needs.append((ci.numerator * err.denominator) << a.scale)
+        den = math.lcm(*needs)
+        self.den = den
+        self.w0 = den * c0.denominator // c0.numerator
+        self.exact_terms = tuple(
+            (i, an, ad, den * ci.denominator // (ad * ci.numerator)) for i, an, ad, ci in exact_terms
+        )
+        self.fixed_terms = tuple(
+            (i, man, s, err.denominator, err.numerator, den * ci.denominator // ((ci.numerator * err.denominator) << s))
+            for i, man, s, err, ci in fixed_terms
+        )
+
+    def restricted(self, keep):
+        f = object.__new__(TwoListFrame)
+        f.den = self.den
+        f.w0 = self.w0 if 0 in keep else 0
+        f.exact_terms = tuple(t for t in self.exact_terms if t[0] in keep)
+        f.fixed_terms = tuple(t for t in self.fixed_terms if t[0] in keep)
+        return f
+
+    def key(self, vec):
+        """(klo, khi, kex, den)."""
+        v0 = vec[0]
+        a0 = abs(v0)
+        ex = a0 * self.w0
+        for i, an, ad, w in self.exact_terms:
+            ex = max(ex, abs(an * v0 - ad * vec[i]) * w)
+        ilo = ihi = -1
+        for i, man, s, ed, en, w in self.fixed_terms:
+            r = abs(man * v0 - (vec[i] << s)) * ed
+            ilo = max(ilo, (r - en * a0) * w)
+            ihi = max(ihi, (r + en * a0) * w)
+        if ihi <= ex:
+            return ex, ex, ex, self.den
+        return max(ex, ilo), ihi, None, self.den
+
+    def forms(self, k):
+        """(terms, rows, slacks): term 0, then the exact terms, then the fixed ones."""
+        terms, rows, slack = [0], [[self.w0] + [0] * (k - 1)], [0]
+        for i, an, ad, w in self.exact_terms:
+            row = [0] * k
+            row[0], row[i] = an * w, -ad * w
+            terms.append(i)
+            rows.append(row)
+            slack.append(0)
+        for i, man, s, ed, en, w in self.fixed_terms:
+            row = [0] * k
+            row[0], row[i] = man * ed * w, -((ed * w) << s)
+            terms.append(i)
+            rows.append(row)
+            slack.append(en * w)
+        return terms, rows, slack
+
+
+class TwoListReduced:
+    """The Gram matrix, spread, const/vary split, section and vertex from the
+    dense rows of the depth-0 two-list frame, along b."""
+
+    def __init__(self, body, b):
+        f = TwoListFrame(body, 0)
+        k = body.k
+        terms, rows, slack = f.forms(k)
+        self.gram = [[sum(a[p] * a[q] for a in rows) for q in range(k)] for p in range(k)]
+        self.spread = sum((f.w0 + e) ** 2 for e in slack)
+        const = {0} if b[0] == 0 else set()
+        const.update(i for i, an, ad, _ in f.exact_terms if an * b[0] == ad * b[i])
+        const.update(t[0] for t in f.fixed_terms if b[0] == 0 == b[t[0]])
+        self.const = frozenset(const)
+        self.vary = frozenset(range(k)) - self.const
+        self.w0 = f.w0
+        self.rows = [(t, sum(a * c for a, c in zip(row, b)), row, e) for t, row, e in zip(terms, rows, slack)]
+
+    def section(self, r, terms, bound, lo, hi):
+        cuts = [(slope, row, bound - (-e * bound // self.w0)) for t, slope, row, e in self.rows if t in terms]
+        return line_cut(lo, hi, [(slope, sum(a * c for a, c in zip(row, r)), lim) for slope, row, lim in cuts])
+
+    def vertex(self, r):
+        lines = []
+        for t, slope, row, _ in self.rows:
+            if t in self.vary and slope:
+                c = sum(a * q for a, q in zip(row, r))
+                lines.append((abs(slope), c if slope > 0 else -c))
+        if not lines:
+            return None
+        return min(max((-ci - cj) // (ai + aj) for aj, cj in lines) for ai, ci in lines)
+
+
+_ALPHA = st.one_of(
+    st.builds("rat:{}/{}".format, st.integers(-40, 40), st.integers(1, 40)),
+    st.builds("dec:{}.{}".format, st.integers(0, 3), st.integers(0, 9999)),
+    st.builds("sqrt:{}".format, st.integers(0, 60)),
+)
+_DELTA = st.builds(lambda p, q: f"{min(p, 2 * q)}/{q}", st.integers(1, 40), st.integers(1, 40))
+
+
+# a fixed-point alpha without a constructor, so a tiny mantissa can make a
+# fixed term's slope vanish while b_1 does not; it has no deeper depth
+_RAW = st.builds(FixedReal, st.integers(-3, 3), st.just(64), st.sampled_from([Q(0), Q(1, 2), Q(1), Q(3)]))
+_BOUND = st.builds(Q, st.integers(1, 10**6), st.integers(1, 1000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphas=st.integers(1, 5).flatmap(lambda n: st.lists(_ALPHA, min_size=n, max_size=n)),
+    N=st.integers(1, 10**7),
+    raw=st.booleans(),
+    data=st.data(),
+)
+def test_forms_match_the_two_list_frame(alphas, N, raw, data):
+    """GaugeFrame's one tuple of forms against the two-list frame: keys at
+    every depth and on term subsets, and along the reduced direction the
+    Gram matrix, spread, const/vary split, section and vertex."""
+    if raw:
+        raws = [data.draw(_RAW) for _ in alphas]
+        body = ConvexBody(TargetVector(tuple(raws)), tuple(data.draw(_BOUND) for _ in range(len(raws) + 1)), Q(1))
+        depths = (0, 64, 192) if all(a.err == 0 for a in raws) else (0,)
+    else:
+        body = body_of(alphas, N, [data.draw(_DELTA) for _ in alphas])
+        depths = (0, 64, 192)
+    k = body.k
+    grams = []
+    real_lattice = minima.ReducedLattice
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minima, "ReducedLattice", lambda rows, gram: grams.append(gram) or real_lattice(rows, gram))
+        red = body.reduced
+    ref = TwoListReduced(body, red.b)
+    assert grams == [ref.gram]
+    assert (red.spread, red.const, red.vary) == (ref.spread, ref.const, ref.vary)
+
+    vals = [a.value() for a in body.alpha.alphas]
+    coord = st.integers(-(10**6), 10**6)
+    for _ in range(4):
+        v0 = data.draw(coord)
+        near = (v0,) + tuple(round(x * v0) + data.draw(st.integers(-2, 2)) for x in vals)
+        terms = frozenset(data.draw(st.sets(st.integers(0, k - 1))))
+        for vec in (near, tuple(data.draw(coord) for _ in range(k))):
+            for extra in depths:
+                g, f = body.frame(extra).key(vec), TwoListFrame(body, extra)
+                assert (g.klo, g.khi, g.kex, g.den) == f.key(vec)
+                g = body.frame(extra, terms).key(vec)
+                assert (g.klo, g.khi, g.kex, g.den) == f.restricted(terms).key(vec)
+        r = tuple(data.draw(coord) for _ in range(k))
+        x = data.draw(st.integers(-(10**6), 10**6))
+        bound = body.frame().key(tuple(x * p + q for p, q in zip(red.b, r))).khi
+        for ts in (terms, red.all, red.vary):
+            assert red.section(r, ts, bound, -(10**9), 10**9) == ref.section(r, ts, bound, -(10**9), 10**9)
+        assert red.vertex(r) == ref.vertex(r)
 
 
 def _ball_oracle(alpha_strs, body, bound, window):

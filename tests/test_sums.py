@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bohrgap.bohr import BohrSpec
-from bohrgap.counting import totient_sieve
 from bohrgap.errors import BudgetExceeded, ValidationError
 from bohrgap.sums import (
     ApproxFunction,
@@ -197,11 +196,6 @@ def test_sum_series_suite_pins():
     assert lines[0] == "N,T,T_star,ratio_T,ratio_star,eps,k"
     assert lines[1].startswith("10000,54279.7996464,32968.0047831,")
 
-
-
-def test_sum_series_checks_table_limit():
-    with pytest.raises(ValidationError, match="sieve limit 30 below N=60"):
-        sum_series(third_spec(60), [60], restrict=False, table=totient_sieve(30))
 
 # -- dyadic tables ------------------------------------------------------------
 
