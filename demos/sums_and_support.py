@@ -5,8 +5,10 @@ Restricted reciprocal sums and the dyadic sandwich
 The support set G keeps n only when every coordinate distance clears
 n^(-sqrt(eps)). Off the rational degeneracies this removes a thin set, and
 the restricted sums T_N and T*_N grow like N log^2 N for a pair of
-quadratic irrationals. The dyadic table brackets T_N exactly from both
-sides, whatever floating error the direct summation carries.
+quadratic irrationals. The sums are exact sums rounded once: the float
+terms are added exactly, and the total is rounded to a float at the end.
+The dyadic table brackets T_N exactly from both sides, whatever floating
+error the terms themselves carry.
 """
 
 from fractions import Fraction as Q

@@ -5,7 +5,8 @@ running maximum of -log(quality), and reports the horizon-normalized value
 value = running_max / log(horizon).  The running maximum is non-decreasing in
 the horizon; the normalized value is what converges to the exponent.  Exact
 zeros of any distance factor short-circuit with an infinity witness instead
-of a fake large number.  All reported values are lower-bound style estimates
+of a fake large number.  exponent_report feeds its three scans over n from
+one distance pass.  All reported values are lower-bound style estimates
 at the stated horizon; transference checks are advisory flags, never asserts.
 """
 
@@ -133,7 +134,7 @@ def _certify_vector(alpha: TargetVector, vec: tuple) -> Optional[float]:
     return certify(step, "cannot separate the norm form from 0 at vector {}", vec)
 
 
-def _block_scores(coords: list[CoordScan], ns: np.ndarray, n_max: int, combine: str):
+def _block_scores(coords: list[CoordScan], ns: np.ndarray, dists: list[np.ndarray], n_max: int, combine: str):
     """(-log of the combined distance over one block, None), or (None, n) for
     the first n with an exactly zero coordinate distance.
 
@@ -141,7 +142,6 @@ def _block_scores(coords: list[CoordScan], ns: np.ndarray, n_max: int, combine: 
     largest (simultaneous max-norm).  n with a coordinate in its zero band
     are scored from the certified distances.
     """
-    dists = [c.dist_floats(ns) for c in coords]
     agg = np.multiply.reduce(dists) if combine == "prod" else np.maximum.reduce(dists)
     near = np.logical_or.reduce([d <= c.zero_band(n_max) for c, d in zip(coords, dists)])
     agg[near] = np.inf  # scored exactly below
@@ -156,43 +156,74 @@ def _block_scores(coords: list[CoordScan], ns: np.ndarray, n_max: int, combine: 
     return score, None
 
 
-def _running_max(alpha: TargetVector, gamma, lo: int, cuts: list[int], combine: str):
-    """Block scores over lo <= n <= cuts[-1]: (the running max at each cut n,
-    inclusive; the first n reaching the overall max; None), or (None, None, n)
-    for the first n with an exactly zero coordinate distance."""
-    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _gammas_or_zero(alpha, gamma))]
-    running, arg, at = -math.inf, None, []
-    for ns in blocks(lo, cuts[-1]):
-        score, witness = _block_scores(coords, ns, cuts[-1], combine)
-        if witness is not None:
-            return None, None, witness
+@dataclass
+class _RunningMax:
+    """One estimator's block scores over lo <= n <= cuts[-1]: the running max
+    at each cut n, inclusive (at), the first n reaching the overall max (arg),
+    or the first n with an exactly zero coordinate distance (witness)."""
+
+    lo: int
+    cuts: list
+    combine: str
+    best: float = -math.inf
+    arg: Optional[int] = None
+    at: list = field(default_factory=list)
+    witness: Optional[int] = None
+
+    @property
+    def done(self) -> bool:
+        return self.witness is not None or len(self.at) == len(self.cuts)
+
+    def feed(self, coords: list[CoordScan], ns: np.ndarray, dists: list[np.ndarray]) -> None:
         start = int(ns[0])
-        for c in cuts:
+        a, b = max(self.lo - start, 0), min(self.cuts[-1] + 1 - start, len(ns))
+        if self.done or a >= b:
+            return
+        ns, start = ns[a:b], start + a
+        score, self.witness = _block_scores(coords, ns, [d[a:b] for d in dists], self.cuts[-1], self.combine)
+        if self.witness is not None:
+            return
+        for c in self.cuts:
             if start <= c < start + len(ns):
-                at.append(max(running, float(score[: c + 1 - start].max())))
+                self.at.append(max(self.best, float(score[: c + 1 - start].max())))
         i = int(np.argmax(score))
-        if score[i] > running:
-            running, arg = float(score[i]), start + i
-    return at, arg, None
+        if score[i] > self.best:
+            self.best, self.arg = float(score[i]), start + i
 
 
-def _estimate_from_scan(alpha: TargetVector, gamma, n_max: int, combine: str) -> ExponentEstimate:
+def _scan(alpha: TargetVector, gamma, runs: list[_RunningMax]) -> list[_RunningMax]:
+    """Feed every run from one distance pass over the union of their ranges."""
+    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _gammas_or_zero(alpha, gamma))]
+    for ns in blocks(min(r.lo for r in runs), max(r.cuts[-1] for r in runs)):
+        dists = [c.dist_floats(ns) for c in coords]
+        for r in runs:
+            r.feed(coords, ns, dists)
+        if all(r.done for r in runs):
+            break
+    return runs
+
+
+def _horizon(n_max: int, combine: str) -> _RunningMax:
     if n_max < 2:
         raise ValidationError("horizon must be >= 2")
-    at, arg, witness = _running_max(alpha, gamma, 2, [n_max], combine)
-    if witness is not None:
-        return ExponentEstimate(None, None, None, n_max, infinite_witness=witness)
-    return ExponentEstimate(at[0] / math.log(n_max), at[0], arg, n_max)
+    return _RunningMax(2, [n_max], combine)
+
+
+def _horizon_estimate(run: _RunningMax) -> ExponentEstimate:
+    n_max = run.cuts[-1]
+    if run.witness is not None:
+        return ExponentEstimate(None, None, None, n_max, infinite_witness=run.witness)
+    return ExponentEstimate(run.at[0] / math.log(n_max), run.at[0], run.arg, n_max)
 
 
 def mult_exponent_est(alpha: TargetVector, gamma=None, n_max: int = 10**6) -> ExponentEstimate:
     """Multiplicative exponent estimate: max_n -log(prod_i ||n a_i - g_i||) / log(horizon)."""
-    return _estimate_from_scan(alpha, gamma, n_max, "prod")
+    return _horizon_estimate(_scan(alpha, gamma, [_horizon(n_max, "prod")])[0])
 
 
 def simult_exponent_est(alpha: TargetVector, gamma=None, n_max: int = 10**6) -> ExponentEstimate:
     """Simultaneous exponent estimate with the max-norm quality."""
-    return _estimate_from_scan(alpha, gamma, n_max, "max")
+    return _horizon_estimate(_scan(alpha, gamma, [_horizon(n_max, "max")])[0])
 
 
 def dual_exponent_est(alpha: TargetVector, h_max: int = 2000) -> ExponentEstimate:
@@ -257,17 +288,25 @@ def dual_exponent_est(alpha: TargetVector, h_max: int = 2000) -> ExponentEstimat
     return ExponentEstimate(best / logh, best, best_vec, h_max)
 
 
-def uniform_inhom_est(alpha: TargetVector, gamma=None, x_list: Sequence[int] = (10**3, 10**4, 10**5, 10**6)) -> ExponentEstimate:
-    """Uniform (inhomogeneous) proxy: min over X of max_{1<=n<X} min_i -log||n a_i - g_i|| / log X."""
+def _uniform(x_list: Sequence[int]) -> _RunningMax:
     xs = sorted(set(int(x) for x in x_list))
     if not xs or xs[0] < 3:
         raise ValidationError("x_list entries must be >= 3")
-    # checkpoints are strict: max over n < X
-    at, arg, witness = _running_max(alpha, gamma, 1, [x - 1 for x in xs], "max")  # min_i -log dist_i
-    if witness is not None:
-        return ExponentEstimate(None, None, None, xs[-1], infinite_witness=witness)
-    per_x = {x: m / math.log(x) for x, m in zip(xs, at)}
-    return ExponentEstimate(min(per_x.values()), at[-1], arg, xs[-1], per_x=per_x)
+    # checkpoints are strict: max over n < X, of min_i -log dist_i
+    return _RunningMax(1, [x - 1 for x in xs], "max")
+
+
+def _uniform_estimate(run: _RunningMax) -> ExponentEstimate:
+    xs = [c + 1 for c in run.cuts]
+    if run.witness is not None:
+        return ExponentEstimate(None, None, None, xs[-1], infinite_witness=run.witness)
+    per_x = {x: m / math.log(x) for x, m in zip(xs, run.at)}
+    return ExponentEstimate(min(per_x.values()), run.at[-1], run.arg, xs[-1], per_x=per_x)
+
+
+def uniform_inhom_est(alpha: TargetVector, gamma=None, x_list: Sequence[int] = (10**3, 10**4, 10**5, 10**6)) -> ExponentEstimate:
+    """Uniform (inhomogeneous) proxy: min over X of max_{1<=n<X} min_i -log||n a_i - g_i|| / log X."""
+    return _uniform_estimate(_scan(alpha, gamma, [_uniform(x_list)])[0])
 
 
 @dataclass
@@ -311,10 +350,10 @@ def exponent_report(
     flag signals horizons too short to see the asymptotic inequality, not an
     arithmetic error.
     """
-    om = simult_exponent_est(alpha, gamma, n_max)
-    omx = mult_exponent_est(alpha, gamma, n_max)
+    runs = [_horizon(n_max, "max"), _horizon(n_max, "prod"), _uniform(x_list)]
+    simult, mult, uniform = _scan(alpha, gamma, runs)  # one distance pass for all three
+    om, omx, omh = _horizon_estimate(simult), _horizon_estimate(mult), _uniform_estimate(uniform)
     oms = dual_exponent_est(alpha, h_max)
-    omh = uniform_inhom_est(alpha, gamma, x_list)
     d = alpha.d
     flags = {}
     if None not in (om.value, omx.value):

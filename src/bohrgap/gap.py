@@ -234,7 +234,7 @@ def _inner_gap(spec: BohrSpec, budget: int):
     import numpy as np
 
     from .bohr import _coord_scans, enumerate_bohr, is_member
-    from .scan import CoordScan, ThresholdSpec, first_in_range
+    from .scan import CoordScan, ThresholdSpec, _check_span, first_in_range
 
     N, k, eps = spec.N, spec.k, spec.epsilon
     if N < 100:
@@ -243,6 +243,7 @@ def _inner_gap(spec: BohrSpec, budget: int):
     for i, d in enumerate(deltas):
         if d > 1:
             raise ValidationError(f"width {i} exceeds 1; the inner window needs delta <= 1")
+    _check_span(N)  # the containment check scans 1..N; fail before any minima work
     # the delta >= N^-eps hypothesis is asymptotic; at finite N we record its
     # status and let the verified postconditions decide the construction
     hyp_lower = all(cmp_pow(d, d, N, eps * eps, -1) >= 0 for d in deltas)

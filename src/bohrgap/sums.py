@@ -4,8 +4,11 @@ T_N sums 1/prod ||n*alpha_i - gamma_i|| over n <= N, T*_N weights each term
 by phi(n)/n, and the support set G keeps only n whose distances all clear
 n^(-sqrt(eps)).  Membership and dyadic binning are decided exactly (vector
 fast path, certified fallback on the borderline); the sums themselves are
-compensated floating point with a reported error bound, since ratios at a
-few significant figures are the deliverable.
+exact sums rounded once, with a reported error bound on the float terms,
+since ratios at a few significant figures are the deliverable.  Every range
+1..N is one pass over the blocks of ``scan.blocks``: each coordinate's
+distances are computed once per block and serve both the support rule and
+the terms, so nothing of length N is kept but the N-arrays asked for.
 """
 
 import math
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bohr import BohrSpec, _coord_scans, restricted_bohr
-from .counting import totient_average, totient_sieve
+from .counting import TotientTable, totient_average, totient_sieve
 from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, RealSpec, certify
 from .scan import CoordScan, blocks
@@ -48,9 +51,146 @@ def _mask_range(spec: BohrSpec, mask, N: Optional[int]):
     return mask, N
 
 
-def _phi_ratio(N: int) -> np.ndarray:
-    """phi(n)/n as float64 for n = 1..N."""
-    return totient_sieve(N).block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
+def _checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    cps = sorted(set(int(c) for c in checkpoints))
+    if not cps:
+        raise ValidationError("no checkpoints")
+    if cps[0] < 1:
+        raise ValidationError("checkpoints must be positive")
+    return cps
+
+
+def _pieces(ns: np.ndarray, cps: Sequence[int]):
+    """Split a block at the sorted checkpoints inside it: (a, b, cp) index
+    ranges, each ending at checkpoint cp, then one ending at the block's end
+    with cp None."""
+    start, a = int(ns[0]), 0
+    for cp in cps:
+        if start <= cp < start + len(ns):
+            yield a, cp + 1 - start, cp
+            a = cp + 1 - start
+    if a < len(ns):
+        yield a, len(ns), None
+
+
+def _phi_over_n(table: TotientTable, ns: np.ndarray) -> np.ndarray:
+    """phi(n)/n as float64 over one block."""
+    return table.block(int(ns[0]), int(ns[-1]) + 1).astype(np.float64) / ns.astype(np.float64)
+
+
+class ExactSum:
+    """Running exact sum of float64 blocks, rounded once by value().
+
+    frexp splits each entry into a 53-bit integer mantissa and an exponent;
+    bincount adds the mantissas per exponent in two halves of at most 27
+    bits, so every float64 partial sum is an integer of at most 53 bits and
+    exact for blocks of up to 2^26 entries.  The total is one Python int in units of 2^-1126
+    (the smallest subnormal is 2^52 of them), and value() rounds it by int
+    true division: the correctly rounded exact sum, as math.fsum returns it.
+    Non-finite entries give math.fsum's result as well.
+    """
+
+    _SCALE = 1 << 1126  # the total counts units of 2^-1126
+    _BIAS = 1073  # -frexp exponent of the smallest subnormal
+
+    def __init__(self):
+        self._total = 0
+        self._special = 0.0  # fsum of the non-finite entries: 0.0, +-inf or nan
+
+    def add(self, x: np.ndarray) -> None:
+        finite = np.isfinite(x)
+        if not finite.all():
+            self._special = math.fsum([self._special, *x[~finite]])
+            x = x[finite]
+        m, e = np.frexp(x)
+        hi = np.floor(m * 2.0**27)  # the mantissa m*2^53 is hi*2^26 + lo, 0 <= lo < 2^26
+        lo = m * 2.0**53 - hi * 2.0**26
+        e += self._BIAS
+        hi, lo = np.bincount(e, weights=hi), np.bincount(e, weights=lo)
+        used = np.flatnonzero((hi != 0) | (lo != 0))
+        for j, h, l in zip(used.tolist(), hi[used].tolist(), lo[used].tolist()):
+            self._total += ((int(h) << 26) + int(l)) << j
+
+    def value(self) -> float:
+        return self._special if self._special else self._total / self._SCALE
+
+
+# -- the one distance pass ---------------------------------------------------------
+
+
+@dataclass
+class _Block:
+    """One block of the distance pass over 1..N."""
+
+    coords: list
+    ns: np.ndarray
+    span: slice  # the block's place in an array indexed by n - 1
+    dists: list  # float distances per coordinate
+    sel: np.ndarray  # on-support flags
+    borderline: int
+
+    def terms(self, n_max: int):
+        """(prod 1/dist on sel and 0 elsewhere, the smallest distance on sel).
+
+        A distance on sel in the zero band of n_max is replaced by its
+        certified value, and a true zero there raises; dists are overwritten.
+        """
+        prod = np.ones(len(self.ns), dtype=np.float64)
+        min_dist = math.inf
+        on = self.sel.any()
+        for coord, d in zip(self.coords, self.dists):
+            for idx in np.flatnonzero((d <= coord.zero_band(n_max)) & self.sel):
+                d[idx] = _nonzero_dist(coord, int(self.ns[idx]))
+            if on:
+                min_dist = min(min_dist, float(d[self.sel].min()))
+            prod *= d
+        terms = np.zeros(len(self.ns), dtype=np.float64)
+        terms[self.sel] = 1.0 / prod[self.sel]
+        return terms, min_dist
+
+
+def _on_support_exact(coord: CoordScan, n: int, eps: Fraction) -> bool:
+    # ties (exact rational hit on the threshold) stay in
+    return coord.dist_cmp_pow(n, n, eps, -1, "support membership undecidable at n={n}") >= 0
+
+
+def _on_support(coords, ns: np.ndarray, dists, eps: Fraction):
+    """G membership of one block from its float distances: (flags, borderline).
+
+    Floats decide everything farther than a relative margin from the
+    threshold n^(-sqrt(eps)); the rest go through certified comparisons, so
+    exact ties (rational alpha) land inside.  At n = 1 the threshold is 1,
+    above every distance.
+    """
+    thr = np.power(ns.astype(np.float64), -math.sqrt(eps.numerator / eps.denominator))
+    band = _REL_BAND * thr
+    ok = np.ones(len(ns), dtype=bool)
+    borderline = 0
+    for coord, d in zip(coords, dists):
+        below = d < thr - band
+        ok &= ~below
+        pending = ~below & (d < thr + band) & ok
+        for idx in np.flatnonzero(pending):
+            borderline += 1
+            ok[idx] = _on_support_exact(coord, int(ns[idx]), eps)
+    return ok, borderline
+
+
+def _pass(spec: BohrSpec, N: int, mask: Optional["SupportMask"] = None):
+    """One distance pass over 1..N, one _Block per scan block.
+
+    sel reads mask's flags or, with no mask, decides G membership from the
+    same distances that the terms use.
+    """
+    coords = _coord_scans(spec)
+    for ns in blocks(1, N):
+        span = slice(int(ns[0]) - 1, int(ns[-1]))
+        dists = [c.dist_floats(ns) for c in coords]
+        if mask is None:
+            sel, borderline = _on_support(coords, ns, dists, spec.epsilon)
+        else:
+            sel, borderline = mask.flags[span], 0
+        yield _Block(coords, ns, span, dists, sel, borderline)
 
 
 # -- the support set G ---------------------------------------------------------
@@ -98,42 +238,21 @@ def trivial_mask(N: int) -> SupportMask:
     return SupportMask(N, None, np.ones(N, dtype=bool))
 
 
-def _on_support_exact(coord: CoordScan, n: int, eps: Fraction) -> bool:
-    # ties (exact rational hit on the threshold) stay in
-    return coord.dist_cmp_pow(n, n, eps, -1, "support membership undecidable at n={n}") >= 0
-
-
 def support_mask(spec: BohrSpec, N: Optional[int] = None) -> SupportMask:
     """Exact G membership for 1..N (default spec.N).
 
-    Vector float distances decide everything farther than a relative margin
-    from the threshold n^(-sqrt(eps)); the rest go through certified
-    fixed-point comparisons, so exact ties (rational alpha) land inside.
+    Float distances decide everything outside a relative band around the
+    threshold n^(-sqrt(eps)); certified comparisons settle the band, so
+    exact ties (rational alpha) land inside.
     """
     N = spec.N if N is None else int(N)
     _check_n(N)
-    eps = spec.epsilon
-    tau = math.sqrt(eps.numerator / eps.denominator)
-    coords = _coord_scans(spec)
-    flags = np.ones(N, dtype=bool)
-    flags[0] = False  # the threshold at n = 1 is exactly 1
+    flags = np.empty(N, dtype=bool)
     borderline = 0
-    for ns in blocks(2, N):
-        thr = np.power(ns.astype(np.float64), -tau)
-        band = _REL_BAND * thr
-        ok = np.ones(len(ns), dtype=bool)
-        for coord in coords:
-            d = coord.dist_floats(ns)
-            below = d < thr - band
-            ok &= ~below
-            pending = ~below & (d < thr + band) & ok
-            for idx in np.nonzero(pending)[0]:
-                borderline += 1
-                if not _on_support_exact(coord, int(ns[idx]), eps):
-                    ok[idx] = False
-        start = int(ns[0])
-        flags[start - 1 : start - 1 + len(ns)] = ok
-    return SupportMask(N, eps, flags, borderline)
+    for blk in _pass(spec, N):
+        flags[blk.span] = blk.sel
+        borderline += blk.borderline
+    return SupportMask(N, spec.epsilon, flags, borderline)
 
 
 # -- restricted sums ------------------------------------------------------------
@@ -170,35 +289,6 @@ def _nonzero_dist(coord: CoordScan, n: int) -> float:
     return v
 
 
-def _term_array(spec: BohrSpec, mask: SupportMask, N: int):
-    """terms[n-1] = prod 1/dist for on-mask n, 0 off-mask; exact zero distances
-    on-mask raise.  Also returns the smallest on-mask distance seen (for the
-    error bound) and the on-mask term count.  Only on-mask n in the zero band
-    are resolved exactly."""
-    coords = _coord_scans(spec)
-    terms = np.zeros(N, dtype=np.float64)
-    min_dist = math.inf
-    count = 0
-    for ns in blocks(1, N):
-        start = int(ns[0])
-        sel = mask.flags[start - 1 : start - 1 + len(ns)]
-        if not sel.any():
-            continue
-        prod = np.ones(len(ns), dtype=np.float64)
-        for coord in coords:
-            d = coord.dist_floats(ns)
-            for idx in np.nonzero((d <= coord.zero_band(N)) & sel)[0]:
-                d[idx] = _nonzero_dist(coord, int(ns[idx]))
-            dm = d[sel].min() if sel.any() else math.inf
-            if dm < min_dist:
-                min_dist = float(dm)
-            prod *= d
-        vals = np.where(sel, 1.0 / prod, 0.0)
-        terms[start - 1 : start - 1 + len(ns)] = vals
-        count += int(sel.sum())
-    return terms, min_dist, count
-
-
 def _err_bound(spec: BohrSpec, value: float, min_dist: float, N: int) -> float:
     # per-term relative error: float folding (few ulp per factor) plus the
     # fixed-point error E(N)*2^-scale against the smallest distance
@@ -208,54 +298,65 @@ def _err_bound(spec: BohrSpec, value: float, min_dist: float, N: int) -> float:
     return abs(value) * rel
 
 
+def _restricted_sum(spec: BohrSpec, mask: Optional[SupportMask], N: Optional[int], kind: str) -> SumResult:
+    mask, N = _mask_range(spec, mask, N)
+    table = totient_sieve(N) if kind == "T_star" else None
+    acc, min_dist, count = ExactSum(), math.inf, 0
+    for blk in _pass(spec, N, mask):
+        terms, md = blk.terms(N)
+        acc.add(terms if table is None else terms * _phi_over_n(table, blk.ns))
+        min_dist = min(min_dist, md)
+        count += int(blk.sel.sum())
+    value = acc.value()
+    return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, kind, not mask.trivial)
+
+
 def t_sum(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] = None) -> SumResult:
     """T_N: sum of 1/prod ||n*alpha_i - gamma_i|| over on-mask n <= N."""
-    mask, N = _mask_range(spec, mask, N)
-    terms, min_dist, count = _term_array(spec, mask, N)
-    value = math.fsum(terms.tolist())
-    return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T", not mask.trivial)
+    return _restricted_sum(spec, mask, N, "T")
 
 
 def t_star_sum(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional[int] = None) -> SumResult:
     """T*_N: the T_N terms weighted by phi(n)/n."""
-    mask, N = _mask_range(spec, mask, N)
-    ratio = _phi_ratio(N)
-    terms, min_dist, count = _term_array(spec, mask, N)
-    value = math.fsum((terms * ratio).tolist())
-    return SumResult(N, value, _err_bound(spec, value, min_dist, N), count, "T_star", not mask.trivial)
+    return _restricted_sum(spec, mask, N, "T_star")
 
 
 def sum_series(spec: BohrSpec, checkpoints: Sequence[int], restrict: bool = True) -> list[dict]:
     """T and T* at each checkpoint, with normalized ratios.
 
-    One scan at the largest checkpoint; per-checkpoint values are exact
-    prefix resummations of the same term array.
+    One pass up to the largest checkpoint; each checkpoint reads the running
+    exact sums.  err_bound uses the smallest distance over the whole pass.
     """
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps:
-        raise ValidationError("no checkpoints")
+    cps = _checkpoints(checkpoints)
     N = cps[-1]
     _check_n(N)
-    mask = support_mask(spec, N) if restrict else trivial_mask(N)
-    ratio = _phi_ratio(N)
-    terms, min_dist, _ = _term_array(spec, mask, N)
-    star = terms * ratio
+    table = totient_sieve(N)
+    t, ts = ExactSum(), ExactSum()
+    min_dist, count, at = math.inf, 0, []
+    for blk in _pass(spec, N, None if restrict else trivial_mask(N)):
+        terms, md = blk.terms(N)
+        star = terms * _phi_over_n(table, blk.ns)
+        min_dist = min(min_dist, md)
+        for a, b, cp in _pieces(blk.ns, cps):
+            t.add(terms[a:b])
+            ts.add(star[a:b])
+            count += int(blk.sel[a:b].sum())
+            if cp is not None:
+                at.append((cp, t.value(), ts.value(), count))
     k = spec.k
     rows = []
-    for cp in cps:
-        t = math.fsum(terms[:cp].tolist())
-        ts = math.fsum(star[:cp].tolist())
+    for cp, tv, tsv, terms_cp in at:
         norm = cp * math.log(cp) ** (k - 1) if cp > 1 else 1.0
         rows.append(
             {
                 "N": cp,
-                "T": t,
-                "T_star": ts,
-                "ratio_T": t / norm,
-                "ratio_star": ts / t if t else 0.0,
-                "terms": int(mask.flags[:cp].sum()),
-                "err_bound": _err_bound(spec, t, min_dist, cp),
-                "eps": float(spec.epsilon) if not mask.trivial else None,
+                "T": tv,
+                "T_star": tsv,
+                "ratio_T": tv / norm,
+                "ratio_star": tsv / tv if tv else 0.0,
+                "terms": terms_cp,
+                "err_bound": _err_bound(spec, tv, min_dist, cp),
+                "eps": float(spec.epsilon) if restrict else None,
                 "k": k,
             }
         )
@@ -351,18 +452,14 @@ def dyadic_table(spec: BohrSpec, mask: Optional[SupportMask] = None, N: Optional
     (they carry no reciprocal term).
     """
     mask, N = _mask_range(spec, mask, N)
-    coords = _coord_scans(spec)
-    d_coords = len(coords)
     cells: dict = {}
     zero_excluded = 0
-    for ns in blocks(1, N):
-        start = int(ns[0])
-        sel = mask.flags[start - 1 : start - 1 + len(ns)].copy()
+    for blk in _pass(spec, N, mask):
+        sel, ns = blk.sel.copy(), blk.ns
         if not sel.any():
             continue
-        idxs = np.zeros((d_coords, len(ns)), dtype=np.int64)
-        for ci, coord in enumerate(coords):
-            dv = coord.dist_floats(ns)
+        idxs = np.zeros((len(blk.coords), len(ns)), dtype=np.int64)
+        for ci, (coord, dv) in enumerate(zip(blk.coords, blk.dists)):
             m, e = np.frexp(dv)
             fuzzy = (np.abs(m - 0.5) <= _REL_BAND) | (m >= 1.0 - _REL_BAND) | (dv <= coord.zero_band(N))
             idx = (-e).astype(np.int64)  # boundary-adjacent entries fixed below
@@ -480,9 +577,11 @@ class ModifiedPsi:
         N = self.mask.N if N is None else int(N)
         if N > self.mask.N:
             raise ValidationError(f"mask covers 1..{self.mask.N}, below N={N}")
-        terms, _, _ = _term_array(self.spec, self.mask, N)
-        ns = np.arange(1, N + 1, dtype=np.int64)
-        return self.psi.values(ns) * terms
+        out = np.empty(N, dtype=np.float64)
+        for blk in _pass(self.spec, N, self.mask):
+            terms, _ = blk.terms(N)
+            out[blk.span] = self.psi.values(blk.ns.astype(np.int64)) * terms
+        return out
 
     def eval(self, n: int) -> dict:
         on = self.mask.contains(n)
@@ -518,43 +617,46 @@ def ds_hypothesis_check(spec: BohrSpec, psi: ApproxFunction, checkpoints: Sequen
     The divergence argument needs L/R bounded below and U/R bounded above;
     both ratios are reported per checkpoint, with the exact L <= U sanity.
     """
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps:
-        raise ValidationError("no checkpoints")
+    cps = _checkpoints(checkpoints)
     N = cps[-1]
     _check_n(N)
-    mask = support_mask(spec, N)
-    ratio = _phi_ratio(N)
-    terms, _, _ = _term_array(spec, mask, N)
-    psi_n = psi.values(np.arange(1, N + 1, dtype=np.int64))  # once for Psi and for R
-    psi_vals = psi_n * terms
-    ns = np.arange(1, N + 1, dtype=np.float64)
-    lead = psi_n * np.log(np.maximum(ns, 1.0)) ** (spec.k - 1)
-    rows = []
-    for cp in cps:
-        L = math.fsum((psi_vals[:cp] * ratio[:cp]).tolist())
-        U = math.fsum(psi_vals[:cp].tolist())
-        R = math.fsum(lead[:cp].tolist())
-        rows.append(
-            {
-                "N": cp,
-                "L": L,
-                "U": U,
-                "R": R,
-                "L_over_R": L / R if R else math.inf,
-                "U_over_R": U / R if R else math.inf,
-                # exact: with psi >= 0 and phi(n) <= n every term psi*(phi(n)/n)
-                # <= psi holds in IEEE arithmetic, and fsum is correctly rounded,
-                # so the sum is monotone in its terms
-                "L_le_U": L <= U,
-            }
-        )
+    table = totient_sieve(N)
+    L, U, R = ExactSum(), ExactSum(), ExactSum()
+    kept, rows = 0, []
+    for blk in _pass(spec, N):
+        terms, _ = blk.terms(N)
+        psi_n = psi.values(blk.ns.astype(np.int64))  # once for Psi and for R
+        psi_vals = psi_n * terms
+        lead = psi_n * np.log(np.maximum(blk.ns.astype(np.float64), 1.0)) ** (spec.k - 1)
+        weighted = psi_vals * _phi_over_n(table, blk.ns)
+        kept += int(blk.sel.sum())
+        for a, b, cp in _pieces(blk.ns, cps):
+            L.add(weighted[a:b])
+            U.add(psi_vals[a:b])
+            R.add(lead[a:b])
+            if cp is None:
+                continue
+            l, u, r = L.value(), U.value(), R.value()
+            rows.append(
+                {
+                    "N": cp,
+                    "L": l,
+                    "U": u,
+                    "R": r,
+                    "L_over_R": l / r if r else math.inf,
+                    "U_over_R": u / r if r else math.inf,
+                    # exact: with psi >= 0 and phi(n) <= n every term psi*(phi(n)/n)
+                    # <= psi holds in IEEE arithmetic, and exact sums rounded once
+                    # are monotone in their terms
+                    "L_le_U": l <= u,
+                }
+            )
     return {
         "psi": psi.tag,
         "divergent": psi.divergent,
         "eps": str(spec.epsilon),
         "k": spec.k,
-        "kept": mask.kept,
+        "kept": kept,
         "rows": rows,
         "all_L_le_U": all(r["L_le_U"] for r in rows),
     }
@@ -632,51 +734,54 @@ def gallagher_experiment(
     getrandbits calls), giving an exact dyadic rational evaluated at full
     scale.  n = 1 is excluded: the logarithmic normalization vanishes there.
     Also tracks the first witness and the running minimum of
-    n (ln n)^k times the same distance product.
+    n (ln n)^k times the same distance product.  One pass over 2..N: the
+    fixed product, psi(n) and n (ln n)^k are computed once per block and
+    shared by every sample, each with its own scanner built up front.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     _check_n(N)
     if checkpoints is None:
         checkpoints = [c for c in (10**4, 10**5, 10**6) if c <= N]
-    cps = tuple(sorted(set([int(c) for c in checkpoints] + [N])))
+    cps = tuple(_checkpoints(list(checkpoints) + [N]))
+    if cps[-1] != N:
+        raise ValidationError(f"checkpoint {cps[-1]} lies above N={N}")
     k = spec.k
-    ns = np.arange(2, N + 1, dtype=np.uint64)
-    fixed = np.ones(len(ns), dtype=np.float64)
-    for coord in _coord_scans(spec):
-        fixed *= coord.dist_floats(ns)
-    psi_vals = psi.values(ns.astype(np.int64))
-    lnk = ns.astype(np.float64) * np.log(ns.astype(np.float64)) ** k
     rng = random.Random(seed)
-    rows = []
-    counts_at = {cp: [] for cp in cps}
-    hits_any = 0
-    for sid in range(samples):
-        bits = rng.getrandbits(128)
-        alpha_k = RealSpec("rat", Q(bits, 1 << 128)).realize(spec.scale)
-        dk = CoordScan(alpha_k).dist_floats(ns)
-        prod = fixed * dk
-        hit = prod < psi_vals
-        q = lnk * prod
-        runmin = np.minimum.accumulate(q)
-        row = {
+    draws = [rng.getrandbits(128) for _ in range(samples)]
+    scans = [CoordScan(RealSpec("rat", Q(bits, 1 << 128)).realize(spec.scale)) for bits in draws]
+    rows = [
+        {
             "sample_id": sid,
             "alpha_k_bits": f"{bits:032x}",
             "alpha_k": bits / 2.0**128,
-            "hits": {},
+            "hits": dict.fromkeys(cps, 0),  # checkpoints below 2 keep these
             "first_witness": None,
-            "runmin": {},
+            "runmin": dict.fromkeys(cps, math.inf),
         }
-        nz = np.nonzero(hit)[0]
-        if len(nz):
-            row["first_witness"] = int(ns[nz[0]])
-            hits_any += 1
-        for cp in cps:
-            c = int(np.count_nonzero(hit[: cp - 1]))
-            row["hits"][cp] = c
-            row["runmin"][cp] = float(runmin[cp - 2]) if cp >= 2 else math.inf
-            counts_at[cp].append(c)
-        rows.append(row)
+        for sid, bits in enumerate(draws)
+    ]
+    hits, runmin = [0] * samples, [math.inf] * samples
+    coords = _coord_scans(spec)
+    for ns in blocks(2, N):
+        fixed = np.ones(len(ns), dtype=np.float64)
+        for coord in coords:
+            fixed *= coord.dist_floats(ns)
+        psi_vals = psi.values(ns.astype(np.int64))
+        x = ns.astype(np.float64)
+        lnk = x * np.log(x) ** k
+        pieces = list(_pieces(ns, cps))
+        for sid, (row, scan) in enumerate(zip(rows, scans)):
+            prod = fixed * scan.dist_floats(ns)
+            hit = prod < psi_vals
+            q = lnk * prod
+            if row["first_witness"] is None and hit.any():
+                row["first_witness"] = int(ns[hit.argmax()])
+            for a, b, cp in pieces:
+                hits[sid] += int(np.count_nonzero(hit[a:b]))
+                runmin[sid] = min(runmin[sid], float(q[a:b].min()))
+                if cp is not None:
+                    row["hits"][cp], row["runmin"][cp] = hits[sid], runmin[sid]
     return GallagherResult(
         spec={
             "k": k,
@@ -689,8 +794,8 @@ def gallagher_experiment(
         },
         checkpoints=cps,
         rows=rows,
-        hit_fraction=hits_any / samples,
-        median_hits={cp: statistics.median(counts_at[cp]) for cp in cps},
+        hit_fraction=sum(r["first_witness"] is not None for r in rows) / samples,
+        median_hits={cp: statistics.median(r["hits"][cp] for r in rows) for cp in cps},
     )
 
 

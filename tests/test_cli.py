@@ -533,6 +533,35 @@ def test_a_process_loads_only_what_its_command_runs(argv, expected):
     assert loaded == expected
 
 
+# -- peak memory of the 10^6-term lines ------------------------------------------------
+
+# runs one command line (or only the imports) and prints the peak RSS in kB
+_PEAK = """
+import contextlib, io, json, resource, sys
+import numpy, bohrgap.sums
+if sys.argv[1:]:
+    from bohrgap.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+"""
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sums dscheck --k 3 --alpha sqrt:2 --alpha sqrt:3 --N 1000000 --delta 1 --delta 1 --psi log",
+        "experiment gallagher --k 2 --alpha sqrt:2 --N 1000000 --delta 1 --samples 2 --seed 7",
+    ],
+    ids=["sums-dscheck", "experiment-gallagher"],
+)
+def test_million_term_lines_peak_within_45_mb_of_their_imports(tmp_path, line):
+    # the sums stream block by block: no float array spans all 10^6 n
+    base = fresh_process(_PEAK)
+    peak = fresh_process(_PEAK, *line.split(), "--out", str(tmp_path))
+    assert peak - base < 45 * 1024, f"{(peak - base) / 1024:.1f} MB above the imports"
+
+
 PUBLIC_NAMES = {
     "BohrSet", "BohrSpec", "all_lifts", "enumerate_bohr", "is_member", "lift_bohr",
     "restricted_bohr", "shift_injection_holds",

@@ -18,6 +18,7 @@ from bohrgap.exponents import (
     uniform_inhom_est,
 )
 from bohrgap.realfield import fr_from_decimal
+from bohrgap.scan import BLOCK
 
 Q = Fraction
 
@@ -168,6 +169,26 @@ def test_near_zero_distances_are_scored_exactly():
     assert mult_exponent_est(pair, None, 100).running_max == -math.log(2e-30) - math.log(6e-30)
     assert simult_exponent_est(pair, None, 100).running_max == -math.log(6e-30)
     assert uniform_inhom_est(pair, None, (10, 100)).running_max == -math.log(3e-30)
+
+
+@pytest.mark.parametrize(
+    "texts, gamma, n_max, x_list",
+    [
+        # the horizon and the uniform cuts end in different scan blocks
+        (["sqrt:2", "sqrt:5"], None, 2 * BLOCK + 3, (10, BLOCK, BLOCK + 1)),
+        (["sqrt:3"], ["0.25"], BLOCK - 1, (100, 3 * BLOCK)),
+        # a witness at n = 3 for all three, before and after the zero band
+        (["sqrt:2", "rat:1/3"], None, 1000, (10, 1000)),
+        (["dec:0.000000000000000000000000000001"], None, 100, (10, 100)),
+    ],
+)
+def test_report_shares_one_pass_with_the_single_estimators(texts, gamma, n_max, x_list):
+    alpha = TargetVector.parse(texts)
+    g = None if gamma is None else tuple(fr_from_decimal(t, alpha.scale) for t in gamma)
+    rep = exponent_report(alpha, g, n_max=n_max, h_max=20, x_list=x_list)
+    assert rep.omega_lower == simult_exponent_est(alpha, g, n_max)
+    assert rep.omega_times_lower == mult_exponent_est(alpha, g, n_max)
+    assert rep.omega_hat_lower == uniform_inhom_est(alpha, g, x_list)
 
 
 def test_infinite_witness_dual_vector():

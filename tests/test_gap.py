@@ -8,6 +8,7 @@ elimination, witness minimality via direct scans.
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction as Q
 from types import SimpleNamespace
 
@@ -668,6 +669,14 @@ def test_outer_gap_past_the_scan_limit():
     g = outer_gap(spec, budget=10**9)
     assert g.checks["containment"] is True
     assert g.checks["checked_lifts"] == g.checks["bohr_cardinality"] == 399_999_999
+
+
+def test_inner_gap_checks_the_scan_limit_before_any_minima_work():
+    spec = BohrSpec.build(["sqrt:2"], None, 3 * 10**9, ["0.1"])
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"^\|n\| up to 3000000000 exceeds the 31-bit scan limit$"):
+        inner_gap(spec)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # -- one box per properness check -----------------------------------------------

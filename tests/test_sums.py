@@ -3,16 +3,28 @@ fibre experiments.  Hand-checkable rational cases are asserted exactly;
 irrational suite values are frozen against an mpmath oracle."""
 
 import math
+import random
+import statistics
 from fractions import Fraction as Q
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bohrgap.bohr import BohrSpec
+from bohrgap.bohr import BohrSpec, _coord_scans
+from bohrgap.counting import totient_sieve
 from bohrgap.errors import BudgetExceeded, ValidationError
+from bohrgap.realfield import RealSpec
+from bohrgap.scan import BLOCK, CoordScan, blocks
 from bohrgap.sums import (
+    _REL_BAND,
     ApproxFunction,
+    ExactSum,
+    _err_bound,
+    _nonzero_dist,
+    _on_support_exact,
     ds_hypothesis_check,
     dyadic_table,
     eta_split_check,
@@ -495,3 +507,313 @@ def test_gallagher_guards_and_csv():
     d = res.to_dict()
     assert d["params"]["generator"] == "random.Random(seed).getrandbits(128), sequential"
     assert d["params"]["seed"] == 1
+
+
+def test_checkpoint_guards():
+    spec = BohrSpec.build(["sqrt:2"], None, 1000, ["1"], Q(1, 20))
+    psi = psi_family("log", c=1.0, k=2)
+    with pytest.raises(ValidationError, match="positive"):
+        sum_series(spec, [0, 100])
+    with pytest.raises(ValidationError, match="positive"):
+        ds_hypothesis_check(spec, psi, [-5, 100])
+    with pytest.raises(ValidationError, match="above N=1000"):
+        gallagher_experiment(spec, psi, 1, 1000, seed=1, checkpoints=[2000])
+    res = gallagher_experiment(spec, psi, 2, 1000, seed=1, checkpoints=[1, 2])
+    assert all(r["hits"][1] == 0 and r["runmin"][1] == math.inf for r in res.rows)
+
+
+# -- exact sums rounded once --------------------------------------------------
+
+
+def summed_in_pieces(x, edges):
+    acc = ExactSum()
+    cuts = [0, *sorted(edges), len(x)]
+    for a, b in zip(cuts, cuts[1:]):
+        acc.add(x[a:b])
+    return acc.value()
+
+
+# zeros of both signs, subnormals and normals up to 2^1000, either sign
+FINITE = st.one_of(
+    st.floats(-(2.0**1000), 2.0**1000),
+    st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, 947)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE, max_size=60), st.data())
+def test_exact_sum_matches_fsum_on_short_arrays(xs, data):
+    edges = data.draw(st.lists(st.integers(0, len(xs)), max_size=4))
+    assert summed_in_pieces(np.array(xs, dtype=np.float64), edges) == math.fsum(xs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(0, 2 * BLOCK),
+    low=st.integers(-1074, 947),
+    spread=st.integers(0, 2021),
+    data=st.data(),
+)
+def test_exact_sum_matches_fsum_across_block_edges(seed, length, low, spread, data):
+    # exponents drawn from [low, low + spread] (narrow spreads stress carries
+    # and ties), a share of zeros, and negated copies that cancel the top
+    rng = np.random.default_rng(seed)
+    man = rng.integers(-(2**53) + 1, 2**53, size=length).astype(np.float64)
+    exp = rng.integers(low, min(low + spread, 947) + 1, size=length)
+    x = np.ldexp(man, exp)
+    x[rng.random(length) < 0.05] = 0.0
+    x[: length // 8] = -x[length - length // 8 :]
+    edges = data.draw(st.lists(st.integers(0, length), max_size=6))
+    assert summed_in_pieces(x, edges) == math.fsum(x.tolist())
+
+
+def test_exact_sum_non_finite_entries_give_fsums_result():
+    for vals in ([1.0, math.inf], [-math.inf, 2.0**1000, -math.inf], [3.0, math.inf, 5e-324]):
+        assert summed_in_pieces(np.array(vals), [1]) == math.fsum(vals)
+    assert math.isnan(summed_in_pieces(np.array([1.0, math.nan, math.inf]), [1]))
+    assert math.isnan(math.fsum([1.0, math.nan, math.inf]))
+    with pytest.raises(ValueError):
+        math.fsum([math.inf, 1.0, -math.inf])
+    with pytest.raises(ValueError):
+        summed_in_pieces(np.array([math.inf, 1.0, -math.inf]), [1])
+
+
+# -- the N-length bodies the block pass replaced, kept as references ------------
+
+
+def ref_phi_ratio(N):
+    return totient_sieve(N).block(1, N + 1).astype(np.float64) / np.arange(1, N + 1, dtype=np.float64)
+
+
+def ref_support_mask(spec, N):
+    eps = spec.epsilon
+    tau = math.sqrt(eps.numerator / eps.denominator)
+    coords = _coord_scans(spec)
+    flags = np.ones(N, dtype=bool)
+    flags[0] = False
+    borderline = 0
+    for ns in blocks(2, N):
+        thr = np.power(ns.astype(np.float64), -tau)
+        band = _REL_BAND * thr
+        ok = np.ones(len(ns), dtype=bool)
+        for coord in coords:
+            d = coord.dist_floats(ns)
+            below = d < thr - band
+            ok &= ~below
+            pending = ~below & (d < thr + band) & ok
+            for idx in np.nonzero(pending)[0]:
+                borderline += 1
+                if not _on_support_exact(coord, int(ns[idx]), eps):
+                    ok[idx] = False
+        start = int(ns[0])
+        flags[start - 1 : start - 1 + len(ns)] = ok
+    return SupportMask(N, eps, flags, borderline)
+
+
+def ref_term_array(spec, mask, N):
+    coords = _coord_scans(spec)
+    terms = np.zeros(N, dtype=np.float64)
+    min_dist = math.inf
+    count = 0
+    for ns in blocks(1, N):
+        start = int(ns[0])
+        sel = mask.flags[start - 1 : start - 1 + len(ns)]
+        if not sel.any():
+            continue
+        prod = np.ones(len(ns), dtype=np.float64)
+        for coord in coords:
+            d = coord.dist_floats(ns)
+            for idx in np.nonzero((d <= coord.zero_band(N)) & sel)[0]:
+                d[idx] = _nonzero_dist(coord, int(ns[idx]))
+            dm = d[sel].min() if sel.any() else math.inf
+            if dm < min_dist:
+                min_dist = float(dm)
+            prod *= d
+        with np.errstate(divide="ignore"):
+            vals = np.where(sel, 1.0 / prod, 0.0)
+        terms[start - 1 : start - 1 + len(ns)] = vals
+        count += int(sel.sum())
+    return terms, min_dist, count
+
+
+def ref_sum_series(spec, checkpoints, restrict=True):
+    cps = sorted(set(int(c) for c in checkpoints))
+    N = cps[-1]
+    mask = ref_support_mask(spec, N) if restrict else trivial_mask(N)
+    ratio = ref_phi_ratio(N)
+    terms, min_dist, _ = ref_term_array(spec, mask, N)
+    star = terms * ratio
+    k = spec.k
+    rows = []
+    for cp in cps:
+        t = math.fsum(terms[:cp].tolist())
+        ts = math.fsum(star[:cp].tolist())
+        norm = cp * math.log(cp) ** (k - 1) if cp > 1 else 1.0
+        rows.append(
+            {
+                "N": cp,
+                "T": t,
+                "T_star": ts,
+                "ratio_T": t / norm,
+                "ratio_star": ts / t if t else 0.0,
+                "terms": int(mask.flags[:cp].sum()),
+                "err_bound": _err_bound(spec, t, min_dist, cp),
+                "eps": float(spec.epsilon) if not mask.trivial else None,
+                "k": k,
+            }
+        )
+    return rows
+
+
+def ref_ds_hypothesis_check(spec, psi, checkpoints):
+    cps = sorted(set(int(c) for c in checkpoints))
+    N = cps[-1]
+    mask = ref_support_mask(spec, N)
+    ratio = ref_phi_ratio(N)
+    terms, _, _ = ref_term_array(spec, mask, N)
+    psi_n = psi.values(np.arange(1, N + 1, dtype=np.int64))
+    psi_vals = psi_n * terms
+    ns = np.arange(1, N + 1, dtype=np.float64)
+    lead = psi_n * np.log(np.maximum(ns, 1.0)) ** (spec.k - 1)
+    rows = []
+    for cp in cps:
+        L = math.fsum((psi_vals[:cp] * ratio[:cp]).tolist())
+        U = math.fsum(psi_vals[:cp].tolist())
+        R = math.fsum(lead[:cp].tolist())
+        rows.append(
+            {
+                "N": cp,
+                "L": L,
+                "U": U,
+                "R": R,
+                "L_over_R": L / R if R else math.inf,
+                "U_over_R": U / R if R else math.inf,
+                "L_le_U": L <= U,
+            }
+        )
+    return {
+        "psi": psi.tag,
+        "divergent": psi.divergent,
+        "eps": str(spec.epsilon),
+        "k": spec.k,
+        "kept": mask.kept,
+        "rows": rows,
+        "all_L_le_U": all(r["L_le_U"] for r in rows),
+    }
+
+
+def ref_gallagher_experiment(spec, psi, samples, N, seed, checkpoints):
+    cps = tuple(sorted(set([int(c) for c in checkpoints] + [N])))
+    k = spec.k
+    ns = np.arange(2, N + 1, dtype=np.uint64)
+    fixed = np.ones(len(ns), dtype=np.float64)
+    for coord in _coord_scans(spec):
+        fixed *= coord.dist_floats(ns)
+    psi_vals = psi.values(ns.astype(np.int64))
+    lnk = ns.astype(np.float64) * np.log(ns.astype(np.float64)) ** k
+    rng = random.Random(seed)
+    rows = []
+    counts_at = {cp: [] for cp in cps}
+    hits_any = 0
+    for sid in range(samples):
+        bits = rng.getrandbits(128)
+        alpha_k = RealSpec("rat", Q(bits, 1 << 128)).realize(spec.scale)
+        dk = CoordScan(alpha_k).dist_floats(ns)
+        prod = fixed * dk
+        hit = prod < psi_vals
+        q = lnk * prod
+        runmin = np.minimum.accumulate(q)
+        row = {
+            "sample_id": sid,
+            "alpha_k_bits": f"{bits:032x}",
+            "alpha_k": bits / 2.0**128,
+            "hits": {},
+            "first_witness": None,
+            "runmin": {},
+        }
+        nz = np.nonzero(hit)[0]
+        if len(nz):
+            row["first_witness"] = int(ns[nz[0]])
+            hits_any += 1
+        for cp in cps:
+            c = int(np.count_nonzero(hit[: cp - 1]))
+            row["hits"][cp] = c
+            row["runmin"][cp] = float(runmin[cp - 2]) if cp >= 2 else math.inf
+            counts_at[cp].append(c)
+        rows.append(row)
+    return cps, rows, hits_any / samples, {cp: statistics.median(counts_at[cp]) for cp in cps}
+
+
+EDGES = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 2]
+EDGE_N = EDGES[-1]
+EDGE_SPECS = {
+    # exact rational coordinate: the residue paths of the scan
+    "rational": (["rat:1/3"], ["rat:1/2"], ["1"], Q(1, 4)),
+    # ||36/3 - 1/6|| = 1/6 = 36^(-1/2): one borderline n, decided exactly
+    "borderline": (["rat:1/3"], ["rat:1/6"], ["1"], Q(1, 4)),
+    "k3": (["sqrt:2", "sqrt:3"], None, ["1", "1"], Q(1, 20)),
+}
+
+
+@pytest.fixture(scope="module", params=list(EDGE_SPECS))
+def edge_case(request):
+    alphas, gammas, deltas, eps = EDGE_SPECS[request.param]
+    spec = BohrSpec.build(alphas, gammas, EDGE_N, deltas, eps)
+    return request.param, spec, ref_support_mask(spec, EDGE_N)
+
+
+def test_support_mask_matches_the_reference(edge_case):
+    name, spec, ref = edge_case
+    got = support_mask(spec, EDGE_N)
+    assert np.array_equal(got.flags, ref.flags)
+    assert got.borderline == ref.borderline == (1 if name == "borderline" else 0)
+
+
+def test_sum_series_matches_the_reference_at_block_edges(edge_case):
+    _, spec, _ = edge_case
+    for restrict in (True, False):
+        assert sum_series(spec, EDGES, restrict) == ref_sum_series(spec, EDGES, restrict)
+
+
+def test_t_sums_and_modified_psi_match_the_reference(edge_case):
+    _, spec, mask = edge_case
+    terms, min_dist, count = ref_term_array(spec, mask, EDGE_N)
+    star = terms * ref_phi_ratio(EDGE_N)
+    for cp in EDGES:
+        t, ts = t_sum(spec, mask, cp), t_star_sum(spec, mask, cp)
+        assert t.value == math.fsum(terms[:cp].tolist())
+        assert ts.value == math.fsum(star[:cp].tolist())
+        assert t.terms == ts.terms == int(mask.flags[:cp].sum())
+    assert t.err_bound == _err_bound(spec, t.value, min_dist, EDGE_N) and count == t.terms
+    psi = psi_family("log", c=1.0, k=spec.k)
+    vals = psi_modified(spec, psi, mask).values()
+    assert np.array_equal(vals, psi.values(np.arange(1, EDGE_N + 1, dtype=np.int64)) * terms)
+
+
+def test_ds_check_matches_the_reference_at_block_edges(edge_case):
+    _, spec, _ = edge_case
+    psi = psi_family("log", c=1.0, k=spec.k)
+    assert ds_hypothesis_check(spec, psi, EDGES) == ref_ds_hypothesis_check(spec, psi, EDGES)
+
+
+def test_gallagher_matches_the_reference_at_block_edges(edge_case):
+    _, spec, _ = edge_case
+    psi = psi_family("log", c=1.0, k=spec.k)
+    res = gallagher_experiment(spec, psi, 3, EDGE_N, seed=5, checkpoints=EDGES[:-1])
+    want = ref_gallagher_experiment(spec, psi, 3, EDGE_N, 5, EDGES[:-1])
+    assert (res.checkpoints, res.rows, res.hit_fraction, res.median_hits) == want
+
+
+def test_zero_band_terms_match_the_reference_at_block_edges():
+    # alpha = 2^-16 + 10^-31: n = BLOCK and 2*BLOCK sit in the zero band, and
+    # their terms come from the certified distances on the trivial mask,
+    # which differ from the block's floats in the ninth digit
+    spec = BohrSpec.build(["dec:0.0000152587890625000000000000001"], None, EDGE_N, ["1"])
+    coord = _coord_scans(spec)[0]
+    floats = coord.dist_floats(np.array([BLOCK - 1, BLOCK, 2 * BLOCK], dtype=np.uint64))
+    assert (floats <= coord.zero_band(EDGE_N)).tolist() == [False, True, True]
+    assert coord.dist_float(BLOCK) == 6.5536e-27 != floats[1]
+    assert sum_series(spec, EDGES, restrict=False) == ref_sum_series(spec, EDGES, restrict=False)
+    terms, _, _ = ref_term_array(spec, trivial_mask(EDGE_N), EDGE_N)
+    assert t_sum(spec, N=EDGE_N).value == math.fsum(terms.tolist())
