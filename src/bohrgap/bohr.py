@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AmbiguousLift, ValidationError
 from .realfield import UNDECIDED, BohrSpec, ceil_pow_sqrt, certify, cmp_fixed, fr_from_int
-from .scan import CoordScan, ThresholdSpec, members_in_range
+from .scan import CoordScan, ThresholdSpec, all_pass, members_in_range
 
 Q = Fraction
 
@@ -158,11 +158,14 @@ def is_member(spec: BohrSpec, n: int) -> bool:
 
 def shift_injection_holds(spec: BohrSpec, bset: BohrSet) -> bool:
     """n -> n - n0, n0 the first member, must send the set into the doubled
-    homogeneous set B^0(N; 2*delta)."""
+    homogeneous set B^0(N; 2*delta).
+
+    B^0 is symmetric, so each |n - n0| is tested directly against it, with
+    the thresholds and exact callbacks of the B^0 scan.
+    """
     if bset.cardinality == 0:
         return True
-    shifted = bset.members.astype(np.int64) - int(bset.members[0])
-    if int(np.abs(shifted).max()) > spec.N:
+    shifted = np.abs(bset.members.astype(np.int64) - int(bset.members[0]))
+    if int(shifted.max()) > spec.N:
         return False
-    doubled = enumerate_bohr(replace(spec.scaled(2, 1), gamma=None), "symmetric")
-    return bool(np.isin(shifted, doubled.members).all())
+    return all_pass(*_coords_and_specs(replace(spec.scaled(2, 1), gamma=None), flip=False), shifted)

@@ -246,13 +246,15 @@ def cmd_gap_verify(ns) -> RunOutput:
     if ns.limit < 0:
         raise ValidationError("--limit must be >= 0")
     spec, g, box = _gap_build(ns, ns.form)
-    proper, elements = box or _proper_sorted(g, ns.budget or 10**8)
     violations = 0
     if ns.form == "inner":
+        proper, elements = box
         els = elements[: ns.limit]
         checked = len(els)
         violations = sum(not is_member(spec, int(n)) for n in els)
     else:
+        # only the certificate outlives the box: cardinality_ratio scans next
+        proper = _proper_sorted(g, ns.budget or 10**8)[0]
         # outer_gap ran the lift check on every member of B^0 with this
         # budget and raises on any failure, so its first --limit pass too
         checked = min(ns.limit, g.checks["bohr_cardinality"])

@@ -28,8 +28,8 @@ if TYPE_CHECKING:  # numpy loads where a table is sieved or a box built
 Q = Fraction
 
 _SIEVE_CAP = 10**8
-_BLOCK = 10**6
-_CACHE_BLOCKS = 4
+_SEGMENT = 1 << 17  # a multiple of scan.BLOCK
+_CACHE_SEGMENTS = 2
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -70,33 +70,41 @@ def is_prime(n: int) -> bool:
 
 
 def _phi_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """phi(n) for lo <= n < hi; primes must cover sqrt(hi-1)."""
+    """phi(n) for lo <= n < hi; primes must cover sqrt(hi-1).
+
+    The sieve runs in int32, in place on strided views (hi <= 2^31).
+    """
     import numpy as np
 
-    phi = np.arange(lo, hi, dtype=np.int64)
+    phi = np.arange(lo, hi, dtype=np.int32)
     rem = phi.copy()
-    for p in map(int, primes):
+    for p in primes.tolist():
         if p * p >= hi:
             break
         start = ((lo + p - 1) // p) * p
         if start >= hi:
             continue
-        sl = slice(start - lo, hi - lo, p)
-        phi[sl] -= phi[sl] // p
+        v = phi[start - lo :: p]
+        v -= v // p
         # strip p from rem: one division per power q = p, p^2, .. on q's multiples
         q = p
         while start < hi:
-            rem[start - lo :: q] //= p
+            r = rem[start - lo :: q]
+            r //= p
             q *= p
             start = ((lo + q - 1) // q) * q
-    big = rem > 1  # a single prime factor above sqrt(hi) survives
-    phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-    return phi
+    # rem is now 1 or the one prime factor above sqrt(hi), which divides phi
+    phi -= phi // rem * (rem > 1)
+    return phi.astype(np.int64)
 
 
 class TotientTable:
-    """phi(1..limit), sieved block by block on demand; the last few blocks
-    stay cached."""
+    """phi(1..limit), sieved segment by segment on demand; the last few
+    segments stay cached.
+
+    A segment is _SEGMENT integers, a multiple of the scan block, so the
+    phi of one scan block over 1..N lies in one segment.
+    """
 
     def __init__(self, limit: int):
         if limit < 1:
@@ -110,10 +118,10 @@ class TotientTable:
     def _segment(self, j: int) -> np.ndarray:
         seg = self._cache.get(j)
         if seg is None:
-            lo = 1 + j * _BLOCK
-            hi = min(self.limit + 1, lo + _BLOCK)
+            lo = 1 + j * _SEGMENT
+            hi = min(self.limit + 1, lo + _SEGMENT)
             seg = _phi_segment(lo, hi, self._primes)
-            if len(self._cache) >= _CACHE_BLOCKS:
+            if len(self._cache) >= _CACHE_SEGMENTS:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[j] = seg
         return seg
@@ -121,18 +129,34 @@ class TotientTable:
     def phi(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise ValidationError(f"{n} outside sieve range 1..{self.limit}")
-        return int(self._segment((n - 1) // _BLOCK)[(n - 1) % _BLOCK])
+        return int(self._segment((n - 1) // _SEGMENT)[(n - 1) % _SEGMENT])
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """phi(lo), ..., phi(hi-1) as one array."""
+        """phi(lo), ..., phi(hi-1) as one array; a view into the cached
+        segment when the range lies in one."""
         import numpy as np
 
         if not 1 <= lo <= hi <= self.limit + 1:
             raise ValidationError("block outside sieve range")
-        first = (lo - 1) // _BLOCK
-        segs = [self._segment(j) for j in range(first, max(first, (hi - 2) // _BLOCK) + 1)]
-        base = 1 + first * _BLOCK
+        first = (lo - 1) // _SEGMENT
+        segs = [self._segment(j) for j in range(first, max(first, (hi - 2) // _SEGMENT) + 1)]
+        base = 1 + first * _SEGMENT
         return (segs[0] if len(segs) == 1 else np.concatenate(segs))[lo - base : hi - base]
+
+    def at(self, ns: np.ndarray) -> np.ndarray:
+        """phi at each entry of the sorted int64 array ns, within 1..limit;
+        each segment is read once."""
+        import numpy as np
+
+        if len(ns) and not 1 <= ns[0] <= ns[-1] <= self.limit:
+            raise ValidationError(f"integers outside sieve range 1..{self.limit}")
+        out = np.empty(len(ns), dtype=np.int64)
+        seg = (ns - 1) // _SEGMENT
+        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(ns)]
+        for a, b in zip(cuts, cuts[1:]) if len(ns) else ():
+            j = int(seg[a])
+            out[a:b] = self._segment(j)[ns[a:b] - (1 + j * _SEGMENT)]
+        return out
 
 
 def totient_sieve(limit: int) -> TotientTable:
@@ -142,11 +166,15 @@ def totient_sieve(limit: int) -> TotientTable:
 def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
     """Exact sum of phi(n)/n over the given integers.
 
-    The integers are read in increasing order, so each sieve block is built
-    once.  Terms are grouped by the reduced denominator of phi(n)/n, so each group
-    is one integer numerator; the group fractions are then added pairwise as
-    a balanced tree, which keeps every intermediate sum small.
+    The integers are read in increasing order, so each sieve segment is built
+    once.  Terms are grouped by the reduced denominator of phi(n)/n, so each
+    group is one integer numerator.  The groups are then added pairwise up a
+    balanced tree over a common denominator, a/b + c/d = (a*(d/g) + c*(b/g))/(b*d/g)
+    with g = gcd(b, d), which keeps every intermediate sum small; the total
+    is reduced once at the end.
     """
+    import numpy as np
+
     ns = sorted(int(n) for n in ns)
     if not ns:
         return Q(0)
@@ -157,15 +185,23 @@ def totient_average(ns, table: Optional[TotientTable] = None) -> Fraction:
         table = totient_sieve(hi)
     elif table.limit < hi:
         raise ValidationError(f"sieve limit {table.limit} below max element {hi}")
-    groups: dict[int, int] = {}
-    for n in ns:
-        phi = table.phi(n)
-        g = math.gcd(phi, n)
-        groups[n // g] = groups.get(n // g, 0) + phi // g
-    terms = [Q(num, den) for den, num in sorted(groups.items())]
+    n_arr = np.array(ns, dtype=np.int64)
+    phi = table.at(n_arr)
+    g = np.gcd(phi, n_arr)
+    den, num = n_arr // g, phi // g
+    order = np.argsort(den, kind="stable")
+    den, num = den[order], num[order]
+    starts = np.flatnonzero(np.r_[True, den[1:] != den[:-1]])
+    terms = list(zip(np.add.reduceat(num, starts).tolist(), den[starts].tolist()))
     while len(terms) > 1:
-        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
-    return terms[0]
+        terms = [_add_over(*terms[i], *terms[i + 1]) if i + 1 < len(terms) else terms[i] for i in range(0, len(terms), 2)]
+    return Q(*terms[0])
+
+
+def _add_over(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d over the denominator lcm(b, d), unreduced."""
+    g = math.gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
 
 
 # -- divisibility densities ---------------------------------------------------

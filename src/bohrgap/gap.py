@@ -155,9 +155,16 @@ def _box_values(gap: GAP, budget: int) -> np.ndarray:
         raise BudgetExceeded(f"coefficient box of {size} exceeds budget {budget}")
     if size > 4 * 10**7:
         raise BudgetExceeded("coefficient box too large to materialize in memory")
-    vals = np.array([gap.b], dtype=np.int64)
-    for A, L in zip(gap.moduli, gap.lengths):
-        coeffs = np.arange(1, L + 1, dtype=np.int64) if gap.form == "positive" else np.arange(-L, L + 1, dtype=np.int64)
+    return _values(gap.b, gap.moduli, gap.lengths, gap.form == "positive")
+
+
+def _values(b: int, moduli, lengths, positive: bool) -> np.ndarray:
+    """b + sum n_i A_i over the box of the given moduli and lengths, row-major."""
+    import numpy as np
+
+    vals = np.array([b], dtype=np.int64)
+    for A, L in zip(moduli, lengths):
+        coeffs = np.arange(1, L + 1, dtype=np.int64) if positive else np.arange(-L, L + 1, dtype=np.int64)
         vals = (vals[:, None] + (A * coeffs)[None, :]).ravel()
     return vals
 
@@ -197,6 +204,23 @@ def _coeff_vector(gap: GAP, flat: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _collision_pair(gap: GAP, v: int) -> tuple:
+    """The coefficients at the two smallest flat indices of the box holding
+    the value v, read one row of the first coefficient at a time."""
+    import numpy as np
+
+    pos = gap.form == "positive"
+    row = _values(gap.b, gap.moduli[1:], gap.lengths[1:], pos)  # b + the other coefficients
+    L = gap.lengths[0]
+    found = []
+    for r, c in enumerate(range(1, L + 1) if pos else range(-L, L + 1)):
+        hits = np.flatnonzero(row == v - gap.moduli[0] * c)[: 2 - len(found)]
+        found.extend(r * len(row) + int(h) for h in hits)
+        if len(found) == 2:
+            return tuple(_coeff_vector(gap, f) for f in found)
+    raise ConstructionError(f"value {v} repeats in the sorted box but not in its rows")  # unreachable
+
+
 def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray]:
     """Distinctness certificate and the sorted box values, from one box; a
     collision names the two smallest flat indices holding its value."""
@@ -204,9 +228,7 @@ def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray
     size = gap.box_size()
     same = svals[1:] == svals[:-1]
     if same.any():
-        i = int(same.argmax())
-        first, second = (_box_values(gap, budget) == svals[i]).nonzero()[0][:2]
-        pair = (_coeff_vector(gap, int(first)), _coeff_vector(gap, int(second)))
+        pair = _collision_pair(gap, int(svals[int(same.argmax())]))
         return ProperCertificate(False, len(svals) - int(same.sum()), size, collision=pair), svals
     digest = hashlib.sha256(svals.astype("<i8").tobytes()).hexdigest()
     return ProperCertificate(True, size, size, sha256=digest), svals

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,15 +57,23 @@ def blocks(lo: int, hi: int):
 def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence) -> list[np.ndarray]:
     """(n*A + G) mod 2^scale as little-endian uint64 words, for uint64 ns < 2^31.
 
-    A and G are scale-bit integers given as 32-bit limbs.
+    A and G are scale-bit integers given as 32-bit limbs.  One array holds
+    the running sum n*A_j + carry + G_j; an even limb fills a word's low half
+    by a mask, an odd limb its high half by a shift that drops the carry.
     """
-    carry = np.zeros(len(ns), dtype=np.uint64)
-    limbs = []
+    words = [np.empty(len(ns), dtype=np.uint64) for _ in range(len(a) // 2)]
+    s, t = np.zeros(len(ns), dtype=np.uint64), np.empty(len(ns), dtype=np.uint64)
     for j, aj in enumerate(a):
-        t = ns * aj + carry + g[j]
-        limbs.append(t & _M32)
-        carry = t >> _SH32
-    return [limbs[2 * w] | (limbs[2 * w + 1] << _SH32) for w in range(len(limbs) // 2)]
+        np.multiply(ns, aj, out=t)
+        s += t
+        s += g[j]
+        if j % 2:
+            np.left_shift(s, _SH32, out=t)
+            words[j // 2] |= t
+        else:
+            np.bitwise_and(s, _M32, out=words[j // 2])
+        np.right_shift(s, _SH32, out=s)
+    return words
 
 
 class CoordScan:
@@ -118,23 +126,31 @@ class CoordScan:
         ns must be uint64 with all entries < 2^31.
         """
         r = _limb_mul(ns, self._a, self._g)
-        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r), negating
-        # word by word: ~w + 1 wraps only for w = 0, so the +1 moves up
-        # through the zero low words
+        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r) in place,
+        # negating word by word: ~w + 1 wraps only for w = 0, so the +1
+        # moves up through the zero low words
         top_is_high = r[-1] >= np.uint64(1 << 63)
-        out, low_zero = [], np.ones(len(ns), dtype=bool)
-        for w in r:
-            out.append(np.where(top_is_high, ~w + low_zero, w))
-            low_zero &= w == 0
-        return out
+        neg = np.empty(len(ns), dtype=np.uint64)
+        low_zero = np.ones(len(ns), dtype=bool)
+        is_zero = np.empty(len(ns), dtype=bool)
+        for i, w in enumerate(r):
+            np.invert(w, out=neg)
+            neg += low_zero
+            if i < len(r) - 1:
+                np.equal(w, 0, out=is_zero)
+                low_zero &= is_zero
+            np.copyto(w, neg, where=top_is_high)
+        return r
 
     def dist_floats(self, ns: np.ndarray) -> np.ndarray:
         """float64 distances; relative error <= 2^-52 plus E(n)*2^-scale absolute."""
         words = self.dist_words(ns)
-        out = np.zeros(len(ns), dtype=np.float64)
-        for w in range(self.nwords - 1, -1, -1):
-            out = out * 18446744073709551616.0 + words[w].astype(np.float64)
-        return out * math.ldexp(1.0, -self.scale)
+        out = words[-1].astype(np.float64)
+        for w in reversed(words[:-1]):
+            out *= 18446744073709551616.0
+            out += w
+        out *= math.ldexp(1.0, -self.scale)
+        return out
 
     # -- exact per-element fallback ---------------------------------------
 
@@ -297,15 +313,15 @@ def _words_le(words: Sequence[np.ndarray], bound: int, nwords: int) -> np.ndarra
     return le
 
 
-def _classified(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], lo: int, hi: int):
-    """Per block of [lo, hi]: (ns, members, pending, per_coord_in).
+def _classified(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], parts: Iterable[np.ndarray]):
+    """Per uint64 block of parts: (ns, members, pending, per_coord_in).
 
     A spec's block decider settles its coordinate exactly; otherwise the
     distance words split at t_in (definitely inside) and t_out (definitely
     outside).  members marks the n inside on every coordinate, pending the
     borderline n that no coordinate rules out; _resolve settles those.
     """
-    for ns in blocks(lo, hi):
+    for ns in parts:
         all_in = np.ones(len(ns), dtype=bool)
         any_out = np.zeros(len(ns), dtype=bool)
         per_coord_in = []
@@ -340,7 +356,7 @@ def members_in_range(
     borderline elements are settled by the per-threshold exact callbacks.
     """
     out = [np.empty(0, dtype=np.int64)]
-    for ns, members, pending, per_coord_in in _classified(coords, specs, lo, hi):
+    for ns, members, pending, per_coord_in in _classified(coords, specs, blocks(lo, hi)):
         for idx in np.flatnonzero(pending):
             members[idx] = _resolve(specs, per_coord_in, idx, int(ns[idx]))
         out.append(ns[members].astype(np.int64))
@@ -357,8 +373,24 @@ def first_in_range(
 
     No exact callback runs past the first member.
     """
-    for ns, members, pending, per_coord_in in _classified(coords, specs, lo, hi):
+    for ns, members, pending, per_coord_in in _classified(coords, specs, blocks(lo, hi)):
         for idx in np.flatnonzero(members | pending):
             if members[idx] or _resolve(specs, per_coord_in, idx, int(ns[idx])):
                 return int(ns[idx])
     return None
+
+
+def all_pass(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], values: np.ndarray) -> bool:
+    """Whether every n of values (non-negative integers) passes every threshold.
+
+    The values are classified BLOCK at a time; the first n that fails ends
+    the test, and no exact callback runs past it.
+    """
+    _check_span(int(values.max(initial=0)))
+    parts = (values[i : i + BLOCK].astype(np.uint64) for i in range(0, len(values), BLOCK))
+    for ns, members, pending, per_coord_in in _classified(coords, specs, parts):
+        if not (members | pending).all() or not all(
+            _resolve(specs, per_coord_in, idx, int(ns[idx])) for idx in np.flatnonzero(pending)
+        ):
+            return False
+    return True

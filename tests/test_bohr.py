@@ -1,5 +1,7 @@
 """Bohr set enumeration, lifting, and the shrunken/restricted variants."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrgap.bohr import (
+    BohrSet,
     BohrSpec,
     _coord_scans,
     all_lifts,
@@ -18,6 +21,7 @@ from bohrgap.bohr import (
     shift_injection_holds,
 )
 from bohrgap.errors import AmbiguousLift, ValidationError
+from bohrgap.scan import CoordScan
 
 Q = Fraction
 
@@ -259,3 +263,61 @@ def test_unfolded_matches_the_reference(alphas, gammas, extra):
             got = flip.unfolded(n, extra)
             assert (got.man, got.err) == (-mirror.man, mirror.err)
             assert got.exact() == (None if mirror.exact() is None else -mirror.exact())
+
+
+# -- the direct shift test against the doubled-set scan ---------------------------
+
+
+def ref_shift_injection_holds(spec, bset):
+    """Reference: scan the doubled homogeneous set over -N..N, then np.isin."""
+    if bset.cardinality == 0:
+        return True
+    shifted = bset.members.astype(np.int64) - int(bset.members[0])
+    if int(np.abs(shifted).max()) > spec.N:
+        return False
+    doubled = enumerate_bohr(replace(spec.scaled(2, 1), gamma=None), "symmetric")
+    return bool(np.isin(shifted, doubled.members).all())
+
+
+def _shift_cases(spec, seed):
+    """The positive and symmetric sets of spec, then sorted random subsets of
+    0..N: some inside the doubled set, most not."""
+    yield enumerate_bohr(spec, "positive")
+    yield enumerate_bohr(spec, "symmetric")  # spans -N..N: its shifts run past N
+    rng = random.Random(seed)
+    for size in (1, 2, 5, 40):
+        yield BohrSet(spec, "positive", np.array(sorted(rng.sample(range(spec.N + 1), size)), dtype=np.int64))
+
+
+@pytest.mark.parametrize("alphas,gammas,deltas", [
+    (["sqrt:2"], None, ["0.1"]),  # 2*delta below 1/2
+    (["sqrt:2"], ["rat:1/3"], ["0.3"]),  # above 1/2
+    (["sqrt:3"], ["dec:0.3"], ["0.2"]),
+    (["sqrt:5"], ["sqrt:2"], ["0.26"]),
+    (["dec:0.7312"], ["sqrt:3"], ["1/4"]),  # 2*delta exactly 1/2
+    (["sqrt:2", "rat:2/7"], ["dec:0.45", "rat:1/7"], ["0.24", "1/7"]),
+    (["rat:1/3"], ["rat:1/2"], ["1/6"]),  # residue path, shifts tie at 2*delta = 1/3
+    (["sqrt:3", "sqrt:7"], ["dec:0.1", "dec:0.9"], ["0.3", "0.6"]),  # the second width caps at 1
+])
+def test_shift_injection_matches_the_doubled_set_scan(alphas, gammas, deltas):
+    spec = spec_of(alphas, gammas, 1500, deltas)
+    for k, bset in enumerate(_shift_cases(spec, len(alphas) * 7 + len(deltas[0]))):
+        assert shift_injection_holds(spec, bset) is ref_shift_injection_holds(spec, bset), k
+
+
+def test_shift_injection_decides_exact_ties_by_the_fallback(monkeypatch):
+    # alpha = 1/q with q > 2^31 has no residue decider, so the word split runs;
+    # with 2*delta = 3/q the shift 3 ties exactly and goes to the exact callback
+    q = 2**31 + 11
+    spec = spec_of([f"rat:1/{q}"], None, 1000, [f"3/{2 * q}"])
+    calls = []
+    real = CoordScan.dist_le
+    monkeypatch.setattr(CoordScan, "dist_le", lambda self, n, thr, **kw: calls.append(n) or real(self, n, thr, **kw))
+    for members, want in [([5, 8], True), ([5, 8, 9], False), ([7, 10, 8, 9], True), ([0, 3, 1003], False)]:
+        bset = BohrSet(spec, "positive", np.array(sorted(members), dtype=np.int64))
+        calls.clear()
+        assert shift_injection_holds(spec, bset) is want, members
+        # the tie is settled exactly; a definite outsider or a shift past N
+        # ends the test before any exact callback
+        assert (3 in calls) is want
+        assert ref_shift_injection_holds(spec, bset) is want, members

@@ -156,10 +156,11 @@ def test_block_table_matches_the_eager_segment():
 
 
 def test_totient_average_on_unsorted_input_reads_each_block_once(monkeypatch):
-    # integers from five sieve blocks in random order, repeats kept: one
-    # more block than the cache holds, so a pass in input order would
-    # sieve the same block again and again
-    limit = 5 * 10**6
+    # integers from every sieve segment in random order, repeats kept: one
+    # more segment than the cache holds, so a pass in input order would
+    # sieve the same segment again and again
+    seg = counting._SEGMENT
+    limit = (counting._CACHE_SEGMENTS + 1) * seg - 7  # the last segment short
     rng = random.Random(13)
     ns = [rng.randrange(1, limit + 1) for _ in range(1500)] + [limit, 1, 1]
     rng.shuffle(ns)
@@ -169,7 +170,68 @@ def test_totient_average_on_unsorted_input_reads_each_block_once(monkeypatch):
     real = counting._phi_segment
     monkeypatch.setattr(counting, "_phi_segment", lambda lo, hi, primes: sieved.append(lo) or real(lo, hi, primes))
     assert totient_average(ns, totient_sieve(limit)) == want
-    assert sorted(sieved) == [1 + j * 10**6 for j in range(5)]
+    assert sorted(sieved) == [1 + j * seg for j in range(counting._CACHE_SEGMENTS + 1)]
+
+
+def test_segment_reads_across_edges_match_the_eager_segment():
+    seg = counting._SEGMENT
+    limit = 3 * seg + 1234  # not a multiple of the segment length
+    want = eager_phi(limit)
+    t = totient_sieve(limit)
+    edges = [1 + j * seg for j in range(1, 4)]
+    for e in edges:
+        for lo, hi in [(e - 3, e + 3), (e - 1, e), (e, e + 1), (e - seg, e), (e - 5, e + seg + 5)]:
+            hi = min(hi, limit + 1)
+            assert np.array_equal(t.block(lo, hi), want[lo - 1 : hi - 1]), (lo, hi)
+        for n in (e - 1, e):
+            assert t.phi(n) == int(want[n - 1])
+    assert np.array_equal(t.block(limit - 7, limit + 1), want[limit - 8 :])
+    assert np.array_equal(t.block(5, 5), want[4:4])
+    rng = random.Random(5)
+    ns = np.array(sorted([rng.randrange(1, limit + 1) for _ in range(3000)] + [1, limit] + edges + [e - 1 for e in edges]))
+    assert np.array_equal(t.at(ns), want[ns - 1])
+    assert len(t.at(ns[:0])) == 0
+
+
+def test_a_scan_block_of_phi_is_a_view_of_one_segment():
+    # the segment length is a multiple of the scan block, so _phi_over_n's
+    # read of any scan block over 1..N slices one cached segment
+    from bohrgap.scan import BLOCK, blocks
+
+    assert counting._SEGMENT % BLOCK == 0
+    N = 2 * counting._SEGMENT + 3 * BLOCK + 11
+    t = totient_sieve(N)
+    want = eager_phi(N)
+    for ns in blocks(1, N):
+        lo, hi = int(ns[0]), int(ns[-1]) + 1
+        got = t.block(lo, hi)
+        assert got.base is t._cache[(lo - 1) // counting._SEGMENT]
+        assert np.array_equal(got, want[lo - 1 : hi - 1])
+
+
+def ref_totient_average(ns, table):
+    """Reference: groups by reduced denominator, added as Fractions up a balanced tree."""
+    groups = {}
+    for n in sorted(int(n) for n in ns):
+        phi = table.phi(n)
+        g = math.gcd(phi, n)
+        groups[n // g] = groups.get(n // g, 0) + phi // g
+    terms = [Q(num, den) for den, num in sorted(groups.items())]
+    while len(terms) > 1:
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return terms[0] if terms else Q(0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 64, 1000])
+def test_average_tree_matches_the_fraction_tree(size):
+    limit = counting._SEGMENT + 999
+    t = totient_sieve(limit)
+    rng = random.Random(size)
+    ns = [rng.randrange(1, limit + 1) for _ in range(size)]
+    ns += ns[: size // 2] + [1] * (size % 2)
+    got = totient_average(ns, t)
+    assert got == ref_totient_average(ns, t)
+    assert math.gcd(got.numerator, got.denominator) == 1
 
 
 def test_sieve_guards():

@@ -726,6 +726,44 @@ def test_improper_boxes_in_both_forms_match_the_reference(moduli, lengths, form)
     assert cert.to_dict() == argsort_proper_sorted(g)[0].to_dict()
 
 
+def rebuilt_box_pair(gap, budget=10**8):
+    """Reference: the collision pair read from a second, unsorted copy of the
+    whole box, at the two smallest flat indices of the smallest repeated value."""
+    svals = gap_elements(gap, budget)
+    same = svals[1:] == svals[:-1]
+    first, second = (_box_values(gap, budget) == svals[int(same.argmax())]).nonzero()[0][:2]
+    return _coeff_vector(gap, int(first)), _coeff_vector(gap, int(second))
+
+
+@pytest.mark.parametrize("b,moduli,lengths,form", [
+    (-3, (1, 1), (2, 2), "positive"),
+    (0, (2, 3), (5, 4), "symmetric"),
+    (7, (4, 6, 9), (3, 2, 2), "symmetric"),
+    (-3, (2, 3), (4, 3), "positive"),
+    (1, (5, 1, 2), (1, 3, 2), "positive"),  # one row of the first coefficient holds the pair
+    (0, (3, 1, 2), (1, 1, 4), "symmetric"),
+    (2, (7, 2, 3), (2, 3, 2), "positive"),  # the pair's second entry in a later row
+])
+def test_collision_pair_matches_the_rebuilt_box(b, moduli, lengths, form):
+    g = GAP(b=b, moduli=moduli, lengths=lengths, form=form, sigma=(1,) * len(moduli))
+    cert = _proper_sorted(g, 10**8)[0]
+    assert not cert.proper
+    assert cert.collision == rebuilt_box_pair(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    b=st.integers(-30, 30),
+    moduli=st.lists(st.integers(1, 9), min_size=2, max_size=3),
+    lengths=st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    form=st.sampled_from(["positive", "symmetric"]),
+)
+def test_collision_pair_matches_the_rebuilt_box_on_random_boxes(b, moduli, lengths, form):
+    g = GAP(b=b, moduli=tuple(moduli), lengths=tuple(lengths[: len(moduli)]), form=form, sigma=(1,) * len(moduli))
+    cert = _proper_sorted(g, 10**8)[0]
+    assert cert.proper or cert.collision == rebuilt_box_pair(g)
+
+
 @pytest.mark.parametrize("form,want", [
     ("inner", ["positive"]),  # the verify reads inner_gap's own sorted box
     ("outer", ["symmetric"]),  # outer_gap counts lifts by lines, with no box

@@ -385,16 +385,23 @@ def test_precision_ladder_lives_only_in_realfield():
 
 def test_limb_carry_lives_in_one_function():
     # one limb kernel: every scan, fold and lift goes through the one
-    # function that propagates the 32-bit carry (x >> _SH32)
+    # function that propagates the 32-bit carry (x >> _SH32, or in place
+    # np.right_shift(x, _SH32, out=...))
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     holders = set()
+
+    def is_sh32(node):
+        return isinstance(node, ast.Name) and node.id == "_SH32"
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = f"{where.split(':')[0]}:{getattr(node, 'name', '<lambda>')}"
         shifted = node.right if isinstance(node, ast.BinOp) else getattr(node, "value", None)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
-            if isinstance(shifted, ast.Name) and shifted.id == "_SH32":
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift) and is_sh32(shifted):
+            holders.add(where)
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and getattr(func, "attr", getattr(func, "id", None)) == "right_shift":
+            if len(node.args) > 1 and is_sh32(node.args[1]):
                 holders.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)

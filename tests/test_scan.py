@@ -510,3 +510,77 @@ def test_three_gap_oracle(s, gamma_text, delta):
     lo = hi - N + 1
     got = members_in_range([sc], [ThresholdSpec.for_fraction(sc, delta, hi)], lo, hi)
     _assert_three_gap(got, lo, hi, s, gamma.exact(), delta)
+
+
+# -- the in-place kernel against the allocating one ------------------------------
+
+_M32, _SH32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def ref_limb_mul(ns, a, g):
+    """Reference: the allocating limb kernel, one new array per operation."""
+    carry = np.zeros(len(ns), dtype=np.uint64)
+    limbs = []
+    for j, aj in enumerate(a):
+        t = ns * aj + carry + g[j]
+        limbs.append(t & _M32)
+        carry = t >> _SH32
+    return [limbs[2 * w] | (limbs[2 * w + 1] << _SH32) for w in range(len(limbs) // 2)]
+
+
+def ref_dist_words(sc, ns):
+    r = ref_limb_mul(ns, sc._a, sc._g)
+    top_is_high = r[-1] >= np.uint64(1 << 63)
+    out, low_zero = [], np.ones(len(ns), dtype=bool)
+    for w in r:
+        out.append(np.where(top_is_high, ~w + low_zero, w))
+        low_zero &= w == 0
+    return out
+
+
+def ref_dist_floats(sc, ns):
+    words = ref_dist_words(sc, ns)
+    out = np.zeros(len(ns), dtype=np.float64)
+    for w in range(sc.nwords - 1, -1, -1):
+        out = out * 18446744073709551616.0 + words[w].astype(np.float64)
+    return out * math.ldexp(1.0, -sc.scale)
+
+
+def _same_kernel(sc, ns):
+    got, want = sc.dist_words(ns), ref_dist_words(sc, ns)
+    assert len(got) == len(want) == sc.nwords
+    for g, w in zip(got, want):
+        assert g.dtype == np.uint64 and np.array_equal(g, w)
+    floats = sc.dist_floats(ns)
+    assert floats.dtype == np.float64
+    assert np.array_equal(floats.view(np.uint64), ref_dist_floats(sc, ns).view(np.uint64))  # bit for bit
+
+
+@pytest.mark.parametrize("scale", [64, 128, 192, 256])
+@pytest.mark.parametrize("alpha_text,gamma_text", [
+    ("sqrt:2", None),
+    ("rat:1/3", "rat:1/2"),
+    ("dec:0.7312", "dec:0.3"),
+    ("sqrt:7", "sqrt:3"),
+    ("rat:5/7", "sqrt:2"),
+    ("sqrt:5", "rat:2/9"),
+    ("rat:1/2", None),  # every word of n*alpha below the top is zero: the fold carries through
+])
+def test_in_place_kernel_matches_the_allocating_one(scale, alpha_text, gamma_text):
+    a = RealSpec.parse(alpha_text).realize(scale)
+    g = RealSpec.parse(gamma_text).realize(scale) if gamma_text else None
+    for g_sign in (1, -1):
+        sc = CoordScan(a, g, g_sign)
+        _same_kernel(sc, np.array([0, 1, 2, 3, 2**31 - 2, 2**31 - 1], dtype=np.uint64))
+        rng = random.Random(scale)
+        _same_kernel(sc, np.array(sorted(rng.sample(range(2**31), 300)), dtype=np.uint64))
+        # a partial last block
+        parts = list(blocks(2 * BLOCK - 40, 3 * BLOCK - 24))
+        assert len(parts[-1]) == 17
+        for ns in parts[-2:]:
+            _same_kernel(sc, ns)
+
+
+def test_in_place_kernel_takes_a_million_long_array():
+    sc = CoordScan(RealSpec.parse("sqrt:2").realize(128), RealSpec.parse("dec:0.3").realize(128))
+    _same_kernel(sc, np.arange(2**31 - 10**6, 2**31, dtype=np.uint64))
