@@ -36,8 +36,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .realfield import BohrSpec
 
-Q = Fraction
-
 _M61 = (1 << 61) - 1
 
 # list-valued flags that repeat on the command line vs comma-joined ones
@@ -85,36 +83,30 @@ class RunOutput:
 
 
 def _config_echo(ns: argparse.Namespace) -> dict:
-    skip = {"out", "config", "manifest", "command_path", "handler", "group", "sub"}
-    cfg = {}
-    for key, val in sorted(vars(ns).items()):
-        if key in skip or val is None or callable(val):
-            continue
-        cfg[key] = val
-    return cfg
+    skip = {"out", "config", "command_path", "group", "sub"}
+    return {key: val for key, val in sorted(vars(ns).items()) if key not in skip and val is not None}
 
 
 def _emit(ns: argparse.Namespace, out: RunOutput, elapsed: float) -> None:
     for line in out.summary:
         print(line)
     payload_text = json.dumps(_jsonable(out.payload), indent=2, sort_keys=True) + "\n"
-    if ns.out:
-        os.makedirs(ns.out, exist_ok=True)
-        with open(os.path.join(ns.out, "payload.json"), "w") as fh:
-            fh.write(payload_text)
-        if out.csv is not None:
-            with open(os.path.join(ns.out, "table.csv"), "w") as fh:
-                fh.write(out.csv)
-        manifest = {
-            "command": ns.command_path,
-            "config": _jsonable(_config_echo(ns)),
-            "version": __version__,
-            "timings": {"wall_s": round(elapsed, 6)},
-        }
-        with open(os.path.join(ns.out, "manifest.json"), "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    else:
+    if not ns.out:
         sys.stdout.write(payload_text)
+        return
+    manifest = {
+        "command": ns.command_path,
+        "config": _jsonable(_config_echo(ns)),
+        "version": __version__,
+        "timings": {"wall_s": round(elapsed, 6)},
+    }
+    files = {"payload.json": payload_text, "table.csv": out.csv,
+             "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    os.makedirs(ns.out, exist_ok=True)
+    for name, text in files.items():
+        if text is not None:
+            with open(os.path.join(ns.out, name), "w") as fh:
+                fh.write(text)
 
 
 # -- spec construction ------------------------------------------------------------
@@ -126,16 +118,16 @@ def _spec_from(ns: argparse.Namespace) -> BohrSpec:
     alphas = ns.alpha or []
     if not alphas:
         raise ValidationError("at least one --alpha constructor is required")
-    if getattr(ns, "k", None) is not None and ns.k != len(alphas) + 1:
+    if ns.k is not None and ns.k != len(alphas) + 1:
         raise ValidationError(
             f"k = {ns.k} disagrees with {len(alphas)} fixed coordinates (k counts the sampled form too)"
         )
-    deltas = list(ns.delta) if getattr(ns, "delta", None) else ["1"]
+    deltas = list(ns.delta) if ns.delta else ["1"]
     if len(deltas) == 1 and len(alphas) > 1:
         deltas = deltas * len(alphas)
-    gamma = list(ns.gamma) if getattr(ns, "gamma", None) else None
+    gamma = list(ns.gamma) if ns.gamma else None
     try:
-        eps = Q(ns.eps)
+        eps = Fraction(ns.eps)
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"bad epsilon {ns.eps!r}: {e}") from e
     return BohrSpec.build(alphas, gamma, ns.N, deltas, eps, ns.scale)
@@ -156,11 +148,9 @@ def _psi_from(ns: argparse.Namespace, default_k: int):
 
 def _bohr_payload(bset, member_cap: int = 10**5) -> dict:
     d = bset.to_dict()
-    if d["cardinality"] > member_cap:
+    d["members_omitted"] = d["cardinality"] > member_cap
+    if d["members_omitted"]:
         d["members"] = None
-        d["members_omitted"] = True
-    else:
-        d["members_omitted"] = False
     return d
 
 
@@ -180,8 +170,7 @@ def cmd_bohr_enumerate(ns) -> RunOutput:
 
     spec = _spec_from(ns)
     bset = enumerate_bohr(spec, ns.mode)
-    payload = _bohr_payload(bset)
-    return RunOutput(payload, None, [f"#B = {bset.cardinality} (mode {ns.mode}, N = {spec.N})"])
+    return RunOutput(_bohr_payload(bset), None, [f"#B = {bset.cardinality} (mode {ns.mode}, N = {spec.N})"])
 
 
 def cmd_bohr_lift(ns) -> RunOutput:
@@ -198,9 +187,7 @@ def cmd_bohr_restrict(ns) -> RunOutput:
 
     spec = _spec_from(ns)
     bset = restricted_bohr(spec)
-    payload = _bohr_payload(bset)
-    payload["restricted"] = True
-    payload["eps"] = str(spec.epsilon)
+    payload = {**_bohr_payload(bset), "restricted": True, "eps": str(spec.epsilon)}
     return RunOutput(payload, None, [f"#(B restricted) = {bset.cardinality}"])
 
 
@@ -229,13 +216,8 @@ def _gap_build(ns, form: str):
     return spec, outer_gap(spec, getattr(ns, "ck", None), ns.budget or 10**8), None
 
 
-def cmd_gap_inner(ns) -> RunOutput:
-    g = _gap_build(ns, "inner")[1]
-    return RunOutput(g.to_dict(), None, list(g.trace))
-
-
-def cmd_gap_outer(ns) -> RunOutput:
-    g = _gap_build(ns, "outer")[1]
+def cmd_gap(ns) -> RunOutput:
+    g = _gap_build(ns, ns.sub)[1]
     return RunOutput(g.to_dict(), None, list(g.trace))
 
 
@@ -279,14 +261,12 @@ def cmd_count_davenport(ns) -> RunOutput:
         if ns.p is None:
             raise ValidationError("--moduli needs --p")
         lattice = congruence_lattice(tuple(ns.moduli), ns.p)
-    box = tuple(ns.box)
-    cert = davenport_count(box, lattice, ns.budget or 10**8)
-    csv = davenport_csv([cert])
+    cert = davenport_count(tuple(ns.box), lattice, ns.budget or 10**8)
     summary = [
         f"count = {cert.count}, main term = {cert.main_term}, "
         f"|discrepancy| = {cert.discrepancy}, bound = {cert.bound:.6g}"
     ]
-    return RunOutput(cert.to_dict(), csv, summary)
+    return RunOutput(cert.to_dict(), davenport_csv([cert]), summary)
 
 
 def cmd_count_alphap(ns) -> RunOutput:
@@ -296,24 +276,13 @@ def cmd_count_alphap(ns) -> RunOutput:
     spec = _spec_from(ns)
     g = inner_gap(spec, ns.budget) if ns.budget else inner_gap(spec)
     rows = alpha_p_table(g, ns.pmax, spec.epsilon, ns.budget or 10**8)
-    csv = alpha_table_csv(rows)
     payload = {
         "p_max": ns.pmax,
         "eps": str(spec.epsilon),
-        "rows": [
-            {
-                "p": r["p"],
-                "alpha_p": str(r["alpha_p"]),
-                "alpha_p_float": r["alpha_p_float"],
-                "p_eps_weighted": r["p_eps_weighted"],
-                "reference_bound": r["reference_bound"],
-                "excess": r["excess"],
-            }
-            for r in rows
-        ],
+        "rows": rows,  # alpha_p, a Fraction, is written as a string
     }
     worst = max((r["p_eps_weighted"] for r in rows), default=0.0)
-    return RunOutput(payload, csv, [f"{len(rows)} primes, max alpha_p * p^eps = {worst:.6g}"])
+    return RunOutput(payload, alpha_table_csv(rows), [f"{len(rows)} primes, max alpha_p * p^eps = {worst:.6g}"])
 
 
 def cmd_count_totient(ns) -> RunOutput:
@@ -361,10 +330,8 @@ def cmd_sums_dyadic(ns) -> RunOutput:
     mask = trivial_mask(ns.N) if ns.no_restrict else support_mask(spec, ns.N)
     dt = dyadic_table(spec, mask)
     t = t_sum(spec, mask)
-    payload = dt.to_dict()
-    payload["restricted"] = not ns.no_restrict
-    payload["T"] = t.value
-    payload["sandwich_holds"] = bool(dt.low_sum() <= t.value <= dt.high_sum())
+    sandwich = bool(dt.low_sum() <= t.value <= dt.high_sum())
+    payload = {**dt.to_dict(), "restricted": not ns.no_restrict, "T": t.value, "sandwich_holds": sandwich}
     summary = [
         f"{len(dt.cells)} cells, {dt.zero_excluded} zero-distance exclusions",
         f"sandwich: {dt.low_sum()} <= T = {t.value:.12g} <= {dt.high_sum()}",
@@ -422,135 +389,125 @@ def cmd_experiment_gallagher(ns) -> RunOutput:
 # -- argument wiring ---------------------------------------------------------------
 
 
-def _add_common(p, spec=True, budget=True):
-    if spec:
-        p.add_argument("--k", type=int, help="total number of forms (fixed coordinates + 1)")
-        p.add_argument("--alpha", action="append", metavar="CONSTRUCTOR",
-                       help="rat:p/q | sqrt:m | dec:string (repeat per coordinate)")
-        p.add_argument("--gamma", action="append", metavar="CONSTRUCTOR",
-                       help="inhomogeneous shift per coordinate (omit for homogeneous)")
-        p.add_argument("--N", type=int, required=True, help="box bound")
-        p.add_argument("--delta", action="append", metavar="WIDTH",
-                       help="width per coordinate (single value broadcasts)")
-        p.add_argument("--eps", default="1/20", help="restriction exponent (fraction or decimal)")
-        p.add_argument("--scale", type=int, default=128, help="fixed point bits")
-    if budget:
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget")
-    p.add_argument("--out", default=None, metavar="DIR", help="write payload/manifest here")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key=value file supplying flag defaults")
+def _arg(*names, **kw):
+    return names, kw
 
 
-def _add_psi(p):
-    p.add_argument("--psi", default="log", choices=("log", "loglog", "power", "table"))
-    p.add_argument("--psi-c", dest="psi_c", type=float, default=1.0)
-    p.add_argument("--psi-k", dest="psi_k", type=int, default=None,
-                   help="logarithm power (defaults to the number of forms k)")
-    p.add_argument("--psi-a", dest="psi_a", type=float, default=1.0)
-    p.add_argument("--psi-table", dest="psi_table", type=_csv_floats, default=None)
+_SPEC = (
+    _arg("--k", type=int, help="total number of forms (fixed coordinates + 1)"),
+    _arg("--alpha", action="append", metavar="CONSTRUCTOR",
+         help="rat:p/q | sqrt:m | dec:string (repeat per coordinate)"),
+    _arg("--gamma", action="append", metavar="CONSTRUCTOR",
+         help="inhomogeneous shift per coordinate (omit for homogeneous)"),
+    _arg("--N", type=int, required=True, help="box bound"),
+    _arg("--delta", action="append", metavar="WIDTH", help="width per coordinate (single value broadcasts)"),
+    _arg("--eps", default="1/20", help="restriction exponent (fraction or decimal)"),
+    _arg("--scale", type=int, default=128, help="fixed point bits"),
+)
+_BUDGET = (_arg("--budget", type=int, default=None, help="enumeration budget"),)
+_FILES = (
+    _arg("--out", default=None, metavar="DIR", help="write payload/manifest here"),
+    _arg("--config", default=None, metavar="FILE", help="key=value file supplying flag defaults"),
+)
+_COMMON = _SPEC + _BUDGET + _FILES
+_PSI = (
+    _arg("--psi", default="log", choices=("log", "loglog", "power", "table")),
+    _arg("--psi-c", type=float, default=1.0),
+    _arg("--psi-k", type=int, default=None, help="logarithm power (defaults to the number of forms k)"),
+    _arg("--psi-a", type=float, default=1.0),
+    _arg("--psi-table", type=_csv_floats, default=None),
+)
+_NO_RESTRICT = _arg("--no-restrict", action="store_true")
+_CHECKPOINTS = _arg("--checkpoints", type=_csv_ints, default=None)
+
+# the help of each top-level name, in the order --help lists them
+_GROUPS = {
+    "bohr": "Bohr set enumeration and lifting",
+    "minima": "reduced successive minima of the normalized body",
+    "gap": "inner/outer progression structure",
+    "count": "lattice counting and totient densities",
+    "sums": "restricted reciprocal-distance sums",
+    "exponents": "finite-horizon approximation exponent estimators",
+    "experiment": "seeded Monte-Carlo fibre experiments",
+    "rerun": "replay a manifest",
+}
+
+# command path -> (handler, its arguments in --help order); main replays rerun
+_COMMANDS = {
+    "bohr enumerate": (cmd_bohr_enumerate, _COMMON + (
+        _arg("--mode", default="symmetric", choices=("symmetric", "positive")),)),
+    "bohr lift": (cmd_bohr_lift, _COMMON + (_arg("--n", type=int, required=True, help="integer to lift"),)),
+    "bohr restrict": (cmd_bohr_restrict, _COMMON),
+    "minima": (cmd_minima, _COMMON),
+    "gap inner": (cmd_gap, _COMMON),
+    "gap outer": (cmd_gap, _COMMON + (
+        _arg("--ck", type=float, default=None, help="override the outer length constant"),)),
+    "gap verify": (cmd_gap_verify, _COMMON + (
+        _arg("--form", default="inner", choices=("inner", "outer")),
+        _arg("--ck", type=float, default=None),
+        _arg("--limit", type=int, default=10**4, help="containment checks cap"),
+    )),
+    "count davenport": (cmd_count_davenport, _BUDGET + _FILES + (
+        _arg("--box", type=_csv_ints, required=True, help="half side lengths N_1,..,N_d"),
+        _arg("--moduli", type=_csv_ints, default=None, help="congruence coefficients"),
+        _arg("--p", type=int, default=None, help="congruence prime"),
+    )),
+    "count alphap": (cmd_count_alphap, _COMMON + (
+        _arg("--pmax", type=int, default=100, help="densities for primes up to this"),)),
+    "count totient": (cmd_count_totient, _COMMON + (
+        _arg("--no-restrict", action="store_true",
+             help="average over the positive Bohr set instead of the restricted one"),)),
+    "sums t": (cmd_sums_t, _COMMON + (_NO_RESTRICT, _CHECKPOINTS)),
+    "sums dyadic": (cmd_sums_dyadic, _COMMON + (_NO_RESTRICT,)),
+    "sums dscheck": (cmd_sums_dscheck, _COMMON + _PSI + (_CHECKPOINTS,)),
+    "exponents": (cmd_exponents, (
+        _arg("--alpha", action="append", required=True), _arg("--gamma", action="append"),
+        _arg("--scale", type=int, default=128), _arg("--n-max", type=int, default=10**6),
+        _arg("--h-max", type=int, default=2000), _arg("--x-list", type=_csv_ints, default=None),
+    ) + _FILES),
+    "experiment gallagher": (cmd_experiment_gallagher, _COMMON + _PSI + (
+        _arg("--samples", type=int, default=200),
+        _arg("--seed", type=int, default=0),
+        _CHECKPOINTS,
+    )),
+    "rerun": (None, (_arg("manifest", help="path to manifest.json from a previous --out run"),
+                     _arg("--out", default=None, metavar="DIR"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every group and command with its help, but no command's arguments:
+    _parse adds those for the command a line runs."""
     top = argparse.ArgumentParser(prog="bohrgap", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--version", action="version", version=f"bohrgap {__version__}")
     groups = top.add_subparsers(dest="group", required=True)
-
-    bohr = groups.add_parser("bohr", help="Bohr set enumeration and lifting")
-    bohr_sub = bohr.add_subparsers(dest="sub", required=True)
-    p = bohr_sub.add_parser("enumerate")
-    _add_common(p)
-    p.add_argument("--mode", default="symmetric", choices=("symmetric", "positive"))
-    p.set_defaults(handler=cmd_bohr_enumerate, command_path="bohr enumerate")
-    p = bohr_sub.add_parser("lift")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="integer to lift")
-    p.set_defaults(handler=cmd_bohr_lift, command_path="bohr lift")
-    p = bohr_sub.add_parser("restrict")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bohr_restrict, command_path="bohr restrict")
-
-    p = groups.add_parser("minima", help="reduced successive minima of the normalized body")
-    _add_common(p)
-    p.set_defaults(handler=cmd_minima, command_path="minima")
-
-    gap = groups.add_parser("gap", help="inner/outer progression structure")
-    gap_sub = gap.add_subparsers(dest="sub", required=True)
-    p = gap_sub.add_parser("inner")
-    _add_common(p)
-    p.set_defaults(handler=cmd_gap_inner, command_path="gap inner")
-    p = gap_sub.add_parser("outer")
-    _add_common(p)
-    p.add_argument("--ck", type=float, default=None, help="override the outer length constant")
-    p.set_defaults(handler=cmd_gap_outer, command_path="gap outer")
-    p = gap_sub.add_parser("verify")
-    _add_common(p)
-    p.add_argument("--form", default="inner", choices=("inner", "outer"))
-    p.add_argument("--ck", type=float, default=None)
-    p.add_argument("--limit", type=int, default=10**4, help="containment checks cap")
-    p.set_defaults(handler=cmd_gap_verify, command_path="gap verify")
-
-    count = groups.add_parser("count", help="lattice counting and totient densities")
-    count_sub = count.add_subparsers(dest="sub", required=True)
-    p = count_sub.add_parser("davenport")
-    _add_common(p, spec=False)
-    p.add_argument("--box", type=_csv_ints, required=True, help="half side lengths N_1,..,N_d")
-    p.add_argument("--moduli", type=_csv_ints, default=None, help="congruence coefficients")
-    p.add_argument("--p", type=int, default=None, help="congruence prime")
-    p.set_defaults(handler=cmd_count_davenport, command_path="count davenport")
-    p = count_sub.add_parser("alphap")
-    _add_common(p)
-    p.add_argument("--pmax", type=int, default=100, help="densities for primes up to this")
-    p.set_defaults(handler=cmd_count_alphap, command_path="count alphap")
-    p = count_sub.add_parser("totient")
-    _add_common(p)
-    p.add_argument("--no-restrict", dest="no_restrict", action="store_true",
-                   help="average over the positive Bohr set instead of the restricted one")
-    p.set_defaults(handler=cmd_count_totient, command_path="count totient")
-
-    sums = groups.add_parser("sums", help="restricted reciprocal-distance sums")
-    sums_sub = sums.add_subparsers(dest="sub", required=True)
-    p = sums_sub.add_parser("t")
-    _add_common(p)
-    p.add_argument("--no-restrict", dest="no_restrict", action="store_true")
-    p.add_argument("--checkpoints", type=_csv_ints, default=None)
-    p.set_defaults(handler=cmd_sums_t, command_path="sums t")
-    p = sums_sub.add_parser("dyadic")
-    _add_common(p)
-    p.add_argument("--no-restrict", dest="no_restrict", action="store_true")
-    p.set_defaults(handler=cmd_sums_dyadic, command_path="sums dyadic")
-    p = sums_sub.add_parser("dscheck")
-    _add_common(p)
-    _add_psi(p)
-    p.add_argument("--checkpoints", type=_csv_ints, default=None)
-    p.set_defaults(handler=cmd_sums_dscheck, command_path="sums dscheck")
-
-    p = groups.add_parser("exponents", help="finite-horizon approximation exponent estimators")
-    p.add_argument("--alpha", action="append", required=True)
-    p.add_argument("--gamma", action="append")
-    p.add_argument("--scale", type=int, default=128)
-    p.add_argument("--n-max", dest="n_max", type=int, default=10**6)
-    p.add_argument("--h-max", dest="h_max", type=int, default=2000)
-    p.add_argument("--x-list", dest="x_list", type=_csv_ints, default=None)
-    _add_common(p, spec=False, budget=False)
-    p.set_defaults(handler=cmd_exponents, command_path="exponents")
-
-    exp = groups.add_parser("experiment", help="seeded Monte-Carlo fibre experiments")
-    exp_sub = exp.add_subparsers(dest="sub", required=True)
-    p = exp_sub.add_parser("gallagher")
-    _add_common(p)
-    _add_psi(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoints", type=_csv_ints, default=None)
-    p.set_defaults(handler=cmd_experiment_gallagher, command_path="experiment gallagher")
-
-    p = groups.add_parser("rerun", help="replay a manifest")
-    p.add_argument("manifest", help="path to manifest.json from a previous --out run")
-    p.add_argument("--out", default=None, metavar="DIR")
-    p.set_defaults(handler=None, command_path="rerun")
-
+    subs, top.commands = {}, {}
+    for path in _COMMANDS:
+        group, _, sub = path.partition(" ")
+        if group not in subs:
+            p = groups.add_parser(group, help=_GROUPS[group])
+            subs[group] = p.add_subparsers(dest="sub", required=True) if sub else None
+        if sub:
+            p = subs[group].add_parser(sub)
+        p.set_defaults(command_path=path)
+        top.commands[path] = p
     return top
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Give the command that argv names its arguments, then parse argv.
+
+    The command is read from the first words of argv that are not flags:
+    argparse takes the same words for its group and subcommand, or stops
+    at them with an error.
+    """
+    words = [t for t in argv if not t.startswith("-")][:2]
+    path = words[0] if words[:1] and words[0] in _COMMANDS else " ".join(words)
+    if path in _COMMANDS:
+        for names, kw in _COMMANDS[path][1]:
+            parser.commands[path].add_argument(*names, **kw)
+    return parser.parse_args(argv)
 
 
 # -- config files and manifest replay ------------------------------------------------
@@ -647,9 +604,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = build_parser()
-        ns = parser.parse_args(_apply_config_file(argv))
+        ns = _parse(parser, _apply_config_file(argv))
         if ns.command_path == "rerun":
-            ns = parser.parse_args(_replay_argv(ns))
+            ns = _parse(parser, _replay_argv(ns))
         if getattr(ns, "config", None) is not None:  # argparse took a prefix that was not spliced
             flags = [f for f in (t.partition("=")[0] for t in argv) if f.startswith("--c") and "--config".startswith(f)]
             raise ValidationError(f"{flags[0] if flags else 'a prefix'} abbreviates --config; spell it out to read the file")
@@ -657,7 +614,7 @@ def main(argv=None) -> int:
             raise ValidationError("--budget must be >= 1")
         t0 = time.perf_counter()
         try:
-            out = ns.handler(ns)
+            out = _COMMANDS[ns.command_path][0](ns)
         except ConstructionError as e:
             out = RunOutput(
                 {"status": "failed", "error_path": type(e).__name__, "message": str(e)},

@@ -18,7 +18,6 @@ from io import StringIO
 from typing import TYPE_CHECKING, Optional
 
 from .errors import BudgetExceeded, ValidationError
-from .lattice import ReducedLattice, det, echelon, independent, spender
 
 if TYPE_CHECKING:  # numpy loads where a table is sieved or a box built
     import numpy as np
@@ -288,6 +287,8 @@ class CongruenceLattice:
 
 
 def congruence_lattice(moduli, p: int) -> CongruenceLattice:
+    from .lattice import det  # the sums and totient commands never load lattice
+
     moduli = tuple(int(a) for a in moduli)
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
@@ -323,6 +324,8 @@ def euclidean_minima(lat: CongruenceLattice, budget: int = 10**8) -> tuple:
     rounding; at most one x of a line leaves the span test open, so its
     better neighbour decides the line then.
     """
+    from .lattice import ReducedLattice, echelon, independent, spender
+
     rows = [list(r) for r in lat.basis]
     red = ReducedLattice(rows, [[_dot(u, v) for v in rows] for u in rows])
     b = red.basis[0]

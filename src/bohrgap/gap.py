@@ -15,7 +15,6 @@ argument has no room.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -224,6 +223,8 @@ def _collision_pair(gap: GAP, v: int) -> tuple:
 def _proper_sorted(gap: GAP, budget: int) -> tuple[ProperCertificate, np.ndarray]:
     """Distinctness certificate and the sorted box values, from one box; a
     collision names the two smallest flat indices holding its value."""
+    import hashlib  # only the inner box needs a digest; outer_gap never loads OpenSSL
+
     svals = gap_elements(gap, budget)
     size = gap.box_size()
     same = svals[1:] == svals[:-1]
@@ -251,11 +252,25 @@ def inner_gap(spec: BohrSpec, budget: int = 10**8) -> GAP:
     return _inner_gap(spec, budget)[0]
 
 
+def _containment(spec: BohrSpec, elements: np.ndarray) -> tuple[int, int]:
+    """(how many elements miss the positive Bohr set, its cardinality).
+
+    Elements outside 1..N miss it; the others are classified with the
+    thresholds and exact callbacks of the scan that counts the set.  That
+    scan runs first, so an undecidable n raises as enumerate_bohr would.
+    """
+    from .bohr import _coords_and_specs
+    from .scan import count_failing, count_in_range
+
+    coords, tspecs = _coords_and_specs(spec, flip=False)
+    card = count_in_range(coords, tspecs, 1, spec.N)
+    inside = elements[(elements >= 1) & (elements <= spec.N)]
+    return len(elements) - len(inside) + count_failing(coords, tspecs, inside), card
+
+
 def _inner_gap(spec: BohrSpec, budget: int):
     """inner_gap's GAP with the certificate and sorted elements of its one box."""
-    import numpy as np
-
-    from .bohr import _coord_scans, enumerate_bohr, is_member
+    from .bohr import _coord_scans, is_member
     from .scan import CoordScan, ThresholdSpec, _check_span, first_in_range
 
     N, k, eps = spec.N, spec.k, spec.epsilon
@@ -337,27 +352,23 @@ def _inner_gap(spec: BohrSpec, budget: int):
     )
 
     cert, elements = _proper_sorted(gap, budget)
-    bset = enumerate_bohr(spec, "positive")
-    inside = np.isin(elements, bset.members)
-    containment = bool(inside.all())
+    failures, card = _containment(spec, elements)
     gap.checks = {
         "hypothesis_delta_lower": hyp_lower,
-        "containment": containment,
-        "containment_failures": int((~inside).sum()),
+        "containment": failures == 0,
+        "containment_failures": failures,
         "proper": cert.proper,
         "proper_sha256": cert.sha256,
         "gcd_moduli": int(math.gcd(*moduli)),
         "element_min": int(elements.min()),
         "element_max": int(elements.max()),
         "box_size": gap.box_size(),
-        "bohr_cardinality": bset.cardinality,
+        "bohr_cardinality": card,
         "density_constant": float(Q(gap.box_size()) / body.lam_pow_k),
         "base_point": {"b0": b0, "s": s, "b": b},
     }
-    if not containment:
-        raise ConstructionError(
-            f"{int((~inside).sum())} elements escape the Bohr set; construction invalid"
-        )
+    if failures:
+        raise ConstructionError(f"{failures} elements escape the Bohr set; construction invalid")
     if not cert.proper:
         raise ConstructionError(f"progression not proper; collision {cert.collision}")
     trace.append(

@@ -28,6 +28,7 @@ from .errors import BudgetExceeded, ValidationError
 from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, dist_nearest_int
 
 BLOCK = 1 << 16
+_SLICE = 1 << 13  # entries per kernel pass: the pass's arrays stay in cache
 _M32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 
@@ -54,14 +55,13 @@ def blocks(lo: int, hi: int):
         yield np.arange(start, min(start + BLOCK, hi + 1), dtype=np.uint64)
 
 
-def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence) -> list[np.ndarray]:
-    """(n*A + G) mod 2^scale as little-endian uint64 words, for uint64 ns < 2^31.
+def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence, words: Sequence[np.ndarray]) -> None:
+    """(n*A + G) mod 2^scale into words, little-endian uint64, for uint64 ns < 2^31.
 
     A and G are scale-bit integers given as 32-bit limbs.  One array holds
     the running sum n*A_j + carry + G_j; an even limb fills a word's low half
     by a mask, an odd limb its high half by a shift that drops the carry.
     """
-    words = [np.empty(len(ns), dtype=np.uint64) for _ in range(len(a) // 2)]
     s, t = np.zeros(len(ns), dtype=np.uint64), np.empty(len(ns), dtype=np.uint64)
     for j, aj in enumerate(a):
         np.multiply(ns, aj, out=t)
@@ -73,7 +73,25 @@ def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence) -> list[np.ndarray]:
         else:
             np.bitwise_and(s, _M32, out=words[j // 2])
         np.right_shift(s, _SH32, out=s)
-    return words
+
+
+def _fold(r: Sequence[np.ndarray]) -> None:
+    """r = (n*Ma - Mg) mod 2^scale, as words, to min(r, 2^scale - r) in place.
+
+    Negates word by word: ~w + 1 wraps only for w = 0, so the +1 moves up
+    through the zero low words.
+    """
+    top_is_high = r[-1] >= np.uint64(1 << 63)
+    neg = np.empty(len(r[0]), dtype=np.uint64)
+    low_zero = np.ones(len(r[0]), dtype=bool)
+    is_zero = np.empty(len(r[0]), dtype=bool)
+    for i, w in enumerate(r):
+        np.invert(w, out=neg)
+        neg += low_zero
+        if i < len(r) - 1:
+            np.equal(w, 0, out=is_zero)
+            low_zero &= is_zero
+        np.copyto(w, neg, where=top_is_high)
 
 
 class CoordScan:
@@ -123,32 +141,28 @@ class CoordScan:
     def dist_words(self, ns: np.ndarray) -> list[np.ndarray]:
         """Exact distance numerators for a block, as little-endian uint64 words.
 
-        ns must be uint64 with all entries < 2^31.
+        ns must be uint64 with all entries < 2^31.  The kernel runs _SLICE
+        entries at a time and writes into words of the block's length.
         """
-        r = _limb_mul(ns, self._a, self._g)
-        # r = (n*Ma - Mg) mod 2^scale; fold to min(r, 2^scale - r) in place,
-        # negating word by word: ~w + 1 wraps only for w = 0, so the +1
-        # moves up through the zero low words
-        top_is_high = r[-1] >= np.uint64(1 << 63)
-        neg = np.empty(len(ns), dtype=np.uint64)
-        low_zero = np.ones(len(ns), dtype=bool)
-        is_zero = np.empty(len(ns), dtype=bool)
-        for i, w in enumerate(r):
-            np.invert(w, out=neg)
-            neg += low_zero
-            if i < len(r) - 1:
-                np.equal(w, 0, out=is_zero)
-                low_zero &= is_zero
-            np.copyto(w, neg, where=top_is_high)
-        return r
+        words = [np.empty(len(ns), dtype=np.uint64) for _ in range(self.nwords)]
+        for lo in range(0, len(ns), _SLICE):
+            r = [w[lo : lo + _SLICE] for w in words]
+            _limb_mul(ns[lo : lo + _SLICE], self._a, self._g, r)
+            _fold(r)
+        return words
 
     def dist_floats(self, ns: np.ndarray) -> np.ndarray:
-        """float64 distances; relative error <= 2^-52 plus E(n)*2^-scale absolute."""
-        words = self.dist_words(ns)
-        out = words[-1].astype(np.float64)
-        for w in reversed(words[:-1]):
-            out *= 18446744073709551616.0
-            out += w
+        """float64 distances; relative error <= 2^-52 plus E(n)*2^-scale absolute.
+
+        Each slice's words are read into floats while they are in cache.
+        """
+        out = np.empty(len(ns), dtype=np.float64)
+        for lo in range(0, len(ns), _SLICE):
+            words, part = self.dist_words(ns[lo : lo + _SLICE]), out[lo : lo + _SLICE]
+            part[:] = words[-1]
+            for w in reversed(words[:-1]):
+                part *= 18446744073709551616.0
+                part += w
         out *= math.ldexp(1.0, -self.scale)
         return out
 
@@ -344,31 +358,42 @@ def _resolve(specs: Sequence[ThresholdSpec], per_coord_in, idx: int, n: int) -> 
     return all(cin[idx] or spec.exact(n) for spec, cin in zip(specs, per_coord_in))
 
 
-def members_in_range(
-    coords: Sequence[CoordScan],
-    specs: Sequence[ThresholdSpec],
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """All n in [lo, hi] with every coordinate distance within its threshold.
+def _passing(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], parts: Iterable[np.ndarray]):
+    """Per uint64 block of parts: (ns, mask of the n passing every threshold).
 
     Exact: vector masks decide everything outside the borderline band, and
     borderline elements are settled by the per-threshold exact callbacks.
     """
-    out = [np.empty(0, dtype=np.int64)]
-    for ns, members, pending, per_coord_in in _classified(coords, specs, blocks(lo, hi)):
+    for ns, members, pending, per_coord_in in _classified(coords, specs, parts):
         for idx in np.flatnonzero(pending):
             members[idx] = _resolve(specs, per_coord_in, idx, int(ns[idx]))
-        out.append(ns[members].astype(np.int64))
+        yield ns, members
+
+
+def _value_blocks(values: np.ndarray):
+    """values (non-negative integers), BLOCK at a time as uint64."""
+    _check_span(int(values.max(initial=0)))
+    return (values[i : i + BLOCK].astype(np.uint64) for i in range(0, len(values), BLOCK))
+
+
+def members_in_range(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], lo: int, hi: int) -> np.ndarray:
+    """All n in [lo, hi] with every coordinate distance within its threshold."""
+    out = [np.empty(0, dtype=np.int64)]
+    out.extend(ns[members].astype(np.int64) for ns, members in _passing(coords, specs, blocks(lo, hi)))
     return np.concatenate(out)
 
 
-def first_in_range(
-    coords: Sequence[CoordScan],
-    specs: Sequence[ThresholdSpec],
-    lo: int,
-    hi: int,
-) -> Optional[int]:
+def count_in_range(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], lo: int, hi: int) -> int:
+    """len(members_in_range(...)), counted block by block."""
+    return sum(int(members.sum()) for _, members in _passing(coords, specs, blocks(lo, hi)))
+
+
+def count_failing(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], values: np.ndarray) -> int:
+    """How many n of values (non-negative integers) fail some threshold."""
+    return sum(int((~members).sum()) for _, members in _passing(coords, specs, _value_blocks(values)))
+
+
+def first_in_range(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], lo: int, hi: int) -> Optional[int]:
     """Smallest n in [lo, hi] passing every threshold, or None.
 
     No exact callback runs past the first member.
@@ -386,9 +411,7 @@ def all_pass(coords: Sequence[CoordScan], specs: Sequence[ThresholdSpec], values
     The values are classified BLOCK at a time; the first n that fails ends
     the test, and no exact callback runs past it.
     """
-    _check_span(int(values.max(initial=0)))
-    parts = (values[i : i + BLOCK].astype(np.uint64) for i in range(0, len(values), BLOCK))
-    for ns, members, pending, per_coord_in in _classified(coords, specs, parts):
+    for ns, members, pending, per_coord_in in _classified(coords, specs, _value_blocks(values)):
         if not (members | pending).all() or not all(
             _resolve(specs, per_coord_in, idx, int(ns[idx])) for idx in np.flatnonzero(pending)
         ):

@@ -12,8 +12,6 @@ the terms, so nothing of length N is kept but the N-arrays asked for.
 """
 
 import math
-import random
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
@@ -738,6 +736,9 @@ def gallagher_experiment(
     fixed product, psi(n) and n (ln n)^k are computed once per block and
     shared by every sample, each with its own scanner built up front.
     """
+    import random
+    import statistics
+
     if samples < 1:
         raise ValidationError("samples must be at least 1")
     _check_n(N)

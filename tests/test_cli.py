@@ -480,7 +480,7 @@ def test_jsonable_encoding():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # runs one command line (or only `import bohrgap` without arguments), then
-# prints the bohrgap submodules, numpy and mpmath the process has loaded
+# prints the bohrgap submodules, numpy, mpmath and hashlib the process has loaded
 _PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1:]:
@@ -491,7 +491,7 @@ else:
     import bohrgap
 print(json.dumps(sorted(
     m.removeprefix("bohrgap.") for m in sys.modules
-    if m.startswith("bohrgap.") or m in ("numpy", "mpmath")
+    if m.startswith("bohrgap.") or m in ("numpy", "mpmath", "hashlib")
 )))
 """
 
@@ -520,11 +520,14 @@ SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
         (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}),
         (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
          {"gap", "lattice", "minima", "realfield"}),
+        # only the inner box is hashed
+        (("gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
+         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
          {"counting", "lattice"}),
-        (("sums", "t", *SPEC_K2), {"bohr", "counting", "lattice", "numpy", "realfield", "scan", "sums"}),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}),
     ],
-    ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "count-davenport", "sums-t"],
+    ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "gap-inner", "count-davenport", "sums-t"],
 )
 def test_a_process_loads_only_what_its_command_runs(argv, expected):
     loaded = set(fresh_process(_PROBE, *argv))
@@ -561,13 +564,15 @@ print(json.dumps(peak))
         "sums dscheck --k 3 --alpha sqrt:2 --alpha sqrt:3 --N 1000000 --delta 1 --delta 1 --psi log",
         "experiment gallagher --k 2 --alpha sqrt:2 --N 1000000 --delta 1 --samples 2 --seed 7",
         "gap verify --form outer --k 2 --alpha sqrt:21 --N 100000 --delta 0.7",
+        "gap inner --k 2 --alpha sqrt:2 --N 10000000 --delta 0.1",
     ],
-    ids=["sums-dscheck", "experiment-gallagher", "gap-verify-outer"],
+    ids=["sums-dscheck", "experiment-gallagher", "gap-verify-outer", "gap-inner"],
 )
 def test_block_pass_lines_peak_within_16_mb_of_their_imports(tmp_path, line):
     # the sums and the totient table stream one scan block at a time: no
     # array spans all 10^6 n; the outer verify frees its box before the
-    # cardinality scan and tests the shift injection member by member
+    # cardinality scan and tests the shift injection member by member; the
+    # inner construction counts its Bohr set instead of listing 10^7 n
     base = fresh_process(_PEAK)
     peak = fresh_process(_PEAK, *line.split(), "--out", str(tmp_path))
     assert peak - base < 16 * 1024, f"{(peak - base) / 1024:.1f} MB above the imports"

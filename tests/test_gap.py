@@ -35,9 +35,11 @@ from bohrgap.gap import (
     _bohr_count,
     _box_values,
     _coeff_vector,
+    _containment,
     _cramer_constant,
     _dirichlet_tspec,
     _floor_over_gauge,
+    _inner_gap,
     _lift_coeff_check,
     _lift_lines,
     _proper_sorted,
@@ -51,7 +53,7 @@ from bohrgap.gap import (
 from bohrgap.lattice import adjugate, det
 from bohrgap.minima import build_body, successive_minima
 from bohrgap.realfield import UNDECIDED, RealSpec
-from bohrgap.scan import CoordScan
+from bohrgap.scan import BLOCK, CoordScan
 
 
 # -- oracles -----------------------------------------------------------------
@@ -807,3 +809,47 @@ def test_decompose_rejects_a_point_off_a_nonunimodular_basis():
     assert decompose(mr, (4, -3)) == (2, -3)
     with pytest.raises(ConstructionError, match="non-integral decomposition"):
         decompose(mr, (3, 0))
+
+
+# -- containment by classification against the enumerating reference -----------
+
+
+def ref_containment(spec, elements):
+    """Reference: enumerate B over 1..N and look each element up in it."""
+    bset = enumerate_bohr(spec, "positive")
+    inside = np.isin(elements, bset.members)
+    return int((~inside).sum()), bset.cardinality
+
+
+@pytest.mark.parametrize("alphas,gammas,N,deltas", [
+    (["sqrt:2"], None, 10**5, ["0.1"]),
+    (["sqrt:5"], ["rat:1/3"], 10**5, ["0.3"]),
+    (["sqrt:2"], ["dec:0.25"], 2 * BLOCK + 17, ["0.3"]),  # N across two block edges
+    (["sqrt:3"], ["sqrt:5"], 10**5, ["0.3"]),
+])
+def test_inner_gap_checks_match_the_enumerating_reference(alphas, gammas, N, deltas):
+    spec = BohrSpec.build(alphas, gammas, N, deltas, "0.05")
+    g, (_, elements) = _inner_gap(spec, 10**8)
+    failures, card = ref_containment(spec, elements)
+    assert failures == g.checks["containment_failures"] == 0
+    assert card == g.checks["bohr_cardinality"]
+    assert _containment(spec, elements) == (failures, card)
+
+
+@pytest.mark.parametrize("alphas,gammas,N,deltas", [
+    (["sqrt:2"], ["dec:0.25"], 2 * BLOCK + 17, ["0.3"]),
+    (["sqrt:2", "sqrt:3"], ["rat:1/3", "sqrt:5"], 5000, ["0.2", "0.3"]),
+    # rational alpha, gamma and width: residues decide, and every n with
+    # 2n - 1 = +-1 (mod 7) sits exactly on the boundary
+    (["rat:2/7"], ["rat:1/7"], 3000, ["1/7"]),
+])
+def test_containment_of_a_hand_built_box_matches_the_reference(alphas, gammas, N, deltas):
+    spec = BohrSpec.build(alphas, gammas, N, deltas, "0.05")
+    rng = np.random.default_rng(N)
+    inner = rng.integers(1, N + 1, size=3000)
+    # elements outside 1..N fail; repeated elements count once per copy
+    box = np.sort(np.concatenate([inner, inner[:40], [-5, 0, N + 1, N + 9000, 1, N]]).astype(np.int64))
+    failures, card = ref_containment(spec, box)
+    assert 6 < failures < len(box)
+    assert _containment(spec, box) == (failures, card)
+    assert _containment(spec, box[(box >= 1) & (box <= N)]) == (failures - 4, card)

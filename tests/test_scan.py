@@ -26,7 +26,7 @@ from bohrgap.realfield import (
     fr_sqrt_int,
     norm_form,
 )
-from bohrgap.scan import BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, members_in_range
+from bohrgap.scan import _SLICE, BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, members_in_range
 
 Q = Fraction
 
@@ -579,6 +579,8 @@ def test_in_place_kernel_matches_the_allocating_one(scale, alpha_text, gamma_tex
         assert len(parts[-1]) == 17
         for ns in parts[-2:]:
             _same_kernel(sc, ns)
+        # three whole kernel slices and a partial fourth, near the scan limit
+        _same_kernel(sc, np.arange(2**31 - 3 * _SLICE - 17, 2**31, dtype=np.uint64))
 
 
 def test_in_place_kernel_takes_a_million_long_array():
