@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import gc
 import json
 import math
 import os
@@ -102,11 +103,14 @@ def _emit(ns: argparse.Namespace, out: RunOutput, elapsed: float) -> None:
     }
     files = {"payload.json": payload_text, "table.csv": out.csv,
              "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
-    os.makedirs(ns.out, exist_ok=True)
-    for name, text in files.items():
-        if text is not None:
-            with open(os.path.join(ns.out, name), "w") as fh:
-                fh.write(text)
+    try:
+        os.makedirs(ns.out, exist_ok=True)
+        for name, text in files.items():
+            if text is not None:
+                with open(os.path.join(ns.out, name), "w") as fh:
+                    fh.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write --out {ns.out!r}: {e.strerror}") from None
 
 
 # -- spec construction ------------------------------------------------------------
@@ -614,7 +618,8 @@ def main(argv=None) -> int:
             raise ValidationError("--budget must be >= 1")
         t0 = time.perf_counter()
         try:
-            out = _COMMANDS[ns.command_path][0](ns)
+            # by name, so a handler rebound on the module (a tracer's) is the one run
+            out = globals()[_COMMANDS[ns.command_path][0].__name__](ns)
         except ConstructionError as e:
             out = RunOutput(
                 {"status": "failed", "error_path": type(e).__name__, "message": str(e)},
@@ -631,5 +636,12 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> int:
+    """main() for a `bohrgap` process: the cyclic collector stays paused and
+    the heap is frozen however main() ends, so neither loading nor shutdown
+    collects.  A command makes few cycles; reference counting frees the rest."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()

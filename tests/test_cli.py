@@ -1,10 +1,12 @@
 """Command line front end: exit codes, payload shapes, manifest replay."""
 
+import gc
 import hashlib
 import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from bohrgap.bohr import BohrSpec, enumerate_bohr, restricted_bohr
 from bohrgap.cli import _digits25, _jsonable, main
 from bohrgap.counting import totient_average
 from fractions import Fraction as Q
+from test_cli_pins import _run as in_process
 
 
 def run_cli(capsys, *argv):
@@ -425,6 +428,25 @@ def test_unreadable_rerun_and_config_inputs_exit2(capsys, tmp_path, case):
     assert err.startswith("validation error:") and str(path) in err
 
 
+@pytest.mark.parametrize(
+    "case, strerror",
+    [("a-file", "File exists"), ("proc", "No such file or directory"), ("payload-a-dir", "Is a directory")],
+)
+def test_unwritable_out_exit2(capsys, tmp_path, case, strerror):
+    target = str(tmp_path / "out")
+    if case == "a-file":  # os.makedirs refuses
+        Path(target).write_text("")
+    elif case == "proc":
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("no procfs")
+        target = "/proc/nope"
+    else:  # open refuses
+        os.makedirs(os.path.join(target, "payload.json"))
+    code, out, err = run_cli(capsys, "sums", "t", "--k", "2", "--alpha", "rat:1/3", "--N", "9", "--out", target)
+    assert code == 2 and out.startswith("T(9) = ")
+    assert err == f"validation error: cannot write --out {target!r}: {strerror}\n"
+
+
 # sha256 of payload.json for the lines whose payloads need no libm float
 # (the libm lines are platform-dependent); a refactor must keep them byte for byte
 PAYLOAD_PINS = {
@@ -538,17 +560,26 @@ def test_a_process_loads_only_what_its_command_runs(argv, expected):
 
 # -- peak memory of the block-pass lines ------------------------------------------------
 
-# runs one command line (or only the imports) and prints the peak RSS in kB.
+# runs one command line, through main or through the process entry (or only
+# the imports), and prints the peak RSS in kB.
 # Linux carries the parent's RSS high-water mark into a child's ru_maxrss
 # across fork and exec, so inside a large test process ru_maxrss reads the
 # parent; VmHWM counts the child's own address space only
 _PEAK = """
-import contextlib, io, json, resource, sys
+import contextlib, io, json, resource, runpy, sys
 import numpy, bohrgap.sums
 if sys.argv[1:]:
-    from bohrgap.cli import main
+    how, argv = sys.argv[1], sys.argv[2:]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
+        if how == "entry":  # as `python -m bohrgap` runs it
+            sys.argv[1:] = argv
+            try:
+                runpy.run_module("bohrgap", run_name="__main__")
+            except SystemExit as e:
+                assert e.code == 0, e.code
+        else:
+            from bohrgap.cli import main
+            assert main(argv) == 0
 try:
     with open("/proc/self/status") as fh:
         peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
@@ -574,8 +605,9 @@ def test_block_pass_lines_peak_within_16_mb_of_their_imports(tmp_path, line):
     # cardinality scan and tests the shift injection member by member; the
     # inner construction counts its Bohr set instead of listing 10^7 n
     base = fresh_process(_PEAK)
-    peak = fresh_process(_PEAK, *line.split(), "--out", str(tmp_path))
-    assert peak - base < 16 * 1024, f"{(peak - base) / 1024:.1f} MB above the imports"
+    for how in ("main", "entry"):
+        peak = fresh_process(_PEAK, how, *line.split(), "--out", str(tmp_path / how))
+        assert peak - base < 16 * 1024, f"{how}: {(peak - base) / 1024:.1f} MB above the imports"
 
 
 PUBLIC_NAMES = {
@@ -648,3 +680,141 @@ def test_psi_table_values_parse_from_a_comma_list(capsys):
     assert payload_of(out)["kept"] > 0
     code, _, err = run_cli(capsys, "sums", "dscheck", "--alpha", "sqrt:2", "--N", "300", "--psi", "table")
     assert code == 2 and "--psi table needs --psi-table values" in err
+
+
+# -- the process entry ---------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bohrgap_process(*argv):
+    """(exit code, stdout, stderr) of `python -m bohrgap argv...` run on src/."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrgap", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def written(out_dir: Path) -> dict:
+    """The files of one --out run, the manifest without its timings."""
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["timings"]
+    return {**files, "manifest": manifest}
+
+
+ENTRY_LINE = "sums t --k 2 --alpha sqrt:2 --N 10000 --delta 0.5 --checkpoints 1000,10000"
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        (ENTRY_LINE, 0),
+        ("gap inner --k 3 --alpha sqrt:2 --N 100 --delta 0.1", 2),
+        ("sums t --alpha sqrt:2 --N 30000000 --no-restrict", 3),
+        ("gap verify --help", 0),
+        ("gap verify --form sideways --N 100", 2),
+    ],
+    ids=["stdout", "validation", "budget", "help", "invalid-choice"],
+)
+def test_a_process_prints_and_exits_as_main_does(monkeypatch, line, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = bohrgap_process(*line.split())
+    assert got[0] == code
+    assert got == in_process(line.split())
+
+
+def test_a_process_writes_and_replays_what_main_writes(tmp_path):
+    got = bohrgap_process(*ENTRY_LINE.split(), "--out", str(tmp_path / "process"))
+    assert got[0] == 0 and got == in_process([*ENTRY_LINE.split(), "--out", str(tmp_path / "main")])
+    assert set(written(tmp_path / "process")) == {"payload.json", "table.csv", "manifest"}
+    assert written(tmp_path / "process") == written(tmp_path / "main")
+    manifest = str(tmp_path / "process" / "manifest.json")
+    got = bohrgap_process("rerun", manifest, "--out", str(tmp_path / "process-rerun"))
+    assert got[0] == 0 and got == in_process(["rerun", manifest, "--out", str(tmp_path / "main-rerun")])
+    assert written(tmp_path / "process-rerun") == written(tmp_path / "main-rerun") == written(tmp_path / "main")
+
+
+# runs entry() on one command line (or on a main that raises) and prints its
+# exit code, whether the collector runs, and how many objects are frozen
+_ENTRY_STATE = """
+import contextlib, gc, io, json, sys
+from bohrgap import cli
+if sys.argv[1:] == ["crash"]:
+    def crash():
+        raise RuntimeError("crash")
+    cli.main = crash
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.entry()
+    except SystemExit as e:  # argparse's --help
+        code = e.code
+    except RuntimeError as e:
+        code = str(e)
+print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("sums", "t", *SPEC_K2), 0),
+        (("gap", "--help"), 0),
+        (("gap", "inner", "--N", "0"), 2),
+        (("sums", "t", "--alpha", "sqrt:2", "--N", "30000000", "--no-restrict"), 3),
+        (("crash",), "crash"),
+    ],
+    ids=["ok", "help", "validation", "budget", "crash"],
+)
+def test_the_process_entry_pauses_the_collector_and_freezes_on_every_exit(argv, code):
+    got_code, enabled, frozen = fresh_process(_ENTRY_STATE, *argv)
+    assert (got_code, enabled) == (code, False)
+    assert frozen > 1000
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli(capsys, "sums", "t", *SPEC_K2)[0] == 0
+    assert run_cli(capsys, "gap", "inner", "--N", "0")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["gap", "--help"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_the_console_script_and_python_m_run_the_same_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"bohrgap": "bohrgap.cli:entry"}
+    module, _, name = scripts["bohrgap"].partition(":")
+    calls = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: calls.append(name) or 7)
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("bohrgap", run_name="__main__")
+    assert calls == ["entry"] and exit_.value.code == 7
+
+
+def test_a_line_with_the_collector_paused_leaves_bounded_cycles(capsys, tmp_path, monkeypatch):
+    # pausing is safe while a command makes a bounded number of cycles, not
+    # one per n: each seed-11 benchmark line, and the outer lift check at
+    # N = 10^9 (which stops at its lift budget)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import cli_lines
+
+    lines = cli_lines(11) + ["gap outer --k 2 --alpha sqrt:21 --N 1000000000 --delta 0.1"]
+    enabled = gc.isenabled()
+    for i, line in enumerate(lines):
+        argv = [*line.split(), "--out", str(tmp_path / f"line{i}")]
+        code = main(argv)  # warm-up: first imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == code
+        finally:
+            cycles = gc.collect()
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert cycles < 10_000, (line, cycles)

@@ -11,10 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # run in a child so the patched bindings cannot leak into other tests
 SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import bohrgap as bg
-from bohrgap import gap, minima
+from bohrgap import cli, gap, minima
 from tracer import Tracer, install
 
 tr = Tracer()
@@ -32,6 +32,8 @@ tr.run_job("outer", lambda: bg.outer_gap(spec))
 tr.run_job("minima", degenerate_minima)
 tr.run_job("enumerate", lambda: bg.enumerate_bohr(spec, "positive"))
 tr.run_job("mask", lambda: bg.support_mask(spec, 2000))
+with contextlib.redirect_stdout(io.StringIO()):
+    tr.run_job("cli", lambda: cli.main(["gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "1000", "--delta", "0.1"]))
 print(json.dumps({"wrapped": wrapped, "spans": len(tr.spans), **tr.summary()}))
 """
 
@@ -49,6 +51,7 @@ def test_tracer_installs_and_records_spans_and_counters(tmp_path):
     for name in (
         "gap.outer_gap", "gap._lift_coeff_check", "minima.ball_lines", "minima.successive_minima",
         "minima.gauge_interval", "bohr.enumerate_bohr", "sums.support_mask", "scan.dist_words",
+        "cli.main", "cli.cmd_gap",
     ):
         assert out["calls"].get(name, 0) > 0, name
     assert {"gap.lifts_checked", "bohr.members", "sums.support_borderline", "scan.n_scanned"} <= set(out["counts"])
