@@ -55,7 +55,7 @@ def _coord_scans(spec: BohrSpec, flip: bool = False) -> list[CoordScan]:
 
 def _coords_and_specs(spec: BohrSpec, flip: bool):
     coords = _coord_scans(spec, flip)
-    return coords, [ThresholdSpec.for_fixed(c, t, spec.N) for c, t in zip(coords, spec.delta)]
+    return coords, [ThresholdSpec.for_fraction(c, t, spec.N) for c, t in zip(coords, spec.delta)]
 
 
 def enumerate_bohr(spec: BohrSpec, mode: str = "symmetric") -> BohrSet:
@@ -95,11 +95,8 @@ def lift_bohr(bset: BohrSet) -> BohrSet:
     Requires every width < 1/2, otherwise witnesses need not be unique.
     """
     spec = bset.spec
-    for t in spec.delta:
-        ex = t.exact()
-        hi = t.bounds()[1]
-        if (ex is not None and ex >= Q(1, 2)) or (ex is None and hi >= Q(1, 2)):
-            raise AmbiguousLift("widths >= 1/2 admit multiple witnesses; use all_lifts")
+    if any(t >= Q(1, 2) for t in spec.delta):
+        raise AmbiguousLift("widths >= 1/2 admit multiple witnesses; use all_lifts")
     coords = _coord_scans(spec)
     lifted = []
     for n in bset.members:
@@ -117,9 +114,8 @@ def all_lifts(spec: BohrSpec, n: int) -> list[tuple[int, ...]]:
     per_coord = []
     for i, coord in enumerate(_coord_scans(spec)):
         tlo, thi = coord.unfolded(n).bounds()
-        dhi = spec.delta[i].bounds()[1]
-        lo = math.floor(tlo - dhi)
-        hi = math.ceil(thi + dhi)
+        lo = math.floor(tlo - spec.delta[i])
+        hi = math.ceil(thi + spec.delta[i])
         per_coord.append([a for a in range(lo, hi + 1) if _witness_le(spec, n, i, a, coord)])
     if any(not c for c in per_coord):
         return []
@@ -127,15 +123,13 @@ def all_lifts(spec: BohrSpec, n: int) -> list[tuple[int, ...]]:
 
 
 def _witness_le(spec: BohrSpec, n: int, i: int, a: int, coord: Optional[CoordScan] = None) -> bool:
-    """Certified |n*alpha_i - gamma_i - a| <= delta_i, against the exact width
-    when it is rational; coord is coordinate i's scanner, built if not given."""
+    """Certified |n*alpha_i - gamma_i - a| <= delta_i; coord is coordinate i's
+    scanner, built if not given."""
     coord = _coord_scans(spec)[i] if coord is None else coord
-    width = spec.delta[i]
-    exact = width.exact()
 
     def step(extra):
         d = (coord.unfolded(n, extra) - fr_from_int(a, spec.scale + extra)).abs_()
-        c = cmp_fixed(d, exact if exact is not None else width.refined(width.scale + extra))
+        c = cmp_fixed(d, spec.delta[i])
         return UNDECIDED if c is None else c <= 0
 
     return certify(step, "witness boundary undecidable at n={n}", n=n, coord=i)

@@ -77,10 +77,24 @@ def _jsonable(obj):
 
 
 class RunOutput:
-    def __init__(self, payload: dict, csv: Optional[str] = None, summary=()):
+    """A handler's payload, its table (header, rows) for table.csv or None,
+    and its summary lines."""
+
+    def __init__(self, payload: dict, table: Optional[tuple] = None, summary=()):
         self.payload = payload
-        self.csv = csv
+        self.table = table
         self.summary = list(summary)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _table_csv(header, rows) -> str:
+    """table.csv: floats to 12 significant digits, None empty, str() otherwise."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _config_echo(ns: argparse.Namespace) -> dict:
@@ -101,7 +115,7 @@ def _emit(ns: argparse.Namespace, out: RunOutput, elapsed: float) -> None:
         "version": __version__,
         "timings": {"wall_s": round(elapsed, 6)},
     }
-    files = {"payload.json": payload_text, "table.csv": out.csv,
+    files = {"payload.json": payload_text, "table.csv": None if out.table is None else _table_csv(*out.table),
              "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
     try:
         os.makedirs(ns.out, exist_ok=True)
@@ -258,7 +272,7 @@ def cmd_gap_verify(ns) -> RunOutput:
 
 
 def cmd_count_davenport(ns) -> RunOutput:
-    from .counting import congruence_lattice, davenport_count, davenport_csv
+    from .counting import congruence_lattice, davenport_count
 
     lattice = None
     if ns.moduli:
@@ -270,11 +284,14 @@ def cmd_count_davenport(ns) -> RunOutput:
         f"count = {cert.count}, main term = {cert.main_term}, "
         f"|discrepancy| = {cert.discrepancy}, bound = {cert.bound:.6g}"
     ]
-    return RunOutput(cert.to_dict(), davenport_csv([cert]), summary)
+    table = (("box", "count", "main_term", "discrepancy", "bound", "realized_ratio"),
+             [("x".join(map(str, cert.box)), cert.count, cert.main_term, cert.discrepancy,
+               cert.bound, cert.realized_ratio)])
+    return RunOutput(cert.to_dict(), table, summary)
 
 
 def cmd_count_alphap(ns) -> RunOutput:
-    from .counting import alpha_p_table, alpha_table_csv
+    from .counting import alpha_p_table
     from .gap import inner_gap
 
     spec = _spec_from(ns)
@@ -286,7 +303,9 @@ def cmd_count_alphap(ns) -> RunOutput:
         "rows": rows,  # alpha_p, a Fraction, is written as a string
     }
     worst = max((r["p_eps_weighted"] for r in rows), default=0.0)
-    return RunOutput(payload, alpha_table_csv(rows), [f"{len(rows)} primes, max alpha_p * p^eps = {worst:.6g}"])
+    header = ("p", "alpha_p", "alpha_p_float", "p_eps_weighted", "reference_bound", "excess")
+    table = (header, [tuple(r[h] for h in header) for r in rows])
+    return RunOutput(payload, table, [f"{len(rows)} primes, max alpha_p * p^eps = {worst:.6g}"])
 
 
 def cmd_count_totient(ns) -> RunOutput:
@@ -313,18 +332,19 @@ def cmd_count_totient(ns) -> RunOutput:
 
 
 def cmd_sums_t(ns) -> RunOutput:
-    from .sums import sum_series, sums_csv
+    from .sums import sum_series
 
     spec = _spec_from(ns)
     cps = ns.checkpoints or [ns.N]
     rows = sum_series(spec, cps, restrict=not ns.no_restrict)
-    csv = sums_csv(rows)
+    header = ("N", "T", "T_star", "ratio_T", "ratio_star", "eps", "k")
+    table = (header, [tuple(r[h] for h in header) for r in rows])
     summary = [
         f"T({r['N']}) = {r['T']:.12g}   T*({r['N']}) = {r['T_star']:.12g}   "
         f"T*/T = {r['ratio_star']:.6g}"
         for r in rows
     ]
-    return RunOutput({"rows": rows, "restricted": not ns.no_restrict}, csv, summary)
+    return RunOutput({"rows": rows, "restricted": not ns.no_restrict}, table, summary)
 
 
 def cmd_sums_dyadic(ns) -> RunOutput:
@@ -376,18 +396,21 @@ def cmd_exponents(ns) -> RunOutput:
 
 
 def cmd_experiment_gallagher(ns) -> RunOutput:
-    from .sums import experiment_csv, gallagher_experiment
+    from .sums import gallagher_experiment
 
     spec = _spec_from(ns)
     psi = _psi_from(ns, spec.k)
     res = gallagher_experiment(spec, psi, ns.samples, ns.N, ns.seed, ns.checkpoints)
-    csv = experiment_csv(res)
+    final = res.checkpoints[-1]
+    table = (("sample_id", "alpha_k", "hits", "first_witness", "runmin"),
+             [(r["sample_id"], r["alpha_k"], r["hits"][final], r["first_witness"], r["runmin"][final])
+              for r in res.rows])
     summary = [
         f"hit fraction = {res.hit_fraction:.4g} over {ns.samples} samples",
         "median hits: "
         + ", ".join(f"N={cp}: {res.median_hits[cp]:g}" for cp in res.checkpoints),
     ]
-    return RunOutput(res.to_dict(), csv, summary)
+    return RunOutput(res.to_dict(), table, summary)
 
 
 # -- argument wiring ---------------------------------------------------------------

@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from io import StringIO
 from typing import TYPE_CHECKING, Optional
 
 from .errors import BudgetExceeded, ValidationError
@@ -241,18 +240,6 @@ def alpha_p_table(gap: GAP, p_max: int, eps: Fraction, budget: int = 10**8) -> l
     return rows
 
 
-def alpha_table_csv(rows) -> str:
-    out = StringIO()
-    out.write("p,alpha_p,alpha_p_float,p_eps_weighted,reference_bound,excess\n")
-    for r in rows:
-        out.write(
-            f"{r['p']},{r['alpha_p']},{r['alpha_p_float']:.12g},"
-            f"{r['p_eps_weighted']:.12g},{r['reference_bound']:.12g},"
-            f"{r['excess']:.12g}\n"
-        )
-    return out.getvalue()
-
-
 # -- congruence lattices -------------------------------------------------------
 
 
@@ -467,15 +454,3 @@ def davenport_count(
         bound=bound,
         realized_ratio=ratio,
     )
-
-
-def davenport_csv(certs) -> str:
-    out = StringIO()
-    out.write("box,count,main_term,discrepancy,bound,realized_ratio\n")
-    for c in certs:
-        box = "x".join(str(n) for n in c.box)
-        out.write(
-            f"{box},{c.count},{c.main_term},{c.discrepancy},"
-            f"{c.bound:.12g},{c.realized_ratio:.12g}\n"
-        )
-    return out.getvalue()

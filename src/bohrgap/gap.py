@@ -276,7 +276,7 @@ def _inner_gap(spec: BohrSpec, budget: int):
     N, k, eps = spec.N, spec.k, spec.epsilon
     if N < 100:
         raise ValidationError("the construction needs N >= 100")
-    deltas = spec.delta_fractions()
+    deltas = spec.delta
     for i, d in enumerate(deltas):
         if d > 1:
             raise ValidationError(f"width {i} exceeds 1; the inner window needs delta <= 1")
@@ -482,7 +482,7 @@ def _bohr_count(spec: BohrSpec) -> int:
     """#B^0(N; delta) by lattice lines.  A width >= 1/2 rules out no n, so its
     coordinate is dropped; with every width left below 1/2 each member has
     exactly one lift, so the lifts count the members (2N + 1 with none left)."""
-    keep = [i for i, dl in enumerate(spec.delta_fractions()) if dl < Q(1, 2)]
+    keep = [i for i, dl in enumerate(spec.delta) if dl < Q(1, 2)]
     if not keep:
         return 2 * spec.N + 1
     alpha = TargetVector(tuple(spec.alpha.alphas[i] for i in keep))
@@ -503,7 +503,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     N, k, eps = spec.N, spec.k, spec.epsilon
     if N < 100:
         raise ValidationError("the construction needs N >= 100")
-    deltas = spec.delta_fractions()
+    deltas = spec.delta
     hyp_lower = all(cmp_pow(d, d, N, eps, -1) >= 0 for d in deltas)
 
     body = build_body(spec)
@@ -568,7 +568,7 @@ def cardinality_ratio(spec: BohrSpec) -> dict:
     """#B / (delta_1..delta_{k-1} N) on the symmetric set, plus the shift check."""
     from .bohr import BohrSet, enumerate_bohr, shift_injection_holds
 
-    deltas = spec.delta_fractions()
+    deltas = spec.delta
     for i, d in enumerate(deltas):
         if d > 1:
             raise ValidationError(f"width {i} exceeds 1")

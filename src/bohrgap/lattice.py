@@ -299,4 +299,7 @@ class ReducedLattice:
                 spend()
                 level(l - 1, s + w[l] * y * y, tuple(a + xl * b for a, b in zip(r, bl)), top and xl == 0)
 
-        level(n - 1, 0, (0,) * len(basis[0]), True)
+        try:
+            level(n - 1, 0, (0,) * len(basis[0]), True)
+        finally:
+            del level  # level refers to itself: drop the cycle with the walk

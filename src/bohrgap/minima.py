@@ -95,7 +95,7 @@ class ConvexBody:
 
 def build_body(spec) -> ConvexBody:
     """Body for B^0(N; delta)'s lift: c_0 = N/10, c_i = delta_i/10."""
-    deltas = spec.delta_fractions()
+    deltas = spec.delta
     c = (Q(spec.N, 10),) + tuple(d / 10 for d in deltas)
     lam_pow_k = Q(spec.N * math.prod(d.numerator for d in deltas), math.prod(d.denominator for d in deltas))
     body = ConvexBody(spec.alpha, c, lam_pow_k)
@@ -616,21 +616,6 @@ def ball_lines(body: ConvexBody, bound: Fraction, spend, kept=None) -> list[tupl
     limit = red.limit(bnd)
     red.lattice.walk(lambda: limit, leaf, spend)
     return lines
-
-
-def enumerate_gauge_ball(body: ConvexBody, bound: Fraction, budget: int = 2 * 10**6) -> list[GaugeVal]:
-    """All canonical-sign nonzero v with m(v) <= bound (first nonzero
-    coordinate positive, since m(-v) = m(v)): the lines of ball_lines,
-    keyed per vector.  budget caps the walk nodes and the vectors together.
-    """
-    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
-    key, b = body.frame().key, body.reduced.b
-    out = []
-    for r, lo, hi in ball_lines(body, bound, spend):
-        for x in range(lo, hi + 1):
-            spend()
-            out.append(key(_canon(tuple(x * p + q for p, q in zip(b, r)))))
-    return out
 
 
 @dataclass

@@ -167,17 +167,6 @@ class FixedReal:
             src = RealSpec("rat", a * n)
         return FixedReal(self.man * n, self.scale, self.err * abs(n), src)
 
-    def div_int(self, n: int) -> "FixedReal":
-        if n == 0:
-            raise ZeroDivisionError("div_int by zero")
-        a = self.exact()
-        if a is not None:
-            return fr_from_fraction(a / n, self.scale)
-        num, den = (self.man, n) if n > 0 else (-self.man, -n)
-        man = _round_half_even(num, den)
-        drift = abs(Fraction(num, den) - man)
-        return FixedReal(man, self.scale, self.err / den + drift, None)
-
     def __mul__(self, other: "FixedReal") -> "FixedReal":
         # |xy - round(MxMy/2^s)| <= 1/2 + (|Mx| Ey + |My| Ex + Ex Ey)/2^s ulp
         self._match(other)
@@ -217,15 +206,6 @@ def fr_from_fraction(q: Fraction, scale: int = DEFAULT_SCALE, source: Optional[R
     man = _round_half_even(q.numerator * (1 << scale), q.denominator)
     err = abs(q * (1 << scale) - man)
     return FixedReal(man, scale, err, source if source is not None else RealSpec("rat", q))
-
-
-def fr_from_decimal(text: str, scale: int = DEFAULT_SCALE) -> FixedReal:
-    """Exact decimal-string constructor (dyadic decimals get err = 0)."""
-    try:
-        q = Fraction(text)
-    except ValueError as e:
-        raise ValidationError(f"bad decimal literal {text!r}: {e}") from e
-    return fr_from_fraction(q, scale, source=RealSpec("dec", text))
 
 
 def fr_from_int(n: int, scale: int = DEFAULT_SCALE) -> FixedReal:
@@ -297,20 +277,6 @@ def dist_nearest_int(x: FixedReal) -> FixedReal:
         fr = ex - math.floor(ex)
         src = RealSpec("rat", min(fr, 1 - fr))
     return FixedReal(d, x.scale, x.err, src)
-
-
-def norm_form(n: int, alpha: FixedReal, gamma: Optional[FixedReal] = None) -> FixedReal:
-    """||n*alpha - gamma|| with exact mantissa bookkeeping.
-
-    The mantissa product n*man is exact; the error bound is
-    |n|*err_alpha + err_gamma, within the (|n|+1)(err_a + err_g + 1) budget.
-    """
-    v = alpha.mul_int(n)
-    if gamma is not None:
-        if gamma.scale != alpha.scale:
-            raise ValidationError("alpha and gamma scales differ")
-        v = v - gamma
-    return dist_nearest_int(v)
 
 
 # -- certified comparisons ---------------------------------------------
@@ -466,15 +432,19 @@ class TargetVector:
         return [i for i, a in enumerate(self.alphas) if a.exact() is not None]
 
 
-def parse_threshold(text: str, scale: int = DEFAULT_SCALE) -> FixedReal:
-    """Accept either a source spec ("rat:1/20", "dec:0.05", "sqrt:2") or a
-    bare decimal/fraction literal ("0.05", "1/20")."""
-    if ":" in text:
-        return RealSpec.parse(text).realize(scale)
-    try:
-        return fr_from_fraction(Q(text), scale)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"bad width {text!r}: {e}") from e
+def parse_threshold(text: str) -> Fraction:
+    """A width as an exact rational: a source spec ("rat:1/20", "dec:0.05",
+    "sqrt:4") or a bare decimal/fraction literal ("0.05", "1/20").  An
+    irrational spec ("sqrt:2") is refused."""
+    if ":" not in text:
+        try:
+            return Q(text)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValidationError(f"bad width {text!r}: {e}") from e
+    width = RealSpec.parse(text).exact()
+    if width is None:
+        raise ValidationError(f"width {text!r} is not rational")
+    return width
 
 
 @dataclass(frozen=True)
@@ -488,7 +458,7 @@ class BohrSpec:
     alpha: TargetVector
     gamma: Optional[tuple[FixedReal, ...]]
     N: int
-    delta: tuple[FixedReal, ...]
+    delta: tuple[Fraction, ...]
     epsilon: Fraction = Q(1, 20)
 
     def __post_init__(self):
@@ -505,22 +475,13 @@ class BohrSpec:
                     raise ValidationError("gamma scale mismatch")
         # widths up to 2 are legal so the doubled/outer companions stay
         # constructible; anything >= 1/2 already keeps every n
-        for t in self.delta:
-            if t.scale != self.alpha.scale:
-                raise ValidationError("delta scale mismatch")
-            ex = t.exact()
-            lo, hi = t.bounds()
-            if ex is not None:
-                if not (0 < ex <= 2):
-                    raise ValidationError("delta entries must lie in (0, 2]")
-            elif not (lo > 0 and hi <= 2):
-                raise ValidationError("delta entries must lie in (0, 2] decisively")
+        if not all(0 < t <= 2 for t in self.delta):
+            raise ValidationError("delta entries must lie in (0, 2]")
         if not (0 < self.epsilon <= Q(1, 4)):
             raise ValidationError("epsilon must lie in (0, 1/4]")
         # guard: accumulated fixed-point error over the whole range must stay
         # far below the smallest width, or borderline bands swallow the scan
-        dlo = min((t.exact() if t.exact() is not None else t.bounds()[0]) for t in self.delta)
-        if Q(self.N + 1, 1 << self.alpha.scale) >= dlo / (1 << 20):
+        if Q(self.N + 1, 1 << self.alpha.scale) >= min(self.delta) / (1 << 20):
             raise ValidationError("scale too small for this N and delta; use a larger scale")
 
     @property
@@ -544,25 +505,10 @@ class BohrSpec:
     def is_homogeneous(self) -> bool:
         return self.gamma is None or all(g.exact() == 0 for g in self.gamma)
 
-    def delta_fractions(self) -> tuple[Fraction, ...]:
-        out = []
-        for t in self.delta:
-            ex = t.exact()
-            if ex is None:
-                raise ValidationError("width is not exactly rational")
-            out.append(ex)
-        return tuple(out)
-
     def scaled(self, num: int, den: int) -> "BohrSpec":
         """This set with widths delta*num/den (capped at 1), the same N and shift."""
-        ds = []
-        for t in self.delta:
-            u = t.mul_int(num).div_int(den)
-            ex = u.exact()
-            if ex is not None and ex > 1:
-                u = fr_from_int(1, self.scale)
-            ds.append(u)
-        return BohrSpec(self.alpha, self.gamma, self.N, tuple(ds), self.epsilon)
+        ds = tuple(min(t * num / den, Q(1)) for t in self.delta)
+        return BohrSpec(self.alpha, self.gamma, self.N, ds, self.epsilon)
 
     @classmethod
     def build(
@@ -578,5 +524,5 @@ class BohrSpec:
         gamma = None
         if gamma_texts is not None:
             gamma = tuple(RealSpec.parse(t).realize(scale) for t in gamma_texts)
-        delta = tuple(parse_threshold(t, scale) for t in delta_texts)
+        delta = tuple(parse_threshold(t) for t in delta_texts)
         return cls(alpha, gamma, N, delta, Q(epsilon))

@@ -181,21 +181,19 @@ class CoordScan:
     def dist_fixed(self, n: int, extra_bits: int = 0) -> FixedReal:
         return dist_nearest_int(self.unfolded(n, extra_bits))
 
-    def dist_le(self, n: int, thr, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
-        """Certified ||n*alpha - gamma|| <= thr for a Fraction or FixedReal thr.
+    def dist_le(self, n: int, thr: Fraction, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
+        """Certified ||n*alpha - gamma|| <= thr for a rational thr.
 
-        Only a FixedReal threshold is refined along with the distance.  An
-        undecidable case raises PrecisionExhausted naming ``at`` (default n)
-        and ``coord``.  Exactly rational alpha and gamma against a Fraction
-        threshold take one integer cross-multiplication instead, the answer
-        the ladder reaches at depth 0.
+        Exactly rational alpha and gamma take one integer cross-multiplication,
+        the answer the ladder reaches at depth 0.  Otherwise the distance is
+        refined until it clears thr; an undecidable case raises
+        PrecisionExhausted naming ``at`` (default n) and ``coord``.
         """
-        if self._pr_q is not None and isinstance(thr, Fraction):
+        if self._pr_q is not None:
             return self._residue_le(n, thr)
 
         def step(extra):
-            t = thr.refined(thr.scale + extra) if isinstance(thr, FixedReal) else thr
-            c = cmp_fixed(self.dist_fixed(n, extra), t)
+            c = cmp_fixed(self.dist_fixed(n, extra), thr)
             return UNDECIDED if c is None else c <= 0
 
         at = n if at is None else at
@@ -296,22 +294,8 @@ class ThresholdSpec:
         t = (thr.numerator << coord.scale) // thr.denominator  # floor(thr*2^scale); e is an integer
         return cls(t - e, t + e, lambda n: coord.dist_le(n, thr), coord.residue_decider(thr))
 
-    @classmethod
-    def for_fixed(cls, coord: CoordScan, thr, n_max: int) -> "ThresholdSpec":
-        """Membership test against a FixedReal threshold.
-
-        Exactly rational thresholds take the for_fraction route; genuinely
-        irrational ones widen the borderline band to the threshold's own
-        interval and compare interval-vs-interval in the callback.
-        """
-        ex = thr.exact()
-        if ex is not None:
-            return cls.for_fraction(coord, ex, n_max)
-        e = coord.err_int(n_max)
-        tlo, thi = thr.bounds()
-        t_in = math.floor(tlo * (1 << coord.scale)) - e
-        t_out = math.floor(thi * (1 << coord.scale)) + e
-        return cls(t_in, t_out, lambda n: coord.dist_le(n, thr))
+    # perfbench's tracer wraps both constructor names it finds in the class dict
+    for_fixed = for_fraction
 
 
 def _words_le(words: Sequence[np.ndarray], bound: int, nwords: int) -> np.ndarray:

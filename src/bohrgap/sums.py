@@ -14,7 +14,6 @@ the terms, so nothing of length N is kept but the N-arrays asked for.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from io import StringIO
 from typing import Optional, Sequence
 
 import numpy as np
@@ -359,18 +358,6 @@ def sum_series(spec: BohrSpec, checkpoints: Sequence[int], restrict: bool = True
             }
         )
     return rows
-
-
-def sums_csv(rows) -> str:
-    out = StringIO()
-    out.write("N,T,T_star,ratio_T,ratio_star,eps,k\n")
-    for r in rows:
-        eps = "" if r["eps"] is None else f"{r['eps']:.12g}"
-        out.write(
-            f"{r['N']},{r['T']:.12g},{r['T_star']:.12g},"
-            f"{r['ratio_T']:.12g},{r['ratio_star']:.12g},{eps},{r['k']}\n"
-        )
-    return out.getvalue()
 
 
 # -- dyadic decomposition --------------------------------------------------------
@@ -798,16 +785,3 @@ def gallagher_experiment(
         hit_fraction=sum(r["first_witness"] is not None for r in rows) / samples,
         median_hits={cp: statistics.median(r["hits"][cp] for r in rows) for cp in cps},
     )
-
-
-def experiment_csv(result: GallagherResult) -> str:
-    out = StringIO()
-    out.write("sample_id,alpha_k,hits,first_witness,runmin\n")
-    final = result.checkpoints[-1]
-    for r in result.rows:
-        fw = "" if r["first_witness"] is None else r["first_witness"]
-        out.write(
-            f"{r['sample_id']},{r['alpha_k']:.12g},{r['hits'][final]},"
-            f"{fw},{r['runmin'][final]:.12g}\n"
-        )
-    return out.getvalue()

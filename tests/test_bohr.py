@@ -220,6 +220,41 @@ def test_scale_guard():
         BohrSpec.build(["sqrt:2"], None, 10**32, ["0.05"])
 
 
+@pytest.mark.parametrize("text", ["sqrt:2", "sqrt:3"])
+def test_irrational_width_is_refused(text):
+    with pytest.raises(ValidationError, match=f"^width '{text}' is not rational$"):
+        spec_of(["sqrt:3"], None, 100, [text])
+
+
+def test_width_forms_give_one_fraction():
+    for texts, want in ((["sqrt:4", "rat:2", "dec:2", "2"], Q(2)), (["rat:1/10", "dec:0.1", "0.1", "1/10"], Q(1, 10))):
+        for text in texts:
+            (got,) = spec_of(["sqrt:2"], None, 100, [text]).delta
+            assert type(got) is Fraction and got == want, text
+
+
+def test_scaled_widths_are_exact_and_capped():
+    s = spec_of(["sqrt:2", "sqrt:3"], None, 100, ["0.7", "1/3"])
+    assert s.scaled(2, 1).delta == (Q(1), Q(2, 3))
+    assert s.scaled(1, 16).delta == (Q(7, 160), Q(1, 48))
+
+
+@pytest.mark.parametrize("alphas,gammas,deltas", [
+    (["rat:2/7"], None, ["1/7"]),
+    (["rat:3/10"], ["rat:1/5"], ["1/10"]),
+    (["rat:5/12", "rat:1/3"], ["dec:0.25", "rat:2/3"], ["1/12", "1/3"]),
+    (["rat:1/4"], ["dec:0.125"], ["1/8"]),
+])
+def test_is_member_matches_the_scan_on_rational_ties(monkeypatch, alphas, gammas, deltas):
+    # widths of exactly 1/q put many n on the boundary; both sides decide
+    # them by residues, never by a fixed-point distance
+    s = spec_of(alphas, gammas, 120, deltas)
+    monkeypatch.setattr(CoordScan, "dist_fixed", None)
+    want = {int(n) for n in enumerate_bohr(s, "symmetric").members}
+    assert {n for n in range(-120, 121) if is_member(s, n)} == want
+    assert len(want) > 10
+
+
 def test_to_dict_roundtrip_fields():
     b = lift_bohr(enumerate_bohr(spec_of(["sqrt:2"], None, 100, ["0.05"]), "positive"))
     d = b.to_dict()

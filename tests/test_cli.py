@@ -726,6 +726,11 @@ def test_a_process_prints_and_exits_as_main_does(monkeypatch, line, code):
     assert got == in_process(line.split())
 
 
+def test_an_irrational_width_exits_2_without_a_traceback():
+    line = "bohr lift --alpha sqrt:3 --N 100 --delta sqrt:2 --n 7"
+    assert bohrgap_process(*line.split()) == (2, "", "validation error: width 'sqrt:2' is not rational\n")
+
+
 def test_a_process_writes_and_replays_what_main_writes(tmp_path):
     got = bohrgap_process(*ENTRY_LINE.split(), "--out", str(tmp_path / "process"))
     assert got[0] == 0 and got == in_process([*ENTRY_LINE.split(), "--out", str(tmp_path / "main")])
@@ -799,11 +804,12 @@ def test_the_console_script_and_python_m_run_the_same_entry(monkeypatch):
 def test_a_line_with_the_collector_paused_leaves_bounded_cycles(capsys, tmp_path, monkeypatch):
     # pausing is safe while a command makes a bounded number of cycles, not
     # one per n: each seed-11 benchmark line, and the outer lift check at
-    # N = 10^9 (which stops at its lift budget)
+    # N = 10^9, stopped at its lift budget and run to the end
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import cli_lines
 
-    lines = cli_lines(11) + ["gap outer --k 2 --alpha sqrt:21 --N 1000000000 --delta 0.1"]
+    outer = "gap outer --k 2 --alpha sqrt:21 --N 1000000000 --delta 0.1"
+    lines = cli_lines(11) + [outer, outer + " --budget 1000000000"]
     enabled = gc.isenabled()
     for i, line in enumerate(lines):
         argv = [*line.split(), "--out", str(tmp_path / f"line{i}")]

@@ -11,15 +11,14 @@ import pytest
 
 from bohrgap import counting
 from bohrgap.bohr import BohrSpec, restricted_bohr
+from bohrgap.cli import main
 from bohrgap.counting import (
     CongruenceLattice,
     _phi_segment,
     alpha_p,
     alpha_p_table,
-    alpha_table_csv,
     congruence_lattice,
     davenport_count,
-    davenport_csv,
     euclidean_minima,
     is_prime,
     primes_up_to,
@@ -337,10 +336,11 @@ def test_alpha_table_wide_prime_range(sqrt2_gap):
     )
 
 
-def test_alpha_csv_shape(sqrt2_gap):
-    rows = alpha_p_table(sqrt2_gap, 10, Q(1, 20))
-    text = alpha_table_csv(rows)
-    lines = text.strip().split("\n")
+def test_alpha_csv_shape(tmp_path):
+    # the CSV of sqrt2_gap's table for p <= 10
+    argv = "count alphap --alpha sqrt:2 --N 100000 --delta 0.1 --eps 0.05 --pmax 10"
+    assert main([*argv.split(), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table.csv").read_text().strip().split("\n")
     assert lines[0].startswith("p,alpha_p,")
     assert lines[1].startswith("2,3/5,0.6,")
     assert len(lines) == 1 + 4  # primes 2, 3, 5, 7
@@ -658,11 +658,9 @@ def test_davenport_budget_guard_message():
     assert davenport_count((10, 10), lat, budget=441).count == _numpy_box_count((10, 10), lat)
 
 
-def test_davenport_csv_shape():
-    lat = congruence_lattice((1, 1), 2)
-    certs = [davenport_count((2, 2), lat)]
-    text = davenport_csv(certs)
-    lines = text.strip().split("\n")
+def test_davenport_csv_shape(tmp_path):
+    assert main(["count", "davenport", "--box", "2,2", "--moduli", "1,1", "--p", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table.csv").read_text().strip().split("\n")
     assert lines[0] == "box,count,main_term,discrepancy,bound,realized_ratio"
     assert lines[1].startswith("2x2,13,8,5,")
 

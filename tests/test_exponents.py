@@ -17,7 +17,7 @@ from bohrgap.exponents import (
     simult_exponent_est,
     uniform_inhom_est,
 )
-from bohrgap.realfield import fr_from_decimal
+from bohrgap.realfield import RealSpec
 from bohrgap.scan import BLOCK
 
 Q = Fraction
@@ -184,7 +184,7 @@ def test_near_zero_distances_are_scored_exactly():
 )
 def test_report_shares_one_pass_with_the_single_estimators(texts, gamma, n_max, x_list):
     alpha = TargetVector.parse(texts)
-    g = None if gamma is None else tuple(fr_from_decimal(t, alpha.scale) for t in gamma)
+    g = None if gamma is None else tuple(RealSpec.parse(f"dec:{t}").realize(alpha.scale) for t in gamma)
     rep = exponent_report(alpha, g, n_max=n_max, h_max=20, x_list=x_list)
     assert rep.omega_lower == simult_exponent_est(alpha, g, n_max)
     assert rep.omega_times_lower == mult_exponent_est(alpha, g, n_max)
@@ -249,7 +249,7 @@ def test_multiplicative_hypothesis_k2_rationality_only():
 
 
 def test_gamma_shift_changes_estimate():
-    g = [fr_from_decimal("0.3", 128)]
+    g = [RealSpec.parse("dec:0.3").realize(128)]
     est = mult_exponent_est(ALPHA_SQRT2, g, 10**4)
     hom = mult_exponent_est(ALPHA_SQRT2, None, 10**4)
     assert est.value != hom.value

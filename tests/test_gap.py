@@ -491,7 +491,7 @@ def loop_lift_check(spec, minima, lengths, members, budget):
     Python-int decomposition each; stops at the 17th failure."""
     one = 1 << spec.scale
     coords = []
-    for a, delta in zip(spec.alpha.alphas, spec.delta_fractions()):
+    for a, delta in zip(spec.alpha.alphas, spec.delta):
         er = math.ceil(a.err * spec.N)
         coords.append((a.man, math.floor(delta * one - er), math.floor(delta * one + er)))
     rows = [list(v) for v in minima.basis]
@@ -571,7 +571,7 @@ def test_lift_check_matches_loop(alphas, N, deltas):
     assert failures == [] and checked >= len(members)
     # #B^0 from lattice lines, with every width >= 1/2 dropped
     assert _bohr_count(spec) == len(members)
-    if all(d < Q(1, 2) for d in spec.delta_fractions()):
+    if all(d < Q(1, 2) for d in spec.delta):
         assert checked == len(members)
     # the budget runs out on the last lift, or just suffices
     assert _same_as_loop(spec, minima, lengths, members, checked - 1)[0] == "BudgetExceeded"

@@ -188,7 +188,7 @@ def test_build_body_lambda_matches_fraction_product(alphas, N, data):
     spec = BohrSpec.build(alphas, None, N, deltas)
     body = build_body(spec)
     lam = Q(N)
-    for d in spec.delta_fractions():
+    for d in spec.delta:
         lam *= d
     assert body.lam_pow_k == lam and body.vol_s() == Q(1, 5**body.k)
 

@@ -2,6 +2,7 @@
 keeps determinant, rank and adjugate code in lattice.py."""
 
 import ast
+import gc
 import itertools
 import math
 import random
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import sympy
 
+from bohrgap.counting import congruence_lattice, euclidean_minima
+from bohrgap.minima import build_body, successive_minima
+from bohrgap.realfield import BohrSpec
 from bohrgap.lattice import ReducedLattice, adjugate, det, echelon, extendable, independent, lll_gram, rank
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
@@ -186,3 +190,26 @@ def test_integer_linear_algebra_lives_in_lattice():
     for node in ast.walk(lattice):  # no floats either
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
         assert not (isinstance(node, ast.Name) and node.id == "float")
+
+
+def test_walks_leave_no_cycles():
+    # the walk's recursive closure must not outlive it: with the collector
+    # paused, repeated minima searches leave nothing for it to collect
+    body = build_body(BohrSpec.build(["sqrt:21"], None, 10**5, ["0.1"]))
+    lattice = congruence_lattice((1, 3, 7), 101)
+    runs = (lambda: successive_minima(body), lambda: euclidean_minima(lattice))
+    for run in runs:
+        run()  # warm-up: caches on the body
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        left = []
+        for run in runs:
+            for _ in range(10):
+                run()
+            left.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == [0, 0]

@@ -18,15 +18,16 @@ from bohrgap import minima
 from bohrgap.bohr import BohrSpec
 from bohrgap.errors import BudgetExceeded, ConstructionError, ValidationError
 from bohrgap.exponents import TargetVector
-from bohrgap.lattice import det, echelon, extendable, independent, line_cut
+from bohrgap.lattice import det, echelon, extendable, independent, line_cut, spender
 from bohrgap.realfield import UNDECIDED, FixedReal, certify
 from bohrgap.minima import (
     ConvexBody,
+    _canon,
     _gauge_le,
     _key_le,
     _smallest,
+    ball_lines,
     build_body,
-    enumerate_gauge_ball,
     gauge,
     gauge_interval,
     successive_minima,
@@ -40,6 +41,14 @@ Q = Fraction
 def body_of(alphas, N, deltas):
     spec = BohrSpec.build(alphas, None, N, deltas)
     return build_body(spec)
+
+
+def gauge_ball(body, bound):
+    """Every canonical-sign nonzero v with m(v) <= bound (first nonzero
+    coordinate positive), keyed: the lines of ball_lines expanded."""
+    key, b = body.frame().key, body.reduced.b
+    lines = ball_lines(body, bound, lambda: None)
+    return [key(_canon(tuple(x * p + q for p, q in zip(b, r)))) for r, lo, hi in lines for x in range(lo, hi + 1)]
 
 
 def brute_oracle(alpha_strs, c, v0_max, window):
@@ -181,7 +190,7 @@ def test_matches_brute_oracle_k3():
 def test_exactness_invariant_rank_below():
     body = body_of(["sqrt:2"], 100, ["0.5"])
     res = successive_minima(body)
-    pool = enumerate_gauge_ball(body, Q(3))
+    pool = gauge_ball(body, Q(3))
     import numpy as np
     for i, lam_m in enumerate(res.minima_m):
         below = [g.vec for g in pool if g.hi < lam_m.lo]
@@ -210,7 +219,7 @@ def test_k3_trivial_lambda():
 def test_budget_guard():
     body = body_of(["sqrt:2", "sqrt:3"], 10**5, ["0.1", "0.2"])
     with pytest.raises(BudgetExceeded):
-        enumerate_gauge_ball(body, Q(50), budget=100)
+        ball_lines(body, Q(50), spender(100, "gauge ball walk exceeds 100 nodes"))
 
 
 def test_int_det_and_extendable():
@@ -484,7 +493,7 @@ def test_gauge_ball_matches_brute_oracle_rational():
     # v_1 runs past 5000, so the scan prefilter and its exact callbacks run too
     body = body_of(["rat:2/3"], 1000, ["0.1"])
     bound = Q(60)
-    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    got = [g.vec for g in gauge_ball(body, bound)]
     assert len(got) == len(set(got))
     assert set(got) == _ball_oracle(["rat:2/3"], body, bound, Q(1))
 
@@ -499,7 +508,7 @@ def test_gauge_ball_rational_window_edges_are_inclusive():
         for t in range((2 * v0) // 3 - 1, (2 * v0) // 3 + 3):
             if (v0, t) > (0, 0) and max(Q(v0) / body.c[0], abs(Q(2 * v0, 3) - t) / body.c[1]) <= bound:
                 want.add((v0, t))
-    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    got = [g.vec for g in gauge_ball(body, bound)]
     assert len(got) == len(set(got))
     assert set(got) == want
 
@@ -507,7 +516,7 @@ def test_gauge_ball_rational_window_edges_are_inclusive():
 def test_gauge_ball_matches_brute_oracle_k3_irrational():
     body = body_of(["sqrt:2", "sqrt:3"], 200, ["0.3", "0.4"])
     bound = Q(12)
-    got = [g.vec for g in enumerate_gauge_ball(body, bound)]
+    got = [g.vec for g in gauge_ball(body, bound)]
     assert len(got) == len(set(got))
     assert set(got) == _ball_oracle(["sqrt:2", "sqrt:3"], body, bound, Q(1))
 

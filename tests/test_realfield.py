@@ -27,12 +27,10 @@ from bohrgap.realfield import (
     cmp_fixed,
     cmp_pow,
     dist_nearest_int,
-    fr_from_decimal,
     fr_from_fraction,
     fr_from_int,
     fr_root_rational,
     fr_sqrt_int,
-    norm_form,
     sqrt_fraction,
 )
 from bohrgap.scan import CoordScan, ThresholdSpec, members_in_range
@@ -44,19 +42,19 @@ NORM_12_SQRT2 = "0.029437251522859414379735309483"
 
 
 def test_from_decimal_half_exact():
-    x = fr_from_decimal("0.5", 128)
+    x = RealSpec.parse("dec:0.5").realize(128)
     assert x.man == 1 << 127
     assert x.err == 0
 
 
 def test_from_decimal_one_at_64():
-    x = fr_from_decimal("1", 64)
+    x = RealSpec.parse("dec:1").realize(64)
     assert x.man == 1 << 64
     assert x.err == 0
 
 
 def test_from_decimal_tenth_rounds_to_nearest():
-    x = fr_from_decimal("0.1", 128)
+    x = RealSpec.parse("dec:0.1").realize(128)
     assert x.err <= Q(1, 2)
     assert abs(Q(x.man, 1 << 128) - Q(1, 10)) <= Q(1, 1 << 129)
     assert x.exact() == Q(1, 10)
@@ -93,7 +91,7 @@ def test_norm_form_12_sqrt2_oracle():
     with mpmath.workdps(60):
         oracle = mpmath.mpf(17) - 12 * mpmath.sqrt(2)
         assert mpmath.nstr(oracle, 28, strip_zeros=False).startswith(NORM_12_SQRT2[:29])
-    d = norm_form(12, fr_sqrt_int(2, 128), fr_from_int(0, 128))
+    d = dist_nearest_int(fr_sqrt_int(2, 128).mul_int(12) - fr_from_int(0, 128))
     pin = Q(NORM_12_SQRT2)
     assert abs(Q(d.man, 1 << 128) - pin) < Q(1, 10**29)
     assert d.err <= 12
@@ -102,9 +100,9 @@ def test_norm_form_12_sqrt2_oracle():
 
 def test_norm_form_error_budget():
     a = fr_sqrt_int(3, 128)
-    g = fr_from_decimal("0.3", 128)
+    g = RealSpec.parse("dec:0.3").realize(128)
     n = 12345
-    d = norm_form(n, a, g)
+    d = dist_nearest_int(a.mul_int(n) - g)
     assert d.err <= (abs(n) + 1) * (a.err + g.err + 1)
 
 
@@ -141,9 +139,9 @@ def test_dist_symmetry(num, den):
 
 def test_norm_form_periodicity_dyadic():
     # alpha = 5/16, gamma = 3/8: exactly representable, exact period 16
-    a = fr_from_decimal("0.3125", 128)
-    g = fr_from_decimal("0.375", 128)
-    vals = [norm_form(n, a, g).man for n in range(64)]
+    a = RealSpec.parse("dec:0.3125").realize(128)
+    g = RealSpec.parse("dec:0.375").realize(128)
+    vals = [dist_nearest_int(a.mul_int(n) - g).man for n in range(64)]
     for n in range(48):
         assert vals[n] == vals[n + 16]
 
@@ -159,9 +157,9 @@ def test_error_soundness_under_refinement():
 
 def test_cmp_fixed_decisive_and_equal():
     x = fr_sqrt_int(2, 128)
-    y = fr_from_decimal("1.4142135", 128)
+    y = RealSpec.parse("dec:1.4142135").realize(128)
     assert cmp_fixed(x, y) == 1
-    z = fr_from_decimal("0.25", 128)
+    z = RealSpec.parse("dec:0.25").realize(128)
     w = fr_from_fraction(Q(1, 4), 128)
     assert cmp_fixed(z, w) == 0
 
@@ -326,7 +324,7 @@ def test_cmp_pow_base_one_is_exactly_one():
 
 
 def test_decimal_rendering():
-    x = fr_from_decimal("0.1", 128)
+    x = RealSpec.parse("dec:0.1").realize(128)
     assert x.decimal(12) == "0.100000000000"
     y = fr_from_fraction(Q(-7, 2), 128)
     assert y.decimal(3) == "-3.500"
@@ -571,8 +569,7 @@ def test_exact_callback_escalates_at_scale_64(monkeypatch):
     digits = math.floor(dist * 10**25)
     for text in (f"0.{digits:025d}", f"0.{digits + 1:025d}"):  # just below, just above
         assert abs(Q(text) - dist) < Q(1, 1 << 70)
-        thr = RealSpec.parse(f"dec:{text}").realize(64)
-        spec = ThresholdSpec.for_fixed(coord, thr, n0)
+        spec = ThresholdSpec.for_fraction(coord, Q(text), n0)
         assert cmp_fixed(dist_fixed(coord, n0), Q(text)) is None  # depth 0 cannot decide
         depths.clear()
         assert spec.exact(n0) == _oracle_le(n0, Q(text))

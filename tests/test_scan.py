@@ -21,10 +21,9 @@ from bohrgap.realfield import (
     RealSpec,
     certify,
     cmp_fixed,
-    fr_from_decimal,
+    dist_nearest_int,
     fr_from_fraction,
     fr_sqrt_int,
-    norm_form,
 )
 from bohrgap.scan import _SLICE, BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, members_in_range
 
@@ -46,7 +45,7 @@ def bigint_dist(ma: int, mg: int, n: int, scale: int) -> int:
 ])
 def test_dist_words_match_bigint(alpha_spec, gamma_text):
     a = RealSpec.parse(alpha_spec).realize(128)
-    g = fr_from_decimal(gamma_text, 128)
+    g = RealSpec.parse(f"dec:{gamma_text}").realize(128)
     sc = CoordScan(a, g)
     rng = random.Random(7)
     ns = sorted(rng.sample(range(1, 10**7), 400))
@@ -90,7 +89,8 @@ def test_dist_floats_close_to_exact():
 def brute_members(alpha, gamma, thr, lo, hi):
     out = []
     for n in range(lo, hi + 1):
-        d = norm_form(n, alpha, gamma)
+        v = alpha.mul_int(n)
+        d = dist_nearest_int(v if gamma is None else v - gamma)
         ex = d.exact()
         if ex is not None:
             if ex <= thr:
@@ -110,7 +110,7 @@ def brute_members(alpha, gamma, thr, lo, hi):
 ])
 def test_members_match_bruteforce(alpha_spec, gamma_text, thr):
     a = RealSpec.parse(alpha_spec).realize(128)
-    g = fr_from_decimal(gamma_text, 128)
+    g = RealSpec.parse(f"dec:{gamma_text}").realize(128)
     sc = CoordScan(a, g)
     spec = ThresholdSpec.for_fraction(sc, thr, 3000)
     got = members_in_range([sc], [spec], 0, 3000).tolist()
@@ -119,7 +119,7 @@ def test_members_match_bruteforce(alpha_spec, gamma_text, thr):
 
 def test_threshold_boundary_inclusive_exact():
     # alpha = 1/4 exactly (dyadic): ||2 * 1/4|| = 1/2 == thr must be included
-    a = fr_from_decimal("0.25", 128)
+    a = RealSpec.parse("dec:0.25").realize(128)
     sc = CoordScan(a, None)
     spec = ThresholdSpec.for_fraction(sc, Q(1, 2), 100)
     got = members_in_range([sc], [spec], 1, 8).tolist()
@@ -154,7 +154,7 @@ def test_two_coordinates_intersect():
 
 def test_first_in_range_matches_members():
     a = fr_sqrt_int(2, 128)
-    sc = CoordScan(a, fr_from_decimal("0.3", 128))
+    sc = CoordScan(a, RealSpec.parse("dec:0.3").realize(128))
     spec = ThresholdSpec.for_fraction(sc, Q(1, 50), 10**5)
     members = members_in_range([sc], [spec], 1, 10**5)
     assert first_in_range([sc], [spec], 1, 10**5) == int(members[0])
@@ -162,7 +162,7 @@ def test_first_in_range_matches_members():
 
 
 def test_first_in_range_runs_no_callback_past_its_first_member():
-    sc = CoordScan(fr_sqrt_int(2, 128), fr_from_decimal("0.3", 128))
+    sc = CoordScan(fr_sqrt_int(2, 128), RealSpec.parse("dec:0.3").realize(128))
     spec = ThresholdSpec.for_fraction(sc, Q(1, 50), 10**4)
     s5 = CoordScan(fr_sqrt_int(5, 128))
     t5 = ThresholdSpec.for_fraction(s5, Q(2, 5), 10**4)
@@ -233,11 +233,11 @@ def test_near_zero_rule():
 
 def test_flipped_handles_negative_axis():
     a = fr_sqrt_int(2, 128)
-    g = fr_from_decimal("0.3", 128)
+    g = RealSpec.parse("dec:0.3").realize(128)
     sc = CoordScan(a, g).flipped()
     # ||(-n) alpha - gamma|| == ||n alpha + gamma||
     for n in (1, 12, 99):
-        d1 = norm_form(-n, a, g)
+        d1 = dist_nearest_int(a.mul_int(-n) - g)
         words = sc.dist_words(np.array([n], dtype=np.uint64))
         got = int(words[0][0]) | (int(words[1][0]) << 64)
         assert got == d1.man
@@ -282,7 +282,7 @@ def test_dist_le_rational_fast_path_matches_ladder(alpha_spec, gamma_spec, g_sig
 
 
 def test_dist_le_irrational_keeps_the_ladder():
-    sc = CoordScan(fr_sqrt_int(2, 128), fr_from_decimal("0.3", 128))
+    sc = CoordScan(fr_sqrt_int(2, 128), RealSpec.parse("dec:0.3").realize(128))
     assert sc._pr_q is None
     for n in range(1, 200):
         assert sc.dist_le(n, Q(1, 9)) == _ladder_le(sc, n, Q(1, 9))
@@ -399,7 +399,7 @@ def test_residue_decider_int64_bounds(alpha, gamma, thr, fits):
 def test_rational_bohr_scan_skips_words_and_callbacks(monkeypatch):
     spec = BohrSpec.build(["rat:2/9", "dec:0.15"], ["rat:1/3", "dec:0.05"], BLOCK + 900, ["1/9", "0.1"])
     coords = [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, spec.gammas())]
-    deltas = spec.delta_fractions()
+    deltas = spec.delta
 
     def oracle(ns, cs):
         return [n for n in ns if all(_fraction_le(c, n, t) for c, t in zip(cs, deltas))]
@@ -502,7 +502,7 @@ def test_three_gap_oracle(s, gamma_text, delta):
     gamma = RealSpec.parse(gamma_text).realize(128)
     N = 10**6
     spec = BohrSpec.build([f"sqrt:{s}"], [gamma_text], N, [str(float(delta))])
-    assert spec.delta_fractions() == (delta,)
+    assert spec.delta == (delta,)
     _assert_three_gap(enumerate_bohr(spec, "positive").members, 1, N, s, gamma.exact(), delta)
     # the last 10^6 n below the scan limit, across about 15 block boundaries
     sc = CoordScan(RealSpec.parse(f"sqrt:{s}").realize(128), gamma)

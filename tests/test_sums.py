@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohrgap.bohr import BohrSpec, _coord_scans
+from bohrgap.cli import main
 from bohrgap.counting import totient_sieve
 from bohrgap.errors import BudgetExceeded, ValidationError
 from bohrgap.realfield import RealSpec
@@ -28,12 +29,10 @@ from bohrgap.sums import (
     ds_hypothesis_check,
     dyadic_table,
     eta_split_check,
-    experiment_csv,
     gallagher_experiment,
     psi_family,
     psi_modified,
     sum_series,
-    sums_csv,
     SupportMask,
     support_mask,
     t_star_sum,
@@ -191,7 +190,7 @@ def test_sqrt2_1e4_pins():
     assert abs(t_star_sum(spec, m).value - 13897.642287983364) < 1e-7
 
 
-def test_sum_series_suite_pins():
+def test_sum_series_suite_pins(tmp_path):
     # frozen regression for the (sqrt2, sqrt3) suite vector
     spec = BohrSpec.build(["sqrt:2", "sqrt:3"], None, 10**5, ["1", "1"], Q(1, 20))
     rows = sum_series(spec, [10**4, 10**5])
@@ -203,8 +202,9 @@ def test_sum_series_suite_pins():
     for r in rows:
         assert 0.1 <= r["ratio_star"] <= 1.0
         assert r["ratio_T"] == r["T"] / (r["N"] * math.log(r["N"]) ** 2)
-    csv = sums_csv(rows)
-    lines = csv.splitlines()
+    argv = "sums t --alpha sqrt:2 --alpha sqrt:3 --N 100000 --delta 1 --checkpoints 10000,100000"
+    assert main([*argv.split(), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table.csv").read_text().splitlines()
     assert lines[0] == "N,T,T_star,ratio_T,ratio_star,eps,k"
     assert lines[1].startswith("10000,54279.7996464,32968.0047831,")
 
@@ -494,14 +494,15 @@ def test_gallagher_hits_match_direct_recount():
     assert res.rows[0]["first_witness"] == first
 
 
-def test_gallagher_guards_and_csv():
+def test_gallagher_guards_and_csv(tmp_path):
     spec = BohrSpec.build(["sqrt:2"], None, 1000, ["1"], Q(1, 20))
     psi = psi_family("log", c=1.0, k=2)
     with pytest.raises(ValidationError):
         gallagher_experiment(spec, psi, 0, 1000, seed=1)
     res = gallagher_experiment(spec, psi, 3, 1000, seed=1)
-    csv = experiment_csv(res)
-    lines = csv.splitlines()
+    argv = "experiment gallagher --alpha sqrt:2 --N 1000 --delta 1 --samples 3 --seed 1"
+    assert main([*argv.split(), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "table.csv").read_text().splitlines()
     assert lines[0] == "sample_id,alpha_k,hits,first_witness,runmin"
     assert len(lines) == 4 and lines[1].startswith("0,")
     d = res.to_dict()
