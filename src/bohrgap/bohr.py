@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousLift, ValidationError
-from .realfield import UNDECIDED, BohrSpec, ceil_pow_sqrt, certify, cmp_fixed, fr_from_int
-from .scan import CoordScan, ThresholdSpec, all_pass, members_in_range
+from .realfield import UNDECIDED, BohrSpec, ceil_pow_sqrt, certify
+from .scan import CoordScan, ThresholdSpec, all_pass, le, members_in_range
 
 Q = Fraction
 
@@ -77,14 +77,11 @@ def _nearest_int(coord: CoordScan, n: int, i: int) -> int:
     coordinate i's scanner."""
 
     def step(extra):
-        th = coord.unfolded(n, extra)
-        one = 1 << th.scale
-        q, r = divmod(th.man + (one >> 1), one)
-        if r > th.err and one - r > th.err:
-            return q
-        if th.err == 0 and r == 0:
+        lo, hi = coord.bracket(n, extra, fold=False)
+        q = math.floor(hi + Q(1, 2))  # floor(x + 1/2) for every x in the bracket once lo + 1/2 > q
+        if lo == hi == q - Q(1, 2):
             raise AmbiguousLift(f"n={n} sits exactly half-way on coordinate {i}")
-        return UNDECIDED
+        return q if lo + Q(1, 2) > q else UNDECIDED
 
     return certify(step, "cannot resolve the nearest integer at n={n}", n=n, coord=i)
 
@@ -113,7 +110,7 @@ def all_lifts(spec: BohrSpec, n: int) -> list[tuple[int, ...]]:
     """
     per_coord = []
     for i, coord in enumerate(_coord_scans(spec)):
-        tlo, thi = coord.unfolded(n).bounds()
+        tlo, thi = coord.bracket(n, fold=False)
         lo = math.floor(tlo - spec.delta[i])
         hi = math.ceil(thi + spec.delta[i])
         per_coord.append([a for a in range(lo, hi + 1) if _witness_le(spec, n, i, a, coord)])
@@ -128,9 +125,8 @@ def _witness_le(spec: BohrSpec, n: int, i: int, a: int, coord: Optional[CoordSca
     coord = _coord_scans(spec)[i] if coord is None else coord
 
     def step(extra):
-        d = (coord.unfolded(n, extra) - fr_from_int(a, spec.scale + extra)).abs_()
-        c = cmp_fixed(d, spec.delta[i])
-        return UNDECIDED if c is None else c <= 0
+        lo, hi = coord.bracket(n, extra, fold=False)
+        return le(max(lo - a, a - hi), max(hi - a, a - lo), spec.delta[i])  # bracket of |x - a|
 
     return certify(step, "witness boundary undecidable at n={n}", n=n, coord=i)
 

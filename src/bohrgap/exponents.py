@@ -50,19 +50,6 @@ def _gammas_or_zero(alpha: TargetVector, gamma) -> list[FixedReal]:
     return gs
 
 
-def _neg_log_dist(d: FixedReal):
-    """-log(d) once d is provably nonzero, None when exactly zero, else UNDECIDED."""
-    ex = d.exact()
-    if ex is not None:
-        if ex == 0:
-            return None
-        return -math.log(float(ex))
-    lo, hi = d.bounds()
-    if lo > 0:
-        return -math.log(float((lo + hi) / 2))
-    return UNDECIDED
-
-
 def _sqfree(m: int) -> tuple[int, int]:
     """Write m = s^2 * m0 with m0 squarefree.  Exact for m <= 10^12."""
     if m <= 0:
@@ -90,13 +77,14 @@ def _sqfree(m: int) -> tuple[int, int]:
     return s, m0
 
 
-def _integer_combination(alpha: TargetVector, vec: Sequence[int]) -> Optional[bool]:
-    """Exactly decide whether sum_j vec_j * alpha_j is an integer.
+def _integer_combination(alpha: TargetVector, vec: Sequence[int]) -> Optional[tuple[Fraction, dict[int, int]]]:
+    """sum_j vec_j * alpha_j as (rational part, {squarefree m0: coefficient of sqrt(m0)}).
 
-    Reasons through the construction sources: rationals accumulate exactly,
-    sqrt:m entries reduce to s*sqrt(m0) and distinct squarefree kernels are
-    linearly independent over Q.  Returns None when an entry carries no
-    source to reason from.
+    Reasons through the construction sources: rationals accumulate exactly and
+    sqrt:m entries reduce to s*sqrt(m0).  Distinct squarefree kernels are
+    linearly independent over Q, so the sum is rational exactly when every
+    kernel coefficient is 0.  Returns None when an entry carries no source to
+    reason from.
     """
     rational = Q(0)
     kernels: dict[int, int] = {}
@@ -113,23 +101,23 @@ def _integer_combination(alpha: TargetVector, vec: Sequence[int]) -> Optional[bo
             return None
         s, m0 = _sqfree(int(src.payload))
         kernels[m0] = kernels.get(m0, 0) + c * s
-    if any(v != 0 for v in kernels.values()):
-        return False
-    return rational.denominator == 1
+    return rational, kernels
 
 
 def _certify_vector(alpha: TargetVector, vec: tuple) -> Optional[float]:
     """-log||sum_j vec_j alpha_j|| if provably nonzero, None if exactly integer."""
-    known = _integer_combination(alpha, vec)
-    if known is True:
-        return None
+    parts = _integer_combination(alpha, vec)
+    if parts is not None and not any(parts[1].values()):
+        frac = parts[0] - math.floor(parts[0])
+        return None if frac == 0 else -math.log(float(min(frac, 1 - frac)))
 
     def step(extra):
         s = alpha.scale + extra
         acc = fr_from_int(0, s)
         for c, a in zip(vec, alpha.alphas):
             acc = acc + a.refined(s).mul_int(int(c))
-        return _neg_log_dist(dist_nearest_int(acc))
+        lo, hi = dist_nearest_int(acc).bounds()
+        return -math.log(float((lo + hi) / 2)) if lo > 0 else UNDECIDED
 
     return certify(step, "cannot separate the norm form from 0 at vector {}", vec)
 

@@ -61,17 +61,9 @@ class ConvexBody:
         return lam.man - int(lam.err), lam.man + int(lam.err)
 
     @cached_property
-    def _frames(self) -> dict:
-        return {}
-
-    def frame(self, extra: int = 0, terms: Optional[frozenset] = None) -> "GaugeFrame":
-        """Integer gauge forms at +extra bits, over the terms in terms (all
-        when None), built once per depth and term set."""
-        f = self._frames.get((extra, terms))
-        if f is None:
-            f = GaugeFrame(self, extra) if terms is None else self.frame(extra).restricted(terms)
-            self._frames[extra, terms] = f
-        return f
+    def frame(self) -> "_Frames":
+        """frame(extra=0, terms=None): the GaugeFrame at +extra bits over the terms in terms (all when None)."""
+        return _Frames(self.alpha, self.c)
 
     @cached_property
     def reduced(self) -> "_Reduced":
@@ -108,6 +100,23 @@ def build_body(spec) -> ConvexBody:
 # -- R-gauge m(v) as certified integer keys --------------------------------
 
 
+class _Frames:
+    """A body's GaugeFrames, built once per (extra, terms).  It holds alpha and c,
+    not the body, so the _Reduced cached on the body keeps it with no cycle."""
+
+    __slots__ = ("alpha", "c", "built")
+
+    def __init__(self, alpha: TargetVector, c: tuple[Fraction, ...]):
+        self.alpha, self.c, self.built = alpha, c, {}
+
+    def __call__(self, extra: int = 0, terms: Optional[frozenset] = None) -> "GaugeFrame":
+        f = self.built.get((extra, terms))
+        if f is None:
+            f = GaugeFrame(self.alpha, self.c, extra) if terms is None else self(extra).restricted(terms)
+            self.built[extra, terms] = f
+        return f
+
+
 class GaugeFrame:
     """Integer linear forms that put every term of m(v) over one denominator D.
 
@@ -122,13 +131,13 @@ class GaugeFrame:
 
     __slots__ = ("den", "forms")
 
-    def __init__(self, body: "ConvexBody", extra: int):
-        c0 = body.c[0]
+    def __init__(self, alpha: TargetVector, bounds: tuple[Fraction, ...], extra: int):
+        c0 = bounds[0]
         terms = []  # (i, c, d, e) before the weight W = D*cd/q
-        for i, a in enumerate(body.alpha.alphas, start=1):
+        for i, a in enumerate(alpha.alphas, start=1):
             if extra:
                 a = a.refined(a.scale + extra)
-            ci = body.c[i]
+            ci = bounds[i]
             aex = a.exact()
             if aex is not None:
                 c, d, e, q = aex.numerator, -aex.denominator, 0, aex.denominator * ci.numerator

@@ -6,9 +6,11 @@ certified interval [ (man-err)/2^scale, (man+err)/2^scale ].  Comparisons
 either return a certified sign or report indecision; nothing here guesses.
 
 Values are built from decimal strings, rationals, or integer square roots,
-never from machine floats.  Constructors are kept on the value (``source``)
-so an indecisive comparison can be retried at a higher scale.  The Bohr-set
-specs built on them (TargetVector, BohrSpec) live here too, free of numpy.
+never from machine floats.  A constructed value keeps its constructor
+(``source``) so it can be re-realized at a higher scale; arithmetic returns
+plain intervals, and exact per-n values are scan.CoordScan's to give.  The
+Bohr-set specs built on them (TargetVector, BohrSpec) live here too, free of
+numpy.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class RealSpec:
 
 @dataclass(frozen=True)
 class FixedReal:
-    """Dyadic interval value: man*2^-scale with error err*2^-scale, err rational >= 0."""
+    """Dyadic interval value: man*2^-scale with error err*2^-scale, err rational >= 0.
+    source is the constructor that ``refined`` re-realizes; arithmetic keeps none."""
 
     man: int
     scale: int
@@ -139,52 +142,19 @@ class FixedReal:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _match(self, other: "FixedReal"):
-        if self.scale != other.scale:
-            raise ValidationError("mixed scales")
-
     def __neg__(self) -> "FixedReal":
-        src = None
-        if self.source is not None and self.source.exact() is not None:
-            src = RealSpec("rat", -self.source.exact())
-        return FixedReal(-self.man, self.scale, self.err, src)
+        return FixedReal(-self.man, self.scale, self.err)
 
     def __add__(self, other: "FixedReal") -> "FixedReal":
-        self._match(other)
-        src = None
-        a, b = self.exact(), other.exact()
-        if a is not None and b is not None:
-            src = RealSpec("rat", a + b)
-        return FixedReal(self.man + other.man, self.scale, self.err + other.err, src)
+        if self.scale != other.scale:
+            raise ValidationError("mixed scales")
+        return FixedReal(self.man + other.man, self.scale, self.err + other.err)
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
         return self + (-other)
 
     def mul_int(self, n: int) -> "FixedReal":
-        src = None
-        a = self.exact()
-        if a is not None:
-            src = RealSpec("rat", a * n)
-        return FixedReal(self.man * n, self.scale, self.err * abs(n), src)
-
-    def __mul__(self, other: "FixedReal") -> "FixedReal":
-        # |xy - round(MxMy/2^s)| <= 1/2 + (|Mx| Ey + |My| Ex + Ex Ey)/2^s ulp
-        self._match(other)
-        s = self.scale
-        man = _round_half_even(self.man * other.man, 1 << s)
-        err = Q(1, 2) + Q(abs(self.man) * other.err + abs(other.man) * self.err + self.err * other.err, 1 << s)
-        src = None
-        a, b = self.exact(), other.exact()
-        if a is not None and b is not None:
-            src = RealSpec("rat", a * b)
-        return FixedReal(man, s, err, src)
-
-    def abs_(self) -> "FixedReal":
-        src = None
-        a = self.exact()
-        if a is not None:
-            src = RealSpec("rat", abs(a))
-        return FixedReal(abs(self.man), self.scale, self.err, src)
+        return FixedReal(self.man * n, self.scale, self.err * abs(n))
 
     def refined(self, scale: int) -> "FixedReal":
         """Re-realize at a higher scale via the constructor, if one is known."""
@@ -266,44 +236,14 @@ def dist_nearest_int(x: FixedReal) -> FixedReal:
     """||x||: distance to the nearest integer, in [0, 1/2], ties give exactly 1/2.
 
     The fold r -> min(r, 1-r) is 1-Lipschitz, so the error bound carries over
-    unchanged.  An exact rational source folds exactly.
+    unchanged.
     """
     one = 1 << x.scale
     r = x.man % one
-    d = r if 2 * r <= one else one - r
-    src = None
-    ex = x.exact()
-    if ex is not None:
-        fr = ex - math.floor(ex)
-        src = RealSpec("rat", min(fr, 1 - fr))
-    return FixedReal(d, x.scale, x.err, src)
+    return FixedReal(r if 2 * r <= one else one - r, x.scale, x.err)
 
 
 # -- certified comparisons ---------------------------------------------
-
-
-def cmp_fixed(x: FixedReal, y) -> Optional[int]:
-    """Certified sign of x - y for y a FixedReal or Fraction.
-
-    Returns -1/0/+1 when certain (0 means proven equal), None when the
-    intervals overlap without an exactness fallback.
-    """
-    if isinstance(y, FixedReal):
-        ylo, yhi = y.bounds()
-        yex = y.exact()
-    else:
-        ylo = yhi = Fraction(y)
-        yex = ylo
-    xlo, xhi = x.bounds()
-    if xhi < ylo:
-        return -1
-    if xlo > yhi:
-        return 1
-    xex = x.exact()
-    if xex is not None and yex is not None:
-        d = xex - yex
-        return 0 if d == 0 else (1 if d > 0 else -1)
-    return None
 
 
 UNDECIDED = object()  # what a certify step returns while its comparison is open

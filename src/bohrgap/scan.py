@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .realfield import UNDECIDED, FixedReal, certify, cmp_fixed, cmp_pow, dist_nearest_int
+from .realfield import UNDECIDED, FixedReal, certify, cmp_pow, dist_nearest_int
 
 BLOCK = 1 << 16
 _SLICE = 1 << 13  # entries per kernel pass: the pass's arrays stay in cache
@@ -94,8 +94,20 @@ def _fold(r: Sequence[np.ndarray]) -> None:
         np.copyto(w, neg, where=top_is_high)
 
 
+def le(lo: Fraction, hi: Fraction, thr: Fraction):
+    """Whether a value bracketed by [lo, hi] is <= thr: True, False, or
+    UNDECIDED while the bracket straddles thr."""
+    if hi <= thr:
+        return True
+    return False if lo > thr else UNDECIDED
+
+
 class CoordScan:
-    """Exact block scanner for one coordinate (alpha, gamma) at a fixed scale."""
+    """Exact block scanner for one coordinate (alpha, gamma) at a fixed scale.
+
+    Every per-n question about n*alpha - gamma goes through ``exact`` (its
+    value in Q), ``bracket`` (a certified interval, a point when exact) and ``le``.
+    """
 
     def __init__(self, alpha: FixedReal, gamma: Optional[FixedReal] = None, g_sign: int = 1):
         self.alpha = alpha
@@ -111,21 +123,21 @@ class CoordScan:
         self.nwords = s // 64
         one = 1 << s
         ma = alpha.man % one
-        self._int = alpha.man >> s  # alpha's mantissa is _int*2^s + ma
         mg = ((self.g_sign * gamma.man) % one) if gamma is not None else 0
         self._a = [np.uint64(x) for x in _limbs(ma, self.nlimbs)]
         self._g = [np.uint64(x) for x in _limbs((-mg) % one, self.nlimbs)]
         self._err_a = alpha.err
         self._err_g = gamma.err if gamma is not None else Q(0)
-        # exactly rational alpha and gamma: n*alpha - g_sign*gamma = (n*p - r)/q,
-        # stored as (p mod q, r mod q, q)
-        aex = alpha.exact()
+        # alpha and g_sign*gamma as Fractions where exactly rational, else None
+        self._alpha_q = alpha.exact()
         gex = gamma.exact() if gamma is not None else Q(0)
+        self._gamma_q = None if gex is None else self.g_sign * gex
+        # both rational: n*alpha - g_sign*gamma = (n*p - r)/q, stored as (p mod q, r mod q, q)
         self._pr_q = None
-        if aex is not None and gex is not None:
-            ad, gd = aex.denominator, gex.denominator
-            q = ad * gd
-            self._pr_q = (aex.numerator * gd % q, self.g_sign * gex.numerator * ad % q, q)
+        if self._alpha_q is not None and self._gamma_q is not None:
+            a, g = self._alpha_q, self._gamma_q
+            q = a.denominator * g.denominator
+            self._pr_q = (a.numerator * g.denominator % q, g.numerator * a.denominator % q, q)
 
     def flipped(self) -> "CoordScan":
         """Scanner for ||n*alpha + gamma||, used for negative n."""
@@ -174,30 +186,41 @@ class CoordScan:
         if extra_bits:
             a = a.refined(a.scale + extra_bits)
             g = g.refined(g.scale + extra_bits) if g is not None else None
-        if g is None:
-            return a.mul_int(n)
-        return a.mul_int(n) - (g if self.g_sign > 0 else g.mul_int(-1))  # negate after refinement so sources survive
+        return a.mul_int(n) if g is None else a.mul_int(n) - g.mul_int(self.g_sign)
 
     def dist_fixed(self, n: int, extra_bits: int = 0) -> FixedReal:
         return dist_nearest_int(self.unfolded(n, extra_bits))
+
+    def exact(self, n: int) -> Optional[Fraction]:
+        """n*alpha - g_sign*gamma in Q, or None when it is not exactly rational.
+        At n = 0 only gamma needs to be: the distance there is ||gamma||."""
+        if self._gamma_q is None or (n and self._alpha_q is None):
+            return None
+        return (n * self._alpha_q if n else 0) - self._gamma_q
+
+    def bracket(self, n: int, extra: int = 0, fold: bool = True) -> tuple[Fraction, Fraction]:
+        """Certified (lo, hi) around ||n*alpha - gamma||, or around n*alpha - gamma
+        when not fold: lo == hi when exact, else an interval extra bits deeper."""
+        x = self.exact(n)
+        if x is None:
+            return (self.dist_fixed(n, extra) if fold else self.unfolded(n, extra)).bounds()
+        if fold:
+            x -= math.floor(x)
+            x = min(x, 1 - x)
+        return x, x
 
     def dist_le(self, n: int, thr: Fraction, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
         """Certified ||n*alpha - gamma|| <= thr for a rational thr.
 
         Exactly rational alpha and gamma take one integer cross-multiplication,
-        the answer the ladder reaches at depth 0.  Otherwise the distance is
+        the answer the bracket gives at depth 0.  Otherwise the bracket is
         refined until it clears thr; an undecidable case raises
         PrecisionExhausted naming ``at`` (default n) and ``coord``.
         """
         if self._pr_q is not None:
             return self._residue_le(n, thr)
-
-        def step(extra):
-            c = cmp_fixed(self.dist_fixed(n, extra), thr)
-            return UNDECIDED if c is None else c <= 0
-
         at = n if at is None else at
-        return certify(step, "membership undecidable at n={n}", n=at, coord=coord)
+        return certify(lambda extra: le(*self.bracket(n, extra), thr), "membership undecidable at n={n}", n=at, coord=coord)
 
     def _residue_le(self, n, thr: Fraction):
         """min(x, q - x)*den <= num*q for x = (n*p - r) mod q, i.e. ||n*alpha - gamma|| <= thr.
@@ -226,15 +249,13 @@ class CoordScan:
     def dist_cmp_pow(self, n: int, base: int, t, sign: int, msg: str) -> int:
         """Certified sign of ||n*alpha - gamma|| - base^(sign*sqrt(t)).
 
-        An exactly known distance is compared as a point, otherwise its
-        interval; an interval that straddles the threshold is retried deeper,
-        and msg (formatted with n) names the case when every depth stays open.
+        The distance's bracket is compared (a point when exact); one that
+        straddles the threshold is retried deeper, and msg (formatted with n)
+        names the case when every depth stays open.
         """
 
         def step(extra):
-            d = self.dist_fixed(n, extra)
-            ex = d.exact()
-            c = cmp_pow(*((ex, ex) if ex is not None else d.bounds()), base, t, sign)
+            c = cmp_pow(*self.bracket(n, extra), base, t, sign)
             return UNDECIDED if c is None else c
 
         return certify(step, msg, n=n)
@@ -259,15 +280,11 @@ class CoordScan:
         """
 
         def step(extra):
-            d = self.dist_fixed(n, extra)
-            if extra == 0:
-                ex = d.exact()
-                return UNDECIDED if ex is None else float(ex)
-            lo, hi = d.bounds()
-            return float((lo + hi) / 2) if lo > 0 else UNDECIDED
+            lo, hi = self.bracket(n, extra)
+            return float((lo + hi) / 2) if lo == hi or (extra and lo > 0) else UNDECIDED
 
         v = certify(step, msg, n=n)
-        if v == 0.0 and self.dist_fixed(n).exact() != 0:
+        if v == 0.0 and self.bracket(n) != (0, 0):
             raise ValidationError(f"distance at n={n} is nonzero but below the float range")
         return v
 

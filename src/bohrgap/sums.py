@@ -417,11 +417,9 @@ def _cell_exact(coord: CoordScan, n: int) -> Optional[int]:
     """Certified cell index for one coordinate; None marks a true zero."""
 
     def step(extra):
-        d = coord.dist_fixed(n, extra)
-        ex = d.exact()
-        if ex is not None:
-            return None if ex == 0 else _cell_of_fraction(ex)
-        lo, hi = d.bounds()
+        lo, hi = coord.bracket(n, extra)
+        if hi == 0:
+            return None
         if lo <= 0:
             return UNDECIDED
         ilo, ihi = _cell_of_fraction(hi), _cell_of_fraction(lo)

@@ -60,6 +60,16 @@ ALPHA_SQRT2 = TargetVector.parse(["sqrt:2"])
 ALPHA_23 = TargetVector.parse(["sqrt:2", "sqrt:3"])
 
 
+def test_certify_vector_against_mpmath_and_an_exact_zero():
+    # sqrt(2) + sqrt(3) is irrational, so its distance comes from intervals
+    with mpmath.workdps(50):
+        x = mpmath.sqrt(2) + mpmath.sqrt(3)
+        want = float(-mpmath.log(abs(x - mpmath.nint(x))))
+    assert math.isclose(exponents._certify_vector(ALPHA_23, (1, 1)), want, rel_tol=1e-12)
+    # 2*sqrt(2) - sqrt(8) is exactly 0: no interval can show it, the kernels do
+    assert exponents._certify_vector(TargetVector.parse(["sqrt:2", "sqrt:8"]), (2, -1)) is None
+
+
 def test_mult_d1_matches_cf_oracle():
     want, want_arg = cf_oracle_value(10**4)
     est = mult_exponent_est(ALPHA_SQRT2, None, 10**4)

@@ -213,3 +213,22 @@ def test_walks_leave_no_cycles():
         if enabled:
             gc.enable()
     assert left == [0, 0]
+
+
+def test_fresh_bodies_leave_no_cycles():
+    # the reduced basis cached on a body must not refer back to the body:
+    # with the collector paused, minima searches on fresh bodies leave
+    # nothing for it to collect
+    spec = BohrSpec.build(["sqrt:21"], None, 10**5, ["1/10"])
+    successive_minima(build_body(spec))  # warm-up
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            successive_minima(build_body(spec))
+        left = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert left == 0

@@ -785,6 +785,26 @@ def test_enumeration_matches_pool_where_bases_differ_from_minima():
         assert_matches_pool(body_of(alphas, N, deltas))
 
 
+def test_basis_completion_searches_past_the_minima(monkeypatch):
+    # the fourth minimum does not extend the first three rows, so the last
+    # basis vector comes from the extension search, not from the minima
+    body = body_of(["rat:14/39", "sqrt:6", "rat:19/50"], 50, ["1/2", "1/2", "1/10"])
+    calls = []
+    monkeypatch.setattr(minima, "_smallest", lambda *a: calls.append(a) or _smallest(*a))
+    res = successive_minima(body)
+    assert len(calls) == 5  # four minima, one completion
+    assert res.minima_vectors == [(13, 5, 32, 5), (37, 13, 91, 14), (16, 6, 39, 6), (34, 12, 83, 13)]
+    assert res.basis == [(13, 5, 32, 5), (37, 13, 91, 14), (16, 6, 39, 6), (8, 3, 20, 3)]
+    assert [x.decimal(6) for x in res.lambdas[2:]] == ["8.458970", "8.458970"]
+    assert res.basis_gauges[-1].decimal(6) == "8.545295"
+    rows, last = res.basis[:3], res.basis_m[-1]
+    ech = echelon(rows)
+    pool = pool_ball(body, Q(last.khi, body.frame().den))
+    pool.sort(key=lambda g: (g.klo, g.vec))
+    want = _pool_pick(body, pool, lambda g: independent(ech, g.vec) and extendable(rows + [g.vec], 4))
+    assert _keys([last]) == _keys([want])
+
+
 @pytest.mark.parametrize("alphas,N,deltas", [
     (["rat:2/7"], 500, ["0.1"]),
     (["rat:1/2"], 3000, ["0.5"]),

@@ -24,7 +24,6 @@ from bohrgap.realfield import (
     RealSpec,
     ceil_pow_sqrt,
     certify,
-    cmp_fixed,
     cmp_pow,
     dist_nearest_int,
     fr_from_fraction,
@@ -33,7 +32,7 @@ from bohrgap.realfield import (
     fr_sqrt_int,
     sqrt_fraction,
 )
-from bohrgap.scan import CoordScan, ThresholdSpec, members_in_range
+from bohrgap.scan import CoordScan, ThresholdSpec, le, members_in_range
 
 Q = Fraction
 
@@ -108,33 +107,30 @@ def test_norm_form_error_budget():
 
 def test_dist_ties_at_half():
     for q in (Q(1, 2), Q(3, 2), Q(-1, 2), Q(-7, 2)):
-        d = dist_nearest_int(fr_from_fraction(q, 128))
-        assert d.exact() == Q(1, 2)
+        assert CoordScan(fr_from_fraction(q, 128)).bracket(1) == (Q(1, 2), Q(1, 2))
 
 
 def test_dist_zero_on_integers():
     for n in (-3, 0, 5):
-        d = dist_nearest_int(fr_from_int(n, 128))
-        assert d.exact() == 0
+        assert CoordScan(fr_from_int(n, 128)).bracket(1) == (0, 0)
 
 
 @given(st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 @settings(max_examples=200, deadline=None)
 def test_dist_matches_fraction_oracle(num, den):
     q = Q(num, den)
-    d = dist_nearest_int(fr_from_fraction(q, 128))
     frac = q - math.floor(q)
     oracle = min(frac, 1 - frac)
-    assert d.exact() == oracle
+    assert CoordScan(fr_from_fraction(q, 128)).bracket(1) == (oracle, oracle)
 
 
 @given(st.integers(-(10**6), 10**6), st.integers(1, 10**6))
 @settings(max_examples=100, deadline=None)
 def test_dist_symmetry(num, den):
     q = Q(num, den)
-    a = dist_nearest_int(fr_from_fraction(q, 128))
-    b = dist_nearest_int(fr_from_fraction(-q, 128))
-    assert a.exact() == b.exact()
+    a = CoordScan(fr_from_fraction(q, 128)).bracket(1)
+    b = CoordScan(fr_from_fraction(-q, 128)).bracket(1)
+    assert a == b
 
 
 def test_norm_form_periodicity_dyadic():
@@ -155,13 +151,13 @@ def test_error_soundness_under_refinement():
     assert lo1 <= lo2 and hi2 <= hi1 + Q(1, 1 << 150)
 
 
-def test_cmp_fixed_decisive_and_equal():
+def test_le_decisive_and_equal():
     x = fr_sqrt_int(2, 128)
     y = RealSpec.parse("dec:1.4142135").realize(128)
-    assert cmp_fixed(x, y) == 1
+    assert le(*x.bounds(), y.exact()) is False
     z = RealSpec.parse("dec:0.25").realize(128)
     w = fr_from_fraction(Q(1, 4), 128)
-    assert cmp_fixed(z, w) == 0
+    assert le(*z.bounds(), w.exact()) is True
 
 
 def test_precision_exhausted_without_source():
@@ -176,13 +172,6 @@ def test_mul_int_and_add_err_propagation():
     assert b.err == 10 * a.err
     c = b + b
     assert c.err == 2 * b.err
-
-
-def test_mul_fixedreal_interval_sound():
-    a = fr_sqrt_int(2, 128)
-    p = a * a
-    lo, hi = p.bounds()
-    assert lo <= 2 <= hi
 
 
 def test_realspec_parse_roundtrip():
@@ -368,8 +357,7 @@ def test_certify_lets_refinement_errors_through():
     x = FixedReal(1 << 127, 128, Q(2), None)  # no constructor to refine from
 
     def step(extra):
-        c = cmp_fixed(x.refined(x.scale + extra), Q(1, 2))
-        return UNDECIDED if c is None else c
+        return le(*x.refined(x.scale + extra).bounds(), Q(1, 2))
 
     with pytest.raises(PrecisionExhausted, match="no constructor available"):
         certify(step, "{}", _NoFormat())
@@ -379,6 +367,29 @@ def test_precision_ladder_lives_only_in_realfield():
     src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
     holders = sorted(p.name for p in src.glob("*.py") if "(0, 64, 192)" in p.read_text())
     assert holders == ["realfield.py"]
+
+
+def test_per_n_exactness_lives_only_in_scan():
+    # CoordScan alone turns n*alpha - gamma into an exact value or a bracket;
+    # FixedReal is a plain interval that keeps only its constructor
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    trees = {p.name: ast.parse(p.read_text()) for p in src.glob("*.py")}
+    callers = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("unfolded", "dist_fixed")
+    )
+    assert set(callers) == {"scan.py"}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"cmp_fixed", "abs_"}
+    (fixed,) = [node for node in ast.walk(trees["realfield.py"]) if isinstance(node, ast.ClassDef) and node.name == "FixedReal"]
+    assert "__mul__" not in {node.name for node in fixed.body if isinstance(node, ast.FunctionDef)}
+    assert not [
+        node for node in ast.walk(fixed) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RealSpec"
+    ]
 
 
 def test_limb_carry_lives_in_one_function():
@@ -570,7 +581,7 @@ def test_exact_callback_escalates_at_scale_64(monkeypatch):
     for text in (f"0.{digits:025d}", f"0.{digits + 1:025d}"):  # just below, just above
         assert abs(Q(text) - dist) < Q(1, 1 << 70)
         spec = ThresholdSpec.for_fraction(coord, Q(text), n0)
-        assert cmp_fixed(dist_fixed(coord, n0), Q(text)) is None  # depth 0 cannot decide
+        assert le(*dist_fixed(coord, n0).bounds(), Q(text)) is UNDECIDED  # depth 0 cannot decide
         depths.clear()
         assert spec.exact(n0) == _oracle_le(n0, Q(text))
         assert max(depths) > 0

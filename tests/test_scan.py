@@ -16,16 +16,14 @@ from bohrgap.bohr import BohrSpec, enumerate_bohr
 from bohrgap.errors import BudgetExceeded, PrecisionExhausted, ValidationError
 from bohrgap.exponents import TargetVector, simult_exponent_est
 from bohrgap.realfield import (
-    UNDECIDED,
     FixedReal,
     RealSpec,
     certify,
-    cmp_fixed,
     dist_nearest_int,
     fr_from_fraction,
     fr_sqrt_int,
 )
-from bohrgap.scan import _SLICE, BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, members_in_range
+from bohrgap.scan import _SLICE, BLOCK, CoordScan, ThresholdSpec, _words_le, blocks, first_in_range, le, members_in_range
 
 Q = Fraction
 
@@ -87,12 +85,14 @@ def test_dist_floats_close_to_exact():
 
 
 def brute_members(alpha, gamma, thr, lo, hi):
+    aex, gex = alpha.exact(), Q(0) if gamma is None else gamma.exact()
     out = []
     for n in range(lo, hi + 1):
         v = alpha.mul_int(n)
         d = dist_nearest_int(v if gamma is None else v - gamma)
-        ex = d.exact()
-        if ex is not None:
+        if gex is not None and (aex is not None or n == 0):
+            x = (n * aex if n else 0) - gex
+            ex = min(x - math.floor(x), math.ceil(x) - x)
             if ex <= thr:
                 out.append(n)
         else:
@@ -245,12 +245,7 @@ def test_flipped_handles_negative_axis():
 
 def _ladder_le(sc, n, thr):
     """dist_le's certified ladder, without the rational cross-multiplication."""
-
-    def step(extra):
-        c = cmp_fixed(sc.dist_fixed(n, extra), thr)
-        return UNDECIDED if c is None else c <= 0
-
-    return certify(step, "undecided at {}", n)
+    return certify(lambda extra: le(*sc.bracket(n, extra), thr), "undecided at {}", n)
 
 
 @pytest.mark.parametrize("alpha_spec,gamma_spec", [

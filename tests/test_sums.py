@@ -21,6 +21,7 @@ from bohrgap.realfield import RealSpec
 from bohrgap.scan import BLOCK, CoordScan, blocks
 from bohrgap.sums import (
     _REL_BAND,
+    _cell_exact,
     ApproxFunction,
     ExactSum,
     _err_bound,
@@ -238,6 +239,17 @@ def test_dyadic_exact_binning_oracle():
             i += 1
         cells[(i,)] = cells.get((i,), 0) + 1
     assert dt.cells == cells and dt.zero_excluded == zero
+
+
+def test_cell_of_an_irrational_distance_matches_mpmath():
+    # sqrt(2) has no exact distance, so each cell comes from the interval
+    # bracket; n = 985 and 5741 are convergent denominators, with cells 11 and 13
+    coord = CoordScan(RealSpec.parse("sqrt:2").realize(128))
+    for n in (1, 2, 5, 12, 29, 70, 985, 5741, 10**6 + 3):
+        d = mp_dist(n * mpmath.sqrt(2))
+        want = int(mpmath.floor(-mpmath.log(d, 2)))
+        assert mpmath.mpf(2) ** -(want + 1) < d <= mpmath.mpf(2) ** -want
+        assert _cell_exact(coord, n) == want, n
 
 
 def test_dyadic_cells_match_an_integer_oracle_across_blocks():
