@@ -12,6 +12,7 @@ at the stated horizon; transference checks are advisory flags, never asserts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .realfield import UNDECIDED, FixedReal, TargetVector, certify, dist_nearest_int, fr_from_int
+from .realfield import UNDECIDED, FixedReal, TargetVector, certify, dist_nearest_int, exact_form, fr_from_int
 from .scan import CoordScan, blocks
 
 Q = Fraction
@@ -38,77 +39,21 @@ class ExponentEstimate:
     per_x: Optional[dict] = None  # uniform estimator: X -> normalized value
 
 
-def _gammas_or_zero(alpha: TargetVector, gamma) -> list[FixedReal]:
-    if gamma is None:
-        return [fr_from_int(0, alpha.scale) for _ in alpha.alphas]
-    gs = list(gamma)
+def _checked_gammas(alpha: TargetVector, gamma) -> list[Optional[FixedReal]]:
+    """gamma as a list, one entry per alpha entry; all None for a homogeneous target."""
+    gs = [None] * alpha.d if gamma is None else list(gamma)
     if len(gs) != alpha.d:
         raise ValidationError("gamma length must match alpha")
-    for g in gs:
-        if g.scale != alpha.scale:
-            raise ValidationError("gamma scale mismatch")
+    if any(g is not None and g.scale != alpha.scale for g in gs):
+        raise ValidationError("gamma scale mismatch")
     return gs
-
-
-def _sqfree(m: int) -> tuple[int, int]:
-    """Write m = s^2 * m0 with m0 squarefree.  Exact for m <= 10^12."""
-    if m <= 0:
-        raise ValidationError("square root payloads must be positive here")
-    if m > 10**12:
-        raise ValidationError("cannot certify squarefree part above 10^12")
-    s, m0 = 1, 1
-    r = m
-    for p in range(2, 10**4 + 1):
-        if p * p > r:
-            break
-        while r % (p * p) == 0:
-            r //= p * p
-            s *= p
-        if r % p == 0:
-            r //= p
-            m0 *= p
-    # remainder r has no prime factor <= 10^4, so r < 10^12 is either 1, a
-    # prime, a product of two primes (both squarefree) or a perfect square
-    t = math.isqrt(r)
-    if t * t == r:
-        s *= t
-    else:
-        m0 *= r
-    return s, m0
-
-
-def _integer_combination(alpha: TargetVector, vec: Sequence[int]) -> Optional[tuple[Fraction, dict[int, int]]]:
-    """sum_j vec_j * alpha_j as (rational part, {squarefree m0: coefficient of sqrt(m0)}).
-
-    Reasons through the construction sources: rationals accumulate exactly and
-    sqrt:m entries reduce to s*sqrt(m0).  Distinct squarefree kernels are
-    linearly independent over Q, so the sum is rational exactly when every
-    kernel coefficient is 0.  Returns None when an entry carries no source to
-    reason from.
-    """
-    rational = Q(0)
-    kernels: dict[int, int] = {}
-    for c, a in zip(vec, alpha.alphas):
-        c = int(c)
-        if c == 0:
-            continue
-        ex = a.exact()
-        if ex is not None:
-            rational += c * ex
-            continue
-        src = a.source
-        if src is None or src.kind != "sqrt":
-            return None
-        s, m0 = _sqfree(int(src.payload))
-        kernels[m0] = kernels.get(m0, 0) + c * s
-    return rational, kernels
 
 
 def _certify_vector(alpha: TargetVector, vec: tuple) -> Optional[float]:
     """-log||sum_j vec_j alpha_j|| if provably nonzero, None if exactly integer."""
-    parts = _integer_combination(alpha, vec)
-    if parts is not None and not any(parts[1].values()):
-        frac = parts[0] - math.floor(parts[0])
+    form = exact_form(zip(vec, alpha.alphas))
+    if form is not None and not form[1]:
+        frac = form[0] - math.floor(form[0])
         return None if frac == 0 else -math.log(float(min(frac, 1 - frac)))
 
     def step(extra):
@@ -181,7 +126,7 @@ class _RunningMax:
 
 def _scan(alpha: TargetVector, gamma, runs: list[_RunningMax]) -> list[_RunningMax]:
     """Feed every run from one distance pass over the union of their ranges."""
-    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _gammas_or_zero(alpha, gamma))]
+    coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _checked_gammas(alpha, gamma))]
     for ns in blocks(min(r.lo for r in runs), max(r.cuts[-1] for r in runs)):
         dists = [c.dist_floats(ns) for c in coords]
         for r in runs:
@@ -230,22 +175,11 @@ def dual_exponent_est(alpha: TargetVector, h_max: int = 2000) -> ExponentEstimat
     best = -math.inf
     best_vec = None
 
-    def outer_vectors():
-        if d == 1:
-            yield ()
-            return
-        rng = range(-h_max, h_max + 1)
-        if d == 2:
-            for n1 in range(0, h_max + 1):  # (n1,..) ~ -(n1,..) symmetry
-                yield (n1,)
-        else:
-            for n1 in range(0, h_max + 1):
-                for n2 in rng:
-                    yield (n1, n2)
-
+    # n1 >= 0 by the symmetry (n1, ..) ~ -(n1, ..); the empty head at d = 1
+    ranges = [range(h_max + 1)] + [range(-h_max, h_max + 1)] * (d - 2)
     last = alpha.alphas[-1]
     zero = fr_from_int(0, alpha.scale)
-    for head in outer_vectors():
+    for head in itertools.product(*ranges[: d - 1]):
         base = zero
         for c, a in zip(head, alpha.alphas):
             base = base + a.mul_int(c)

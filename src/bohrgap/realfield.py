@@ -8,7 +8,9 @@ either return a certified sign or report indecision; nothing here guesses.
 Values are built from decimal strings, rationals, or integer square roots,
 never from machine floats.  A constructed value keeps its constructor
 (``source``) so it can be re-realized at a higher scale; arithmetic returns
-plain intervals, and exact per-n values are scan.CoordScan's to give.  The
+plain intervals.  exact_form alone reads the sources of a combination of
+constructed values and decides its exact value in a multiquadratic field;
+exact per-n values are scan.CoordScan's to give from it.  The
 Bohr-set specs built on them (TargetVector, BohrSpec) live here too, free of
 numpy.
 """
@@ -241,6 +243,36 @@ def dist_nearest_int(x: FixedReal) -> FixedReal:
     one = 1 << x.scale
     r = x.man % one
     return FixedReal(r if 2 * r <= one else one - r, x.scale, x.err)
+
+
+# -- exact values of constructor combinations --------------------------
+
+
+def exact_form(terms) -> Optional[tuple[Fraction, dict[int, Fraction]]]:
+    """sum c*x over (integer c, x) pairs as (rational part, {kernel b: nonzero coefficient of sqrt(b)}).
+
+    Each sqrt:m joins the first kernel b with m*b a perfect square, since then
+    sqrt(m) = isqrt(m*b)/b * sqrt(b).  Square roots of non-squares no two of
+    which have a square product are linearly independent over Q (Besicovitch),
+    so the sum is rational exactly when no kernel is left.  None when some x
+    with c != 0 has no rat:, dec: or sqrt: source.  The rational part
+    accumulates on ints and is reduced once, since a scanner forms it per build.
+    """
+    num, den, kernels = 0, 1, {}
+    for c, x in terms:
+        if not c:
+            continue
+        v = x.exact()
+        if v is not None:
+            num, den = num * v.denominator + c * v.numerator * den, den * v.denominator
+            continue
+        if x.source is None:
+            return None
+        m = x.source.payload
+        b = next((b for b in kernels if math.isqrt(m * b) ** 2 == m * b), m)
+        k = Q(c * math.isqrt(m * b), b)
+        kernels[b] = kernels[b] + k if b in kernels else k
+    return Q(num, den), {b: k for b, k in kernels.items() if k}
 
 
 # -- certified comparisons ---------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ValidationError
-from .realfield import UNDECIDED, FixedReal, certify, cmp_pow, dist_nearest_int
+from .realfield import UNDECIDED, FixedReal, certify, cmp_pow, dist_nearest_int, exact_form
 
 BLOCK = 1 << 16
 _SLICE = 1 << 13  # entries per kernel pass: the pass's arrays stay in cache
@@ -128,16 +128,22 @@ class CoordScan:
         self._g = [np.uint64(x) for x in _limbs((-mg) % one, self.nlimbs)]
         self._err_a = alpha.err
         self._err_g = gamma.err if gamma is not None else Q(0)
-        # alpha and g_sign*gamma as Fractions where exactly rational, else None
-        self._alpha_q = alpha.exact()
-        gex = gamma.exact() if gamma is not None else Q(0)
-        self._gamma_q = None if gex is None else self.g_sign * gex
-        # both rational: n*alpha - g_sign*gamma = (n*p - r)/q, stored as (p mod q, r mod q, q)
-        self._pr_q = None
-        if self._alpha_q is not None and self._gamma_q is not None:
-            a, g = self._alpha_q, self._gamma_q
+        # n*alpha - g_sign*gamma = (n - 1)*alpha + (alpha - g_sign*gamma) is rational
+        # at every n when both forms have no kernel (_rat), else at most at the one
+        # n0 where a surd alpha's kernel cancels, with value x0 there
+        fd = exact_form([(1, alpha)] if gamma is None else [(1, alpha), (-self.g_sign, gamma)])
+        fa = exact_form([(1, alpha)]) if fd is not None and gamma is not None else fd
+        self._rat = self._n0 = self._x0 = self._pr_q = None
+        if fd is not None and not fa[1] and not fd[1]:
+            # alpha and g_sign*gamma; n*alpha - g_sign*gamma = (n*p - r)/q, stored as (p mod q, r mod q, q)
+            a, g = self._rat = (fa[0], fa[0] - fd[0])
             q = a.denominator * g.denominator
             self._pr_q = (a.numerator * g.denominator % q, g.numerator * a.denominator % q, q)
+        elif fd is not None and fa[1]:
+            (m,) = fa[1]  # alpha = sqrt(m): the surd part at n is (n - 1 + k)*sqrt(m) plus fd's other kernels
+            k = fd[1].get(m, 0)
+            if set(fd[1]) <= {m} and k.denominator == 1:
+                self._n0, self._x0 = 1 - int(k), fd[0]
 
     def flipped(self) -> "CoordScan":
         """Scanner for ||n*alpha + gamma||, used for negative n."""
@@ -193,10 +199,11 @@ class CoordScan:
 
     def exact(self, n: int) -> Optional[Fraction]:
         """n*alpha - g_sign*gamma in Q, or None when it is not exactly rational.
-        At n = 0 only gamma needs to be: the distance there is ||gamma||."""
-        if self._gamma_q is None or (n and self._alpha_q is None):
-            return None
-        return (n * self._alpha_q if n else 0) - self._gamma_q
+        A surd alpha has at most one such n: n = 0 for a rational gamma, and the
+        n where a surd gamma cancels n*alpha (sqrt(8) at n = 2 for sqrt(2))."""
+        if self._rat is not None:
+            return n * self._rat[0] - self._rat[1]
+        return self._x0 if n == self._n0 else None
 
     def bracket(self, n: int, extra: int = 0, fold: bool = True) -> tuple[Fraction, Fraction]:
         """Certified (lo, hi) around ||n*alpha - gamma||, or around n*alpha - gamma
@@ -212,13 +219,10 @@ class CoordScan:
     def dist_le(self, n: int, thr: Fraction, *, at: Optional[int] = None, coord: Optional[int] = None) -> bool:
         """Certified ||n*alpha - gamma|| <= thr for a rational thr.
 
-        Exactly rational alpha and gamma take one integer cross-multiplication,
-        the answer the bracket gives at depth 0.  Otherwise the bracket is
-        refined until it clears thr; an undecidable case raises
-        PrecisionExhausted naming ``at`` (default n) and ``coord``.
+        An exact distance decides at depth 0; otherwise the bracket is refined
+        until it clears thr, and an undecidable case raises PrecisionExhausted
+        naming ``at`` (default n) and ``coord``.
         """
-        if self._pr_q is not None:
-            return self._residue_le(n, thr)
         at = n if at is None else at
         return certify(lambda extra: le(*self.bracket(n, extra), thr), "membership undecidable at n={n}", n=at, coord=coord)
 

@@ -731,6 +731,38 @@ def test_an_irrational_width_exits_2_without_a_traceback():
     assert bohrgap_process(*line.split()) == (2, "", "validation error: width 'sqrt:2' is not rational\n")
 
 
+_SURD_TIE = "--k 2 --alpha sqrt:2 --gamma sqrt:8"  # ||2*sqrt(2) - sqrt(8)|| = 0 exactly
+_SURD_ZERO = "validation error: exact zero distance at n=2 inside the summation range"
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        (f"sums t {_SURD_TIE} --N 10 --no-restrict", 2),
+        (f"sums dyadic {_SURD_TIE} --N 100 --delta 1 --no-restrict", 2),
+        (f"bohr lift {_SURD_TIE} --N 100 --delta 1 --n 2", 0),
+        ("exponents --alpha sqrt:2 --gamma sqrt:8 --n-max 1000 --h-max 10 --x-list 100", 0),
+        # m above 10^12: 2*sqrt(m) - sqrt(4*m) = 0 found by a square test, not by factoring
+        ("exponents --alpha sqrt:1000000000039 --alpha sqrt:4000000000156 --n-max 100 --h-max 10 --x-list 10", 0),
+    ],
+    ids=["sums-t", "sums-dyadic", "bohr-lift", "exponents", "exponents-dual-big-m"],
+)
+def test_a_surd_zero_is_decided_exactly(line, code):
+    # the surd parts cancel at n = 2 (or at the dual vector (2, -1)): an exact
+    # zero, not an exhausted ladder
+    got, out, err = bohrgap_process(*line.split())
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err.startswith(_SURD_ZERO)
+    elif line.startswith("bohr"):
+        assert payload_of(out) == {"lifts": [[2, -1], [2, 0], [2, 1]], "member": True, "n": 2}
+    elif "--gamma" in line:
+        d = payload_of(out)
+        assert [d[k]["infinite_witness"] for k in ("omega_lower", "omega_times_lower", "omega_hat_lower")] == [2, 2, 2]
+    else:
+        assert payload_of(out)["omega_star_lower"]["infinite_witness"] == [2, -1]
+
+
 def test_a_process_writes_and_replays_what_main_writes(tmp_path):
     got = bohrgap_process(*ENTRY_LINE.split(), "--out", str(tmp_path / "process"))
     assert got[0] == 0 and got == in_process([*ENTRY_LINE.split(), "--out", str(tmp_path / "main")])

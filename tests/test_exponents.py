@@ -68,6 +68,9 @@ def test_certify_vector_against_mpmath_and_an_exact_zero():
     assert math.isclose(exponents._certify_vector(ALPHA_23, (1, 1)), want, rel_tol=1e-12)
     # 2*sqrt(2) - sqrt(8) is exactly 0: no interval can show it, the kernels do
     assert exponents._certify_vector(TargetVector.parse(["sqrt:2", "sqrt:8"]), (2, -1)) is None
+    # m above 10^12 needs no factoring: (10^6 + 3)*sqrt(2) - sqrt(2*(10^6 + 3)^2) = 0
+    p = 10**6 + 3
+    assert exponents._certify_vector(TargetVector.parse(["sqrt:2", f"sqrt:{2 * p * p}"]), (p, -1)) is None
 
 
 def test_mult_d1_matches_cf_oracle():
@@ -148,6 +151,29 @@ def test_dual_pair_matches_slow_oracle():
     est = dual_exponent_est(ALPHA_23, h)
     assert est.argmax == arg or est.argmax == tuple(-c for c in arg)
     assert abs(est.value - want) < 1e-9
+
+
+def test_dual_triple_matches_slow_oracle_in_scan_order():
+    # d = 3: heads (n1, n2) with n1 in 0..h, n2 in -h..h, then the last
+    # coefficient 0..h and -1..-h; the first vector reaching the max wins
+    h = 6
+    with mpmath.workdps(50):
+        roots = [mpmath.sqrt(m) for m in (2, 3, 5)]
+        best, arg = -1, None
+        for a in range(h + 1):
+            for b in range(-h, h + 1):
+                for c in [*range(h + 1), *range(-1, -h - 1, -1)]:
+                    if (a, b, c) == (0, 0, 0) or (a, b, c < 0) == (0, 0, True):
+                        continue
+                    x = a * roots[0] + b * roots[1] + c * roots[2]
+                    v = -mpmath.log(abs(x - mpmath.nint(x)))
+                    if v > best:
+                        best, arg = v, (a, b, c)
+        want = float(best / mpmath.log(h))
+    est = dual_exponent_est(TargetVector.parse(["sqrt:2", "sqrt:3", "sqrt:5"]), h)
+    assert est.argmax == arg and abs(est.value - want) < 1e-9
+    # (n1 + 2*n3)*sqrt(2) + n2*sqrt(3) = 0 first at (2, 0, -1) in that order
+    assert dual_exponent_est(TargetVector.parse(["sqrt:2", "sqrt:3", "sqrt:8"]), 4).infinite_witness == (2, 0, -1)
 
 
 def test_infinite_witness_rational():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from bohrgap.realfield import (
     certify,
     cmp_pow,
     dist_nearest_int,
+    exact_form,
     fr_from_fraction,
     fr_from_int,
     fr_root_rational,
@@ -392,6 +394,18 @@ def test_per_n_exactness_lives_only_in_scan():
     ]
 
 
+def test_only_realfield_reads_a_constructor_source():
+    # exact_form decides every combination of constructed values; no other
+    # module reasons from a FixedReal's constructor
+    src = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
+    readers = sorted(
+        p.name
+        for p in src.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "source" for node in ast.walk(ast.parse(p.read_text())))
+    )
+    assert readers == ["realfield.py"]
+
+
 def test_limb_carry_lives_in_one_function():
     # one limb kernel: every scan, fold and lift goes through the one
     # function that propagates the 32-bit carry (x >> _SH32, or in place
@@ -597,3 +611,50 @@ def test_widened_band_routes_most_n_through_exact_path():
     got = members_in_range([coord], [wide], 1, N)
     assert len(calls) > N // 2
     assert got.tolist() == [n for n in range(1, N + 1) if _oracle_le(n, thr)]
+
+
+# -- exact forms of constructor combinations ----------------------------------
+
+_BIG = 10**12 + 39  # a prime above 10^12
+_FORM_ENTRY = st.one_of(
+    st.builds(lambda p, q: f"rat:{p}/{q}", st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(lambda i, f: f"dec:{i}.{f}", st.integers(-9, 9), st.integers(0, 999)),
+    # square multiples of a few kernels share them: sqrt:12 and sqrt:27 both sit on sqrt(3)
+    st.builds(lambda s, m: f"sqrt:{s * s * m}", st.integers(1, 6), st.sampled_from([1, 2, 3, 6, 12, 27, 7, _BIG, 2 * _BIG])),
+)
+
+
+def _sympy_value(text: str):
+    spec = RealSpec.parse(text)
+    if spec.kind == "sqrt":
+        return sympy.sqrt(spec.payload)
+    q = spec.exact()
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), _FORM_ENTRY), min_size=1, max_size=5))
+def test_exact_form_matches_sympy(terms):
+    rational, kernels = exact_form([(c, RealSpec.parse(t).realize(128)) for c, t in terms])
+    want = sympy.expand(sum((c * _sympy_value(t) for c, t in terms), sympy.Integer(0)))
+    got = sympy.Rational(rational.numerator, rational.denominator) + sum(
+        (sympy.Rational(k.numerator, k.denominator) * sympy.sqrt(b) for b, k in kernels.items()), sympy.Integer(0)
+    )
+    assert sympy.expand(got - want) == 0
+    const, surds = want.as_coeff_Add()
+    assert const == sympy.Rational(rational.numerator, rational.denominator)
+    assert (surds == 0) == (not kernels)
+    # kernels are non-squares, no two with a square product, with nonzero coefficients
+    assert all(k != 0 and math.isqrt(b) ** 2 != b for b, k in kernels.items())
+    assert all(math.isqrt(a * b) ** 2 != a * b for a in kernels for b in kernels if a < b)
+
+
+def test_exact_form_groups_kernels_and_needs_a_source():
+    s12, s27, s3 = (RealSpec.parse(f"sqrt:{m}").realize(128) for m in (12, 27, 3))
+    # sqrt(27) joins sqrt(12)'s kernel: 3*sqrt(12) - 2*sqrt(27) = 0
+    assert exact_form([(3, s12), (-2, s27)]) == (0, {})
+    assert exact_form([(1, s12), (1, s3)]) == (0, {12: Q(3, 2)})
+    big = RealSpec.parse(f"sqrt:{4 * _BIG}").realize(128)
+    assert exact_form([(1, big), (1, RealSpec.parse("rat:1/2").realize(128))]) == (Q(1, 2), {4 * _BIG: 1})
+    assert exact_form([(0, s3 + s12), (1, s3)]) == (0, {3: 1})  # c = 0 needs no source
+    assert exact_form([(1, s3 + s12)]) is None
