@@ -304,40 +304,35 @@ def congruence_lattice(moduli, p: int) -> CongruenceLattice:
 def euclidean_minima(lat: CongruenceLattice, budget: int = 10**8) -> tuple:
     """Squared Euclidean successive minima, certified by enumeration.
 
-    Greedy picks on an integral-LLL basis of the lattice: the i-th minimum
-    is the shortest vector outside the span of the first i-1 picks, found by
-    one Schnorr-Euchner walk whose radius is the best squared norm so far.
-    On the innermost line x*b + r the norm is a quadratic in x, minimised by
-    rounding; at most one x of a line leaves the span test open, so its
-    better neighbour decides the line then.
+    Greedy picks: the i-th minimum is the shortest vector outside the span
+    of the first i-1 picks, found by one Schnorr-Euchner walk on an
+    integral-LLL basis rebased on them, so the walk visits no vector inside
+    that span, and its radius is the best squared norm so far.  On the
+    innermost line x*b + r the norm is a quadratic in x, minimised by
+    rounding.
     """
-    from .lattice import ReducedLattice, echelon, independent, spender
+    from .lattice import ReducedLattice, spender
 
     rows = [list(r) for r in lat.basis]
     red = ReducedLattice(rows, [[_dot(u, v) for v in rows] for u in rows])
-    b = red.basis[0]
-    bb = _dot(b, b)
     spend = spender(budget, "minima enumeration exceeds the point budget")
-    picks: list = []
     mins = []
-    for _ in range(lat.d):
-        ech = echelon(picks)
-        steady = not independent(ech, b)  # the span test is constant along b
-        best = min((_dot(u, u), u) for u in red.basis if independent(ech, u))
+    for i in range(lat.d):
+        if i:
+            red = red.rebased(coeffs)
+        b = red.basis[0]
+        bb = _dot(b, b)
+        norm, j = min((_dot(v, v), j) for j, v in enumerate(red.basis) if j >= i)
+        best, coeffs = (norm, red.basis[j]), [int(t == j) for t in range(lat.d)]
 
-        def leaf(r, lo, hi):
-            nonlocal best
-            if steady and not independent(ech, r):
-                return
+        def leaf(r, lo, hi, x):
+            nonlocal best, coeffs
             x0 = min(max((bb - 2 * _dot(b, r)) // (2 * bb), lo), hi)  # nearest to -b.r/b.b
-            line = [tuple(x * p + q for p, q in zip(b, r)) for x in range(max(x0 - 1, lo), min(x0 + 1, hi) + 1)]
-            for v in sorted(line, key=lambda v: _dot(v, v)):
-                if steady or independent(ech, v):
-                    best = min(best, (_dot(v, v), v))
-                    return
+            v = tuple(x0 * p + q for p, q in zip(b, r))
+            if (_dot(v, v), v) < best:
+                best, coeffs = (_dot(v, v), v), [x0] + x[1:]
 
         red.walk(lambda: (best[0], 1), leaf, spend)
-        picks.append(best[1])
         mins.append(best[0])
     return tuple(mins)
 

@@ -1,20 +1,23 @@
 """Exact integer linear algebra for small lattices (k <= 6).
 
 Everything runs on Python ints: fraction-free Bareiss elimination (Bareiss
-1968) gives determinants and ranks, cofactors give the adjugate, and the gcd
-of maximal minors decides whether independent rows extend to a basis of Z^k.
-Integral LLL (Lenstra, Lenstra and Lovasz 1982, in the integral form of
-Cohen, A Course in Computational Algebraic Number Theory, Algorithm 2.6.7)
-reduces a lattice given by its integer Gram matrix, and ReducedLattice.walk
-enumerates the lattice points of an ellipsoid depth-first in the order of
-Fincke-Pohst (1985) and Schnorr-Euchner (1994).  Every division below is
-exact, so no rational arithmetic is needed.
+1968) gives determinants, cofactors give the adjugate, and an extended-gcd
+column reduction rebases a lattice, one pick at a time, so that its first s
+basis rows span the saturation of s picks.  Integral LLL (Lenstra, Lenstra
+and Lovasz 1982, in the integral form of Cohen, A Course in Computational
+Algebraic Number Theory, Algorithm 2.6.7) reduces a lattice given by its
+integer Gram matrix without mixing those s rows with the rest, and
+ReducedLattice.walk enumerates the lattice points of an ellipsoid outside
+their span depth-first in the order of Fincke-Pohst (1985) and
+Schnorr-Euchner (1994).  Every division below is exact, so no rational
+arithmetic is needed.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from itertools import combinations
+from operator import mul
 
 from .errors import BudgetExceeded
 
@@ -44,52 +47,6 @@ def det(rows) -> int:
     return sign * a[-1][-1]
 
 
-def echelon(rows) -> list[tuple[int, list[int]]]:
-    """Fraction-free (Bareiss) row echelon form as (pivot column, row) pairs.
-
-    After each pivot every entry below it is an exact minor of the input, so
-    the division by the previous pivot never leaves the integers.
-    """
-    a = [list(map(int, r)) for r in rows]
-    out = []
-    prev = 1
-    for col in range(len(a[0]) if a else 0):
-        r = len(out)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[r])]
-        out.append((col, a[r]))
-        prev = p
-        if len(out) == len(a):
-            break
-    return out
-
-
-def rank(rows) -> int:
-    """Rank of an integer matrix."""
-    return len(echelon(rows))
-
-
-def independent(ech, vec) -> bool:
-    """True when vec lies outside the row span of the matrix ech came from.
-
-    Each step replaces vec by p*vec - f*row, which keeps vec's own coefficient
-    nonzero, so the result vanishes exactly when vec is in the span.
-    """
-    v = list(vec)
-    for col, row in ech:
-        f = v[col]
-        if f:
-            p = row[col]
-            v = [x * p - f * y for x, y in zip(v, row)]
-    return any(v)
-
-
 def adjugate(rows) -> list[list[int]]:
     """Adjugate of a small square integer matrix, so that inv = adj/det."""
     n = len(rows)
@@ -101,29 +58,60 @@ def adjugate(rows) -> list[list[int]]:
     return adj
 
 
-def extendable(rows, k: int) -> bool:
-    """rows (i x k, independent) extend to a basis of Z^k iff the gcd of all
-    i x i minors is 1 (Smith invariants all 1)."""
-    i = len(rows)
-    g = 0
-    for cols in combinations(range(k), i):
-        g = math.gcd(g, abs(det([[r[c] for c in cols] for r in rows])))
-        if g == 1:
-            return True
-    return g == 1
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, a, b) with a*x + b*y = g = gcd(x, y)."""
+    a0, a1, b0, b1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y, a0, a1, b0, b1 = y, r, a1, a0 - q * a1, b1, b0 - q * b1
+    return (x, a0, b0) if x >= 0 else (-x, -a0, -b0)
+
+
+def _completing(coeffs, s: int) -> list[list[int]]:
+    """A unimodular matrix u, equal to the identity on its first s rows,
+    whose first s+1 rows span over Z every integer vector in the rational
+    span of e_0..e_{s-1} and coeffs.
+
+    Column operations on coeffs fold its entries past s into position s:
+    the pair (x, y) in columns s < j becomes (gcd, 0), and u takes the
+    inverse row operations, so coeffs = sum_{i<=s} c_i u_i.  The first s+1
+    rows of u span what e_0..e_{s-1} and coeffs span, and as rows of a
+    unimodular matrix they are a basis of its integer points.
+    """
+    n = len(coeffs)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    x = coeffs[s]
+    for j in range(s + 1, n):
+        y = coeffs[j]
+        if y:
+            g, a, b = _xgcd(x, y)
+            p, q = x // g, y // g
+            u[s], u[j] = [p * c + q * e for c, e in zip(u[s], u[j])], [a * e - b * c for c, e in zip(u[s], u[j])]
+            x = g
+    if not x:
+        raise ValueError("the pick lies in the span of the first s rows")
+    return u
+
+
+def _mul(a, b) -> list[list[int]]:
+    """The integer matrix product a b."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
 
 
 # -- integral LLL and Schnorr-Euchner enumeration -----------------------------
 
 
-def lll_gram(gram) -> tuple[list[list[int]], list[int], list[list[int]]]:
+def lll_gram(gram, fixed: int = 0) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Integral LLL reduction (factor 3/4) of the lattice with Gram matrix gram.
 
     Cohen's Algorithm 2.6.7: the Gram-Schmidt data stays integral as
     d[i] = det of the leading i x i Gram block (d[0] = 1) and
     lam[i][j] = d[j+1] * mu_ij for j < i.  Returns (h, d, lam): the rows of h
     give the reduced basis in the input basis (det h = +-1), and d and lam
-    belong to the reduced basis, so |b*_i|^2 = d[i+1]/d[i].
+    belong to the reduced basis, so |b*_i|^2 = d[i+1]/d[i].  No swap crosses
+    position fixed, so the first fixed rows of h span what the first fixed
+    input rows span: the rest is reduced in projection away from them.
     """
     g = [list(map(int, r)) for r in gram]
     n = len(g)
@@ -175,7 +163,7 @@ def lll_gram(gram) -> tuple[list[list[int]], list[int], list[list[int]]]:
                         raise ValueError("Gram matrix is not positive definite")
                     d[k + 1] = u
         red(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+        if k != fixed and 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
             swap(k)
             k = max(1, k - 1)
         else:
@@ -222,16 +210,16 @@ class ReducedLattice:
 
     gram is the Gram matrix of rows under the quadratic form Q that the
     enumeration bounds; basis holds the reduced basis as integer vectors in
-    the coordinates of rows.
+    the coordinates of rows.  LLL keeps the first s rows apart from the rest
+    (lll_gram's fixed), so they span what the first s input rows span, and
+    walk visits only the points outside that span.
     """
 
-    def __init__(self, rows, gram):
-        h, self.d, self.lam = lll_gram(gram)
+    def __init__(self, rows, gram, s: int = 0):
         rows = [list(map(int, r)) for r in rows]
-        dim = len(rows[0]) if rows else 0
-        self.basis = [
-            tuple(sum(c * r[j] for c, r in zip(hr, rows)) for j in range(dim)) for hr in h
-        ]
+        h, self.d, self.lam = lll_gram(gram, s)
+        self.s, self._input = s, (rows, gram, h)
+        self.basis = [tuple(r) for r in _mul(h, rows)]
         # Q(sum x_i b_i) = sum_i y_i^2 / (d[i] d[i+1]) with
         # y_i = d[i+1] x_i + sum_{j>i} lam[j][i] x_j; den puts every level
         # over one denominator
@@ -239,22 +227,48 @@ class ReducedLattice:
         self.den = math.lcm(*(self.d[i] * self.d[i + 1] for i in range(n))) if n else 1
         self.weight = [self.den // (self.d[i] * self.d[i + 1]) for i in range(n)]
 
+    def rebased(self, coeffs) -> ReducedLattice:
+        """The same lattice and form on a basis whose first s+1 rows are a
+        basis of the lattice points in the rational span of the first s rows
+        and the point with coefficients coeffs over basis (independent of
+        them).
+
+        The greedy pick loops rebase once per pick, on the pick's
+        coefficients as walk hands them over, so the first s rows span the
+        saturation of the picks and walk visits no point of it; when the
+        picks are a basis of their span, whether they plus a point extend to
+        a basis is the gcd of its coefficients past s, the same along a
+        line.  A pick with no coefficient past s leaves the basis as it is.
+        """
+        u = _completing(coeffs, self.s)
+        if not any(coeffs[self.s + 1 :]):  # u is the identity
+            lat = copy.copy(self)
+            lat.s += 1
+            return lat
+        rows, gram, h = self._input
+        t = _mul(u, h)
+        return ReducedLattice(_mul(t, rows), _mul(_mul(t, gram), list(zip(*t))), self.s + 1)
+
     def walk(self, limit, leaf, spend) -> None:
         """Depth-first Schnorr-Euchner walk over the half lattice
-        {v = sum x_i b_i : Q(v) <= limit(), v != 0, last nonzero x_i > 0}.
+        {v = sum x_i b_i : Q(v) <= limit(), x_i != 0 for some i >= s, last
+        nonzero x_i > 0}: the top path takes x_s >= 1, which skips the span of
+        b_0..b_{s-1} (only v = 0 when s = 0).
 
         Outer levels (top first) run in zig-zag order outward from their
         centre.  limit() returns (num, den), the radius num/den; it is read
         again at every node, so a leaf that tightens it prunes the rest of the
         walk.  The innermost coordinate is handed over whole:
-        leaf(r, lo, hi) receives r = sum_{i>0} x_i b_i and the range lo..hi
-        of x_0 with Q(x_0 b_0 + r) <= limit() (lo >= 1 when r = 0).  spend()
+        leaf(r, lo, hi, x) receives r = sum_{i>0} x_i b_i, the range lo..hi
+        of x_0 with Q(x_0 b_0 + r) <= limit() (lo >= 1 when r = 0 and
+        s = 0), and the walk's own list x, whose x[1:] are r's coefficients
+        (read it during the call; the walk changes it afterwards).  spend()
         is called once per visited node.
         """
         n = len(self.basis)
-        if n == 0:
+        if n == self.s:  # nothing lies outside the span
             return
-        d, lam, w, den, basis = self.d, self.lam, self.weight, self.den, self.basis
+        d, lam, w, den, basis, skip = self.d, self.lam, self.weight, self.den, self.basis, self.s
         x = [0] * n
 
         radius = [None, 0, w]  # the last limit(), den*num and each w[l]*lden
@@ -277,9 +291,9 @@ class ReducedLattice:
                     lo = max(lo, 1)
                 if t >= 0 and lo <= hi:
                     spend()
-                    leaf(r, lo, hi)
+                    leaf(r, lo, hi, x)
                 return
-            up = 0 if top else (dl - 2 * c) // (2 * dl)  # nearest to -c/dl
+            up = int(l == skip) if top else (dl - 2 * c) // (2 * dl)  # nearest to -c/dl
             down = None if top else up - 1
             bl, lim = basis[l], None
             while True:

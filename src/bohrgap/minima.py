@@ -7,8 +7,9 @@ m(v) = max_i |L_i(v)|/c_i; lambda re-enters only in reported values.  Minima
 are certified by exact enumeration: integral LLL reduces Z^k under the sum of
 squares of the integer forms behind the gauge keys, the sup-norm gauge ball
 sits inside an ellipsoid of that form, and one depth-first Schnorr-Euchner
-walk per pick visits every line x*b_0 + r of the ellipsoid, settling each
-line's minimum in closed form.  With a fixed radius the same walk gives a
+walk per pick, on a basis rebased on the earlier picks, visits every line
+x*b_0 + r of the ellipsoid outside their span, settling each line's minimum
+in closed form.  With a fixed radius the same walk gives a
 gauge ball as lines with exact ends (ball_lines).  Nothing rests on floats.
 """
 
@@ -26,7 +27,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .lattice import ReducedLattice, det, echelon, extendable, independent, line_cut, spender
+from .lattice import ReducedLattice, det, line_cut, spender
 from .realfield import UNDECIDED, FixedReal, TargetVector, _round_half_even, certify, fr_root_rational
 
 Q = Fraction
@@ -68,7 +69,7 @@ class ConvexBody:
     @cached_property
     def reduced(self) -> "_Reduced":
         """The integral-LLL basis under the depth-0 forms, built once."""
-        return _Reduced(self)
+        return _Reduced(self.frame)
 
     @property
     def c_prod(self) -> tuple[int, int]:
@@ -286,7 +287,8 @@ def _before(body: ConvexBody, u: GaugeVal, v: GaugeVal) -> bool:
 
 
 class _Reduced:
-    """Z^k reduced under Q(v) = sum_i l_i(v)^2 for the depth-0 forms of key().
+    """Z^k reduced under Q(v) = sum_i l_i(v)^2 for the depth-0 forms of key(),
+    or the same lattice rebased on earlier picks (ReducedLattice.rebased).
 
     A vector with lower key klo <= B has |l_0(v)| = w0|v_1| <= B and
     |l_i(v)| <= B + e_i|v_1| <= B (w0 + e_i)/w0, so it lies in the ellipsoid
@@ -298,26 +300,33 @@ class _Reduced:
     b_1 = 0 as well; the other terms vary.
     """
 
-    def __init__(self, body: ConvexBody):
-        k, forms = body.k, body.frame().forms
-        gram = [[0] * k for _ in range(k)]
-        for i, c, d, _ in forms:  # (c*v_1 + d*v_{1+i})^2, term by term
-            gram[0][0] += c * c
-            gram[0][i] += c * d
-            gram[i][0] += c * d
-            gram[i][i] += d * d
-        self.lattice = ReducedLattice([[int(i == j) for j in range(k)] for i in range(k)], gram)
+    def __init__(self, frame: _Frames, lattice: Optional[ReducedLattice] = None):
+        forms = frame().forms
+        k = len(forms)
+        if lattice is None:
+            gram = [[0] * k for _ in range(k)]
+            for i, c, d, _ in forms:  # (c*v_1 + d*v_{1+i})^2, term by term
+                gram[0][0] += c * c
+                gram[0][i] += c * d
+                gram[i][0] += c * d
+                gram[i][i] += d * d
+            lattice = ReducedLattice([[int(i == j) for j in range(k)] for i in range(k)], gram)
+        self.lattice = lattice
         w0 = self.w0 = forms[0][1]
         self.spread = sum((w0 + e) ** 2 for *_, e in forms)
         self.w0sq = w0**2
-        b = self.b = self.lattice.basis[0]
+        b = self.b = lattice.basis[0]
         # per form: (term, c, d, slack, slope l(b))
         self.forms = [(i, c, d, e, c * b[0] + d * b[i]) for i, c, d, e in forms]
         self.all = frozenset(range(k))
         self.const = frozenset(i for i, _, _, e, slope in self.forms if slope == 0 and (e == 0 or b[0] == 0))
         self.vary = self.all - self.const
-        self.frame = body.frame
+        self.frame = frame
         self._cuts: dict = {}
+
+    def rebased(self, coeffs) -> "_Reduced":
+        """The same enumeration on the lattice rebased on one more pick."""
+        return _Reduced(self.frame, self.lattice.rebased(coeffs))
 
     def limit(self, bound: int) -> tuple[int, int]:
         return bound * bound * self.spread, self.w0sq
@@ -444,72 +453,35 @@ class _Line:
         """K: the key over the constant terms, the same at every x."""
         return self.red.frame(0, self.red.const).key(self.vec(0))
 
-    def lex_order(self, xa: int, xb: int):
-        """x in xa..xb in increasing lexicographic order of the canonical vector.
+    def lex_first(self, xa: int, xb: int) -> int:
+        """The x in xa..xb whose canonical vector is lexicographically first.
 
         Before b's first nonzero coordinate j the vectors agree.  If r has a
         nonzero coordinate there, the sign is fixed and the order is monotone
         in x.  Otherwise coordinate j of the canonical vector is
-        |x*b_j + r_j|, which grows on both sides of -r_j/b_j, so the order
-        merges two monotone runs.
+        |x*b_j + r_j|, which grows on both sides of -r_j/b_j, so the first is
+        one of the two x next to it.
         """
         b, r = self.b, self.r
         j = next(i for i, c in enumerate(b) if c)
         lead = next((c for c in r[:j] if c), 0)
         if lead:
-            yield from (range(xa, xb + 1) if (lead > 0) == (b[j] > 0) else range(xb, xa - 1, -1))
-            return
+            return xa if (lead > 0) == (b[j] > 0) else xb
         p = -r[j] // b[j]  # floor of the sign change
         down, up = min(p, xb), max(p + 1, xa)
-        while down >= xa or up <= xb:
-            if up > xb or (down >= xa and self.vec(down) < self.vec(up)):
-                yield down
-                down -= 1
-            else:
-                yield up
-                up += 1
+        return down if up > xb or (down >= xa and self.vec(down) < self.vec(up)) else up
 
-    def pick(self, lo: int, hi: int, bound: int, accepts, spend) -> Optional[GaugeVal]:
-        """Smallest (m(v), v) over canonical v = x*b + r, lo <= x <= hi, with
-        accepts(v) and klo <= bound; accepts=None accepts every x.
-
-        The minimisers come first in lexicographic order, then both sides
-        outward; past the minimisers m = h rises strictly on each side.
-        """
+    def pick(self, lo: int, hi: int, bound: int) -> Optional[int]:
+        """The x of the smallest (m(v), v) over canonical v = x*b + r,
+        lo <= x <= hi, with klo <= bound: the lexicographically first
+        minimiser."""
         cut = self.red.section(self.r, self.red.all, bound, lo, hi)
         if cut is None:
             return None
-        lo, hi = cut
-        xa, xb = self.minimisers(lo, hi)
+        xa, xb = self.minimisers(*cut)
         if self.at(xa).klo > bound:
             return None
-        order = self.lex_order(xa, xb)
-        if accepts is None:
-            return self.at(next(order))
-        for x in order:
-            spend()
-            if accepts(self.vec(x)):
-                return self.at(x)
-        left, right = xa - 1, xb + 1
-        while left >= lo or right <= hi:
-            spend()
-            if right > hi:
-                x = left
-            elif left < lo:
-                x = right
-            else:
-                c = self.h_cmp(left, right)
-                x = left if c < 0 or (c == 0 and self.vec(left) < self.vec(right)) else right
-            g = self.at(x)
-            if g.klo > bound:
-                return None
-            if accepts(g.vec):
-                return g
-            if x == left:
-                left -= 1
-            else:
-                right += 1
-        return None
+        return self.lex_first(xa, xb)
 
 
 def _first(test, a: int, z: int, start: int) -> int:
@@ -545,48 +517,53 @@ def _first(test, a: int, z: int, start: int) -> int:
     return lo
 
 
-def _smallest(body: ConvexBody, ech, accepts, bound: int, spend) -> GaugeVal:
-    """Smallest (m(v), v) over canonical v with accepts(v), given a certified
-    upper bound D*m(v) <= bound for the answer.
+def _smallest(body: ConvexBody, red: _Reduced, bound: int, spend, extends: bool = False):
+    """(g, coeffs): the smallest (m(v), v) over canonical v outside the span
+    of the first s rows of red's basis, and its coefficients over that basis
+    (up to sign), given a certified upper bound D*m(v) <= bound for the
+    answer.  With extends, only v whose coefficients past s have gcd 1, so
+    that those s rows plus v extend to a basis when the rows are a basis of
+    their span.
 
     One Schnorr-Euchner walk whose radius is the best candidate's upper key:
     a subtree is pruned only when every vector in it has a lower key above
-    that, so ties survive to the lexicographic rule.  accepts must be
-    constant along x*b + r whenever b lies in the span that ech came from
-    (independence and extendability both are), so each such line is decided
-    by one call.  A candidate that no depth separates from the best is held
-    back and compared again with the final best, so only a tie at the
-    minimum itself raises PrecisionExhausted.
+    that, so ties survive to the lexicographic rule.  The walk visits no
+    vector in the span, and b lies in it (s >= 1 with extends), so the gcd
+    is the same along each line.  A candidate that no depth separates from
+    the best is held back and compared again with the final best, so only a
+    tie at the minimum itself raises PrecisionExhausted.
     """
-    red = body.reduced
-    steady = not independent(ech, red.b)
+    s = red.lattice.s
     best: Optional[GaugeVal] = None
-    held: list[GaugeVal] = []
+    coeffs: list[int] = []
+    held: list[tuple[GaugeVal, list[int]]] = []
     limit = red.limit(bound)  # the walk's radius, from the best upper key
 
-    def leaf(r, lo, hi):
-        nonlocal best, limit
-        if steady and not accepts(r):
+    def leaf(r, lo, hi, x):
+        nonlocal best, coeffs, limit
+        if extends and math.gcd(*x[s:]) != 1:
             return
-        cand = _Line(red, r).pick(lo, hi, bound if best is None else best.khi, None if steady else accepts, spend)
-        if cand is None:
+        line = _Line(red, r)
+        x0 = line.pick(lo, hi, bound if best is None else best.khi)
+        if x0 is None:
             return
+        cand = line.at(x0)
         try:
             if best is not None and not _before(body, cand, best):
                 return
         except PrecisionExhausted:
-            held.append(cand)
+            held.append((cand, [x0] + x[1:]))
             return
-        best = cand
+        best, coeffs = cand, [x0] + x[1:]
         limit = red.limit(best.khi)
 
     red.lattice.walk(lambda: limit, leaf, spend)
     if best is None:
         raise ConstructionError("no admissible vector inside the certified bound")  # unreachable
-    for cand in held:
+    for cand, c in held:
         if _before(body, cand, best):
-            best = cand
-    return best
+            best, coeffs = cand, c
+    return best, coeffs
 
 
 def ball_lines(body: ConvexBody, bound: Fraction, spend, kept=None) -> list[tuple[tuple[int, ...], int, int]]:
@@ -608,7 +585,7 @@ def ball_lines(body: ConvexBody, bound: Fraction, spend, kept=None) -> list[tupl
         ok = _key_le(frame.key(vec), bnd)
         return _gauge_le(body, vec, bound) if ok is UNDECIDED else ok
 
-    def leaf(r, lo, hi):
+    def leaf(r, lo, hi, _):
         cut = red.section(r, red.all, bnd, lo, hi)
         if cut is None:
             return
@@ -679,52 +656,45 @@ def _band_check(body: ConvexBody, minima_m: list[GaugeVal]) -> None:
 def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult:
     """Exact lambda_1..lambda_k, attaining vectors, and a unimodular basis.
 
-    Each pick is the smallest (m(v), v) over canonical v passing its test,
-    found by one enumeration walk on the integral-LLL basis; budget caps the
-    nodes visited over all picks.  The basis is greedy: v_i is the
-    smallest-gauge vector extending v_1..v_{i-1} to a basis of Z^k, so
-    basis_gauges[i] >= lambda_i with equality whenever the attaining vectors
-    themselves form a basis.
+    The i-th pick is the smallest (m(v), v) over canonical v outside the
+    span of the first i-1, found by one enumeration walk on an integral-LLL
+    basis rebased on them; budget caps the walk nodes over all picks.  The
+    basis is greedy: v_i is the smallest-gauge vector extending v_1..v_{i-1}
+    to a basis of Z^k, so basis_gauges[i] >= lambda_i with equality whenever
+    the attaining vectors themselves form a basis.
     """
     k = body.k
     if k > 6:
         raise ValidationError("certified minima supported for k <= 6 only")
     spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
-    basis = body.reduced.lattice.basis
     key = body.frame().key
 
+    # the i-th pick walks a basis rebased on the picks before it
     minima_m: list[GaugeVal] = []
-    for _ in range(k):
-        ech = echelon([g.vec for g in minima_m])
+    reds, coeffs, red = [], [], body.reduced
+    for i in range(k):
+        if i:
+            red = red.rebased(c)
+        bound = min(key(v).khi for v in red.lattice.basis[i:])
+        g, c = _smallest(body, red, bound, spend)
+        minima_m.append(g)
+        reds.append(red)
+        coeffs.append(c)
 
-        def independent_of(v, ech=ech) -> bool:
-            return independent(ech, v)
-
-        bound = min(key(v).khi for v in basis if independent_of(v))
-        minima_m.append(_smallest(body, ech, independent_of, bound, spend))
-
-    basis_m: list[GaugeVal] = []
-    for _ in range(k):
-        rows = [g.vec for g in basis_m]
-        ech = echelon(rows)
-
-        def extends(v, ech=ech, rows=rows) -> bool:
-            return independent(ech, v) and extendable(rows + [v], k)
-
-        # the i-th minimum is the smallest vector outside the span of the
-        # first i-1; when those are the rows and it extends them, it is also
-        # the smallest extension
-        i = len(rows)
-        if rows == [g.vec for g in minima_m[:i]] and extends(minima_m[i].vec):
-            basis_m.append(minima_m[i])
-            continue
-        # a minimum v outside the span of rows lies in the primitive lattice
-        # rows + Zw; reducing w modulo rows gives an extension with
-        # m <= m(v) + sum m(rows)/2
-        v = next(g for g in minima_m if independent(ech, g.vec))
-        bound = v.khi + (sum(g.khi for g in basis_m) + 1) // 2
-        bound = min([bound] + [key(u).khi for u in basis if extends(u)])
-        basis_m.append(_smallest(body, ech, extends, bound, spend))
+    # the i-th minimum is the smallest vector outside the span of the first
+    # i-1, so while it extends them it is also the smallest extension: when
+    # the first i-1 minima are a basis of their span, it extends them exactly
+    # when the gcd of its coefficients past them is 1 (the first always
+    # does, as m(v/g) = m(v)/g)
+    j = next((i for i, c in enumerate(coeffs) if math.gcd(*c[i:]) != 1), k)
+    basis_m: list[GaugeVal] = minima_m[:j]
+    for i in range(j, k):
+        # the basis rows so far are a basis of their span and red is rebased
+        # on them, so each of its basis rows past them extends them
+        red = red.rebased(c) if i > j else reds[j]
+        bound = min(key(u).khi for u in red.lattice.basis[i:])
+        g, c = _smallest(body, red, bound, spend, True)  # extends
+        basis_m.append(g)
 
     d = det([list(g.vec) for g in basis_m])
     if abs(d) != 1:

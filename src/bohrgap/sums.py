@@ -281,7 +281,7 @@ def _nonzero_dist(coord: CoordScan, n: int) -> float:
     if v == 0.0:
         raise ValidationError(
             f"exact zero distance at n={n} inside the summation range;"
-            " restrict the range or drop the rational target"
+            " restrict the range or choose alpha and gamma with no integer n*alpha - gamma"
         )
     return v
 

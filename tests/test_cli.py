@@ -502,7 +502,9 @@ def test_jsonable_encoding():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # runs one command line (or only `import bohrgap` without arguments), then
-# prints the bohrgap submodules, numpy, mpmath and hashlib the process has loaded
+# prints the bohrgap submodules, numpy, mpmath and hashlib the process has
+# loaded, and the source lines of the bohrgap modules (the package included),
+# which a process without cached bytecode compiles
 _PROBE = """
 import contextlib, io, json, sys
 if sys.argv[1:]:
@@ -511,10 +513,11 @@ if sys.argv[1:]:
         assert main(sys.argv[1:]) == 0
 else:
     import bohrgap
-print(json.dumps(sorted(
+ours = [m for name, m in sys.modules.items() if name == "bohrgap" or name.startswith("bohrgap.")]
+print(json.dumps([sorted(
     m.removeprefix("bohrgap.") for m in sys.modules
     if m.startswith("bohrgap.") or m in ("numpy", "mpmath", "hashlib")
-)))
+), sum(len(open(m.__file__).readlines()) for m in ours)]))
 """
 
 
@@ -531,31 +534,34 @@ def fresh_process(code, *argv):
 SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
 
 
+# the source-line totals are upper bounds: a command that starts loading, or
+# growing, code it does not run fails here first
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, lines",
     [
-        ((), set()),
-        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}),
+        ((), set(), 99),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1910),
         (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
-         {"exponents", "numpy", "realfield", "scan"}),
+         {"exponents", "numpy", "realfield", "scan"}, 2061),
         # the exact-integer commands load neither numpy nor mpmath
-        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}),
+        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2358),
         (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"gap", "lattice", "minima", "realfield"}),
+         {"gap", "lattice", "minima", "realfield"}, 2944),
         # only the inner box is hashed
         (("gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}),
+         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3529),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
-         {"counting", "lattice"}),
-        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}),
+         {"counting", "lattice"}, 1595),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3146),
     ],
     ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "gap-inner", "count-davenport", "sums-t"],
 )
-def test_a_process_loads_only_what_its_command_runs(argv, expected):
-    loaded = set(fresh_process(_PROBE, *argv))
+def test_a_process_loads_only_what_its_command_runs(argv, expected, lines):
+    loaded, compiled = fresh_process(_PROBE, *argv)
     if argv:
         expected = expected | {"cli", "errors"}
-    assert loaded == expected
+    assert set(loaded) == expected
+    assert compiled <= lines
 
 
 # -- peak memory of the block-pass lines ------------------------------------------------
@@ -732,7 +738,11 @@ def test_an_irrational_width_exits_2_without_a_traceback():
 
 
 _SURD_TIE = "--k 2 --alpha sqrt:2 --gamma sqrt:8"  # ||2*sqrt(2) - sqrt(8)|| = 0 exactly
-_SURD_ZERO = "validation error: exact zero distance at n=2 inside the summation range"
+# no target is rational here, so the advice names the integer n*alpha - gamma
+_SURD_ZERO = (
+    "validation error: exact zero distance at n=2 inside the summation range;"
+    " restrict the range or choose alpha and gamma with no integer n*alpha - gamma\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -753,7 +763,7 @@ def test_a_surd_zero_is_decided_exactly(line, code):
     got, out, err = bohrgap_process(*line.split())
     assert got == code, err
     if code == 2:
-        assert out == "" and err.startswith(_SURD_ZERO)
+        assert out == "" and err == _SURD_ZERO
     elif line.startswith("bohr"):
         assert payload_of(out) == {"lifts": [[2, -1], [2, 0], [2, 1]], "member": True, "n": 2}
     elif "--gamma" in line:
@@ -761,6 +771,13 @@ def test_a_surd_zero_is_decided_exactly(line, code):
         assert [d[k]["infinite_witness"] for k in ("omega_lower", "omega_times_lower", "omega_hat_lower")] == [2, 2, 2]
     else:
         assert payload_of(out)["omega_star_lower"]["infinite_witness"] == [2, -1]
+
+
+def test_davenport_at_a_large_prime_finishes_in_a_fresh_process():
+    # the fourth Euclidean minimum is 10^10 times the first three
+    got, out, err = bohrgap_process("count", "davenport", "--box", "5,5,5,5", "--moduli", "1,2,3,4", "--p", "1000003")
+    assert got == 0, err
+    assert payload_of(out)["minima_sq"] == [3, 3, 4, 33333533334]
 
 
 def test_a_process_writes_and_replays_what_main_writes(tmp_path):

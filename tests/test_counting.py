@@ -4,10 +4,12 @@ trial-division and double-loop oracles."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import sympy
 
 from bohrgap import counting
 from bohrgap.bohr import BohrSpec, restricted_bohr
@@ -26,7 +28,6 @@ from bohrgap.counting import (
     totient_sieve,
 )
 from bohrgap.errors import BudgetExceeded, ValidationError
-from bohrgap.lattice import rank
 from bohrgap.gap import GAP, gap_elements, inner_gap
 
 
@@ -431,6 +432,16 @@ def test_minima_pinned_dim3():
     assert euclidean_minima(lat) == (2, 3, 5)
 
 
+@pytest.mark.parametrize("p, want", [(10007, (3, 3, 4, 3338002)), (1000003, (3, 3, 4, 33333533334))])
+def test_a_long_last_minimum_skips_the_span_of_the_short_ones(p, want):
+    # three short minima and a long fourth: a walk through the whole ellipsoid
+    # of the fourth radius meets about p^(3/2) points of the first three's
+    # span; the walk on the rebased basis meets none of them
+    t = time.perf_counter()
+    assert euclidean_minima(congruence_lattice((1, 2, 3, 4), p)) == want
+    assert time.perf_counter() - t < 2.0
+
+
 def _lattice_points_box(lat, r, budget):
     """All lattice points with sup-norm <= r, solved coordinate first."""
     d, p = lat.d, lat.p
@@ -471,7 +482,7 @@ def box_minima(lat, budget=10**8):
                 v = pts[idx]
                 if not v.any():
                     continue
-                if rank(chosen + [v.tolist()]) > len(chosen):
+                if sympy.Matrix(chosen + [v.tolist()]).rank() > len(chosen):
                     chosen.append(v.tolist())
                     mins.append(int(norms[idx]))
                     if len(chosen) == d:

@@ -1,5 +1,6 @@
-"""Integer lattice layer: Bareiss routines against sympy, and a guard that
-keeps determinant, rank and adjugate code in lattice.py."""
+"""Integer lattice layer: Bareiss routines and the rebased basis against
+sympy, and a guard that keeps determinant, rank and adjugate code in
+lattice.py."""
 
 import ast
 import gc
@@ -13,7 +14,7 @@ import sympy
 from bohrgap.counting import congruence_lattice, euclidean_minima
 from bohrgap.minima import build_body, successive_minima
 from bohrgap.realfield import BohrSpec
-from bohrgap.lattice import ReducedLattice, adjugate, det, echelon, extendable, independent, lll_gram, rank
+from bohrgap.lattice import ReducedLattice, adjugate, det, lll_gram
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bohrgap"
 
@@ -34,23 +35,6 @@ def with_dependent_rows(rng, rows, cols):
     return out
 
 
-def test_rank_matches_sympy_on_random_and_dependent_rows():
-    rng = random.Random(11)
-    for _ in range(300):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = with_dependent_rows(rng, rows, cols) if rng.random() < 0.6 else random_matrix(rng, rows, cols, 3)
-        assert rank(m) == sympy.Matrix(m).rank(), m
-
-
-def test_rank_edge_cases():
-    assert rank([]) == 0
-    assert rank([[0, 0, 0]]) == 0
-    assert rank([[0, 0], [0, 5]]) == 1
-    assert rank([[2, 4], [1, 2]]) == 1
-    assert rank([[0, 1, 0], [0, 2, 0], [0, 0, 3]]) == 2  # zero pivot column skipped
-    assert rank([[10**40, 1], [10**40 + 1, 1]]) == 2
-
-
 def test_det_and_adjugate_match_sympy():
     rng = random.Random(12)
     for n in range(1, 7):
@@ -64,28 +48,72 @@ def test_det_and_adjugate_match_sympy():
     assert det([]) == 1
 
 
-def test_independent_agrees_with_rank():
+def random_picks(rng, rows, s):
+    """s independent lattice vectors over rows, as (coefficient rows, vectors)."""
+    while True:
+        coef = random_matrix(rng, s, len(rows), 3)
+        if sympy.Matrix(coef).rank() == s:
+            return coef, [[sum(c * r[j] for c, r in zip(cr, rows)) for j in range(len(rows[0]))] for cr in coef]
+
+
+def minors_gcd(rows):
+    """gcd of the maximal minors of an integer matrix, by sympy."""
+    if not rows:
+        return 1
+    m = sympy.Matrix(rows)
+    cols = range(m.cols)
+    return math.gcd(*(int(m.extract(list(range(m.rows)), list(c)).det()) for c in itertools.combinations(cols, m.rows)))
+
+
+def coefficients(basis, v):
+    """v's coefficients over the rows of a square basis, by sympy."""
+    return [int(c) for c in sympy.Matrix(basis).T.solve(sympy.Matrix(v))]
+
+
+def rebased(red, picks):
+    """red rebased on picks one at a time, as the greedy loops do."""
+    for v in picks:
+        red = red.rebased(coefficients(red.basis, v))
+    return red
+
+
+def test_rebased_basis_spans_the_saturation_of_the_picks():
     rng = random.Random(13)
-    for _ in range(300):
-        cols = rng.randint(1, 6)
-        base = []
-        for _ in range(rng.randint(0, cols)):
-            row = [rng.randint(-4, 4) for _ in range(cols)]
-            if rank(base + [row]) == len(base) + 1:
-                base.append(row)
-        if base and rng.random() < 0.5:  # a vector inside the span
-            coef = [rng.randint(-3, 3) for _ in base]
-            vec = [sum(c * r[j] for c, r in zip(coef, base)) for j in range(cols)]
-        else:
-            vec = [rng.randint(-4, 4) for _ in range(cols)]
-        assert independent(echelon(base), vec) == (rank(base + [vec]) == len(base) + 1)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = random_matrix(rng, n, n, 4)
+        if det(rows) == 0:
+            continue
+        coef, picks = random_picks(rng, rows, rng.randint(1, n))
+        s = len(picks)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        red = rebased(ReducedLattice(rows, _gram(rows, eye)), picks)
+        assert red.s == s and abs(det(red.basis)) == abs(det(rows))  # the same lattice
+        head = [coefficients(rows, v) for v in red.basis[:s]]  # over rows
+        # the first s rows span the picks' rational span, and no integer
+        # point of it lies outside their integer span
+        assert sympy.Matrix(head + coef).rank() == s
+        assert minors_gcd(head) == 1
 
 
-def test_extendable_smith_criterion():
-    assert extendable([[2, 1]], 2) is True
-    assert extendable([[2, 4]], 2) is False
-    assert extendable([[1, 0, 0], [0, 2, 0]], 3) is False
-    assert extendable([[1, 0, 0], [0, 2, 1]], 3) is True
+def test_extension_is_a_gcd_of_the_coefficients_past_the_picks():
+    # primitive rows plus v extend to a basis of Z^k exactly when the gcd of
+    # the maximal minors is 1; on a basis rebased on the rows that is the gcd
+    # of v's coefficients past them
+    rng = random.Random(16)
+    cases = [([], [2, 1], True), ([], [2, 4], False), ([[1, 0, 0]], [0, 2, 0], False), ([[1, 0, 0]], [0, 2, 1], True)]
+    while len(cases) < 200:
+        n = rng.randint(2, 5)
+        rows = random_matrix(rng, rng.randint(1, n - 1), n, 3)
+        v = [rng.randint(-4, 4) for _ in range(n)]
+        if sympy.Matrix(rows).rank() == len(rows) < sympy.Matrix(rows + [v]).rank() and minors_gcd(rows) == 1:
+            cases.append((rows, v, minors_gcd(rows + [v]) == 1))
+    assert 20 < sum(want for *_, want in cases) < 180
+    for rows, v, want in cases:
+        n, s = len(v), len(rows)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        red = rebased(ReducedLattice(eye, eye), rows)
+        assert (math.gcd(*coefficients(red.basis, v)[s:]) == 1) == want, (rows, v)
 
 
 def _gram(rows, forms):
@@ -101,9 +129,12 @@ def test_lll_gram_reduces_with_integral_gram_schmidt_data():
         forms = random_matrix(rng, n, n, 10 ** rng.randint(1, 30))
         if det(forms) == 0:
             continue
+        fixed = rng.randint(0, n)
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
-        h, d, lam = lll_gram(_gram(eye, forms))
+        h, d, lam = lll_gram(_gram(eye, forms), fixed)
         assert abs(det(h)) == 1
+        # no swap across the boundary: the first rows span what e_0..e_{fixed-1} span
+        assert all(not any(r[fixed:]) for r in h[:fixed])
         g = _gram(h, forms)  # Gram matrix of the reduced basis
         for i in range(n + 1):
             assert d[i] == det([row[:i] for row in g[:i]])
@@ -112,11 +143,13 @@ def test_lll_gram_reduces_with_integral_gram_schmidt_data():
                 # lam[i][j] is the leading (j+1)-minor with row j replaced by row i
                 assert lam[i][j] == det([g[r][: j + 1] for r in list(range(j)) + [i]])
                 assert 2 * abs(lam[i][j]) <= d[j + 1]  # size-reduced
-            if i:  # Lovasz condition at 3/4
+            if i and i != fixed:  # Lovasz condition at 3/4
                 assert 4 * d[i + 1] * d[i - 1] >= 3 * d[i] ** 2 - 4 * lam[i][i - 1] ** 2
 
 
 def test_walk_visits_exactly_the_half_ellipsoid():
+    # on the lattice of rows, and on the same lattice rebased on s random
+    # picks, where the walk skips exactly the picks' rational span
     rng = random.Random(15)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -127,34 +160,43 @@ def test_walk_visits_exactly_the_half_ellipsoid():
         extra = random_matrix(rng, n, n, 5)
         forms = [[int(i == j) for j in range(n)] for i in range(n)] + extra
         red = ReducedLattice(rows, _gram(rows, forms))
+        picks = random_picks(rng, rows, rng.randint(1, n))[1]
         radius = rng.randint(1, {1: 400, 2: 300, 3: 60, 4: 25}[n])
 
         def q(v):
             return sum(sum(a * b for a, b in zip(f, v)) ** 2 for f in forms)
 
-        got = []
-
-        def leaf(r, lo, hi):
-            got.extend(tuple(x * b + c for b, c in zip(red.basis[0], r)) for x in range(lo, hi + 1))
-
-        red.walk(lambda: (radius, 1), leaf, lambda: None)
-        assert all(q(v) <= radius for v in got)
         adj, dt, s = adjugate(rows), det(rows), math.isqrt(radius)
-        want = set()
+        ball = set()
         for v in itertools.product(range(-s, s + 1), repeat=n):
             coef = [sum(v[i] * adj[i][j] for i in range(n)) for j in range(n)]
             if any(v) and q(v) <= radius and all(c % dt == 0 for c in coef):
-                want.add(v)
-        assert len(got) == len(set(got)) and 2 * len(got) == len(want)
-        assert {v if next(c for c in v if c) > 0 else tuple(-c for c in v) for v in got} <= want
-        assert {tuple(-c for c in v) for v in got} | set(got) == want
+                ball.add(v)
+        # v lies in the picks' rational span exactly when it is orthogonal
+        # to the null space of their matrix (sympy, scaled to integers)
+        null = [list(w * math.lcm(*(c.q for c in w))) for w in sympy.Matrix(picks).nullspace()]
+        outside = {v for v in ball if any(sum(a * b for a, b in zip(v, w)) for w in null)}
+        on_picks = rebased(red, picks)
+        # the fixed boundary of lll_gram keeps the picks' span in the first rows
+        assert sympy.Matrix(picks + [list(b) for b in on_picks.basis[: len(picks)]]).rank() == len(picks)
+        for lat, want in ((red, ball), (on_picks, outside)):
+            got = []
+
+            def leaf(r, lo, hi, _):
+                got.extend(tuple(x * b + c for b, c in zip(lat.basis[0], r)) for x in range(lo, hi + 1))
+
+            lat.walk(lambda: (radius, 1), leaf, lambda: None)
+            assert all(q(v) <= radius for v in got)
+            assert len(got) == len(set(got)) and 2 * len(got) == len(want)
+            assert {v if next(c for c in v if c) > 0 else tuple(-c for c in v) for v in got} <= want
+            assert {tuple(-c for c in v) for v in got} | set(got) == want
 
 
 def test_walk_spends_per_node_and_sees_a_shrinking_radius():
     red = ReducedLattice([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     radius, seen, nodes = [50], [], []
 
-    def leaf(r, lo, hi):
+    def leaf(r, lo, hi, _):
         seen.append((r, lo, hi))
         radius[0] = 0  # a leaf that tightens the bound prunes the rest
 

@@ -4,12 +4,13 @@ import ast
 import math
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from bohrgap import minima
 from bohrgap.bohr import BohrSpec
 from bohrgap.errors import BudgetExceeded, ConstructionError, ValidationError
 from bohrgap.exponents import TargetVector
-from bohrgap.lattice import det, echelon, extendable, independent, line_cut, spender
+from bohrgap.lattice import ReducedLattice, det, line_cut, spender
 from bohrgap.realfield import UNDECIDED, FixedReal, certify
 from bohrgap.minima import (
     ConvexBody,
@@ -34,6 +35,7 @@ from bohrgap.minima import (
 )
 from bohrgap.scan import CoordScan, ThresholdSpec, members_in_range
 from test_exponents import sqrt_convergents
+from test_lattice import coefficients, rebased
 
 Q = Fraction
 
@@ -96,6 +98,29 @@ def greedy_minima_oracle(found, k):
             if len(picked) == k:
                 break
     return picked
+
+
+def span_tests(rows, k):
+    """(independent, extends): whether v lies outside the rational span of
+    rows, and whether rows + [v] extend to a basis of Z^k, for independent
+    integer rows.  Both read the maximal minors of rows + [v], which are
+    linear in v: sympy computes them once at the unit vectors, so each test
+    is dot products, then any() (rank) or a gcd (Smith invariants all 1)."""
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    minors = [
+        [int(sympy.Matrix([[r[c] for c in cols] for r in rows + [e]]).det()) for e in eye]
+        for cols in combinations(range(k), len(rows) + 1)
+    ]
+
+    def at(v):
+        return [sum(a * b for a, b in zip(m, v)) for m in minors]
+
+    return (lambda v: any(at(v))), (lambda v: math.gcd(*at(v)) == 1)
+
+
+def extendable(rows, k):
+    """rows extend to a basis of Z^k: the gcd of their maximal minors is 1."""
+    return span_tests(rows[:-1], k)[1](rows[-1])
 
 
 def test_identity_like_body():
@@ -226,10 +251,19 @@ def test_int_det_and_extendable():
     assert det([[2, 1], [1, 1]]) == 1
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
-    assert extendable([[2, 1]], 2) is True  # gcd 1: primitive row
-    assert extendable([[2, 4]], 2) is False  # gcd 2
-    assert extendable([[1, 0, 0], [0, 2, 0]], 3) is False
-    assert extendable([[1, 0, 0], [0, 2, 1]], 3) is True
+    # the completion test of successive_minima: on a basis rebased on the
+    # rows, the gcd of the new vector's coefficients past them
+    for rows, want in (
+        ([[2, 1]], True),  # gcd 1: primitive row
+        ([[2, 4]], False),  # gcd 2
+        ([[1, 0, 0], [0, 2, 0]], False),
+        ([[1, 0, 0], [0, 2, 1]], True),
+    ):
+        k, s = len(rows[0]), len(rows) - 1
+        assert extendable(rows, k) is want
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        basis = rebased(ReducedLattice(eye, eye), rows[:s]).basis
+        assert (math.gcd(*coefficients(basis, rows[-1])[s:]) == 1) is want
 
 
 def test_to_dict_shape():
@@ -701,19 +735,14 @@ def pool_minima(body, budget=2 * 10**6):
     pool = sorted_ball(radius)
     minima_m = []
     for _ in range(k):
-        ech = echelon([g.vec for g in minima_m])
-        minima_m.append(_pool_pick(body, pool, lambda cand: independent(ech, cand.vec)))
+        independent = span_tests([g.vec for g in minima_m], k)[0]
+        minima_m.append(_pool_pick(body, pool, lambda cand: independent(cand.vec)))
     basis_m = []
     for _ in range(k):
-        rows = [g.vec for g in basis_m]
-        ech = echelon(rows)
-
-        def extends(cand):
-            return independent(ech, cand.vec) and extendable(rows + [cand.vec], k)
-
+        extends = span_tests([g.vec for g in basis_m], k)[1]
         for _attempt in range(4):
             try:
-                basis_m.append(_pool_pick(body, pool, extends))
+                basis_m.append(_pool_pick(body, pool, lambda cand: extends(cand.vec)))
                 break
             except ConstructionError:
                 radius *= 2
@@ -798,10 +827,10 @@ def test_basis_completion_searches_past_the_minima(monkeypatch):
     assert [x.decimal(6) for x in res.lambdas[2:]] == ["8.458970", "8.458970"]
     assert res.basis_gauges[-1].decimal(6) == "8.545295"
     rows, last = res.basis[:3], res.basis_m[-1]
-    ech = echelon(rows)
+    extends = span_tests(rows, 4)[1]
     pool = pool_ball(body, Q(last.khi, body.frame().den))
     pool.sort(key=lambda g: (g.klo, g.vec))
-    want = _pool_pick(body, pool, lambda g: independent(ech, g.vec) and extendable(rows + [g.vec], 4))
+    want = _pool_pick(body, pool, lambda g: extends(g.vec))
     assert _keys([last]) == _keys([want])
 
 
@@ -814,27 +843,27 @@ def test_basis_completion_searches_past_the_minima(monkeypatch):
     (["rat:1/2", "sqrt:5", "rat:2/3"], 300, ["0.5", "0.5", "0.5"]),
 ])
 def test_extension_walk_matches_pool_for_other_rows(alphas, N, deltas):
-    # rows that are not the minima, so the extendability test varies along
-    # lines that leave their span and is constant along those inside it
+    # rows that are not the minima: the walk on a basis rebased on them
+    # visits no vector in their span, and the extendability test is
+    # constant along each of its lines
     body = body_of(alphas, N, deltas)
     k = body.k
     minima = successive_minima(body).minima_m
     key = body.frame().key
     small = [v for v in product(range(-2, 3), repeat=k) if v > (0,) * k and math.gcd(*v) == 1]
     for rows in [[v] for v in small[:6]] + [[small[0], small[-1]]] * (k > 2):
-        ech = echelon(rows)
-        if len(ech) < len(rows) or not extendable(rows, k):
+        if sympy.Matrix(rows).rank() < len(rows) or not extendable(rows, k):
             continue
-
-        def extends(v):
-            return independent(ech, v) and extendable(rows + [v], k)
-
-        v = next(g for g in minima if independent(ech, g.vec))
+        independent, extends = span_tests(rows, k)
+        v = next(g for g in minima if independent(g.vec))
         bound = v.khi + (sum(key(r).khi for r in rows) + 1) // 2
         pool = pool_ball(body, Q(bound, body.frame().den))
         pool.sort(key=lambda g: (g.klo, g.vec))
         want = _pool_pick(body, pool, lambda g: extends(g.vec))
-        got = _smallest(body, ech, extends, bound, lambda: None)
+        red = body.reduced
+        for row in rows:
+            red = red.rebased(coefficients(red.lattice.basis, row))
+        got = _smallest(body, red, bound, lambda: None, extends=True)[0]
         assert (got.vec, got.klo, got.khi, got.kex) == (want.vec, want.klo, want.khi, want.kex), rows
 
 
