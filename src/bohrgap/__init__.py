@@ -54,7 +54,6 @@ _EXPORTS = {
     "gap": (
         "GAP",
         "cardinality_ratio",
-        "decompose",
         "gap_elements",
         "inner_gap",
         "is_proper",

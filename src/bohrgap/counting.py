@@ -124,11 +124,6 @@ class TotientTable:
             self._cache[j] = seg
         return seg
 
-    def phi(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValidationError(f"{n} outside sieve range 1..{self.limit}")
-        return int(self._segment((n - 1) // _SEGMENT)[(n - 1) % _SEGMENT])
-
     def block(self, lo: int, hi: int) -> np.ndarray:
         """phi(lo), ..., phi(hi-1) as one array; a view into the cached
         segment when the range lies in one."""
@@ -257,10 +252,6 @@ class CongruenceLattice:
     @property
     def d(self) -> int:
         return len(self.coprime)
-
-    def contains(self, x) -> bool:
-        s = sum(self.moduli[i] * int(c) for i, c in zip(self.coprime, x))
-        return s % self.p == 0
 
     def to_dict(self) -> dict:
         return {

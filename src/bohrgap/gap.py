@@ -137,11 +137,6 @@ def _cramer(basis):
     return coeffs
 
 
-def decompose(minima: MinimaResult, point) -> tuple[int, ...]:
-    """Integer coefficients n with point = sum n_i v_i (rows of the basis)."""
-    return _cramer(minima.basis)(point)
-
-
 # -- element materialization -------------------------------------------------
 
 

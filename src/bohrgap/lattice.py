@@ -1,4 +1,4 @@
-"""Exact integer linear algebra for small lattices (k <= 6).
+"""Exact integer linear algebra for small lattices.
 
 Everything runs on Python ints: fraction-free Bareiss elimination (Bareiss
 1968) gives determinants, cofactors give the adjugate, and an extended-gcd

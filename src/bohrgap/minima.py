@@ -230,13 +230,6 @@ def _scaled_fixed(body: ConvexBody, m: GaugeVal) -> FixedReal:
     return FixedReal(_round_half_even(a + b, den), body.alpha.scale, Q(b - a + den, den), None)
 
 
-def gauge(body: ConvexBody, vec) -> FixedReal:
-    """g_S(v) = lambda * m(v) as a FixedReal with certified error bounds."""
-    if all(int(x) == 0 for x in vec):
-        raise ValidationError("gauge of the zero vector")
-    return _scaled_fixed(body, gauge_interval(body, vec))
-
-
 def _key_le(m: GaugeVal, bnd: int):
     """m(v) <= bound from the keys, where bnd = floor(D*bound)."""
     if m.kex is not None:
@@ -664,9 +657,7 @@ def successive_minima(body: ConvexBody, budget: int = 2 * 10**6) -> MinimaResult
     the attaining vectors themselves form a basis.
     """
     k = body.k
-    if k > 6:
-        raise ValidationError("certified minima supported for k <= 6 only")
-    spend = spender(budget, f"gauge ball enumeration exceeds {budget} candidates")
+    spend = spender(budget, f"minima walk exceeds {budget} nodes")
     key = body.frame().key
 
     # the i-th pick walks a basis rebased on the picks before it

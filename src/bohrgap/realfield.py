@@ -91,13 +91,6 @@ class RealSpec:
             return fr_sqrt_int(self.payload, scale)
         return fr_from_fraction(self.exact(), scale, source=self)
 
-    def text(self) -> str:
-        if self.kind == "rat":
-            return f"rat:{self.payload}"
-        if self.kind == "dec":
-            return f"dec:{self.payload}"
-        return f"sqrt:{self.payload}"
-
 
 @dataclass(frozen=True)
 class FixedReal:
@@ -128,9 +121,6 @@ class FixedReal:
         if self.source is not None:
             return self.source.exact()
         return None
-
-    def value(self) -> float:
-        return self.man / (1 << self.scale)
 
     def decimal(self, digits: int = 24) -> str:
         """Decimal string of the mantissa value, rounded to `digits` places."""
@@ -467,12 +457,6 @@ class BohrSpec:
     @property
     def scale(self) -> int:
         return self.alpha.scale
-
-    def gammas(self) -> tuple[FixedReal, ...]:
-        if self.gamma is not None:
-            return self.gamma
-        z = fr_from_int(0, self.scale)
-        return tuple(z for _ in range(self.d))
 
     def is_homogeneous(self) -> bool:
         return self.gamma is None or all(g.exact() == 0 for g in self.gamma)

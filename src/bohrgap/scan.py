@@ -115,9 +115,9 @@ class CoordScan:
         self.g_sign = 1 if g_sign >= 0 else -1
         s = alpha.scale
         if s % 64:
-            raise ValueError("scan needs a scale divisible by 64")
+            raise ValidationError("scan needs a scale divisible by 64")
         if gamma is not None and gamma.scale != s:
-            raise ValueError("alpha and gamma scales differ")
+            raise ValidationError("alpha and gamma scales differ")
         self.scale = s
         self.nlimbs = s // 32
         self.nwords = s // 64
@@ -144,10 +144,6 @@ class CoordScan:
             k = fd[1].get(m, 0)
             if set(fd[1]) <= {m} and k.denominator == 1:
                 self._n0, self._x0 = 1 - int(k), fd[0]
-
-    def flipped(self) -> "CoordScan":
-        """Scanner for ||n*alpha + gamma||, used for negative n."""
-        return CoordScan(self.alpha, self.gamma, -self.g_sign)
 
     def err_int(self, n_max: int) -> int:
         """Integer bound on |true*2^scale - d(n)| for all n <= n_max."""

@@ -207,11 +207,6 @@ class SupportMask:
     def trivial(self) -> bool:
         return self.eps is None
 
-    def contains(self, n: int) -> bool:
-        if not 1 <= n <= self.N:
-            raise ValidationError(f"{n} outside the mask range 1..{self.N}")
-        return bool(self.flags[n - 1])
-
     @property
     def kept(self) -> int:
         return int(self.flags.sum())
@@ -526,20 +521,6 @@ class ApproxFunction:
     def __call__(self, n: int) -> float:
         return float(self.values(np.array([n], dtype=np.int64))[0])
 
-    def certify_decreasing(self, n_max: int = 10**6) -> bool:
-        """psi(n) >= psi(n+1) checked from n = 3 on a dense-then-geometric grid
-        (built-ins are products of increasing positive factors; the grid guards
-        the implementation, exhaustively for tables)."""
-        if self.tag == "table":
-            return True  # enforced at construction
-        grid = list(range(3, min(n_max, 4096))) + [
-            int(3 * 1.5**j) for j in range(1, 64) if 3 * 1.5**j < n_max
-        ]
-        for n in grid:
-            if self(n) < self(n + 1):
-                return False
-        return True
-
 
 def psi_family(tag: str, **params) -> ApproxFunction:
     return ApproxFunction(tag, **params)
@@ -565,24 +546,6 @@ class ModifiedPsi:
             terms, _ = blk.terms(N)
             out[blk.span] = self.psi.values(blk.ns.astype(np.int64)) * terms
         return out
-
-    def eval(self, n: int) -> dict:
-        on = self.mask.contains(n)
-        prod = 1.0
-        for coord in _coord_scans(self.spec):
-            d = float(coord.dist_floats(np.array([n], dtype=np.uint64))[0])
-            if d <= coord.zero_band(self.mask.N):
-                # off the support a true zero is reported as a zero product
-                d = _nonzero_dist(coord, n) if on else coord.dist_float(n)
-            prod *= d
-        psi_val = self.psi(n)
-        return {
-            "n": n,
-            "on_support": on,
-            "psi": psi_val,
-            "dist_product": prod,
-            "value": psi_val / prod if on else 0.0,
-        }
 
 
 def psi_modified(spec: BohrSpec, psi: ApproxFunction, mask: Optional[SupportMask] = None) -> ModifiedPsi:

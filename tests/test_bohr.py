@@ -21,6 +21,7 @@ from bohrgap.bohr import (
     shift_injection_holds,
 )
 from bohrgap.errors import AmbiguousLift, ValidationError
+from bohrgap.realfield import fr_from_int
 from bohrgap.scan import CoordScan
 
 Q = Fraction
@@ -269,7 +270,7 @@ def unfolded_reference(spec, n, i, extra=0):
     """Reference: n*alpha_i - gamma_i before folding, with a zero shift for
     the homogeneous set, refined by extra bits."""
     a = spec.alpha.alphas[i]
-    g = spec.gammas()[i]
+    g = spec.gamma[i] if spec.gamma is not None else fr_from_int(0, spec.scale)
     if extra:
         a = a.refined(a.scale + extra)
         g = g.refined(g.scale + extra)

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, payload shapes, manifest replay."""
 
+import ast
 import gc
 import hashlib
 import importlib
@@ -9,6 +10,7 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -539,20 +541,20 @@ SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
 @pytest.mark.parametrize(
     "argv, expected, lines",
     [
-        ((), set(), 99),
-        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1910),
+        ((), set(), 98),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1889),
         (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
-         {"exponents", "numpy", "realfield", "scan"}, 2061),
+         {"exponents", "numpy", "realfield", "scan"}, 2040),
         # the exact-integer commands load neither numpy nor mpmath
-        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2358),
+        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2332),
         (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"gap", "lattice", "minima", "realfield"}, 2944),
+         {"gap", "lattice", "minima", "realfield"}, 2913),
         # only the inner box is hashed
         (("gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3529),
+         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3494),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
-         {"counting", "lattice"}, 1595),
-        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3146),
+         {"counting", "lattice"}, 1585),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3079),
     ],
     ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "gap-inner", "count-davenport", "sums-t"],
 )
@@ -628,7 +630,7 @@ PUBLIC_NAMES = {
     "ExponentReport", "TargetVector", "dual_exponent_est", "exponent_report",
     "mult_exponent_est", "multiplicative_hypothesis", "simult_exponent_est",
     "uniform_inhom_est",
-    "GAP", "cardinality_ratio", "decompose", "gap_elements", "inner_gap", "is_proper",
+    "GAP", "cardinality_ratio", "gap_elements", "inner_gap", "is_proper",
     "outer_gap",
     "ConvexBody", "MinimaResult", "build_body", "successive_minima",
     "FixedReal", "RealSpec",
@@ -640,7 +642,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports():
-    assert len(bohrgap.__all__) == len(PUBLIC_NAMES) == 66
+    assert len(bohrgap.__all__) == len(PUBLIC_NAMES) == 65
     assert set(bohrgap.__all__) == PUBLIC_NAMES
     for module, names in bohrgap._EXPORTS.items():
         mod = importlib.import_module(f"bohrgap.{module}")
@@ -654,6 +656,42 @@ def test_package_exports():
     star = {}
     exec("from bohrgap import *", star)
     assert set(star) - {"__builtins__"} == PUBLIC_NAMES
+
+
+def _identifiers(tree) -> list[str]:
+    """Every name, attribute and imported name that a syntax tree mentions."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name)
+    return out
+
+
+def test_every_library_definition_has_a_caller_outside_the_tests():
+    # a definition that only tests reach is code no command runs; the public
+    # names are kept for callers outside this repository
+    root = Path(SRC).parent
+    paths = [p for d in ("src/bohrgap", "perfbench", "demos") for p in sorted((root / d).glob("*.py"))]
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    mentions = Counter(name for tree in trees.values() for name in _identifiers(tree))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent.name != "bohrgap":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in bohrgap.__all__ or (name.startswith("__") and name.endswith("__")):
+                continue
+            # mentions inside its own body (recursion) do not count
+            if mentions[name] == _identifiers(node).count(name):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 # -- commands no other test runs ----------------------------------------------------
@@ -735,6 +773,25 @@ def test_a_process_prints_and_exits_as_main_does(monkeypatch, line, code):
 def test_an_irrational_width_exits_2_without_a_traceback():
     line = "bohr lift --alpha sqrt:3 --N 100 --delta sqrt:2 --n 7"
     assert bohrgap_process(*line.split()) == (2, "", "validation error: width 'sqrt:2' is not rational\n")
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("bohr enumerate --k 2 --alpha sqrt:2 --N 100 --delta 0.1 --scale 100", 2),
+        ("sums t --k 2 --alpha sqrt:2 --N 100 --scale 96", 2),
+        ("exponents --alpha sqrt:2 --n-max 100 --scale 100", 2),
+        # no scan runs here, so any scale the body accepts will do
+        ("minima --k 2 --alpha sqrt:2 --N 100 --delta 0.1 --scale 100", 0),
+        ("gap outer --k 2 --alpha sqrt:2 --N 100 --delta 0.1 --scale 100", 0),
+    ],
+    ids=["bohr-enumerate", "sums-t", "exponents", "minima", "gap-outer"],
+)
+def test_a_scan_scale_off_64_exits_2_without_a_traceback(line, code):
+    got, out, err = bohrgap_process(*line.split())
+    assert got == code, err
+    if code == 2:
+        assert out == "" and err == "validation error: scan needs a scale divisible by 64\n"
 
 
 _SURD_TIE = "--k 2 --alpha sqrt:2 --gamma sqrt:8"  # ||2*sqrt(2) - sqrt(8)|| = 0 exactly

@@ -1,5 +1,5 @@
 """Byte pins of the command line: help texts, parser errors and the outputs
-of the benchmark's command lines.
+of the benchmark's command lines plus EXTRA_LINES.
 
 The pins in cli_pins.json were recorded on Linux x86-64 with
 
@@ -38,6 +38,12 @@ REFUSED = [
     "", "--version", "bogus", "gap", "gap bogus", "gap verify", "gap verify --N 100 --bogus 1",
     "gap verify --form sideways --N 100", "count davenport", "rerun",
     "exponents --N 5", "--N 5 gap inner", "gap --k 2 inner --N 100",
+]
+
+# a rank past 6: the minima walk's node budget is its only limit
+EXTRA_LINES = [
+    "minima --k 8 --alpha sqrt:2 --alpha sqrt:3 --alpha sqrt:5 --alpha sqrt:6 --alpha sqrt:7"
+    " --alpha sqrt:10 --alpha sqrt:11 --N 1000000 --delta 0.1",
 ]
 
 CONFIG_TEXT = "k = 2\nalpha = sqrt:7\nN = 100000\ndelta = 0.1  # width\neps = 0.05\n"
@@ -132,7 +138,7 @@ def _record() -> dict:
     from workloads import cli_lines
 
     os.environ["COLUMNS"] = "80"
-    lines = sorted({line for seed in SEEDS for line in cli_lines(seed)})
+    lines = sorted({line for seed in SEEDS for line in cli_lines(seed)} | set(EXTRA_LINES))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         return {

@@ -84,9 +84,9 @@ def sqrt2_gap():
 
 def test_phi_small_values():
     t = totient_sieve(100)
-    assert t.phi(1) == 1
-    assert t.phi(12) == 4 == sum(1 for a in range(1, 13) if math.gcd(a, 12) == 1)
-    assert t.phi(97) == 96
+    assert int(t.block(1, 2)[0]) == 1
+    assert int(t.block(12, 13)[0]) == 4 == sum(1 for a in range(1, 13) if math.gcd(a, 12) == 1)
+    assert int(t.block(97, 98)[0]) == 96
 
 
 def test_phi_matches_oracle_block():
@@ -99,12 +99,13 @@ def test_phi_matches_oracle_block():
 def test_phi_primes_and_multiplicativity():
     t = totient_sieve(10**4)
     for p in map(int, primes_up_to(10**4)):
-        assert t.phi(p) == p - 1
+        assert int(t.block(p, p + 1)[0]) == p - 1
+    phi = t.block(1, 10**4 + 1)
     rng = random.Random(5)
     for _ in range(200):
         a, b = rng.randrange(2, 90), rng.randrange(2, 90)
         if math.gcd(a, b) == 1:
-            assert t.phi(a * b) == t.phi(a) * t.phi(b)
+            assert phi[a * b - 1] == phi[a - 1] * phi[b - 1]
 
 
 def test_phi_density_constant():
@@ -119,7 +120,7 @@ def test_phi_density_constant():
 def test_segmented_table_agrees():
     t = totient_sieve(10**7 + 2 * 10**6)
     for n in (10**7 - 1, 10**7, 10**7 + 1, 10**7 + 999983, 10**7 + 2 * 10**6):
-        assert t.phi(n) == phi_oracle(n), n
+        assert int(t.block(n, n + 1)[0]) == phi_oracle(n), n
     blk = t.block(10**7 + 10**6 - 3, 10**7 + 10**6 + 3)  # spans two segments
     for off, n in enumerate(range(10**7 + 10**6 - 3, 10**7 + 10**6 + 3)):
         assert int(blk[off]) == phi_oracle(n)
@@ -152,7 +153,7 @@ def test_block_table_matches_the_eager_segment():
     t = totient_sieve(limit)
     assert np.array_equal(t.block(1, limit + 1), want)
     for n in (1, 10**6, 10**6 + 1, 2 * 10**6 + 1, limit):
-        assert t.phi(n) == int(want[n - 1])
+        assert int(t.block(n, n + 1)[0]) == int(want[n - 1])
 
 
 def test_totient_average_on_unsorted_input_reads_each_block_once(monkeypatch):
@@ -184,7 +185,7 @@ def test_segment_reads_across_edges_match_the_eager_segment():
             hi = min(hi, limit + 1)
             assert np.array_equal(t.block(lo, hi), want[lo - 1 : hi - 1]), (lo, hi)
         for n in (e - 1, e):
-            assert t.phi(n) == int(want[n - 1])
+            assert int(t.block(n, n + 1)[0]) == int(want[n - 1])
     assert np.array_equal(t.block(limit - 7, limit + 1), want[limit - 8 :])
     assert np.array_equal(t.block(5, 5), want[4:4])
     rng = random.Random(5)
@@ -213,7 +214,7 @@ def ref_totient_average(ns, table):
     """Reference: groups by reduced denominator, added as Fractions up a balanced tree."""
     groups = {}
     for n in sorted(int(n) for n in ns):
-        phi = table.phi(n)
+        phi = int(table.block(n, n + 1)[0])
         g = math.gcd(phi, n)
         groups[n // g] = groups.get(n // g, 0) + phi // g
     terms = [Q(num, den) for den, num in sorted(groups.items())]
@@ -241,7 +242,7 @@ def test_sieve_guards():
         totient_sieve(0)
     t = totient_sieve(50)
     with pytest.raises(ValidationError):
-        t.phi(51)
+        t.block(51, 52)
 
 
 # -- totient averages -------------------------------------------------------------
@@ -257,7 +258,7 @@ def test_average_matches_direct_fraction_sum():
     rng = random.Random(9)
     ns = [rng.randrange(1, 500) for _ in range(60)]
     t = totient_sieve(500)
-    direct = sum(Q(t.phi(n), n) for n in ns)
+    direct = sum(Q(int(t.block(n, n + 1)[0]), n) for n in ns)
     assert totient_average(ns, t) == direct
 
 
@@ -269,7 +270,7 @@ def test_average_matches_lcm_formula_with_repeats():
         ns = [rng.randrange(1, 5000) for _ in range(size)]
         ns += ns[: size // 3]  # repeated members count with multiplicity
         lcm = math.lcm(*ns)
-        want = Q(sum(t.phi(n) * (lcm // n) for n in ns), lcm)
+        want = Q(sum(int(t.block(n, n + 1)[0]) * (lcm // n) for n in ns), lcm)
         assert totient_average(ns, t) == want
 
 
@@ -353,7 +354,7 @@ def test_amgm_chain_exact(sqrt2_gap):
     t = totient_sieve(max(els))
     lhs = Q(1)
     for n in els:
-        lhs *= Q(t.phi(n), n)
+        lhs *= Q(int(t.block(n, n + 1)[0]), n)
     rhs = Q(1)
     for p in map(int, primes_up_to(max(els))):
         c = sum(1 for n in els if n % p == 0)
@@ -365,12 +366,17 @@ def test_amgm_chain_exact(sqrt2_gap):
 # -- congruence lattices ------------------------------------------------------------
 
 
+def on_lattice(lat, x):
+    """sum A_i x_i = 0 mod p over the coordinates coprime to p."""
+    return sum(lat.moduli[i] * c for i, c in zip(lat.coprime, x)) % lat.p == 0
+
+
 def test_lattice_pair_modulus_two():
     lat = congruence_lattice((1, 1), 2)
     assert lat.det == 2 and lat.divisible == () and lat.coprime == (0, 1)
     for v in [(1, 1), (0, 2)] + [tuple(r) for r in lat.basis]:
-        assert lat.contains(v)
-    assert not lat.contains((1, 0))
+        assert on_lattice(lat, v)
+    assert not on_lattice(lat, (1, 0))
 
 
 def test_lattice_with_zero_modulus():
@@ -412,11 +418,11 @@ def test_lattice_det_and_index_random():
         inside = sum(
             1
             for x in itertools.product(range(p), repeat=d)
-            if lat.contains(x)
+            if on_lattice(lat, x)
         )
         assert inside == p ** (d - 1)  # index p in Z^d
         for row in lat.basis:
-            assert lat.contains(row)
+            assert on_lattice(lat, row)
 
 
 # -- Euclidean minima ----------------------------------------------------------------
@@ -527,7 +533,7 @@ def test_minima_against_greedy_oracle():
         pts = [
             v
             for v in itertools.product(range(-p, p + 1), repeat=lat.d)
-            if any(v) and lat.contains(v)
+            if any(v) and on_lattice(lat, v)
         ]
         pts.sort(key=lambda v: sum(c * c for c in v))
         chosen, mins = [], []

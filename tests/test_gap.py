@@ -36,6 +36,7 @@ from bohrgap.gap import (
     _box_values,
     _coeff_vector,
     _containment,
+    _cramer,
     _cramer_constant,
     _dirichlet_tspec,
     _floor_over_gauge,
@@ -44,7 +45,6 @@ from bohrgap.gap import (
     _lift_lines,
     _proper_sorted,
     cardinality_ratio,
-    decompose,
     gap_elements,
     inner_gap,
     is_proper,
@@ -290,10 +290,11 @@ def test_is_proper_counts_distinct_values(moduli, lengths, form):
 
 def test_decompose_basis_and_zero():
     spec = BohrSpec.build(["sqrt:2"], None, 10**5, ["0.1"], "0.05")
-    mr = successive_minima(build_body(spec))
-    assert decompose(mr, mr.basis[0]) == (1, 0)
-    assert decompose(mr, mr.basis[1]) == (0, 1)
-    assert decompose(mr, (0, 0)) == (0, 0)
+    basis = successive_minima(build_body(spec)).basis
+    coeffs = _cramer(basis)
+    assert coeffs(basis[0]) == (1, 0)
+    assert coeffs(basis[1]) == (0, 1)
+    assert coeffs((0, 0)) == (0, 0)
 
 
 def test_decompose_roundtrip_random():
@@ -301,11 +302,12 @@ def test_decompose_roundtrip_random():
 
     spec = BohrSpec.build(["sqrt:2", "sqrt:3"], None, 10**4, ["0.5", "0.5"], "0.05")
     mr = successive_minima(build_body(spec))
+    coeffs = _cramer(mr.basis)
     rng = random.Random(11)
     for _ in range(30):
         cs = tuple(rng.randint(-50, 50) for _ in range(3))
         pt = tuple(sum(c * v[j] for c, v in zip(cs, mr.basis)) for j in range(3))
-        assert decompose(mr, pt) == cs
+        assert coeffs(pt) == cs
         assert fraction_solve(mr.basis, pt) == cs
 
 
@@ -561,6 +563,7 @@ def _cramer_lengths(spec):
     (["rat:2/5"], 1000, ["1/5"]),
     (["rat:3/7"], 2000, ["1/7"]),
     (["sqrt:5", "rat:2/7"], 2000, ["0.45", "0.55"]),  # k = 3, either side of 1/2
+    (["sqrt:2", "sqrt:3", "sqrt:5", "sqrt:6", "sqrt:7", "sqrt:10"], 3 * 10**4, ["0.25"] * 6),  # k = 7
 ])
 def test_lift_check_matches_loop(alphas, N, deltas):
     spec = BohrSpec.build(alphas, None, N, deltas)
@@ -578,8 +581,9 @@ def test_lift_check_matches_loop(alphas, N, deltas):
     _same_as_loop(spec, minima, lengths, members, checked)
 
     # shrunk lengths: the check stops at the 17th failure, and a budget one
-    # lift short of it raises instead
-    small = [max(1, L // 4) for L in lengths]
+    # lift short of it raises instead; at k = 7 the lengths are near 10^3 but
+    # no lift needs a coefficient past 5, so there only lengths of 1 fail
+    small = [max(1, L // 4) if len(lengths) < 7 else 1 for L in lengths]
     stop, failures = _same_as_loop(spec, minima, small, members)
     assert len(failures) == 17 and stop < checked
     assert _same_as_loop(spec, minima, small, members, stop - 1)[0] == "BudgetExceeded"
@@ -805,10 +809,10 @@ def test_outer_walk_budget_boundary_keeps_the_count():
 
 
 def test_decompose_rejects_a_point_off_a_nonunimodular_basis():
-    mr = SimpleNamespace(basis=[(2, 0), (0, 1)])
-    assert decompose(mr, (4, -3)) == (2, -3)
+    coeffs = _cramer([(2, 0), (0, 1)])
+    assert coeffs((4, -3)) == (2, -3)
     with pytest.raises(ConstructionError, match="non-integral decomposition"):
-        decompose(mr, (3, 0))
+        coeffs((3, 0))
 
 
 # -- containment by classification against the enumerating reference -----------

@@ -20,7 +20,7 @@ from bohrgap.bohr import BohrSpec
 from bohrgap.errors import MinimaDegenerate, PrecisionExhausted
 from bohrgap.exponents import TargetVector
 from bohrgap.gap import _floor_over_gauge
-from bohrgap.minima import ConvexBody, GaugeVal, _band_check, _scaled_fixed, build_body, gauge, successive_minima
+from bohrgap.minima import ConvexBody, GaugeVal, _band_check, _scaled_fixed, build_body, successive_minima
 from bohrgap.realfield import UNDECIDED, FixedReal, RealSpec, certify, fr_root_rational, fr_sqrt_int
 from bohrgap.scan import CoordScan, ThresholdSpec
 
@@ -149,11 +149,11 @@ def test_scaled_fixed_matches_fraction_formula(body, data):
        st.integers(100, 10**6), st.data())  # fmt: skip
 def test_gauge_matches_fraction_formula_on_fixed_keys(a1, a2, N, data):
     body = build_body(BohrSpec.build([a1, a2], None, N, ["0.3", "1/7"]))
-    vals = [a.value() for a in body.alpha.alphas]
+    vals = [a.man / (1 << a.scale) for a in body.alpha.alphas]
     v0 = data.draw(st.integers(-N, N).filter(bool))
     vec = (v0,) + tuple(round(x * v0) + data.draw(st.integers(-2, 2)) for x in vals)
     m = minima.gauge_interval(body, vec)
-    assert triple(gauge(body, vec)) == triple(ref_scaled_fixed(body, m))
+    assert triple(_scaled_fixed(body, m)) == triple(ref_scaled_fixed(body, m))
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,7 +328,8 @@ def test_minima_pins():
     for label, alphas, N, deltas in _pin_bodies():
         body = build_body(BohrSpec.build(alphas, None, N, deltas))
         res = successive_minima(body)
-        fixed = [res.lambdas + res.basis_gauges, [gauge(body, v) for v in res.minima_vectors]]
+        gauges = [_scaled_fixed(body, minima.gauge_interval(body, v)) for v in res.minima_vectors]
+        fixed = [res.lambdas + res.basis_gauges, gauges]
         fixed = [[x.man, x.scale, str(x.err)] for xs in fixed for x in xs]
         assert (_sha(res.to_dict()), hashlib.sha256(json.dumps(fixed).encode()).hexdigest()) == tuple(PINS[label]), label
         labels.append(label)

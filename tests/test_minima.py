@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bohrgap import minima
 
 from bohrgap.bohr import BohrSpec
-from bohrgap.errors import BudgetExceeded, ConstructionError, ValidationError
+from bohrgap.errors import BudgetExceeded, ConstructionError
 from bohrgap.exponents import TargetVector
 from bohrgap.lattice import ReducedLattice, det, line_cut, spender
 from bohrgap.realfield import UNDECIDED, FixedReal, certify
@@ -26,10 +26,10 @@ from bohrgap.minima import (
     _canon,
     _gauge_le,
     _key_le,
+    _scaled_fixed,
     _smallest,
     ball_lines,
     build_body,
-    gauge,
     gauge_interval,
     successive_minima,
 )
@@ -130,8 +130,8 @@ def test_identity_like_body():
     for j in range(3):
         e = [0, 0, 0]
         e[j] = 1
-        g = gauge(body, e)
-        assert abs(g.value() - 1.0) < 1e-30
+        g = _scaled_fixed(body, gauge_interval(body, e))
+        assert abs(g.man / (1 << g.scale) - 1.0) < 1e-30
     res = successive_minima(body)
     assert [x.decimal(6) for x in res.lambdas] == ["1.000000"] * 3
     assert abs(det(res.basis)) == 1
@@ -156,20 +156,19 @@ def test_sqrt2_body_pins():
 
 def test_gauge_pin_sqrt2():
     body = body_of(["sqrt:2"], 100, ["0.5"])
-    g = gauge(body, (1, 1))
+    g = _scaled_fixed(body, gauge_interval(body, (1, 1)))
     # sqrt(50) * max(1/10, (sqrt2-1)/0.05) = 200 - 100*sqrt(2)
     assert g.decimal(6) == "58.578644"[:9]
-    assert abs(g.value() - (200 - 100 * math.sqrt(2))) < 1e-9
+    assert abs(g.man / (1 << g.scale) - (200 - 100 * math.sqrt(2))) < 1e-9
 
 
 def test_gauge_symmetry_and_zero():
     body = body_of(["sqrt:2", "sqrt:3"], 1000, ["0.3", "0.4"])
     for v in [(1, 1, 2), (3, 4, 5), (0, 1, -1)]:
-        gp = gauge(body, v)
-        gn = gauge(body, tuple(-x for x in v))
+        gp = _scaled_fixed(body, gauge_interval(body, v))
+        gn = _scaled_fixed(body, gauge_interval(body, tuple(-x for x in v)))
         assert gp.man == gn.man and gp.err == gn.err
-    with pytest.raises(ValidationError):
-        gauge(body, (0, 0, 0))
+    assert gauge_interval(body, (0, 0, 0)).exact == 0
 
 
 def test_degenerate_rational_pins():
@@ -231,20 +230,22 @@ def test_scaling_covariance():
     a = successive_minima(base)
     b = successive_minima(doubled)
     for x, y in zip(a.lambdas, b.lambdas):
-        assert abs(y.value() - x.value() / 2) < 1e-12
+        assert abs(y.man / (1 << y.scale) - x.man / (1 << x.scale) / 2) < 1e-12
 
 
 def test_k3_trivial_lambda():
     body = body_of(["sqrt:2", "sqrt:3"], 10**5, ["0.1", "0.2"])
     assert body.lam_pow_k == 2000
     lam = body.lam()
-    assert abs(lam.value() - 2000 ** (1 / 3)) < 1e-12
+    assert abs(lam.man / (1 << lam.scale) - 2000 ** (1 / 3)) < 1e-12
 
 
 def test_budget_guard():
     body = body_of(["sqrt:2", "sqrt:3"], 10**5, ["0.1", "0.2"])
     with pytest.raises(BudgetExceeded):
         ball_lines(body, Q(50), spender(100, "gauge ball walk exceeds 100 nodes"))
+    with pytest.raises(BudgetExceeded, match=r"^minima walk exceeds 10 nodes$"):
+        successive_minima(body, budget=10)
 
 
 def test_int_det_and_extendable():
@@ -278,7 +279,7 @@ def test_basis_gauges_dominate_lambdas():
     for args in ((["sqrt:2"], 100, ["0.5"]), (["sqrt:2", "sqrt:3"], 300, ["0.3", "0.3"])):
         res = successive_minima(body_of(*args))
         for lam, bg in zip(res.lambdas, res.basis_gauges):
-            assert bg.value() >= lam.value() - 1e-12
+            assert bg.man / (1 << bg.scale) >= lam.man / (1 << lam.scale) - 1e-12
 
 
 # -- integer gauge keys and the enumerated ball against independent oracles ----
@@ -325,7 +326,7 @@ def test_gauge_keys_match_fraction_formula(alphas, deltas):
 
     body = body_of(alphas, 1000, deltas)
     rng = random.Random(len(alphas) * 31 + len(deltas[0]))
-    vals = [a.value() for a in body.alpha.alphas]
+    vals = [a.man / (1 << a.scale) for a in body.alpha.alphas]
     for _ in range(200):
         v0 = rng.randrange(-3000, 3000)
         vec = (v0,) + tuple(round(x * v0) + rng.randint(-2, 2) for x in vals)
@@ -496,7 +497,7 @@ def test_forms_match_the_two_list_frame(alphas, N, raw, data):
     assert grams == [ref.gram]
     assert (red.spread, red.const, red.vary) == (ref.spread, ref.const, ref.vary)
 
-    vals = [a.value() for a in body.alpha.alphas]
+    vals = [a.man / (1 << a.scale) for a in body.alpha.alphas]
     coord = st.integers(-(10**6), 10**6)
     for _ in range(4):
         v0 = data.draw(coord)
@@ -605,7 +606,7 @@ def _pool_radius(body):
         v[j] = 1
         y = [float(Q(v[0]) / body.c[0])]
         for i, a in enumerate(body.alpha.alphas):
-            y.append((a.value() * v[0] - v[1 + i]) / float(body.c[1 + i]))
+            y.append((a.man / (1 << a.scale) * v[0] - v[1 + i]) / float(body.c[1 + i]))
         mat.append(y)
     zrows = _pool_float_lll(mat)
     if abs(det(zrows)) != 1:
@@ -812,6 +813,17 @@ def test_enumeration_matches_pool_where_bases_differ_from_minima():
         (["rat:1/2", "sqrt:2"], 3000, ["0.1", "0.3"]),
     ):
         assert_matches_pool(body_of(alphas, N, deltas))
+
+
+@pytest.mark.parametrize("alphas,N,delta", [
+    (["sqrt:2", "sqrt:3", "sqrt:5", "sqrt:6", "sqrt:7", "sqrt:10"], 1000, "0.1"),
+    # lambda_3..lambda_6 tie on exact rational terms
+    (["sqrt:2", "rat:1/3", "sqrt:5", "rat:2/7", "sqrt:7", "dec:0.25"], 1000, "0.5"),
+    (["sqrt:2", "rat:1/3", "sqrt:5", "rat:2/7", "sqrt:7", "sqrt:10", "rat:5/9"], 1000, "0.3"),
+], ids=["k7-sqrt", "k7-rat", "k8-rat"])
+def test_enumeration_matches_pool_past_rank_6(alphas, N, delta):
+    # no rank cap: the walk's node budget is the only limit
+    assert_matches_pool(body_of(alphas, N, [delta] * len(alphas)))
 
 
 def test_basis_completion_searches_past_the_minima(monkeypatch):

@@ -234,7 +234,7 @@ def test_near_zero_rule():
 def test_flipped_handles_negative_axis():
     a = fr_sqrt_int(2, 128)
     g = RealSpec.parse("dec:0.3").realize(128)
-    sc = CoordScan(a, g).flipped()
+    sc = CoordScan(a, g, -1)
     # ||(-n) alpha - gamma|| == ||n alpha + gamma||
     for n in (1, 12, 99):
         d1 = dist_nearest_int(a.mul_int(-n) - g)
@@ -328,7 +328,7 @@ def _rational_cases(draw):
     ))
     sc = CoordScan(RealSpec.parse(alpha).realize(128), RealSpec.parse(gamma).realize(128) if gamma else None)
     if draw(st.booleans()):
-        sc = sc.flipped()
+        sc = CoordScan(sc.alpha, sc.gamma, -1)
     qq = sc._pr_q[2]  # every distance is a multiple of 1/qq
     thr = draw(st.one_of(
         st.just(Q(0)),
@@ -382,7 +382,7 @@ def test_residue_decider_matches_per_n_loop(case):
 ])
 def test_residue_decider_int64_bounds(alpha, gamma, thr, fits):
     sc = CoordScan(RealSpec.parse(alpha).realize(128), RealSpec.parse(gamma).realize(128) if gamma else None)
-    for c in (sc, sc.flipped()):
+    for c in (sc, CoordScan(sc.alpha, sc.gamma, -1)):
         spec = ThresholdSpec.for_fraction(c, thr, 2**31 - 1)
         assert (spec.block is not None) == fits
         for lo in (0, BLOCK - 100, 2**31 - 200):
@@ -393,14 +393,15 @@ def test_residue_decider_int64_bounds(alpha, gamma, thr, fits):
 
 def test_rational_bohr_scan_skips_words_and_callbacks(monkeypatch):
     spec = BohrSpec.build(["rat:2/9", "dec:0.15"], ["rat:1/3", "dec:0.05"], BLOCK + 900, ["1/9", "0.1"])
-    coords = [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, spec.gammas())]
+    coords = [CoordScan(a, g) for a, g in zip(spec.alpha.alphas, spec.gamma)]
+    flipped = [CoordScan(a, g, -1) for a, g in zip(spec.alpha.alphas, spec.gamma)]
     deltas = spec.delta
 
     def oracle(ns, cs):
         return [n for n in ns if all(_fraction_le(c, n, t) for c, t in zip(cs, deltas))]
 
     pos = oracle(range(0, spec.N + 1), coords)
-    neg = [-n for n in oracle(range(spec.N, 0, -1), [c.flipped() for c in coords])]
+    neg = [-n for n in oracle(range(spec.N, 0, -1), flipped)]
 
     def boom(*args, **kwargs):
         raise AssertionError("rational coordinates must be decided by residues")
