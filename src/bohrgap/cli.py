@@ -274,11 +274,9 @@ def cmd_gap_verify(ns) -> RunOutput:
 def cmd_count_davenport(ns) -> RunOutput:
     from .counting import congruence_lattice, davenport_count
 
-    lattice = None
-    if ns.moduli:
-        if ns.p is None:
-            raise ValidationError("--moduli needs --p")
-        lattice = congruence_lattice(tuple(ns.moduli), ns.p)
+    if bool(ns.moduli) != (ns.p is not None):
+        raise ValidationError("--moduli needs --p" if ns.moduli else "--p needs --moduli")
+    lattice = congruence_lattice(tuple(ns.moduli), ns.p) if ns.moduli else None
     cert = davenport_count(tuple(ns.box), lattice, ns.budget or 10**8)
     summary = [
         f"count = {cert.count}, main term = {cert.main_term}, "

@@ -15,11 +15,9 @@ argument has no room.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
@@ -409,68 +407,23 @@ def _lift_lines(spec: BohrSpec, budget: Optional[int] = None):
     return body.reduced.b, lines, count
 
 
-def _lex_position(b, j, lines, p) -> int:
-    """#{lifts u <= p} in lexicographic order, over 0 and +-(x*b + r).
-
-    On a line u = s*(x*b + r) is constant before b's first nonzero
-    coordinate j and moves monotonically with x at j, so the u <= p are a
-    prefix or suffix of lo..hi cut by one integer division; the one x with
-    u_j = p_j, if any, is compared whole.
-    """
-    pos = int((0,) * len(p) <= p)
-    for r, lo, hi in lines:
-        for s in (1, -1):
-            head = tuple(s * c for c in r[:j])
-            if head != p[:j]:
-                pos += hi - lo + 1 if head < p[:j] else 0
-                continue
-            # u_j = t*x + c rises with y = sign(t)*x, which runs over a..z
-            t, c = s * b[j], s * r[j]
-            sign = 1 if t > 0 else -1
-            a, z = (lo, hi) if t > 0 else (-hi, -lo)
-            y, off = divmod(p[j] - c, t * sign)
-            if not off and tuple(s * (y * sign * q + v) for q, v in zip(b, r)) > p:
-                y -= 1
-            pos += min(max(y - a + 1, 0), z - a + 1)
-    return pos
-
-
-def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int, certified: bool = False):
+def _lift_coeff_check(spec: BohrSpec, minima: MinimaResult, lengths, budget: int):
     """Decompose every lift of B^0(N; delta) over the basis; return (count, failures).
 
-    Lifts are taken in lexicographic order of (n, a_1..a_d), the order of
-    members then witnesses, and the check stops at the 17th failure,
-    returning its 1-based position.  BudgetExceeded is raised when that
-    position, or the count if fewer fail, passes budget.  Which lifts come
-    first is known only once every line is in, so the walk itself is not
-    charged, unless certified (lengths from the Cramer constant): then no
-    lift fails, so the walk stops as soon as the count passes budget.
-
-    The lifts come from _lift_lines.  The coefficients (_cramer) are
+    The lifts come from _lift_lines, whose walk raises BudgetExceeded as
+    soon as the lifts found pass budget.  The coefficients (_cramer) are
     affine along a line, so the x inside the box |n_i| <= L_i are one
-    sub-interval (line_cut), and the failures are at most two runs at the
-    line's ends, with their negatives.  Each run is monotone in
-    lexicographic order, so merging the runs gives the failures in order.
+    sub-interval (line_cut); every other x on the line fails, and so does
+    its negative.  The origin decomposes to 0 and never fails.
     """
-    b, lines, count = _lift_lines(spec, budget if certified else None)
+    b, lines, count = _lift_lines(spec, budget)
     coeffs = _cramer(minima.basis)
-    j = next(i for i, c in enumerate(b) if c)
-
-    def run(s, r, xa, xb):  # s*(x*b + r) for x in xa..xb, in lexicographic order
-        for x in range(xa, xb + 1) if s * b[j] > 0 else range(xb, xa - 1, -1):
-            yield tuple(s * (x * q + v) for q, v in zip(b, r))
-
     slopes = coeffs(b)
-    runs = []
+    failures = 0
     for r, lo, hi in lines:
         cut = line_cut(lo, hi, zip(slopes, coeffs(r), lengths))
-        ends = [(lo, hi)] if cut is None else [(lo, cut[0] - 1), (cut[1] + 1, hi)]
-        runs.extend(run(s, r, xa, xb) for xa, xb in ends if xa <= xb for s in (1, -1))
-    failures = [(p[0], p, coeffs(p)) for p in islice(heapq.merge(*runs), 17)]
-    checked = _lex_position(b, j, lines, failures[-1][1]) if len(failures) == 17 else count
-    if checked > budget:
-        raise BudgetExceeded(f"more than {budget} lifts to verify")
-    return checked, failures
+        failures += 2 * (hi - lo + 1 - (cut[1] - cut[0] + 1 if cut else 0))
+    return count, failures
 
 
 def _bohr_count(spec: BohrSpec) -> int:
@@ -491,10 +444,13 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
     The default coefficient constant is the certified Cramer bound for this
     instance, which makes containment provable; pass c_k to override.
     The lifts are counted and checked by lattice lines, so N may pass 2^31;
-    budget bounds the lifts checked, in member-then-witness order.
+    the walk raises BudgetExceeded as soon as the lifts found pass budget,
+    whatever the constant.
     """
     if not spec.is_homogeneous():
         raise ValidationError("outer structure is stated for the homogeneous set")
+    if c_k is not None and not 0 < c_k < math.inf:
+        raise ValidationError("c_k must be finite and positive")
     N, k, eps = spec.N, spec.k, spec.epsilon
     if N < 100:
         raise ValidationError("the construction needs N >= 100")
@@ -503,8 +459,7 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
 
     body = build_body(spec)
     minima = successive_minima(body)
-    certified = c_k is None  # the Cramer constant: no lift can fail
-    c_k = Q(_cramer_constant(body, minima) if certified else c_k)
+    c_k = Q(_cramer_constant(body, minima) if c_k is None else c_k)
     trace = [
         f"hypotheses: N={N}, k={k}, tau=sqrt({eps}), C_k={float(c_k):.6g}, "
         f"delta lower bound {'ok' if hyp_lower else 'short'}"
@@ -533,11 +488,9 @@ def outer_gap(spec: BohrSpec, c_k=None, budget: int = 10**8) -> GAP:
         trace=trace,
     )
 
-    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, budget, certified)
+    checked_lifts, failures = _lift_coeff_check(spec, minima, lengths, budget)
     if failures:
-        raise ConstructionError(
-            f"{len(failures)}+ lifted members escape the coefficient box"
-        )
+        raise ConstructionError(f"{failures} lifts escape the coefficient box")
     # with every width below 1/2 each member has one lift; else count again
     card = checked_lifts if all(dl < Q(1, 2) for dl in deltas) else _bohr_count(spec)
     box = gap.box_size()

@@ -485,6 +485,8 @@ class ApproxFunction:
     def __post_init__(self):
         if self.tag not in ("log", "loglog", "power", "table"):
             raise ValidationError(f"unknown psi family {self.tag!r}")
+        if not all(map(math.isfinite, (self.c, self.a, *(self.table or ())))):
+            raise ValidationError("psi parameters must be finite")
         if self.c <= 0 or (self.tag == "power" and self.a <= 0):
             raise ValidationError("psi parameters must be positive")
         if self.tag in ("log", "loglog") and self.k < 1:

@@ -542,18 +542,18 @@ SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
     "argv, expected, lines",
     [
         ((), set(), 98),
-        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1889),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1887),
         (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
-         {"exponents", "numpy", "realfield", "scan"}, 2040),
+         {"exponents", "numpy", "realfield", "scan"}, 2038),
         # the exact-integer commands load neither numpy nor mpmath
-        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2332),
+        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2330),
         (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"gap", "lattice", "minima", "realfield"}, 2913),
+         {"gap", "lattice", "minima", "realfield"}, 2864),
         # only the inner box is hashed
         (("gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3494),
+         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3445),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
-         {"counting", "lattice"}, 1585),
+         {"counting", "lattice"}, 1583),
         (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3079),
     ],
     ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "gap-inner", "count-davenport", "sums-t"],
@@ -828,6 +828,30 @@ def test_a_surd_zero_is_decided_exactly(line, code):
         assert [d[k]["infinite_witness"] for k in ("omega_lower", "omega_times_lower", "omega_hat_lower")] == [2, 2, 2]
     else:
         assert payload_of(out)["omega_star_lower"]["infinite_witness"] == [2, -1]
+
+
+_OUTER = "--k 2 --alpha sqrt:2 --N 1000 --delta 0.3"
+_DSCHECK = "sums dscheck --k 2 --alpha sqrt:2 --N 100 --delta 1"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (f"gap outer {_OUTER} --ck nan", "c_k must be finite and positive"),
+        (f"gap outer {_OUTER} --ck inf", "c_k must be finite and positive"),
+        (f"gap outer {_OUTER} --ck 1e400", "c_k must be finite and positive"),  # parses to inf
+        (f"gap outer {_OUTER} --ck -3", "c_k must be finite and positive"),
+        (f"gap verify --form outer {_OUTER} --ck nan", "c_k must be finite and positive"),
+        (f"{_DSCHECK} --psi-c nan", "psi parameters must be finite"),
+        (f"{_DSCHECK} --psi table --psi-table 1,nan,0.5", "psi parameters must be finite"),
+        ("count davenport --box 20,20 --p 7", "--p needs --moduli"),
+        ("count davenport --box 20,20 --moduli 1,3", "--moduli needs --p"),
+    ],
+    ids=["ck-nan", "ck-inf", "ck-1e400", "ck-negative", "verify-ck-nan", "psi-c-nan", "psi-table-nan",
+         "p-alone", "moduli-alone"],
+)
+def test_an_input_outside_its_domain_exits_2(capsys, line, message):
+    assert run_cli(capsys, *line.split()) == (2, "", f"validation error: {message}\n")
 
 
 def test_davenport_at_a_large_prime_finishes_in_a_fresh_process():

@@ -375,17 +375,33 @@ def test_outer_explicit_constant_honored():
     assert g.checks["c_k"] == 40.0
 
 
-def test_outer_undersized_constant_fails_within_the_lift_budget():
-    # half the Cramer constant: the first 17 lifts in (n, witness) order all
-    # fail, so a budget of 17 reaches the ConstructionError although the walk
-    # visits 90 nodes, and the width >= 1/2 leaves no second count to run
+def _half_cramer_case():
+    # half the Cramer constant: 2,320 of the 5,603 lifts leave the box
     spec = BohrSpec.build(["sqrt:2"], None, 2000, ["0.7"], "0.05")
     body = build_body(spec)
-    c_k = _cramer_constant(body, successive_minima(body)) / 2
-    with pytest.raises(ConstructionError, match=r"^17\+ lifted members escape"):
-        outer_gap(spec, c_k=c_k, budget=17)
-    with pytest.raises(BudgetExceeded, match="more than 16 lifts to verify"):
-        outer_gap(spec, c_k=c_k, budget=16)
+    return spec, _cramer_constant(body, successive_minima(body)) / 2
+
+
+def test_outer_undersized_constant_counts_every_failing_lift():
+    spec, c_k = _half_cramer_case()
+    assert _lift_lines(spec)[2] == 5603
+    with pytest.raises(ConstructionError, match=r"^2320 lifts escape the coefficient box$"):
+        outer_gap(spec, c_k=c_k)
+
+
+def test_outer_undersized_constant_stops_at_the_lift_budget():
+    # the walk is charged whatever the constant, so a budget one lift short
+    # raises before any lift is decomposed
+    spec, c_k = _half_cramer_case()
+    with pytest.raises(BudgetExceeded, match=r"^more than 5602 lifts to verify$"):
+        outer_gap(spec, c_k=c_k, budget=5602)
+
+
+@pytest.mark.parametrize("c_k", [0, Q(-1, 2), -math.inf])  # the CLI lines cover NaN, inf and -3
+def test_outer_rejects_a_constant_that_is_not_finite_and_positive(c_k):
+    spec = BohrSpec.build(["sqrt:2"], None, 10**4, ["0.3"], "0.05")
+    with pytest.raises(ValidationError, match=r"^c_k must be finite and positive$"):
+        outer_gap(spec, c_k=c_k)
 
 
 # -- cardinality corollary ----------------------------------------------------
@@ -488,9 +504,9 @@ def test_dirichlet_boundary_decides_an_exact_rational_hit():
 # -- the lift check against a lift-by-lift loop --------------------------------
 
 
-def loop_lift_check(spec, minima, lengths, members, budget):
-    """Reference: every lift of every member in itertools.product order, one
-    Python-int decomposition each; stops at the 17th failure."""
+def loop_lift_check(spec, minima, lengths, members):
+    """Reference: (count, failures) over every lift of every member in
+    itertools.product order, one Python-int decomposition each."""
     one = 1 << spec.scale
     coords = []
     for a, delta in zip(spec.alpha.alphas, spec.delta):
@@ -500,8 +516,7 @@ def loop_lift_check(spec, minima, lengths, members, budget):
     d = det(rows)
     adj = adjugate(rows)
     k = len(rows)
-    failures = []
-    checked = 0
+    failures = checked = 0
     for nn in members:
         n = int(nn)
         windows = []
@@ -515,31 +530,22 @@ def loop_lift_check(spec, minima, lengths, members, budget):
             windows.append(cand)
         for tail in itertools.product(*windows):
             checked += 1
-            if checked > budget:
-                raise BudgetExceeded(f"more than {budget} lifts to verify")
             pt = (n,) + tail
             coeffs = tuple(d * sum(pt[i] * adj[i][j] for i in range(k)) for j in range(k))
-            if any(abs(c) > L for c, L in zip(coeffs, lengths)):
-                failures.append((n, pt, coeffs))
-                if len(failures) > 16:
-                    return checked, failures
+            failures += any(abs(c) > L for c, L in zip(coeffs, lengths))
     return checked, failures
 
 
-def _outcome(check, *args):
-    try:
-        return check(*args)
-    except (BudgetExceeded, PrecisionExhausted) as e:
-        return type(e).__name__, str(e)
-
-
-def _same_as_loop(spec, minima, lengths, members, budget=10**8):
-    want = _outcome(loop_lift_check, spec, minima, lengths, members, budget)
-    got = _outcome(_lift_coeff_check, spec, minima, lengths, budget)
-    assert got == want
-    if isinstance(got[0], int):
-        for n, pt, coeffs in got[1]:
-            assert all(type(x) is int for x in (n, *pt, *coeffs))
+def _same_as_loop(spec, minima, lengths, members):
+    """The loop's (count, failures), which _lift_coeff_check must return at an
+    ample budget and at a budget of count; at count - 1 it must raise."""
+    want = loop_lift_check(spec, minima, lengths, members)
+    count = want[0]
+    for budget in (10**8, count):
+        got = _lift_coeff_check(spec, minima, lengths, budget)
+        assert got == want and all(type(x) is int for x in got)
+    with pytest.raises(BudgetExceeded, match=f"^more than {count - 1} lifts to verify$"):
+        _lift_coeff_check(spec, minima, lengths, count - 1)
     return want
 
 
@@ -571,23 +577,19 @@ def test_lift_check_matches_loop(alphas, N, deltas):
     members = enumerate_bohr(spec, "symmetric").members
     assert members.min() < 0
     checked, failures = _same_as_loop(spec, minima, lengths, members)
-    assert failures == [] and checked >= len(members)
+    assert failures == 0 and checked >= len(members)
     # #B^0 from lattice lines, with every width >= 1/2 dropped
     assert _bohr_count(spec) == len(members)
     if all(d < Q(1, 2) for d in spec.delta):
         assert checked == len(members)
-    # the budget runs out on the last lift, or just suffices
-    assert _same_as_loop(spec, minima, lengths, members, checked - 1)[0] == "BudgetExceeded"
-    _same_as_loop(spec, minima, lengths, members, checked)
 
-    # shrunk lengths: the check stops at the 17th failure, and a budget one
-    # lift short of it raises instead; at k = 7 the lengths are near 10^3 but
-    # no lift needs a coefficient past 5, so there only lengths of 1 fail
-    small = [max(1, L // 4) if len(lengths) < 7 else 1 for L in lengths]
-    stop, failures = _same_as_loop(spec, minima, small, members)
-    assert len(failures) == 17 and stop < checked
-    assert _same_as_loop(spec, minima, small, members, stop - 1)[0] == "BudgetExceeded"
-    _same_as_loop(spec, minima, small, members, stop)
+    # shrunk lengths: the same lifts under the same budget rule, with every
+    # failure counted; at k = 7 the lengths are near 10^3 but no lift needs a
+    # coefficient past 5, so there only lengths of 1 fail
+    for small in ([max(1, L // 4) for L in lengths], [1] * len(lengths)):
+        count, failures = _same_as_loop(spec, minima, small, members)
+        assert count == checked and 0 <= failures < count
+    assert failures > 0
 
 
 def _tie_case():
@@ -603,7 +605,7 @@ def test_lift_check_ties_reach_the_exact_path():
     spec, minima, members = _tie_case()
     assert len(members) == 1201
     checked, failures = _same_as_loop(spec, minima, [600, 600], members)
-    assert failures == [] and checked == 1201
+    assert failures == 0 and checked == 1201
     # every line ends on a tie (|n| = N or |n/3 - a| = 1/3, both m = 10),
     # decided by an exact key, and the next point out is outside; the line
     # through 0 starts at x = 1 by the walk's choice of sign
@@ -613,10 +615,9 @@ def test_lift_check_ties_reach_the_exact_path():
         for x, out in ((lo, lo - 1), (hi, hi + 1))[0 if any(r) else 1:]:
             m_end, m_out = (key(tuple(y * p + q for p, q in zip(b, r))).exact for y in (x, out))
             assert m_end == 10 < m_out
-    stop, failures = _same_as_loop(spec, minima, [50, 1], members)
-    assert len(failures) == 17
-    assert [f[0] for f in failures] == sorted(f[0] for f in failures)
-    _same_as_loop(spec, minima, [50, 1], members, stop - 1)
+    # coefficients (a, n - 3a) with a = round(n/3) stay in [50, 1] for
+    # |n| <= 151 only, so 1201 - 303 lifts fail
+    assert _same_as_loop(spec, minima, [50, 1], members) == (1201, 898)
 
 
 def test_lift_check_undecided_keys_take_the_certified_fallback(monkeypatch):
@@ -624,7 +625,7 @@ def test_lift_check_undecided_keys_take_the_certified_fallback(monkeypatch):
     # (replaced here by exact rational arithmetic); an end that no depth
     # decides raises, whether or not the check would reach it
     spec, minima, members = _tie_case()
-    want = loop_lift_check(spec, minima, [50, 1], members, 10**8)
+    want = loop_lift_check(spec, minima, [50, 1], members)
     c = build_body(spec).c
     calls = []
 
@@ -646,16 +647,13 @@ def test_lift_check_undecided_keys_take_the_certified_fallback(monkeypatch):
 
 
 def test_lift_check_exact_ints_over_the_int64_bound():
-    # adjugate entries of 2^40 times |n| near 2^26 pass 2^63, and the
-    # lengths fail every |n| > 2^25 + 100: the 17 failures come first, among
-    # the most negative members, so the loop needs only those
-    spec = BohrSpec.build(["sqrt:2"], None, 2**26, ["0.7"])
-    minima = SimpleNamespace(basis=[(1, 2**40), (0, 1)])
-    members = [n for n in range(-(2**26), -(2**26) + 40) if bohr.is_member(spec, n)]
-    lengths = [2**26, 2**40 * (2**25 + 100)]
-    checked, failures = _same_as_loop(spec, minima, lengths, members)
-    assert len(failures) == 17 and max(abs(c[1]) for *_, c in failures) > 2**63
-    _same_as_loop(spec, minima, lengths, members, checked - 1)
+    # the coefficients (n, a - n*2^62) of a lift (n, a) pass 2^63 once
+    # |n| > 1, and the second length is past it too: the box keeps exactly
+    # the lifts with |n| <= 1000, so those of the 2,000 members beyond fail
+    spec = BohrSpec.build(["sqrt:2"], None, 2000, ["0.7"])
+    minima = SimpleNamespace(basis=[(1, 2**62), (0, 1)])
+    members = enumerate_bohr(spec, "symmetric").members
+    assert _same_as_loop(spec, minima, [2000, 1000 * 2**62], members) == (5603, 2802)
 
 
 # -- past the 31-bit scan limit -------------------------------------------------

@@ -352,6 +352,19 @@ def test_psi_guards():
         psi_family("table", table=(1.0, 0.5)).values(np.array([3]))
 
 
+@pytest.mark.parametrize("tag, params", [
+    ("log", {"c": math.nan}),
+    ("log", {"c": math.inf}),
+    ("power", {"a": math.nan}),
+    ("power", {"a": math.inf}),
+    ("table", {"table": (1.0, math.nan, 0.5)}),  # NaN passes the nonincreasing check
+    ("table", {"table": (math.inf, 1.0)}),
+])
+def test_psi_rejects_a_parameter_that_is_not_finite(tag, params):
+    with pytest.raises(ValidationError, match=r"^psi parameters must be finite$"):
+        psi_family(tag, **params)
+
+
 # -- the modified function -------------------------------------------------------
 
 
