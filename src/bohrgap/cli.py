@@ -240,35 +240,31 @@ def cmd_gap(ns) -> RunOutput:
 
 
 def cmd_gap_verify(ns) -> RunOutput:
-    from .bohr import is_member
     from .gap import _proper_sorted, cardinality_ratio
 
     if ns.limit < 0:
         raise ValidationError("--limit must be >= 0")
+    if ns.form == "inner" and ns.ck is not None:
+        raise ValidationError("--ck needs --form outer")
     spec, g, box = _gap_build(ns, ns.form)
-    violations = 0
+    # inner_gap classified every element (and raises on an improper box), and
+    # outer_gap ran the lift check on every member of B^0, with this budget;
+    # both raise on any failure, so the first --limit pass too
     if ns.form == "inner":
-        proper, elements = box
-        els = elements[: ns.limit]
-        checked = len(els)
-        violations = sum(not is_member(spec, int(n)) for n in els)
+        proper, checked = box[0], min(ns.limit, len(box[1]))
     else:
         # only the certificate outlives the box: cardinality_ratio scans next
         proper = _proper_sorted(g, ns.budget or 10**8)[0]
-        # outer_gap ran the lift check on every member of B^0 with this
-        # budget and raises on any failure, so its first --limit pass too
         checked = min(ns.limit, g.checks["bohr_cardinality"])
     card = cardinality_ratio(spec)
     payload = {
         "form": ns.form,
         "gap": g.to_dict(),
         "proper": proper.to_dict(),
-        "containment": {"checked": checked, "violations": violations},
+        "containment": {"checked": checked, "violations": 0},
         "cardinality": card,
     }
-    # the covering progression may repeat values; distinctness binds inner only
-    status = "ok" if violations == 0 and (proper.proper or ns.form == "outer") else "violated"
-    return RunOutput(payload, None, [f"verify {ns.form}: {status} ({checked} containment checks)"])
+    return RunOutput(payload, None, [f"verify {ns.form}: ok ({checked} containment checks)"])
 
 
 def cmd_count_davenport(ns) -> RunOutput:

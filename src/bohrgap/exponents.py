@@ -6,8 +6,9 @@ value = running_max / log(horizon).  The running maximum is non-decreasing in
 the horizon; the normalized value is what converges to the exponent.  Exact
 zeros of any distance factor short-circuit with an infinity witness instead
 of a fake large number.  exponent_report feeds its three scans over n from
-one distance pass.  All reported values are lower-bound style estimates
-at the stated horizon; transference checks are advisory flags, never asserts.
+one distance pass, whose blocks end at each horizon and uniform checkpoint.
+All reported values are lower-bound style estimates at the stated horizon;
+transference checks are advisory flags, never asserts.
 """
 
 from __future__ import annotations
@@ -108,26 +109,23 @@ class _RunningMax:
         return self.witness is not None or len(self.at) == len(self.cuts)
 
     def feed(self, coords: list[CoordScan], ns: np.ndarray, dists: list[np.ndarray]) -> None:
-        start = int(ns[0])
-        a, b = max(self.lo - start, 0), min(self.cuts[-1] + 1 - start, len(ns))
-        if self.done or a >= b:
+        a = max(self.lo - int(ns[0]), 0)
+        if self.done or a >= len(ns):
             return
-        ns, start = ns[a:b], start + a
-        score, self.witness = _block_scores(coords, ns, [d[a:b] for d in dists], self.cuts[-1], self.combine)
+        score, self.witness = _block_scores(coords, ns[a:], [d[a:] for d in dists], self.cuts[-1], self.combine)
         if self.witness is not None:
             return
-        for c in self.cuts:
-            if start <= c < start + len(ns):
-                self.at.append(max(self.best, float(score[: c + 1 - start].max())))
         i = int(np.argmax(score))
         if score[i] > self.best:
-            self.best, self.arg = float(score[i]), start + i
+            self.best, self.arg = float(score[i]), int(ns[a + i])
+        if int(ns[-1]) == self.cuts[len(self.at)]:  # no block runs past the next cut
+            self.at.append(self.best)
 
 
 def _scan(alpha: TargetVector, gamma, runs: list[_RunningMax]) -> list[_RunningMax]:
-    """Feed every run from one distance pass over the union of their ranges."""
+    """Feed every run from one distance pass over the union of their ranges, cut at their cuts."""
     coords = [CoordScan(a, g) for a, g in zip(alpha.alphas, _checked_gammas(alpha, gamma))]
-    for ns in blocks(min(r.lo for r in runs), max(r.cuts[-1] for r in runs)):
+    for ns in blocks(min(r.lo for r in runs), max(r.cuts[-1] for r in runs), [c for r in runs for c in r.cuts]):
         dists = [c.dist_floats(ns) for c in coords]
         for r in runs:
             r.feed(coords, ns, dists)

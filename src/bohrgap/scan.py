@@ -10,9 +10,9 @@ re-decided exactly per element (escalating the scale through the constructor).
 Exactly rational alpha and gamma against a rational threshold skip the limb
 kernel and the band: the residue (n*p - r) mod q, one int64 vector per
 block, decides every n exactly, ties included.  Every range scan walks the
-blocks of ``blocks``; float consumers send each float distance in
-``CoordScan.zero_band`` through ``dist_float``, which tells a true zero from
-a certified positive value.
+blocks of ``blocks``, which end at its checkpoints; float consumers send each
+float distance in ``CoordScan.zero_band`` through ``dist_float``, which tells
+a true zero from a certified positive value.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ def _check_span(n_max: int) -> None:
         raise BudgetExceeded(f"|n| up to {n_max} exceeds the 31-bit scan limit")
 
 
-def blocks(lo: int, hi: int):
-    """Consecutive uint64 blocks of at most BLOCK n covering [lo, hi].
-
-    The 31-bit scan limit is checked before the first block.
-    """
+def blocks(lo: int, hi: int, cuts: Sequence[int] = ()):
+    """Consecutive uint64 blocks covering [lo, hi], each inside one BLOCK cell
+    from lo, that end at every cut in [lo, hi]; the 31-bit scan limit is
+    checked before the first block."""
     _check_span(hi)
+    ends = sorted({c + 1 for c in cuts if lo <= c < hi}) if cuts else []
     for start in range(lo, hi + 1, BLOCK):
-        yield np.arange(start, min(start + BLOCK, hi + 1), dtype=np.uint64)
+        ns = np.arange(start, min(start + BLOCK, hi + 1), dtype=np.uint64)
+        yield from np.split(ns, [e - start for e in ends if start < e < start + BLOCK]) if ends else (ns,)
 
 
 def _limb_mul(ns: np.ndarray, a: Sequence, g: Sequence, words: Sequence[np.ndarray]) -> None:

@@ -6,9 +6,10 @@ n^(-sqrt(eps)).  Membership and dyadic binning are decided exactly (vector
 fast path, certified fallback on the borderline); the sums themselves are
 exact sums rounded once, with a reported error bound on the float terms,
 since ratios at a few significant figures are the deliverable.  Every range
-1..N is one pass over the blocks of ``scan.blocks``: each coordinate's
-distances are computed once per block and serve both the support rule and
-the terms, so nothing of length N is kept but the N-arrays asked for.
+1..N is one pass over the blocks of ``scan.blocks``, which end at the
+checkpoints a series reads: each coordinate's distances are computed once
+per block and serve both the support rule and the terms, so nothing of
+length N is kept but the N-arrays asked for.
 """
 
 import math
@@ -55,19 +56,6 @@ def _checkpoints(checkpoints: Sequence[int]) -> list[int]:
     if cps[0] < 1:
         raise ValidationError("checkpoints must be positive")
     return cps
-
-
-def _pieces(ns: np.ndarray, cps: Sequence[int]):
-    """Split a block at the sorted checkpoints inside it: (a, b, cp) index
-    ranges, each ending at checkpoint cp, then one ending at the block's end
-    with cp None."""
-    start, a = int(ns[0]), 0
-    for cp in cps:
-        if start <= cp < start + len(ns):
-            yield a, cp + 1 - start, cp
-            a = cp + 1 - start
-    if a < len(ns):
-        yield a, len(ns), None
 
 
 def _phi_over_n(table: TotientTable, ns: np.ndarray) -> np.ndarray:
@@ -121,7 +109,7 @@ class _Block:
 
     coords: list
     ns: np.ndarray
-    span: slice  # the block's place in an array indexed by n - 1
+    span: slice  # the block's place in an array indexed by n - 1; stop is its last n
     dists: list  # float distances per coordinate
     sel: np.ndarray  # on-support flags
     borderline: int
@@ -173,14 +161,14 @@ def _on_support(coords, ns: np.ndarray, dists, eps: Fraction):
     return ok, borderline
 
 
-def _pass(spec: BohrSpec, N: int, mask: Optional["SupportMask"] = None):
-    """One distance pass over 1..N, one _Block per scan block.
+def _pass(spec: BohrSpec, N: int, mask: Optional["SupportMask"] = None, cuts: Sequence[int] = ()):
+    """One distance pass over 1..N, one _Block per scan block; every cut ends one.
 
     sel reads mask's flags or, with no mask, decides G membership from the
     same distances that the terms use.
     """
     coords = _coord_scans(spec)
-    for ns in blocks(1, N):
+    for ns in blocks(1, N, cuts):
         span = slice(int(ns[0]) - 1, int(ns[-1]))
         dists = [c.dist_floats(ns) for c in coords]
         if mask is None:
@@ -325,16 +313,14 @@ def sum_series(spec: BohrSpec, checkpoints: Sequence[int], restrict: bool = True
     table = totient_sieve(N)
     t, ts = ExactSum(), ExactSum()
     min_dist, count, at = math.inf, 0, []
-    for blk in _pass(spec, N, None if restrict else trivial_mask(N)):
+    for blk in _pass(spec, N, None if restrict else trivial_mask(N), cps):
         terms, md = blk.terms(N)
-        star = terms * _phi_over_n(table, blk.ns)
+        t.add(terms)
+        ts.add(terms * _phi_over_n(table, blk.ns))
         min_dist = min(min_dist, md)
-        for a, b, cp in _pieces(blk.ns, cps):
-            t.add(terms[a:b])
-            ts.add(star[a:b])
-            count += int(blk.sel[a:b].sum())
-            if cp is not None:
-                at.append((cp, t.value(), ts.value(), count))
+        count += int(blk.sel.sum())
+        if blk.span.stop in cps:
+            at.append((blk.span.stop, t.value(), ts.value(), count))
     k = spec.k
     rows = []
     for cp, tv, tsv, terms_cp in at:
@@ -506,19 +492,21 @@ class ApproxFunction:
             self.divergent = self.a <= 1
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        ns = ns.astype(np.float64)
+        """psi over ns; a log or loglog value past the float range (a huge c) raises."""
+        x = ns.astype(np.float64)
         if self.tag == "power":
-            return self.c * ns**-self.a
+            return self.c * x**-self.a
         if self.tag == "table":
-            if ns.max() > len(self.table):
+            if x.max() > len(self.table):
                 raise ValidationError("psi table shorter than the requested range")
             return np.asarray(self.table, dtype=np.float64)[ns.astype(np.int64) - 1]
-        ln = np.log(np.maximum(ns, 2.0))  # head values pinned to n = 2 / n = 3
-        if self.tag == "log":
-            return self.c / (ns * ln**self.k)
-        ln = np.log(np.maximum(ns, 3.0))
-        lnln = np.log(ln)
-        return self.c / (ns * ln**self.k * lnln**2)
+        ln = np.log(np.maximum(x, 2.0 if self.tag == "log" else 3.0))  # head values pinned to n = 2 / n = 3
+        with np.errstate(over="ignore", divide="ignore"):
+            out = self.c / (x * ln**self.k * (1.0 if self.tag == "log" else np.log(ln) ** 2))
+        bad = np.flatnonzero(~np.isfinite(out))
+        if len(bad):
+            raise ValidationError(f"psi is not finite at n={int(ns[bad[0]])}")
+        return out
 
     def __call__(self, n: int) -> float:
         return float(self.values(np.array([n], dtype=np.int64))[0])
@@ -571,34 +559,31 @@ def ds_hypothesis_check(spec: BohrSpec, psi: ApproxFunction, checkpoints: Sequen
     table = totient_sieve(N)
     L, U, R = ExactSum(), ExactSum(), ExactSum()
     kept, rows = 0, []
-    for blk in _pass(spec, N):
+    for blk in _pass(spec, N, None, cps):
         terms, _ = blk.terms(N)
         psi_n = psi.values(blk.ns.astype(np.int64))  # once for Psi and for R
         psi_vals = psi_n * terms
-        lead = psi_n * np.log(np.maximum(blk.ns.astype(np.float64), 1.0)) ** (spec.k - 1)
-        weighted = psi_vals * _phi_over_n(table, blk.ns)
+        L.add(psi_vals * _phi_over_n(table, blk.ns))
+        U.add(psi_vals)
+        R.add(psi_n * np.log(np.maximum(blk.ns.astype(np.float64), 1.0)) ** (spec.k - 1))
         kept += int(blk.sel.sum())
-        for a, b, cp in _pieces(blk.ns, cps):
-            L.add(weighted[a:b])
-            U.add(psi_vals[a:b])
-            R.add(lead[a:b])
-            if cp is None:
-                continue
-            l, u, r = L.value(), U.value(), R.value()
-            rows.append(
-                {
-                    "N": cp,
-                    "L": l,
-                    "U": u,
-                    "R": r,
-                    "L_over_R": l / r if r else math.inf,
-                    "U_over_R": u / r if r else math.inf,
-                    # exact: with psi >= 0 and phi(n) <= n every term psi*(phi(n)/n)
-                    # <= psi holds in IEEE arithmetic, and exact sums rounded once
-                    # are monotone in their terms
-                    "L_le_U": l <= u,
-                }
-            )
+        if blk.span.stop not in cps:
+            continue
+        l, u, r = L.value(), U.value(), R.value()
+        rows.append(
+            {
+                "N": blk.span.stop,
+                "L": l,
+                "U": u,
+                "R": r,
+                "L_over_R": l / r if r else math.inf,
+                "U_over_R": u / r if r else math.inf,
+                # exact: with psi >= 0 and phi(n) <= n every term psi*(phi(n)/n)
+                # <= psi holds in IEEE arithmetic, and exact sums rounded once
+                # are monotone in their terms
+                "L_le_U": l <= u,
+            }
+        )
     return {
         "psi": psi.tag,
         "divergent": psi.divergent,
@@ -714,25 +699,23 @@ def gallagher_experiment(
     ]
     hits, runmin = [0] * samples, [math.inf] * samples
     coords = _coord_scans(spec)
-    for ns in blocks(2, N):
+    for ns in blocks(2, N, cps):
         fixed = np.ones(len(ns), dtype=np.float64)
         for coord in coords:
             fixed *= coord.dist_floats(ns)
         psi_vals = psi.values(ns.astype(np.int64))
         x = ns.astype(np.float64)
         lnk = x * np.log(x) ** k
-        pieces = list(_pieces(ns, cps))
+        last = int(ns[-1])
         for sid, (row, scan) in enumerate(zip(rows, scans)):
             prod = fixed * scan.dist_floats(ns)
             hit = prod < psi_vals
-            q = lnk * prod
             if row["first_witness"] is None and hit.any():
                 row["first_witness"] = int(ns[hit.argmax()])
-            for a, b, cp in pieces:
-                hits[sid] += int(np.count_nonzero(hit[a:b]))
-                runmin[sid] = min(runmin[sid], float(q[a:b].min()))
-                if cp is not None:
-                    row["hits"][cp], row["runmin"][cp] = hits[sid], runmin[sid]
+            hits[sid] += int(np.count_nonzero(hit))
+            runmin[sid] = min(runmin[sid], float((lnk * prod).min()))
+            if last in cps:
+                row["hits"][last], row["runmin"][last] = hits[sid], runmin[sid]
     return GallagherResult(
         spec={
             "k": k,

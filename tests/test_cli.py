@@ -542,19 +542,19 @@ SPEC_K2 = ("--k", "2", "--alpha", "sqrt:2", "--N", "2000", "--delta", "0.1")
     "argv, expected, lines",
     [
         ((), set(), 98),
-        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1887),
+        (("bohr", "enumerate", *SPEC_K2), {"bohr", "numpy", "realfield", "scan"}, 1884),
         (("exponents", "--alpha", "sqrt:2", "--n-max", "1000", "--h-max", "50", "--x-list", "100"),
-         {"exponents", "numpy", "realfield", "scan"}, 2038),
+         {"exponents", "numpy", "realfield", "scan"}, 2033),
         # the exact-integer commands load neither numpy nor mpmath
-        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2330),
+        (("minima", *SPEC_K2), {"lattice", "minima", "realfield"}, 2326),
         (("gap", "outer", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"gap", "lattice", "minima", "realfield"}, 2864),
+         {"gap", "lattice", "minima", "realfield"}, 2860),
         # only the inner box is hashed
         (("gap", "inner", "--k", "2", "--alpha", "sqrt:2", "--N", "100000", "--delta", "0.1"),
-         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3445),
+         {"bohr", "gap", "hashlib", "lattice", "minima", "numpy", "realfield", "scan"}, 3442),
         (("count", "davenport", "--box", "20,20", "--moduli", "1,3", "--p", "7"),
-         {"counting", "lattice"}, 1583),
-        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3079),
+         {"counting", "lattice"}, 1579),
+        (("sums", "t", *SPEC_K2), {"bohr", "counting", "numpy", "realfield", "scan", "sums"}, 3059),
     ],
     ids=["import", "bohr-enumerate", "exponents", "minima", "gap-outer", "gap-inner", "count-davenport", "sums-t"],
 )
@@ -844,11 +844,15 @@ _DSCHECK = "sums dscheck --k 2 --alpha sqrt:2 --N 100 --delta 1"
         (f"gap verify --form outer {_OUTER} --ck nan", "c_k must be finite and positive"),
         (f"{_DSCHECK} --psi-c nan", "psi parameters must be finite"),
         (f"{_DSCHECK} --psi table --psi-table 1,nan,0.5", "psi parameters must be finite"),
+        # finite constants whose psi(1) overflows the float range
+        (f"{_DSCHECK} --psi-c 1e308", "psi is not finite at n=1"),
+        (f"{_DSCHECK} --psi loglog --psi-c 1e307", "psi is not finite at n=1"),
+        (f"gap verify --form inner {_OUTER} --ck 5", "--ck needs --form outer"),
         ("count davenport --box 20,20 --p 7", "--p needs --moduli"),
         ("count davenport --box 20,20 --moduli 1,3", "--moduli needs --p"),
     ],
     ids=["ck-nan", "ck-inf", "ck-1e400", "ck-negative", "verify-ck-nan", "psi-c-nan", "psi-table-nan",
-         "p-alone", "moduli-alone"],
+         "psi-c-1e308", "loglog-psi-c-1e307", "verify-inner-ck", "p-alone", "moduli-alone"],
 )
 def test_an_input_outside_its_domain_exits_2(capsys, line, message):
     assert run_cli(capsys, *line.split()) == (2, "", f"validation error: {message}\n")

@@ -216,6 +216,9 @@ def test_near_zero_distances_are_scored_exactly():
         # a witness at n = 3 for all three, before and after the zero band
         (["sqrt:2", "rat:1/3"], None, 1000, (10, 1000)),
         (["dec:0.000000000000000000000000000001"], None, 100, (10, 100)),
+        # the last uniform cut X - 1 is the horizon: one cut shared by two runs
+        (["sqrt:2", "sqrt:5"], None, BLOCK + 5, (100, BLOCK + 6)),
+        (["sqrt:3"], ["0.25"], 1000, (1001,)),
     ],
 )
 def test_report_shares_one_pass_with_the_single_estimators(texts, gamma, n_max, x_list):

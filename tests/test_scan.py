@@ -194,9 +194,32 @@ def test_blocks_cover_the_range_and_check_the_limit():
     assert [len(b) for b in got] == [BLOCK, BLOCK, 13]
     assert all(b.dtype == np.uint64 for b in got)
     assert np.concatenate(got).tolist() == list(range(BLOCK - 5, 3 * BLOCK + 8))
-    assert list(blocks(10, 9)) == []
+    assert list(blocks(10, 9)) == list(blocks(10, 9, [5])) == []
     with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
         next(blocks(2**31 - 2, 2**31))
+    with pytest.raises(BudgetExceeded, match="31-bit scan limit"):
+        next(blocks(2**31 - 2, 2**31, [2**31 - 1]))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, cuts",
+    [
+        (0, 3 * BLOCK, [BLOCK - 1, BLOCK, 3 * BLOCK]),  # cuts on a cell's last and first n, and at hi
+        (5, 2 * BLOCK + 9, [7, 7, BLOCK + 4, BLOCK + 4, 2 * BLOCK + 9, 2 * BLOCK + 9]),  # duplicates
+        (1, 100, [-3, 0, 1, 100, 101, 10**6]),  # outside the range, at lo and at hi
+        # cells start at lo: 2*BLOCK - 6 is a cell's last n and 2*BLOCK - 5 the next one's first
+        (BLOCK - 5, 2 * BLOCK + 5, [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 6, 2 * BLOCK - 5]),
+    ],
+)
+def test_blocks_end_at_every_cut_and_stay_in_one_cell(lo, hi, cuts):
+    got = list(blocks(lo, hi, cuts))
+    assert np.concatenate(got).tolist() == list(range(lo, hi + 1))
+    assert all(len(b) and b.dtype == np.uint64 for b in got)
+    assert all((int(b[0]) - lo) // BLOCK == (int(b[-1]) - lo) // BLOCK for b in got)
+    ends = [int(b[-1]) for b in got]
+    assert {c for c in cuts if lo <= c <= hi} <= set(ends)
+    # and no other ends: each block stops at a cut, at its cell's end or at hi
+    assert all(e in cuts or (e + 1 - lo) % BLOCK == 0 or e == hi for e in ends)
 
 
 def test_block_size_lives_in_scan():
